@@ -1,8 +1,9 @@
 // Sequential-vs-parallel benchmark pairs for the internal/parallel
 // engine. Each pair runs the identical workload with the worker pool
 // pinned to 1 (the sequential baseline) and at GOMAXPROCS; on a
-// machine with >=4 cores the parallel variant of the estimator and
-// bootstrap benches should run >=2x faster. Results are bit-identical
+// machine with >=4 cores the parallel variant of the bootstrap and
+// Monte Carlo benches should run >=2x faster. The estimator kernels
+// themselves fold sequentially. Results are bit-identical
 // between the members of every pair — that is the engine's contract,
 // enforced by the determinism tests in internal/core and
 // internal/experiments.
@@ -17,79 +18,25 @@ import (
 )
 
 // sequentially pins the worker pool to one worker for the duration of
-// the benchmark; concurrently restores the GOMAXPROCS default. The
-// estimator threshold is dropped so even mid-sized traces take the
-// chunked path and the pair measures the engine, not the gate.
+// the benchmark; concurrently restores the GOMAXPROCS default.
 func sequentially(b *testing.B) {
 	b.Helper()
 	parallel.SetDefaultWorkers(1)
-	old := core.ParallelThreshold
-	core.ParallelThreshold = 1
-	b.Cleanup(func() {
-		parallel.SetDefaultWorkers(0)
-		core.ParallelThreshold = old
-	})
+	b.Cleanup(func() { parallel.SetDefaultWorkers(0) })
 }
 
 func concurrently(b *testing.B) {
 	b.Helper()
 	parallel.SetDefaultWorkers(0)
-	old := core.ParallelThreshold
-	core.ParallelThreshold = 1
-	b.Cleanup(func() { core.ParallelThreshold = old })
 }
 
-func benchDR(b *testing.B) {
-	tr, np, model := banditTrace(b, microN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.DoublyRobust(tr, np, model, core.DROptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(microN*b.N)/b.Elapsed().Seconds(), "records/s")
-}
-
-func BenchmarkEstimatorDRSequential(b *testing.B) { sequentially(b); benchDR(b) }
-func BenchmarkEstimatorDRParallel(b *testing.B)   { concurrently(b); benchDR(b) }
-
-func benchIPS(b *testing.B) {
-	tr, np, _ := banditTrace(b, microN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.IPS(tr, np, core.IPSOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(microN*b.N)/b.Elapsed().Seconds(), "records/s")
-}
-
-func BenchmarkEstimatorIPSSequential(b *testing.B) { sequentially(b); benchIPS(b) }
-func BenchmarkEstimatorIPSParallel(b *testing.B)   { concurrently(b); benchIPS(b) }
-
-func benchDM(b *testing.B) {
-	tr, np, model := banditTrace(b, microN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.DirectMethod(tr, np, model); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(microN*b.N)/b.Elapsed().Seconds(), "records/s")
-}
-
-func BenchmarkEstimatorDMSequential(b *testing.B) { sequentially(b); benchDM(b) }
-func BenchmarkEstimatorDMParallel(b *testing.B)   { concurrently(b); benchDM(b) }
-
-// benchBootstrap resamples a 5k-record trace 200 times, refitting the
-// IPS estimator per resample — the drevald per-request workload.
+// benchBootstrap runs drevald's per-request bootstrap — 200 resamples
+// of the refit DR estimator — over a 5k-record trace.
 func benchBootstrap(b *testing.B) {
-	tr, np, _ := banditTrace(b, 5000)
+	v, np, _ := banditView(b, 5000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ci, err := core.BootstrapSeeded(tr, func(t core.Trace[float64, int]) (core.Estimate, error) {
-			return core.IPS(t, np, core.IPSOptions{})
-		}, 42, 200, 0.95)
+		ci, err := core.BootstrapDRViewSeeded(v, np, core.DROptions{}, 42, 200, 0.95)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -265,14 +265,15 @@ func figure7bCorpus(b *testing.B) (*abr.Data, core.Policy[abr.Chunk, int], float
 func BenchmarkAblationSelfNorm(b *testing.B) {
 	d, np, truth := figure7bCorpus(b)
 	model := core.RewardFunc[abr.Chunk, int](d.ModelReward)
+	v := mustView(b, d.Trace)
 	var plain, selfNorm float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, err := core.DoublyRobust(d.Trace, np, model, core.DROptions{Clip: 8})
+		p, err := core.DoublyRobustView(v, np, model, core.DROptions{Clip: 8})
 		if err != nil {
 			b.Fatal(err)
 		}
-		s, err := core.DoublyRobust(d.Trace, np, model, core.DROptions{Clip: 8, SelfNormalize: true})
+		s, err := core.DoublyRobustView(v, np, model, core.DROptions{Clip: 8, SelfNormalize: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -287,12 +288,13 @@ func BenchmarkAblationSelfNorm(b *testing.B) {
 func BenchmarkAblationClipping(b *testing.B) {
 	d, np, truth := figure7bCorpus(b)
 	model := core.RewardFunc[abr.Chunk, int](d.ModelReward)
+	v := mustView(b, d.Trace)
 	clips := []float64{0, 2, 5, 8, 15}
 	errs := make([]float64, len(clips))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j, c := range clips {
-			dr, err := core.DoublyRobust(d.Trace, np, model, core.DROptions{Clip: c})
+			dr, err := core.DoublyRobustView(v, np, model, core.DROptions{Clip: c})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -318,14 +320,15 @@ func formatClip(c float64) string {
 func BenchmarkAblationSwitchVsClip(b *testing.B) {
 	d, np, truth := figure7bCorpus(b)
 	model := core.RewardFunc[abr.Chunk, int](d.ModelReward)
+	v := mustView(b, d.Trace)
 	var clipErr, switchErr float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := core.DoublyRobust(d.Trace, np, model, core.DROptions{Clip: 8})
+		c, err := core.DoublyRobustView(v, np, model, core.DROptions{Clip: 8})
 		if err != nil {
 			b.Fatal(err)
 		}
-		s, err := core.SwitchDR(d.Trace, np, model, core.SwitchOptions{Tau: 8})
+		s, err := core.SwitchDRView(v, np, model, core.SwitchOptions{Tau: 8})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -349,6 +352,10 @@ func BenchmarkAblationKNN(b *testing.B) {
 	}
 	np := w.NewPolicy(0.4, rng)
 	truth := d.GroundTruth(np)
+	v, err := core.NewTraceViewKeyed(d.Trace, cfa.Client.Key)
+	if err != nil {
+		b.Fatal(err)
+	}
 	ks := []int{1, 3, 5, 10}
 	errs := make([]float64, len(ks))
 	b.ResetTimer()
@@ -357,7 +364,7 @@ func BenchmarkAblationKNN(b *testing.B) {
 			fit := func(tr core.Trace[cfa.Client, cfa.Decision]) (core.RewardModel[cfa.Client, cfa.Decision], error) {
 				return (&cfa.Data{Trace: tr, World: d.World}).PerDecisionKNNModel(k)
 			}
-			dr, err := core.CrossFitDR(d.Trace, np, fit, 2, core.DROptions{})
+			dr, err := core.CrossFitDRView(v, np, fit, 2, core.DROptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -372,6 +379,21 @@ func BenchmarkAblationKNN(b *testing.B) {
 // ---------------------------------------------------------------------
 // Estimator micro-benchmarks: records/op throughput of DM, IPS, DR and
 // ReplayDR on a large synthetic bandit trace.
+
+func mustView[C comparable, D comparable](b *testing.B, tr core.Trace[C, D]) *core.TraceView[C, D] {
+	b.Helper()
+	v, err := core.NewTraceView(tr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return v
+}
+
+// banditView is banditTrace as a view.
+func banditView(b *testing.B, n int) (*core.TraceView[float64, int], core.Policy[float64, int], core.RewardModel[float64, int]) {
+	tr, np, model := banditTrace(b, n)
+	return mustView(b, tr), np, model
+}
 
 func banditTrace(b *testing.B, n int) (core.Trace[float64, int], core.Policy[float64, int], core.RewardModel[float64, int]) {
 	b.Helper()
@@ -400,10 +422,10 @@ func banditTrace(b *testing.B, n int) (core.Trace[float64, int], core.Policy[flo
 const microN = 100000
 
 func BenchmarkEstimatorDM(b *testing.B) {
-	tr, np, model := banditTrace(b, microN)
+	v, np, model := banditView(b, microN)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.DirectMethod(tr, np, model); err != nil {
+		if _, err := core.DirectMethodView(v, np, model); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -411,10 +433,10 @@ func BenchmarkEstimatorDM(b *testing.B) {
 }
 
 func BenchmarkEstimatorIPS(b *testing.B) {
-	tr, np, _ := banditTrace(b, microN)
+	v, np, _ := banditView(b, microN)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.IPS(tr, np, core.IPSOptions{}); err != nil {
+		if _, err := core.IPSView(v, np, core.IPSOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -422,10 +444,10 @@ func BenchmarkEstimatorIPS(b *testing.B) {
 }
 
 func BenchmarkEstimatorDR(b *testing.B) {
-	tr, np, model := banditTrace(b, microN)
+	v, np, model := banditView(b, microN)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.DoublyRobust(tr, np, model, core.DROptions{}); err != nil {
+		if _, err := core.DoublyRobustView(v, np, model, core.DROptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -34,7 +34,6 @@ import (
 
 	"drnet/internal/biasobs"
 	"drnet/internal/core"
-	"drnet/internal/mathx"
 	"drnet/internal/obs"
 	"drnet/internal/traceio"
 	"drnet/internal/wideevent"
@@ -149,17 +148,16 @@ func run(tracePath, format, policySpec string, estProp bool, clip float64, selfN
 			return err
 		}
 	}
-	if err := trace.Validate(); err != nil {
+	view, err := core.NewTraceViewKeyed(trace, key)
+	if err != nil {
 		return fmt.Errorf("%w (use -estimate-propensities if the trace has none)", err)
 	}
-
 	newPolicy, err := traceio.ParsePolicy(policySpec, trace)
 	if err != nil {
 		return err
 	}
-
 	endDiag := evb.Phase("diagnose")
-	diag, err := core.Diagnose(trace, newPolicy)
+	diag, err := core.DiagnoseView(view, newPolicy)
 	endDiag()
 	if err != nil {
 		return err
@@ -170,10 +168,6 @@ func run(tracePath, format, policySpec string, estProp bool, clip float64, selfN
 	fmt.Printf("overlap: %s\n\n", diag)
 
 	if windows > 0 {
-		view, err := core.NewTraceViewKeyed(trace, key)
-		if err != nil {
-			return err
-		}
 		endBias := evb.Phase("bias_observatory")
 		report, err := biasobs.Compute(view, newPolicy, biasobs.Config{Windows: windows})
 		endBias()
@@ -187,18 +181,17 @@ func run(tracePath, format, policySpec string, estProp bool, clip float64, selfN
 		return nil
 	}
 
-	model := core.FitTable(trace, func(c traceio.FlatContext, d string) string {
-		return c.Key() + "|" + d
-	})
-	dm, err := core.DirectMethod(trace, newPolicy, model)
+	model := core.FitTableView(view)
+	dm, err := core.DirectMethodView(view, newPolicy, model)
 	if err != nil {
 		return err
 	}
-	ips, err := core.IPS(trace, newPolicy, core.IPSOptions{Clip: clip, SelfNormalize: selfNorm})
+	ips, err := core.IPSView(view, newPolicy, core.IPSOptions{Clip: clip, SelfNormalize: selfNorm})
 	if err != nil {
 		return err
 	}
-	dr, err := core.DoublyRobust(trace, newPolicy, model, core.DROptions{Clip: clip, SelfNormalize: selfNorm})
+	drOpts := core.DROptions{Clip: clip, SelfNormalize: selfNorm}
+	dr, err := core.DoublyRobustView(view, newPolicy, model, drOpts)
 	if err != nil {
 		return err
 	}
@@ -207,12 +200,10 @@ func run(tracePath, format, policySpec string, estProp bool, clip float64, selfN
 	fmt.Printf("DR:                 %s\n", dr)
 
 	if bootstrapB > 0 {
+		// The refit-DR bootstrap drevald's /evaluate serves: the same
+		// trace, policy, options and seed give drevald's drInterval.
 		endBoot := evb.Phase("bootstrap")
-		rng := mathx.NewRNG(seed)
-		ci, err := core.Bootstrap(trace, func(t core.Trace[traceio.FlatContext, string]) (core.Estimate, error) {
-			m := core.FitTable(t, func(c traceio.FlatContext, d string) string { return c.Key() + "|" + d })
-			return core.DoublyRobust(t, newPolicy, m, core.DROptions{Clip: clip, SelfNormalize: selfNorm})
-		}, rng, bootstrapB, 0.95)
+		ci, err := core.BootstrapDRViewSeeded(view, newPolicy, drOpts, seed, bootstrapB, 0.95)
 		endBoot()
 		if err != nil {
 			return err

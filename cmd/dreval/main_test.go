@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -102,7 +103,7 @@ func TestBuildPolicyBestObserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Context {1}: b is best. Context {2}: a. Unseen context: global
-	// best (a: mean 5 vs b: 5 — tie broken by map order; accept either).
+	// best (a: mean 5 vs b: 5 — the tie goes to a, logged first).
 	got := p.Distribution(traceio.FlatContext{Features: []float64{1}})
 	if got[0].Decision != "b" {
 		t.Fatalf("context 1 best = %q, want b", got[0].Decision)
@@ -112,8 +113,8 @@ func TestBuildPolicyBestObserved(t *testing.T) {
 		t.Fatalf("context 2 best = %q, want a", got[0].Decision)
 	}
 	unseen := p.Distribution(traceio.FlatContext{Features: []float64{99}})
-	if unseen[0].Decision != "a" && unseen[0].Decision != "b" {
-		t.Fatalf("unseen context best = %q", unseen[0].Decision)
+	if unseen[0].Decision != "a" {
+		t.Fatalf("unseen context best = %q, want a", unseen[0].Decision)
 	}
 }
 
@@ -249,5 +250,41 @@ func TestRunEmitsWideEvent(t *testing.T) {
 	}
 	if bad.RequestID != "run-bad" || bad.Status != 500 || bad.Error == "" {
 		t.Fatalf("failure event = %+v", bad)
+	}
+}
+
+// TestRunBootstrapIsDrevaldInterval: dreval -bootstrap runs
+// core.BootstrapDRViewSeeded over the trace interned by
+// FlatContext.Key — the call behind drevald's drInterval — so the same
+// trace, policy, options and seed print drevald's interval.
+func TestRunBootstrapIsDrevaldInterval(t *testing.T) {
+	path := writeTestTrace(t, false)
+	out := captureStdout(t, func() error {
+		return run(path, "csv", "best-observed", false, 10, true, 80, 9, 0, false, nil)
+	})
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	ft, err := traceio.ReadCSV(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := traceio.ToCore(ft)
+	view, err := core.NewTraceViewKeyed(trace, traceio.FlatContext.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	policy, err := traceio.ParsePolicy("best-observed", trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ci, err := core.BootstrapDRViewSeeded(view, policy, core.DROptions{Clip: 10, SelfNormalize: true}, 9, 80, 0.95)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("DR 95%% bootstrap CI: [%.4f, %.4f]", ci.Lo, ci.Hi); !strings.Contains(out, want) {
+		t.Fatalf("output lacks %q:\n%s", want, out)
 	}
 }

@@ -793,8 +793,7 @@ func handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	evb.SetPolicy(req.Policy)
 	// Columnar hot path: intern the trace once, then every phase below
 	// (diagnostics, model fit, estimators, bootstrap) reads the shared
-	// view — bit-identical results to the record-slice path, proved by
-	// internal/core's view equivalence suite.
+	// view.
 	buildStart := time.Now()
 	view, err := timed(ctx, root, "build_view", func() (*core.TraceView[traceio.FlatContext, string], error) {
 		return core.NewTraceViewKeyedCtx(ctx, trace, traceio.FlatContext.Key)

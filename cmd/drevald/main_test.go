@@ -183,3 +183,36 @@ func TestEvaluateBadRequests(t *testing.T) {
 		t.Fatalf("GET /evaluate: status %d, want 405", resp.StatusCode)
 	}
 }
+
+// TestEvaluateIntervalIsBootstrapDRViewSeeded pins drInterval to
+// core.BootstrapDRViewSeeded over the request's trace, policy, options
+// and seed — the call dreval -bootstrap makes, so both tools print the
+// same interval for the same inputs.
+func TestEvaluateIntervalIsBootstrapDRViewSeeded(t *testing.T) {
+	srv := httptest.NewServer(newMux())
+	defer srv.Close()
+	recs := testTraceJSON(t, false)
+	opts := evalOptions{Clip: 10, SelfNormalize: true, Bootstrap: 80, Seed: 9}
+	resp := post(t, srv, "/evaluate", evalRequest{Trace: recs, Policy: "best-observed", Options: opts})
+	defer resp.Body.Close()
+	var out evalResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %v", resp.StatusCode, err)
+	}
+	trace := traceio.ToCore(traceio.FlatTrace{Records: recs})
+	view, err := core.NewTraceViewKeyed(trace, traceio.FlatContext.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	policy, err := traceio.ParsePolicy("best-observed", trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.BootstrapDRViewSeeded(view, policy, core.DROptions{Clip: 10, SelfNormalize: true}, 9, 80, 0.95)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.DRInterval; got == nil || *got != (intervalJSON{Lo: want.Lo, Hi: want.Hi, Level: want.Level}) {
+		t.Fatalf("drInterval %+v, BootstrapDRViewSeeded %+v", got, want)
+	}
+}

@@ -291,6 +291,7 @@ func (e *streamEngine) maybeRefreshBiasLocked(snap *core.TraceView[traceio.FlatC
 func (e *streamEngine) oldestPolicyLocked() *streamPolicy {
 	var best *streamPolicy
 	for _, sp := range e.evals {
+		//lint:allow nondet (modelEpoch, fingerprint) is a total order: fingerprints are the map's distinct keys plus an epoch
 		if best == nil || sp.modelEpoch < best.modelEpoch ||
 			(sp.modelEpoch == best.modelEpoch && sp.fingerprint < best.fingerprint) {
 			best = sp

@@ -36,16 +36,18 @@ func main() {
 	fmt.Printf("bitrate usage under BBA: %v\n\n", counts)
 
 	newPolicy := data.NewPolicy(0)
-	diag, err := core.Diagnose(data.Trace, newPolicy)
+	view, err := core.NewTraceView(data.Trace)
+	must(err)
+	diag, err := core.DiagnoseView(view, newPolicy)
 	must(err)
 	fmt.Printf("overlap with the MPC policy: %s\n\n", diag)
 
 	truth := data.GroundTruth(newPolicy)
 	model := core.RewardFunc[abr.Chunk, int](data.ModelReward)
 
-	dm, err := core.DirectMethod(data.Trace, newPolicy, model)
+	dm, err := core.DirectMethodView(view, newPolicy, model)
 	must(err)
-	dr, err := core.DoublyRobust(data.Trace, newPolicy, model, core.DROptions{Clip: 8})
+	dr, err := core.DoublyRobustView(view, newPolicy, model, core.DROptions{Clip: 8})
 	must(err)
 
 	fmt.Printf("ground truth per-chunk QoE of MPC: %8.4f\n", truth)

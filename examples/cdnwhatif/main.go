@@ -48,9 +48,11 @@ func main() {
 	// FE-1/BE-2) three ways.
 	np := world.NewPolicy()
 	truth := data.GroundTruth(np)
-	dm, err := core.DirectMethod(data.Trace, np, model)
+	view, err := core.NewTraceView(data.Trace)
 	must(err)
-	dr, err := core.DoublyRobust(data.Trace, np, model, core.DROptions{})
+	dm, err := core.DirectMethodView(view, np, model)
+	must(err)
+	dr, err := core.DoublyRobustView(view, np, model, core.DROptions{})
 	must(err)
 
 	fmt.Printf("expected response time of the new configuration policy:\n")

@@ -44,7 +44,9 @@ func main() {
 	model, err := (&cfa.Data{Trace: fitHalf, World: data.World}).PerDecisionKNNModel(3)
 	must(err)
 
-	ranked, err := core.SelectBest(evalHalf, model, candidates, rng, core.SelectOptions{
+	view, err := core.NewTraceViewKeyed(evalHalf, cfa.Client.Key)
+	must(err)
+	ranked, err := core.SelectBest(view, model, candidates, rng, core.SelectOptions{
 		Bootstrap: 200,
 	})
 	must(err)

@@ -35,10 +35,11 @@ func main() {
 		Epsilon:   0.3,
 	}
 
-	// Collect a trace: 2000 clients served by the old policy.
+	// Collect a trace: 2000 clients from 20 client groups, served by
+	// the old policy.
 	clients := make([]float64, 2000)
 	for i := range clients {
-		clients[i] = rng.Float64()
+		clients[i] = float64(rng.Intn(20)) / 20
 	}
 	trace := core.CollectTrace(clients, oldPolicy, drawReward, rng)
 	fmt.Printf("logged %d records; old policy's on-policy value: %.3f\n\n",
@@ -51,8 +52,12 @@ func main() {
 		Epsilon:   0.1,
 	}
 
+	// Intern the trace once; every estimator reads the columnar view.
+	view, err := core.NewTraceView(trace)
+	must(err)
+
 	// Always check overlap before trusting any off-policy estimate.
-	diag, err := core.Diagnose(trace, newPolicy)
+	diag, err := core.DiagnoseView(view, newPolicy)
 	must(err)
 	fmt.Printf("overlap diagnostics: %s\n\n", diag)
 
@@ -62,11 +67,11 @@ func main() {
 		return trueReward(x, d) + 0.25
 	})
 
-	dm, err := core.DirectMethod(trace, newPolicy, model)
+	dm, err := core.DirectMethodView(view, newPolicy, model)
 	must(err)
-	ips, err := core.IPS(trace, newPolicy, core.IPSOptions{})
+	ips, err := core.IPSView(view, newPolicy, core.IPSOptions{})
 	must(err)
-	dr, err := core.DoublyRobust(trace, newPolicy, model, core.DROptions{})
+	dr, err := core.DoublyRobustView(view, newPolicy, model, core.DROptions{})
 	must(err)
 
 	truth := core.TrueValue(clients, newPolicy, trueReward)
@@ -75,12 +80,12 @@ func main() {
 	fmt.Printf("IPS:                %s   (error %.1f%%)\n", ips, 100*mathx.RelativeError(truth, ips.Value))
 	fmt.Printf("DR:                 %s   (error %.1f%%)\n", dr, 100*mathx.RelativeError(truth, dr.Value))
 
-	// Bootstrap a confidence interval for the DR estimate.
-	ci, err := core.Bootstrap(trace, func(t core.Trace[float64, int]) (core.Estimate, error) {
-		return core.DoublyRobust(t, newPolicy, model, core.DROptions{})
-	}, rng, 300, 0.95)
+	// Bootstrap a confidence interval for DR with a reward model fit
+	// from the trace itself: each resample refits the per-(group,
+	// server) mean reward. The seed fixes the interval.
+	ci, err := core.BootstrapDRViewSeeded(view, newPolicy, core.DROptions{}, 7, 300, 0.95)
 	must(err)
-	fmt.Printf("DR 95%% bootstrap CI: [%.4f, %.4f]\n", ci.Lo, ci.Hi)
+	fmt.Printf("DR (table model refit per resample) 95%% bootstrap CI: [%.4f, %.4f]\n", ci.Lo, ci.Hi)
 }
 
 func must(err error) {

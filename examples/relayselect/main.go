@@ -55,11 +55,13 @@ func main() {
 
 	via := data.VIAModel()
 	full := data.FullModel()
-	dmVIA, err := core.DirectMethod(data.Trace, np, via)
+	view, err := core.NewTraceView(data.Trace)
 	must(err)
-	drVIA, err := core.DoublyRobust(data.Trace, np, via, core.DROptions{})
+	dmVIA, err := core.DirectMethodView(view, np, via)
 	must(err)
-	dmFull, err := core.DirectMethod(data.Trace, np, full)
+	drVIA, err := core.DoublyRobustView(view, np, via, core.DROptions{})
+	must(err)
+	dmFull, err := core.DirectMethodView(view, np, full)
 	must(err)
 
 	fmt.Printf("expected quality of 'relay everything':\n")

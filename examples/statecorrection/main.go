@@ -37,8 +37,9 @@ func main() {
 	})
 
 	estimate := func(tr core.Trace[int, int]) float64 {
-		model := core.FitTable(tr, worldstate.ServerGroup)
-		est, err := core.DoublyRobust(tr, np, model, core.DROptions{})
+		view, err := core.NewTraceView(tr)
+		must(err)
+		est, err := core.DoublyRobustView(view, np, core.FitTable(tr, worldstate.ServerGroup), core.DROptions{})
 		must(err)
 		return est.Value
 	}

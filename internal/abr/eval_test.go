@@ -108,11 +108,15 @@ func TestDRBeatsFastMPCEvaluator(t *testing.T) {
 		np := d.NewPolicy(0)
 		truth := d.GroundTruth(np)
 		model := core.RewardFunc[Chunk, int](d.ModelReward)
-		dm, err := core.DirectMethod(d.Trace, np, model)
+		v, err := core.NewTraceView(d.Trace)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dr, err := core.DoublyRobust(d.Trace, np, model, core.DROptions{Clip: 8})
+		dm, err := core.DirectMethodView(v, np, model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dr, err := core.DoublyRobustView(v, np, model, core.DROptions{Clip: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,6 +15,10 @@ func TestNondetFixture(t *testing.T) {
 	atest.Run(t, "testdata/nondet", "fixture/internal/core", checks.Nondet)
 }
 
+func TestNondetSelectionFixture(t *testing.T) {
+	atest.Run(t, "testdata/nondetselect", "fixture/internal/traceio", checks.Nondet)
+}
+
 func TestFloatHygieneFixture(t *testing.T) {
 	atest.Run(t, "testdata/floathygiene", "fixture/floats", checks.FloatHygiene)
 }

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 
 	"drnet/internal/analysis"
@@ -24,16 +25,19 @@ var nondetScope = []string{
 	"internal/worldstate",
 }
 
-// Nondet flags the two classic ways a deterministic pipeline goes
-// quietly nondeterministic: order-sensitive work inside a map-range
-// loop (float accumulation, slice appends, output writes — map
-// iteration order is randomized per run), and clock or process-global
-// randomness (time.Now/time.Since, global math/rand) in packages whose
-// outputs the determinism tests pin down.
+// Nondet flags the classic ways a pipeline goes quietly
+// nondeterministic. Everywhere: a map-range loop that selects a winner
+// (argmax/argmin) under a strict comparison, so ties resolve in the
+// randomized iteration order. In packages whose outputs the
+// determinism tests pin down: other order-sensitive work inside a
+// map-range loop (float accumulation, slice appends, output writes),
+// and clock or process-global randomness (time.Now/time.Since, global
+// math/rand).
 var Nondet = &analysis.Analyzer{
 	Name: "nondet",
-	Doc: "map-range loops feeding order-sensitive accumulators, and " +
-		"global math/rand / time.Now in deterministic packages",
+	Doc: "map-range loops selecting a winner under a strict comparison; in " +
+		"deterministic packages also order-sensitive accumulators and " +
+		"global math/rand / time.Now",
 	Run: runNondet,
 }
 
@@ -46,24 +50,98 @@ var randConstructors = map[string]bool{
 }
 
 func runNondet(pass *analysis.Pass) {
-	if !pathHasSuffix(pass.Path, nondetScope...) {
-		return
-	}
+	deterministic := pathHasSuffix(pass.Path, nondetScope...)
 	for _, f := range pass.Files {
 		analysis.WalkStack(f, func(n ast.Node, stack []ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.RangeStmt:
 				if tv, ok := pass.Info.Types[n.X]; ok {
 					if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-						checkMapRangeBody(pass, n, stack)
+						checkMapSelection(pass, n)
+						if deterministic {
+							checkMapRangeBody(pass, n, stack)
+						}
 					}
 				}
 			case *ast.CallExpr:
-				checkGlobalRandClock(pass, n)
+				if deterministic {
+					checkGlobalRandClock(pass, n)
+				}
 			}
 			return true
 		})
 	}
+}
+
+// checkMapSelection reports an if inside a map-range loop that keeps a
+// running best or worst — an outer variable compared with < or > and
+// reassigned in the branch — and also records which element won: on
+// ties the winner is whichever element the randomized iteration order
+// reaches first. A branch that only stores the compared candidate into
+// the running value it was compared with (best = v after v > best)
+// keeps an extreme, which no iteration order changes, and passes.
+func checkMapSelection(pass *analysis.Pass, rng *ast.RangeStmt) {
+	lo, hi := rng.Pos(), rng.End()
+	ast.Inspect(rng.Body, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false
+		}
+		ifs, ok := n.(*ast.IfStmt)
+		if !ok {
+			return true
+		}
+		// cands[v] are the expressions outer variable v is strictly
+		// compared against.
+		cands := map[types.Object][]string{}
+		ast.Inspect(ifs.Cond, func(c ast.Node) bool {
+			if bin, ok := c.(*ast.BinaryExpr); ok && (bin.Op == token.LSS || bin.Op == token.GTR) {
+				for _, side := range [][2]ast.Expr{{bin.X, bin.Y}, {bin.Y, bin.X}} {
+					if v := outerVar(pass.Info, side[0], lo, hi); v != nil {
+						cands[v] = append(cands[v], types.ExprString(side[1]))
+					}
+				}
+			}
+			return true
+		})
+		running, recordsWinner := false, false
+		for _, st := range ifs.Body.List {
+			as, ok := st.(*ast.AssignStmt)
+			if !ok || as.Tok != token.ASSIGN || len(as.Lhs) != len(as.Rhs) {
+				continue
+			}
+			for i, lhs := range as.Lhs {
+				v := outerVar(pass.Info, lhs, lo, hi)
+				if v == nil {
+					continue
+				}
+				running = running || cands[v] != nil
+				if !slices.Contains(cands[v], types.ExprString(as.Rhs[i])) {
+					recordsWinner = true
+				}
+			}
+		}
+		if running && recordsWinner {
+			pass.Reportf(ifs.Pos(), "map-range loop keeps a running best under a strict comparison and records the winner: ties resolve in randomized iteration order; iterate in a fixed order or break ties on a total order")
+		}
+		return true
+	})
+}
+
+// outerVar returns the variable at the root of e when it is declared
+// outside [lo, hi], nil otherwise.
+func outerVar(info *types.Info, e ast.Expr, lo, hi token.Pos) types.Object {
+	id := rootIdent(ast.Unparen(e))
+	if id == nil || !declaredOutside(info, id, lo, hi) {
+		return nil
+	}
+	obj := info.Uses[id]
+	if obj == nil {
+		obj = info.Defs[id]
+	}
+	if _, ok := obj.(*types.Var); !ok {
+		return nil
+	}
+	return obj
 }
 
 // checkMapRangeBody reports order-sensitive statements in the body of

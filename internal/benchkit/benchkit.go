@@ -33,9 +33,8 @@ type Config struct {
 	// Workers are the worker-pool widths to measure at.
 	Workers []int `json:"workers"`
 	// Estimators are the workload names: "dm", "ips", "dr" and
-	// "bootstrap" run the columnar TraceView hot path; the "_slice"
-	// variants of each run the record-slice implementations for the
-	// columnar-vs-slice comparison.
+	// "bootstrap" run the estimators drevald serves; "dr_events_on" and
+	// "dr_events_off" price the wide-event journal around DR.
 	Estimators []string `json:"estimators"`
 	// Iters is the number of measured iterations per cell.
 	Iters int `json:"iters"`
@@ -53,7 +52,7 @@ func DefaultConfig() Config {
 	return Config{
 		Sizes:              []int{1000, 10000, 50000},
 		Workers:            []int{1, 2, 8},
-		Estimators:         []string{"dm", "ips", "dr", "bootstrap", "dm_slice", "ips_slice", "dr_slice", "bootstrap_slice", "dr_events_on", "dr_events_off"},
+		Estimators:         []string{"dm", "ips", "dr", "bootstrap", "dr_events_on", "dr_events_off"},
 		Iters:              20,
 		BootstrapResamples: 100,
 		Seed:               1,
@@ -67,7 +66,7 @@ func QuickConfig() Config {
 	return Config{
 		Sizes:              []int{500, 2000, 8000},
 		Workers:            []int{1, 2},
-		Estimators:         []string{"dm", "ips", "dr", "bootstrap", "dm_slice", "ips_slice", "dr_slice", "bootstrap_slice", "dr_events_on", "dr_events_off"},
+		Estimators:         []string{"dm", "ips", "dr", "bootstrap", "dr_events_on", "dr_events_off"},
 		Iters:              10,
 		BootstrapResamples: 20,
 		Seed:               1,
@@ -91,7 +90,7 @@ func (c Config) Validate() error {
 	}
 	for _, e := range c.Estimators {
 		if _, ok := workloads[e]; !ok {
-			return fmt.Errorf("benchkit: unknown estimator %q (want dm, ips, dr, bootstrap, a _slice variant, or dr_events_on/off)", e)
+			return fmt.Errorf("benchkit: unknown estimator %q (want dm, ips, dr, bootstrap, or dr_events_on/off)", e)
 		}
 	}
 	if c.Iters < 1 {

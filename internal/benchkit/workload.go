@@ -76,15 +76,11 @@ func (s *splitmix) float64() float64 {
 }
 
 // workloadData is the shared per-(size, seed) input every estimator
-// cell runs against: the trace, its columnar view, and the target
-// policy.
+// cell runs against: the columnar view and the target policy.
 type workloadData struct {
-	trace  core.Trace[traceio.FlatContext, string]
 	view   *core.TraceView[traceio.FlatContext, string]
 	policy core.Policy[traceio.FlatContext, string]
 }
-
-func modelKey(c traceio.FlatContext, d string) string { return c.Key() + "|" + d }
 
 // newWorkloadData builds the inputs for one (size, seed) combination.
 func newWorkloadData(size int, seed int64) *workloadData {
@@ -101,17 +97,9 @@ func newWorkloadData(size int, seed int64) *workloadData {
 		// programmer error in the generator.
 		panic(fmt.Sprintf("benchkit: building workload view: %v", err))
 	}
-	return &workloadData{trace: trace, view: view, policy: policy}
+	return &workloadData{view: view, policy: policy}
 }
 
-// workloads maps estimator names to cell constructors. Each returned
-// closure performs one full operation of the kind drevald serves —
-// including the model fit for the model-based estimators, since that
-// is part of every real request. The unsuffixed cells run the columnar
-// TraceView hot path drevald now serves; the "_slice" cells keep the
-// record-slice implementations so every report carries the
-// columnar-vs-slice comparison (the equivalence suite in internal/core
-// proves both compute bit-identical results).
 // drEventsCell is one DR operation wrapped in the same wide-event
 // choreography drevald performs per request. A nil journal yields a
 // nil builder whose methods no-op — the measured baseline for the
@@ -137,6 +125,10 @@ func drEventsCell(w *workloadData, j *wideevent.Journal) func() error {
 	}
 }
 
+// workloads maps estimator names to cell constructors. Each returned
+// closure performs one full operation of the kind drevald serves —
+// including the model fit for the model-based estimators, since that
+// is part of every real request.
 var workloads = map[string]func(*workloadData, Config) func() error{
 	"dm": func(w *workloadData, _ Config) func() error {
 		return func() error {
@@ -177,34 +169,5 @@ var workloads = map[string]func(*workloadData, Config) func() error{
 	},
 	"dr_events_off": func(w *workloadData, _ Config) func() error {
 		return drEventsCell(w, nil)
-	},
-	"dm_slice": func(w *workloadData, _ Config) func() error {
-		return func() error {
-			model := core.FitTable(w.trace, modelKey)
-			_, err := core.DirectMethod(w.trace, w.policy, model)
-			return err
-		}
-	},
-	"ips_slice": func(w *workloadData, _ Config) func() error {
-		return func() error {
-			_, err := core.IPS(w.trace, w.policy, core.IPSOptions{})
-			return err
-		}
-	},
-	"dr_slice": func(w *workloadData, _ Config) func() error {
-		return func() error {
-			model := core.FitTable(w.trace, modelKey)
-			_, err := core.DoublyRobust(w.trace, w.policy, model, core.DROptions{})
-			return err
-		}
-	},
-	"bootstrap_slice": func(w *workloadData, cfg Config) func() error {
-		return func() error {
-			_, err := core.BootstrapSeeded(w.trace, func(t core.Trace[traceio.FlatContext, string]) (core.Estimate, error) {
-				m := core.FitTable(t, modelKey)
-				return core.DoublyRobust(t, w.policy, m, core.DROptions{})
-			}, cfg.Seed, cfg.BootstrapResamples, 0.95)
-			return err
-		}
 	},
 }

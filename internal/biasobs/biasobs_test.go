@@ -173,7 +173,7 @@ func TestComputeZeroSupportGradesWatch(t *testing.T) {
 
 func TestSingleWindowMatchesDiagnose(t *testing.T) {
 	// With one window the observatory's overlap stats must agree with
-	// core.Diagnose bit for bit (same accumulation order).
+	// core.DiagnoseView bit for bit (same accumulation order).
 	tr := stationaryTrace(500, 3, 0.6, 0.1, 9)
 	// Make the weights non-trivial: epsilon-greedy target.
 	pol := core.EpsilonGreedyPolicy[int, string]{
@@ -186,7 +186,7 @@ func TestSingleWindowMatchesDiagnose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := core.Diagnose(tr, pol)
+	d, err := core.DiagnoseView(v, pol)
 	if err != nil {
 		t.Fatal(err)
 	}

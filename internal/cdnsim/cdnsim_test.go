@@ -156,11 +156,15 @@ func TestDRBeatsWISE(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dm, err := core.DirectMethod(d.Trace, np, model)
+		v, err := core.NewTraceView(d.Trace)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dr, err := core.DoublyRobust(d.Trace, np, model, core.DROptions{})
+		dm, err := core.DirectMethodView(v, np, model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dr, err := core.DoublyRobustView(v, np, model, core.DROptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

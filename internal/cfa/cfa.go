@@ -13,6 +13,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 
 	"drnet/internal/core"
 	"drnet/internal/knn"
@@ -23,6 +25,18 @@ import (
 // ASN, city, device, player type, encoded as small integers.
 type Client struct {
 	Features []int
+}
+
+// Key encodes the feature vector, the only field a Client has: clients
+// with equal keys are indistinguishable to every policy and model, so
+// it is a faithful key for core.NewTraceViewKeyed.
+func (c Client) Key() string {
+	var b strings.Builder
+	for _, f := range c.Features {
+		b.WriteString(strconv.Itoa(f))
+		b.WriteByte(',')
+	}
+	return b.String()
 }
 
 // Decision is a joint CDN and bitrate assignment.

@@ -142,7 +142,11 @@ func TestMatchRateNearUniformShare(t *testing.T) {
 		t.Fatal(err)
 	}
 	np := w.NewPolicy(0.4, rng)
-	diag, err := core.Diagnose(d.Trace, np)
+	v, err := core.NewTraceViewKeyed(d.Trace, Client.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diag, err := core.DiagnoseView(v, np)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,14 +192,18 @@ func TestDRBeatsCFAMatching(t *testing.T) {
 		}
 		np := w.NewPolicy(0.4, rng)
 		truth := d.GroundTruth(np)
-		matched, err := core.MatchedRewards(d.Trace, np)
+		v, err := core.NewTraceViewKeyed(d.Trace, Client.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matched, err := core.MatchedRewardsView(v, np)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fit := func(tr core.Trace[Client, Decision]) (core.RewardModel[Client, Decision], error) {
 			return (&Data{Trace: tr, World: d.World}).PerDecisionKNNModel(3)
 		}
-		dr, err := core.CrossFitDR(d.Trace, np, fit, 2, core.DROptions{})
+		dr, err := core.CrossFitDRView(v, np, fit, 2, core.DROptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,11 +16,11 @@ func TestCrossFitDRMatchesDRWithFixedModel(t *testing.T) {
 	np := banditNewPolicy(0.2)
 	model := RewardFunc[float64, int](b.trueReward)
 	fixed := func(Trace[float64, int]) (RewardModel[float64, int], error) { return model, nil }
-	cf, err := CrossFitDR(tr, np, fixed, 2, DROptions{})
+	cf, err := CrossFitDRView(mustView(t, tr), np, fixed, 2, DROptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dr, err := DoublyRobust(tr, np, model, DROptions{})
+	dr, err := DoublyRobustView(mustView(t, tr), np, model, DROptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +65,11 @@ func TestCrossFitDRAvoidsMemorizationBias(t *testing.T) {
 		}
 		// Plain DR with the full-trace memorizer.
 		fullModel, _ := memorize(tr)
-		naive, err := DoublyRobust(tr, np, fullModel, DROptions{})
+		naive, err := DoublyRobustView(mustView(t, tr), np, fullModel, DROptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cf, err := CrossFitDR(tr, np, memorize, 2, DROptions{})
+		cf, err := CrossFitDRView(mustView(t, tr), np, memorize, 2, DROptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,11 +87,11 @@ func TestCrossFitDRErrors(t *testing.T) {
 	ok := func(Trace[float64, int]) (RewardModel[float64, int], error) {
 		return ConstantModel[float64, int]{}, nil
 	}
-	if _, err := CrossFitDR(nil, np, ok, 2, DROptions{}); !errors.Is(err, ErrEmptyTrace) {
+	if _, err := CrossFitDRView(mustView(t, Trace[float64, int]{}), np, ok, 2, DROptions{}); !errors.Is(err, ErrEmptyTrace) {
 		t.Fatal("expected ErrEmptyTrace")
 	}
 	tr := Trace[float64, int]{{Context: 0.1, Decision: 0, Reward: 1, Propensity: 1}}
-	if _, err := CrossFitDR(tr, np, ok, 1, DROptions{}); err == nil {
+	if _, err := CrossFitDRView(mustView(t, tr), np, ok, 1, DROptions{}); err == nil {
 		t.Fatal("folds < 2 should fail")
 	}
 	failing := func(Trace[float64, int]) (RewardModel[float64, int], error) {
@@ -101,11 +101,11 @@ func TestCrossFitDRErrors(t *testing.T) {
 		{Context: 0.1, Decision: 0, Reward: 1, Propensity: 1},
 		{Context: 0.2, Decision: 0, Reward: 1, Propensity: 1},
 	}
-	if _, err := CrossFitDR(tr2, np, failing, 2, DROptions{}); err == nil {
+	if _, err := CrossFitDRView(mustView(t, tr2), np, failing, 2, DROptions{}); err == nil {
 		t.Fatal("fitter error should propagate")
 	}
 	bad := Trace[float64, int]{{Context: 0.1, Decision: 0, Reward: 1, Propensity: 0}}
-	if _, err := CrossFitDR(bad, np, ok, 2, DROptions{}); err == nil {
+	if _, err := NewTraceView(bad); err == nil {
 		t.Fatal("invalid propensity should fail")
 	}
 }
@@ -117,7 +117,7 @@ func TestCrossFitDRFoldsCappedAtN(t *testing.T) {
 	fixed := func(Trace[float64, int]) (RewardModel[float64, int], error) {
 		return RewardFunc[float64, int](b.trueReward), nil
 	}
-	if _, err := CrossFitDR(tr, np, fixed, 50, DROptions{}); err != nil {
+	if _, err := CrossFitDRView(mustView(t, tr), np, fixed, 50, DROptions{}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -34,27 +34,6 @@ func TestSequentialCtxVariantsMatchPlain(t *testing.T) {
 		t.Fatal("FitTableCtx diverged from FitTable")
 	}
 
-	mr1, err1 := MatchedRewards(tr, pol)
-	mr2, err2 := MatchedRewardsCtx(ctx, tr, pol)
-	if err1 != nil || err2 != nil || mr1 != mr2 {
-		t.Fatalf("MatchedRewardsCtx diverged: %+v/%v vs %+v/%v", mr1, err1, mr2, err2)
-	}
-
-	sw1, err1 := SwitchDR(tr, pol, m1, SwitchOptions{})
-	sw2, err2 := SwitchDRCtx(ctx, tr, pol, m1, SwitchOptions{})
-	if err1 != nil || err2 != nil || sw1 != sw2 {
-		t.Fatalf("SwitchDRCtx diverged: %+v/%v vs %+v/%v", sw1, err1, sw2, err2)
-	}
-
-	est := func(t Trace[float64, int]) (Estimate, error) {
-		return IPS(t, pol, IPSOptions{Clip: 10})
-	}
-	iv1, err1 := Bootstrap(tr, est, mathx.NewRNG(9), 60, 0.9)
-	iv2, err2 := BootstrapCtx(ctx, tr, est, mathx.NewRNG(9), 60, 0.9)
-	if err1 != nil || err2 != nil || iv1 != iv2 {
-		t.Fatalf("BootstrapCtx diverged: %+v/%v vs %+v/%v", iv1, err1, iv2, err2)
-	}
-
 	rp1, err1 := ReplayDR(tr, Stationary[float64, int]{Policy: pol}, m1, mathx.NewRNG(11))
 	rp2, err2 := ReplayDRCtx(ctx, tr, Stationary[float64, int]{Policy: pol}, m1, mathx.NewRNG(11))
 	if err1 != nil || err2 != nil || rp1 != rp2 {
@@ -114,16 +93,6 @@ func TestSequentialCtxVariantsCancelled(t *testing.T) {
 
 	if _, err := FitTableCtx(ctx, tr, func(c float64, d int) string { return "k" }); !errors.Is(err, context.Canceled) {
 		t.Fatalf("FitTableCtx: %v", err)
-	}
-	if _, err := MatchedRewardsCtx(ctx, tr, pol); !errors.Is(err, context.Canceled) {
-		t.Fatalf("MatchedRewardsCtx: %v", err)
-	}
-	if _, err := SwitchDRCtx(ctx, tr, pol, model, SwitchOptions{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SwitchDRCtx: %v", err)
-	}
-	est := func(t Trace[float64, int]) (Estimate, error) { return IPS(t, pol, IPSOptions{}) }
-	if _, err := BootstrapCtx(ctx, tr, est, mathx.NewRNG(9), 20, 0.9); !errors.Is(err, context.Canceled) {
-		t.Fatalf("BootstrapCtx: %v", err)
 	}
 	if _, err := ReplayDRCtx(ctx, tr, Stationary[float64, int]{Policy: pol}, model, mathx.NewRNG(11)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ReplayDRCtx: %v", err)

@@ -4,10 +4,11 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
+	"strconv"
 	"testing"
 
 	"drnet/internal/mathx"
-	"drnet/internal/parallel"
 )
 
 // ctxTestTrace builds a moderately sized randomized trace, mirroring
@@ -35,66 +36,65 @@ func ctxTestTrace(n int) (Trace[float64, int], Policy[float64, int]) {
 }
 
 // TestEstimatorCtxVariantsMatchPlain: with a live context the Ctx
-// variants must be bit-identical to their plain counterparts, on both
-// the sequential and the pool path.
+// variants must be bit-identical to their plain counterparts.
 func TestEstimatorCtxVariantsMatchPlain(t *testing.T) {
 	tr, pol := ctxTestTrace(600)
-	model := FitTable(tr, func(c float64, d int) string {
-		return string(rune('0' + d))
-	})
-	for _, threshold := range []int{1, 100000} {
-		old := ParallelThreshold
-		ParallelThreshold = threshold
-		ctx := context.Background()
-		dm1, err1 := DirectMethod(tr, pol, model)
-		dm2, err2 := DirectMethodCtx(ctx, tr, pol, model)
-		if err1 != nil || err2 != nil || dm1 != dm2 {
-			t.Fatalf("threshold=%d: DM diverged: %+v/%v vs %+v/%v", threshold, dm1, err1, dm2, err2)
-		}
-		ips1, err1 := IPS(tr, pol, IPSOptions{Clip: 5})
-		ips2, err2 := IPSCtx(ctx, tr, pol, IPSOptions{Clip: 5})
-		if err1 != nil || err2 != nil || ips1 != ips2 {
-			t.Fatalf("threshold=%d: IPS diverged", threshold)
-		}
-		dr1, err1 := DoublyRobust(tr, pol, model, DROptions{})
-		dr2, err2 := DoublyRobustCtx(ctx, tr, pol, model, DROptions{})
-		if err1 != nil || err2 != nil || dr1 != dr2 {
-			t.Fatalf("threshold=%d: DR diverged", threshold)
-		}
-		d1, err1 := Diagnose(tr, pol)
-		d2, err2 := DiagnoseCtx(ctx, tr, pol)
-		if err1 != nil || err2 != nil || d1 != d2 {
-			t.Fatalf("threshold=%d: Diagnose diverged", threshold)
-		}
-		ParallelThreshold = old
+	ctx := context.Background()
+	key := func(c float64) string { return strconv.FormatFloat(c, 'g', -1, 64) }
+	v, err := NewTraceViewKeyed(tr, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := NewTraceViewKeyedCtx(ctx, tr, key)
+	if err != nil || v2.Len() != v.Len() || v2.NumContexts() != v.NumContexts() {
+		t.Fatalf("NewTraceViewKeyedCtx diverged: %v", err)
+	}
+	model := FitTableView(v)
+	model2, err := FitTableViewCtx(ctx, v)
+	if err != nil || !reflect.DeepEqual(model, model2) {
+		t.Fatalf("FitTableViewCtx diverged: %v", err)
+	}
+	dm1, err1 := DirectMethodView(v, pol, model)
+	dm2, err2 := DirectMethodViewCtx(ctx, v, pol, model)
+	if err1 != nil || err2 != nil || dm1 != dm2 {
+		t.Fatalf("DM diverged: %+v/%v vs %+v/%v", dm1, err1, dm2, err2)
+	}
+	ips1, err1 := IPSView(v, pol, IPSOptions{Clip: 5})
+	ips2, err2 := IPSViewCtx(ctx, v, pol, IPSOptions{Clip: 5})
+	if err1 != nil || err2 != nil || ips1 != ips2 {
+		t.Fatal("IPS diverged")
+	}
+	dr1, err1 := DoublyRobustView(v, pol, model, DROptions{})
+	dr2, err2 := DoublyRobustViewCtx(ctx, v, pol, model, DROptions{})
+	if err1 != nil || err2 != nil || dr1 != dr2 {
+		t.Fatal("DR diverged")
+	}
+	d1, err1 := DiagnoseView(v, pol)
+	d2, err2 := DiagnoseViewCtx(ctx, v, pol)
+	if err1 != nil || err2 != nil || d1 != d2 {
+		t.Fatal("Diagnose diverged")
 	}
 }
 
 // TestEstimatorCtxCancelled: a cancelled context fails every ctx-aware
-// entry point with context.Canceled, on both scheduling paths.
+// estimator with context.Canceled.
 func TestEstimatorCtxCancelled(t *testing.T) {
 	tr, pol := ctxTestTrace(600)
-	model := FitTable(tr, func(c float64, d int) string {
-		return string(rune('0' + d))
-	})
+	v := mustView(t, tr)
+	model := FitTableView(v)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, threshold := range []int{1, 100000} {
-		old := ParallelThreshold
-		ParallelThreshold = threshold
-		if _, err := DirectMethodCtx(ctx, tr, pol, model); !errors.Is(err, context.Canceled) {
-			t.Fatalf("threshold=%d: DM: %v", threshold, err)
-		}
-		if _, err := IPSCtx(ctx, tr, pol, IPSOptions{}); !errors.Is(err, context.Canceled) {
-			t.Fatalf("threshold=%d: IPS: %v", threshold, err)
-		}
-		if _, err := DoublyRobustCtx(ctx, tr, pol, model, DROptions{}); !errors.Is(err, context.Canceled) {
-			t.Fatalf("threshold=%d: DR: %v", threshold, err)
-		}
-		if _, err := DiagnoseCtx(ctx, tr, pol); !errors.Is(err, context.Canceled) {
-			t.Fatalf("threshold=%d: Diagnose: %v", threshold, err)
-		}
-		ParallelThreshold = old
+	if _, err := DirectMethodViewCtx(ctx, v, pol, model); !errors.Is(err, context.Canceled) {
+		t.Fatalf("DM: %v", err)
+	}
+	if _, err := IPSViewCtx(ctx, v, pol, IPSOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("IPS: %v", err)
+	}
+	if _, err := DoublyRobustViewCtx(ctx, v, pol, model, DROptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("DR: %v", err)
+	}
+	if _, err := DiagnoseViewCtx(ctx, v, pol); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Diagnose: %v", err)
 	}
 }
 
@@ -103,23 +103,21 @@ func TestEstimatorCtxCancelled(t *testing.T) {
 // worker count.
 func TestBootstrapSeededStatsCtxMatchesPlain(t *testing.T) {
 	tr, pol := ctxTestTrace(300)
-	est := func(t Trace[float64, int]) (Estimate, error) {
-		return IPS(t, pol, IPSOptions{Clip: 10})
-	}
-	wantIv, wantStats, err := BootstrapSeededStats(tr, est, 21, 120, 0.95)
+	v := mustView(t, tr)
+	want, err := BootstrapDRViewSeeded(v, pol, DROptions{Clip: 10}, 21, 120, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer parallel.SetDefaultWorkers(0)
-	for _, w := range []int{1, 2, 8} {
-		parallel.SetDefaultWorkers(w)
-		iv, stats, err := BootstrapSeededStatsCtx(context.Background(), tr, est, 21, 120, 0.95)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if iv != wantIv || stats != wantStats {
-			t.Fatalf("workers=%d: ctx bootstrap diverged: %+v/%+v vs %+v/%+v", w, iv, stats, wantIv, wantStats)
-		}
+	for _, w := range workerCounts {
+		withParallelism(t, w, func() {
+			iv, stats, err := BootstrapDRViewSeededStatsCtx(context.Background(), v, pol, DROptions{Clip: 10}, 21, 120, 0.95)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if iv != want || stats != (BootstrapStats{Resamples: 120}) {
+				t.Fatalf("workers=%d: ctx bootstrap diverged: %+v/%+v vs %+v", w, iv, stats, want)
+			}
+		})
 	}
 }
 
@@ -127,12 +125,9 @@ func TestBootstrapSeededStatsCtxMatchesPlain(t *testing.T) {
 // ctx error, not as a half-built interval.
 func TestBootstrapSeededStatsCtxCancelled(t *testing.T) {
 	tr, pol := ctxTestTrace(300)
-	est := func(t Trace[float64, int]) (Estimate, error) {
-		return IPS(t, pol, IPSOptions{})
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	iv, stats, err := BootstrapSeededStatsCtx(ctx, tr, est, 21, 120, 0.95)
+	iv, stats, err := BootstrapDRViewSeededStatsCtx(ctx, mustView(t, tr), pol, DROptions{}, 21, 120, 0.95)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}

@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"testing"
-
-	"drnet/internal/mathx"
 )
 
 func TestDiagnoseIdenticalPolicies(t *testing.T) {
@@ -12,7 +10,7 @@ func TestDiagnoseIdenticalPolicies(t *testing.T) {
 	old := banditOldPolicy(0.4)
 	ctxs := b.contexts(500)
 	tr := CollectTrace(ctxs, old, b.drawReward, b.rng)
-	d, err := Diagnose(tr, old)
+	d, err := DiagnoseView(mustView(t, tr), old)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +32,7 @@ func TestDiagnoseDisjointPolicies(t *testing.T) {
 	ctxs := b.contexts(100)
 	tr := CollectTrace(ctxs, old, b.drawReward, b.rng)
 	np := DeterministicPolicy[float64, int]{Choose: func(float64) int { return 2 }}
-	d, err := Diagnose(tr, np)
+	d, err := DiagnoseView(mustView(t, tr), np)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +45,7 @@ func TestDiagnoseLowOverlapESS(t *testing.T) {
 	b := newTestBandit(33, 0.1)
 	tr, _ := collectBanditTrace(b, 400, 0.1) // mostly d=0
 	np := banditNewPolicy(0.1)               // mostly d=2
-	d, err := Diagnose(tr, np)
+	d, err := DiagnoseView(mustView(t, tr), np)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,25 +58,27 @@ func TestDiagnoseLowOverlapESS(t *testing.T) {
 }
 
 func TestDiagnoseErrors(t *testing.T) {
-	var empty Trace[float64, int]
-	if _, err := Diagnose(empty, banditNewPolicy(0.1)); !errors.Is(err, ErrEmptyTrace) {
+	if _, err := DiagnoseView(mustView(t, Trace[float64, int]{}), banditNewPolicy(0.1)); !errors.Is(err, ErrEmptyTrace) {
 		t.Fatal("expected ErrEmptyTrace")
 	}
 	bad := Trace[float64, int]{{Context: 0, Decision: 0, Propensity: 0}}
-	if _, err := Diagnose(bad, banditNewPolicy(0.1)); err == nil {
+	if _, err := NewTraceView(bad); err == nil {
 		t.Fatal("expected validation error")
 	}
 }
 
+// TestBootstrapCoversTruth: the refit-DR interval over a trace with 20
+// client groups covers the true value of the new policy.
 func TestBootstrapCoversTruth(t *testing.T) {
 	b := newTestBandit(34, 0.1)
-	tr, ctxs := collectBanditTrace(b, 800, 0.5)
+	ctxs := b.contexts(800)
+	for i := range ctxs {
+		ctxs[i] = float64(int(ctxs[i]*20)) / 20
+	}
+	tr := CollectTrace(ctxs, banditOldPolicy(0.5), b.drawReward, b.rng)
 	np := banditNewPolicy(0.2)
 	truth := TrueValue(ctxs, np, b.trueReward)
-	rng := mathx.NewRNG(77)
-	ci, err := Bootstrap(tr, func(t2 Trace[float64, int]) (Estimate, error) {
-		return DoublyRobust(t2, np, RewardFunc[float64, int](b.trueReward), DROptions{})
-	}, rng, 300, 0.95)
+	ci, err := BootstrapDRViewSeeded(mustView(t, tr), np, DROptions{}, 77, 300, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,18 +91,16 @@ func TestBootstrapCoversTruth(t *testing.T) {
 }
 
 func TestBootstrapErrors(t *testing.T) {
-	rng := mathx.NewRNG(1)
-	var empty Trace[float64, int]
-	ok := func(Trace[float64, int]) (Estimate, error) { return Estimate{}, nil }
-	if _, err := Bootstrap(empty, ok, rng, 10, 0.95); !errors.Is(err, ErrEmptyTrace) {
+	np := banditNewPolicy(0.1)
+	if _, err := BootstrapDRViewSeeded(mustView(t, Trace[float64, int]{}), np, DROptions{}, 1, 10, 0.95); !errors.Is(err, ErrEmptyTrace) {
 		t.Fatal("expected ErrEmptyTrace")
 	}
-	tr := Trace[float64, int]{{Propensity: 1}}
-	if _, err := Bootstrap(tr, ok, rng, 10, 1.5); err == nil {
+	v := mustView(t, Trace[float64, int]{{Propensity: 1}})
+	if _, err := BootstrapDRViewSeeded(v, np, DROptions{}, 1, 10, 1.5); err == nil {
 		t.Fatal("expected level error")
 	}
-	failing := func(Trace[float64, int]) (Estimate, error) { return Estimate{}, ErrNoMatches }
-	if _, err := Bootstrap(tr, failing, rng, 10, 0.95); err == nil {
+	failing := FuncPolicy[float64, int](func(float64) []Weighted[int] { return nil })
+	if _, err := BootstrapDRViewSeeded(v, failing, DROptions{}, 1, 10, 0.95); err == nil {
 		t.Fatal("expected all-resamples-failed error")
 	}
 }

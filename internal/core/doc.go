@@ -6,13 +6,18 @@
 //
 //   - Record / Trace: logged tuples (context, decision, reward,
 //     propensity) collected while an old policy µ_old was running.
+//   - TraceView: the columnar, interned form of a Trace that every
+//     estimator reads; ViewBuilder grows one record by record.
 //   - Policy: a stochastic mapping from client contexts to decisions.
 //   - RewardModel: a model r̂(c, d) predicting the reward of any
 //     decision for any context (the ingredient of the Direct Method).
-//   - Estimators: DirectMethod (DM), IPS (inverse propensity scoring,
-//     with optional clipping and self-normalization), and DoublyRobust
-//     (DR), which combines DM and IPS and is accurate whenever at least
-//     one of the two ingredients is accurate ("second-order bias").
+//   - Estimators: DirectMethodView (DM), IPSView (inverse propensity
+//     scoring, with optional clipping and self-normalization), and
+//     DoublyRobustView (DR), which combines DM and IPS and is accurate
+//     whenever at least one of the two ingredients is accurate
+//     ("second-order bias"). All of them, matched rewards and
+//     DiagnoseView are one fold of per-record terms (fold.go), which
+//     StreamEval also runs over a growing stream.
 //   - ReplayDR: the paper's §4.2 extension of DR to non-stationary
 //     (history-dependent) target policies via rejection-sampling replay.
 //
@@ -22,5 +27,5 @@
 //
 // All estimators return an Estimate carrying the point value, a plug-in
 // standard error, and importance-weight diagnostics; bootstrap
-// confidence intervals are available via Bootstrap.
+// confidence intervals are available via BootstrapDRViewSeeded.
 package core

@@ -19,10 +19,10 @@ func TestEstimatorsSurviveExtremeRewardOutliers(t *testing.T) {
 	np := banditNewPolicy(0.2)
 	model := RewardFunc[float64, int](b.trueReward)
 	for name, f := range map[string]func() (Estimate, error){
-		"DM":  func() (Estimate, error) { return DirectMethod(tr, np, model) },
-		"IPS": func() (Estimate, error) { return IPS(tr, np, IPSOptions{}) },
-		"DR":  func() (Estimate, error) { return DoublyRobust(tr, np, model, DROptions{}) },
-		"SW":  func() (Estimate, error) { return SwitchDR(tr, np, model, SwitchOptions{}) },
+		"DM":  func() (Estimate, error) { return DirectMethodView(mustView(t, tr), np, model) },
+		"IPS": func() (Estimate, error) { return IPSView(mustView(t, tr), np, IPSOptions{}) },
+		"DR":  func() (Estimate, error) { return DoublyRobustView(mustView(t, tr), np, model, DROptions{}) },
+		"SW":  func() (Estimate, error) { return SwitchDRView(mustView(t, tr), np, model, SwitchOptions{}) },
 	} {
 		est, err := f()
 		if err != nil {
@@ -34,7 +34,7 @@ func TestEstimatorsSurviveExtremeRewardOutliers(t *testing.T) {
 	}
 	// Self-normalized IPS stays inside the reward range even with the
 	// outliers present (they bound the range).
-	sn, err := IPS(tr, np, IPSOptions{SelfNormalize: true})
+	sn, err := IPSView(mustView(t, tr), np, IPSOptions{SelfNormalize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestEstimatorsSurvivePropensityFloor(t *testing.T) {
 		tr[i].Propensity = 1e-9
 	}
 	np := banditNewPolicy(0.2)
-	est, err := IPS(tr, np, IPSOptions{})
+	est, err := IPSView(mustView(t, tr), np, IPSOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestEstimatorsSurvivePropensityFloor(t *testing.T) {
 	if est.MaxWeight < 1e6 {
 		t.Fatalf("expected exploded weights, got max %g", est.MaxWeight)
 	}
-	diag, err := Diagnose(tr, np)
+	diag, err := DiagnoseView(mustView(t, tr), np)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestNaNModelIsSurfacedNotHidden(t *testing.T) {
 	tr, _ := collectBanditTrace(b, 50, 0.5)
 	np := banditNewPolicy(0.2)
 	bad := RewardFunc[float64, int](func(float64, int) float64 { return math.NaN() })
-	est, err := DirectMethod(tr, np, bad)
+	est, err := DirectMethodView(mustView(t, tr), np, bad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestCrossFitSurvivesPathologicalFoldOrder(t *testing.T) {
 			return string(rune('0' + d))
 		}), nil
 	}
-	est, err := CrossFitDR(sorted, np, fit, 2, DROptions{})
+	est, err := CrossFitDRView(mustView(t, sorted), np, fit, 2, DROptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +142,7 @@ func TestBootstrapSurvivesDegenerateTrace(t *testing.T) {
 	// A single-record trace: bootstrap resamples are all copies; the CI
 	// must collapse rather than error.
 	tr := Trace[float64, int]{{Context: 0.5, Decision: 2, Reward: 1.5, Propensity: 0.5}}
-	np := banditNewPolicy(0.2)
-	rng := mathx.NewRNG(2)
-	ci, err := Bootstrap(tr, func(t2 Trace[float64, int]) (Estimate, error) {
-		return IPS(t2, np, IPSOptions{})
-	}, rng, 50, 0.95)
+	ci, err := BootstrapDRViewSeeded(mustView(t, tr), banditNewPolicy(0.2), DROptions{}, 2, 50, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +161,7 @@ func TestSelectBestSurvivesTiedCandidates(t *testing.T) {
 		{Name: "a", Policy: same},
 		{Name: "b", Policy: same},
 	}
-	ranked, err := SelectBest(tr, RewardFunc[float64, int](b.trueReward), cands, rng, SelectOptions{Bootstrap: 30})
+	ranked, err := SelectBest(mustView(t, tr), RewardFunc[float64, int](b.trueReward), cands, rng, SelectOptions{Bootstrap: 30})
 	if err != nil {
 		t.Fatal(err)
 	}

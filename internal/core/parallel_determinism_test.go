@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -12,18 +13,12 @@ import (
 // determinism tests to sweep.
 var workerCounts = []int{1, 2, 8}
 
-// withParallelism runs fn with the given pool width and a low enough
-// threshold that a testSizeN-record trace takes the parallel path, then
-// restores both knobs.
-func withParallelism(t *testing.T, workers, threshold int, fn func()) {
+// withParallelism runs fn with the shared worker pool at the given
+// width, then restores the default.
+func withParallelism(t *testing.T, workers int, fn func()) {
 	t.Helper()
-	oldThreshold := ParallelThreshold
-	ParallelThreshold = threshold
 	parallel.SetDefaultWorkers(workers)
-	defer func() {
-		ParallelThreshold = oldThreshold
-		parallel.SetDefaultWorkers(0)
-	}()
+	defer parallel.SetDefaultWorkers(0)
 	fn()
 }
 
@@ -54,57 +49,46 @@ func determinismTrace(n int) (Trace[float64, int], Policy[float64, int], RewardM
 	return tr, np, model
 }
 
-// TestEstimatorsParallelBitIdentical asserts that DM, IPS and DR return
-// exactly the same Estimate — every float field bit-for-bit — whether
-// the contribution loop runs sequentially or chunked over 1, 2 or 8
-// workers.
+// TestEstimatorsParallelBitIdentical asserts DM, IPS and DR return
+// exactly the same Estimate — every float field bit for bit — at every
+// pool width: the fold is sequential, so the pool must not leak in.
 func TestEstimatorsParallelBitIdentical(t *testing.T) {
-	const n = 5000
-	tr, np, model := determinismTrace(n)
-
-	type variant struct {
-		name string
-		run  func() (Estimate, error)
+	tr, np, model := determinismTrace(5000)
+	v := mustView(t, tr)
+	variants := map[string]func() (Estimate, error){
+		"DM":       func() (Estimate, error) { return DirectMethodView(v, np, model) },
+		"IPS":      func() (Estimate, error) { return IPSView(v, np, IPSOptions{}) },
+		"IPS clip": func() (Estimate, error) { return IPSView(v, np, IPSOptions{Clip: 3}) },
+		"SNIPS":    func() (Estimate, error) { return IPSView(v, np, IPSOptions{SelfNormalize: true}) },
+		"DR":       func() (Estimate, error) { return DoublyRobustView(v, np, model, DROptions{}) },
+		"DR clip+norm": func() (Estimate, error) {
+			return DoublyRobustView(v, np, model, DROptions{Clip: 3, SelfNormalize: true})
+		},
 	}
-	variants := []variant{
-		{"DM", func() (Estimate, error) { return DirectMethod(tr, np, model) }},
-		{"IPS", func() (Estimate, error) { return IPS(tr, np, IPSOptions{}) }},
-		{"IPS clip", func() (Estimate, error) { return IPS(tr, np, IPSOptions{Clip: 3}) }},
-		{"SNIPS", func() (Estimate, error) { return IPS(tr, np, IPSOptions{SelfNormalize: true}) }},
-		{"DR", func() (Estimate, error) { return DoublyRobust(tr, np, model, DROptions{}) }},
-		{"DR clip+norm", func() (Estimate, error) {
-			return DoublyRobust(tr, np, model, DROptions{Clip: 3, SelfNormalize: true})
-		}},
-	}
-	for _, v := range variants {
-		// Reference: forced-sequential (threshold above the trace size).
+	for name, run := range variants {
 		var want Estimate
-		withParallelism(t, 1, n+1, func() {
-			var err error
-			want, err = v.run()
-			if err != nil {
-				t.Fatalf("%s sequential: %v", v.name, err)
-			}
-		})
 		for _, w := range workerCounts {
-			withParallelism(t, w, 64, func() {
-				got, err := v.run()
+			withParallelism(t, w, func() {
+				got, err := run()
 				if err != nil {
-					t.Fatalf("%s workers=%d: %v", v.name, w, err)
+					t.Fatalf("%s workers=%d: %v", name, w, err)
+				}
+				if w == workerCounts[0] {
+					want = got
 				}
 				if got != want {
-					t.Fatalf("%s workers=%d: %+v != sequential %+v", v.name, w, got, want)
+					t.Fatalf("%s workers=%d: %+v != %+v", name, w, got, want)
 				}
 			})
 		}
 	}
 }
 
-// TestEstimatorErrorsDeterministicParallel asserts the parallel path
-// reports the same first-failing-record error as the sequential scan.
+// TestEstimatorErrorsDeterministicParallel asserts DM and DR report the
+// same first-failing-record error at every pool width.
 func TestEstimatorErrorsDeterministicParallel(t *testing.T) {
-	const n = 2000
-	tr, _, model := determinismTrace(n)
+	tr, _, model := determinismTrace(2000)
+	v := mustView(t, tr)
 	// A policy whose distribution is invalid for contexts in the upper
 	// half of [0,1]; the first offending record index is fixed by the
 	// trace, not by scheduling.
@@ -115,136 +99,103 @@ func TestEstimatorErrorsDeterministicParallel(t *testing.T) {
 		return []Weighted[int]{{Decision: 0, Prob: 1}, {Decision: 1, Prob: 0}, {Decision: 2, Prob: 0}}
 	})
 	var want string
-	withParallelism(t, 1, n+1, func() {
-		_, err := DoublyRobust(tr, bad, model, DROptions{})
-		if err == nil {
-			t.Fatal("sequential DR accepted an invalid policy")
-		}
-		want = err.Error()
-	})
-	if !strings.Contains(want, "record ") {
-		t.Fatalf("unexpected error shape: %s", want)
-	}
 	for _, w := range workerCounts {
-		withParallelism(t, w, 64, func() {
-			_, err := DoublyRobust(tr, bad, model, DROptions{})
-			if err == nil || err.Error() != want {
-				t.Fatalf("workers=%d: error %v, want %s", w, err, want)
+		withParallelism(t, w, func() {
+			_, err := DoublyRobustView(v, bad, model, DROptions{})
+			if err == nil || !strings.HasPrefix(err.Error(), "record ") {
+				t.Fatalf("workers=%d: DR error %v", w, err)
 			}
-			_, err = DirectMethod(tr, bad, model)
-			if err == nil || err.Error() != want {
-				t.Fatalf("DM workers=%d: error %v, want %s", w, err, want)
+			if want == "" {
+				want = err.Error()
+			}
+			if err.Error() != want {
+				t.Fatalf("workers=%d: DR error %v, want %s", w, err, want)
+			}
+			if _, err := DirectMethodView(v, bad, model); err == nil || err.Error() != want {
+				t.Fatalf("workers=%d: DM error %v, want %s", w, err, want)
 			}
 		})
 	}
 }
 
 // TestBootstrapSeededBitIdentical asserts the sharded bootstrap CI is a
-// pure function of the seed: identical for worker counts 1, 2 and 8.
+// pure function of the seed: identical for worker counts 1, 2 and 8,
+// and equal to the textbook refit-DR bootstrap.
 func TestBootstrapSeededBitIdentical(t *testing.T) {
-	tr, np, model := determinismTrace(400)
-	est := func(tt Trace[float64, int]) (Estimate, error) {
-		return DoublyRobust(tt, np, model, DROptions{})
-	}
-	var want Interval
-	withParallelism(t, 1, 1<<30, func() {
-		var err error
-		want, err = BootstrapSeeded(tr, est, 99, 150, 0.95)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
+	tr, np, _ := quantizedTrace(400)
+	v := mustView(t, tr)
+	want := refitBootstrap(tr, np, DROptions{}, 99, 150, 0.95)
 	if want.Lo >= want.Hi {
 		t.Fatalf("degenerate interval %+v", want)
 	}
 	for _, w := range workerCounts {
-		withParallelism(t, w, 1<<30, func() {
-			got, err := BootstrapSeeded(tr, est, 99, 150, 0.95)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("workers=%d: %+v != %+v", w, got, want)
+		withParallelism(t, w, func() {
+			got, err := BootstrapDRViewSeeded(v, np, DROptions{}, 99, 150, 0.95)
+			if err != nil || got != want {
+				t.Fatalf("workers=%d: %+v (%v) != %+v", w, got, err, want)
 			}
 		})
 	}
 }
 
-// TestBootstrapSeededValidation mirrors Bootstrap's input checks.
+// TestBootstrapSeededValidation covers the bootstrap's input checks:
+// an empty view, a bad level, and a policy every resample rejects.
 func TestBootstrapSeededValidation(t *testing.T) {
-	tr, np, model := determinismTrace(50)
-	est := func(tt Trace[float64, int]) (Estimate, error) {
-		return DoublyRobust(tt, np, model, DROptions{})
-	}
-	if _, err := BootstrapSeeded(Trace[float64, int]{}, est, 1, 10, 0.95); err == nil {
+	tr, np, _ := determinismTrace(50)
+	v := mustView(t, tr)
+	if _, err := BootstrapDRViewSeeded(mustView(t, Trace[float64, int]{}), np, DROptions{}, 1, 10, 0.95); err == nil {
 		t.Fatal("empty trace accepted")
 	}
-	if _, err := BootstrapSeeded(tr, est, 1, 10, 1.5); err == nil {
+	if _, err := BootstrapDRViewSeeded(v, np, DROptions{}, 1, 10, 1.5); err == nil {
 		t.Fatal("bad level accepted")
 	}
-	// An estimator that always fails must surface its error.
-	alwaysFail := func(Trace[float64, int]) (Estimate, error) {
-		return Estimate{}, ErrNoMatches
+	alwaysFail := FuncPolicy[float64, int](func(float64) []Weighted[int] { return nil })
+	if _, err := BootstrapDRViewSeeded(v, alwaysFail, DROptions{}, 1, 10, 0.95); err == nil {
+		t.Fatal("all-failing policy accepted")
 	}
-	if _, err := BootstrapSeeded(tr, alwaysFail, 1, 10, 0.95); err == nil {
-		t.Fatal("all-failing estimator accepted")
+	// b <= 0 selects the default 200 resamples.
+	_, stats, err := BootstrapDRViewSeededStatsCtx(context.Background(), v, np, DROptions{}, 1, 0, 0.95)
+	if err != nil || stats.Resamples != 200 {
+		t.Fatalf("default resamples: %+v, %v", stats, err)
 	}
 }
 
-// TestBootstrapSeededStatsSkipped asserts the skipped-resample count is
-// (a) reported, (b) excluded from the interval, and (c) as deterministic
-// as the interval itself — identical at worker counts 1, 2 and 8.
+// TestBootstrapSeededStatsSkipped asserts resamples that draw a context
+// with an invalid distribution are (a) counted, (b) excluded from the
+// interval, and (c) as deterministic as the interval itself —
+// identical at worker counts 1, 2 and 8.
 func TestBootstrapSeededStatsSkipped(t *testing.T) {
-	tr, np, model := determinismTrace(50)
-	// Fail on a deterministic property of the resample (contexts are
-	// uniform on [0,1), so this rejects roughly half the 120 shard
-	// streams — a known subset for any fixed seed).
-	flaky := func(tt Trace[float64, int]) (Estimate, error) {
-		if tt[0].Context > 0.5 {
-			return Estimate{}, ErrNoMatches
+	tr, np, _ := determinismTrace(50)
+	v := mustView(t, tr)
+	// One context (one record) is invalid, so the resamples that draw
+	// it fail.
+	rare := tr[0].Context
+	flaky := FuncPolicy[float64, int](func(x float64) []Weighted[int] {
+		if x == rare {
+			return nil
 		}
-		return DoublyRobust(tt, np, model, DROptions{})
-	}
+		return np.Distribution(x)
+	})
 	var wantIv Interval
 	var want BootstrapStats
-	withParallelism(t, 1, 1<<30, func() {
-		var err error
-		wantIv, want, err = BootstrapSeededStats(tr, flaky, 7, 120, 0.9)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	if want.Resamples != 120 {
-		t.Fatalf("Resamples = %d, want 120", want.Resamples)
-	}
-	if want.Skipped == 0 || want.Skipped >= want.Resamples {
-		t.Fatalf("implausible Skipped = %d (flaky estimator should fail some but not all resamples)", want.Skipped)
-	}
 	for _, w := range workerCounts {
-		withParallelism(t, w, 1<<30, func() {
-			iv, stats, err := BootstrapSeededStats(tr, flaky, 7, 120, 0.9)
+		withParallelism(t, w, func() {
+			iv, stats, err := BootstrapDRViewSeededStatsCtx(context.Background(), v, flaky, DROptions{}, 7, 120, 0.9)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if w == workerCounts[0] {
+				wantIv, want = iv, stats
 			}
 			if iv != wantIv || stats != want {
 				t.Fatalf("workers=%d: (%+v, %+v) != (%+v, %+v)", w, iv, stats, wantIv, want)
 			}
 		})
 	}
-	// The wrapper must agree with the stats variant.
-	iv, err := BootstrapSeeded(tr, flaky, 7, 120, 0.9)
-	if err != nil || iv != wantIv {
-		t.Fatalf("BootstrapSeeded disagrees: %+v, %v", iv, err)
+	if want.Resamples != 120 || want.Skipped == 0 || want.Skipped >= want.Resamples {
+		t.Fatalf("implausible stats %+v (the rare context should fail some but not all resamples)", want)
 	}
-	// All-failing runs still report their stats.
-	alwaysFail := func(Trace[float64, int]) (Estimate, error) {
-		return Estimate{}, ErrNoMatches
-	}
-	_, stats, err := BootstrapSeededStats(tr, alwaysFail, 1, 10, 0.95)
-	if err == nil {
-		t.Fatal("all-failing estimator accepted")
-	}
-	if stats.Skipped != 10 || stats.Resamples != 10 {
-		t.Fatalf("all-failing stats = %+v", stats)
+	if iv, err := BootstrapDRViewSeeded(v, flaky, DROptions{}, 7, 120, 0.9); err != nil || iv != wantIv {
+		t.Fatalf("BootstrapDRViewSeeded disagrees: %+v, %v", iv, err)
 	}
 }

@@ -54,7 +54,7 @@ func TestDRAffineEquivarianceProperty(t *testing.T) {
 		rng := mathx.NewRNG(seed ^ 0x5a5a)
 		a := 0.5 + 2*rng.Float64()
 		b := rng.Normal(0, 3)
-		base, err := DoublyRobust(tr, np, model, DROptions{})
+		base, err := DoublyRobustView(mustView(t, tr), np, model, DROptions{})
 		if err != nil {
 			return false
 		}
@@ -66,7 +66,7 @@ func TestDRAffineEquivarianceProperty(t *testing.T) {
 		scaledModel := RewardFunc[float64, int](func(x float64, d int) float64 {
 			return a*model.Predict(x, d) + b
 		})
-		got, err := DoublyRobust(scaled, np, scaledModel, DROptions{})
+		got, err := DoublyRobustView(mustView(t, scaled), np, scaledModel, DROptions{})
 		if err != nil {
 			return false
 		}
@@ -87,7 +87,7 @@ func TestIPSHomogeneityProperty(t *testing.T) {
 		tr, np, _ := randomValidTrace(seed)
 		rng := mathx.NewRNG(seed ^ 0x1234)
 		a := 0.1 + 3*rng.Float64()
-		base, err := IPS(tr, np, IPSOptions{})
+		base, err := IPSView(mustView(t, tr), np, IPSOptions{})
 		if err != nil {
 			return false
 		}
@@ -96,7 +96,7 @@ func TestIPSHomogeneityProperty(t *testing.T) {
 		for i := range scaled {
 			scaled[i].Reward *= a
 		}
-		got, err := IPS(scaled, np, IPSOptions{})
+		got, err := IPSView(mustView(t, scaled), np, IPSOptions{})
 		if err != nil {
 			return false
 		}
@@ -125,19 +125,19 @@ func TestEstimatorsFiniteProperty(t *testing.T) {
 			}
 			return e.ESS >= 0 && e.ESS <= n+1e-6
 		}
-		dm, err := DirectMethod(tr, np, model)
+		dm, err := DirectMethodView(mustView(t, tr), np, model)
 		if !check(dm, err) {
 			return false
 		}
-		ips, err := IPS(tr, np, IPSOptions{})
+		ips, err := IPSView(mustView(t, tr), np, IPSOptions{})
 		if !check(ips, err) {
 			return false
 		}
-		dr, err := DoublyRobust(tr, np, model, DROptions{})
+		dr, err := DoublyRobustView(mustView(t, tr), np, model, DROptions{})
 		if !check(dr, err) {
 			return false
 		}
-		sw, err := SwitchDR(tr, np, model, SwitchOptions{})
+		sw, err := SwitchDRView(mustView(t, tr), np, model, SwitchOptions{})
 		return check(sw, err)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -150,7 +150,7 @@ func TestEstimatorsFiniteProperty(t *testing.T) {
 func TestMatchedRewardsRangeProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		tr, np, _ := randomValidTrace(seed)
-		est, err := MatchedRewards(tr, np)
+		est, err := MatchedRewardsView(mustView(t, tr), np)
 		if err != nil {
 			// No matches is acceptable for a property run.
 			return err == ErrNoMatches
@@ -185,11 +185,11 @@ func TestSNIPSScaleInvarianceProperty(t *testing.T) {
 		if !ok {
 			return true
 		}
-		a, err := IPS(tr, np, IPSOptions{SelfNormalize: true})
+		a, err := IPSView(mustView(t, tr), np, IPSOptions{SelfNormalize: true})
 		if err != nil {
 			return false
 		}
-		b, err := IPS(scaled, np, IPSOptions{SelfNormalize: true})
+		b, err := IPSView(mustView(t, scaled), np, IPSOptions{SelfNormalize: true})
 		if err != nil {
 			return false
 		}
@@ -200,25 +200,17 @@ func TestSNIPSScaleInvarianceProperty(t *testing.T) {
 	}
 }
 
-// Property: StreamingDR agrees with batch DR on arbitrary valid traces.
+// Property: a stream fed record by record reads exactly the batch DR
+// on arbitrary valid traces.
 func TestStreamingMatchesBatchProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		tr, np, model := randomValidTrace(seed)
-		s := NewStreamingDR(np, model)
-		for _, rec := range tr {
-			if err := s.Offer(rec); err != nil {
-				return false
-			}
-		}
-		got, err := s.Estimate()
+		got, _, err := streamDR(tr, np, model)
 		if err != nil {
 			return false
 		}
-		want, err := DoublyRobust(tr, np, model, DROptions{})
-		if err != nil {
-			return false
-		}
-		return math.Abs(got.Value-want.Value) < 1e-9*(1+math.Abs(want.Value))
+		want, err := DoublyRobustView(mustView(t, tr), np, model, DROptions{})
+		return err == nil && got == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

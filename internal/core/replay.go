@@ -58,7 +58,7 @@ type ReplayResult struct {
 // the accumulated sum divided by the number of accepted records.
 //
 // When the target policy is stationary this estimator coincides in
-// expectation with DoublyRobust, which TestReplayMatchesDRStationary
+// expectation with DoublyRobustView, which TestReplayMatchesDRStationary
 // verifies.
 func ReplayDR[C any, D comparable](t Trace[C, D], newPolicy HistoryPolicy[C, D], model RewardModel[C, D], rng *mathx.RNG) (ReplayResult, error) {
 	return ReplayDRCtx(context.Background(), t, newPolicy, model, rng)
@@ -77,9 +77,8 @@ func ReplayDRCtx[C any, D comparable](ctx context.Context, t Trace[C, D], newPol
 		return ReplayResult{}, err
 	}
 	var accepted Trace[C, D]
-	var contrib []float64
-	var weights []float64
-	maxW := 0.0
+	var sum, sumW, sumW2, maxW float64
+	var sp spread
 	for k, rec := range t {
 		if k%estimatorGrain == 0 {
 			if err := ctx.Err(); err != nil {
@@ -111,8 +110,11 @@ func ReplayDRCtx[C any, D comparable](ctx context.Context, t Trace[C, D], newPol
 			}
 		}
 		w := pNew / rec.Propensity
-		contrib = append(contrib, dm+w*(rec.Reward-model.Predict(rec.Context, rec.Decision)))
-		weights = append(weights, w)
+		c := dm + w*(rec.Reward-model.Predict(rec.Context, rec.Decision))
+		sum += c
+		sp.add(c, len(accepted) == 0)
+		sumW += w
+		sumW2 += w * w
 		if w > maxW {
 			maxW = w
 		}
@@ -121,11 +123,9 @@ func ReplayDRCtx[C any, D comparable](ctx context.Context, t Trace[C, D], newPol
 	if len(accepted) == 0 {
 		return ReplayResult{Skipped: len(t)}, ErrNoMatches
 	}
-	est := summarizeContributions(contrib)
-	est.ESS = mathx.EffectiveSampleSize(weights)
-	est.MaxWeight = maxW
+	n := len(accepted)
 	return ReplayResult{
-		Estimate: est,
+		Estimate: Estimate{Value: sum / float64(n), StdErr: sp.stdErr(n), N: n, ESS: ess(sumW, sumW2), MaxWeight: maxW},
 		Accepted: len(accepted),
 		Skipped:  len(t) - len(accepted),
 	}, nil

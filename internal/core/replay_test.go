@@ -23,7 +23,7 @@ func TestReplayMatchesDRStationary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dr, err := DoublyRobust(tr, np, model, DROptions{})
+		dr, err := DoublyRobustView(mustView(t, tr), np, model, DROptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

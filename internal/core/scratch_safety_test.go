@@ -85,11 +85,10 @@ func TestScratchNoCrossRequestContamination(t *testing.T) {
 	close(errs)
 }
 
-// TestEstimatorSteadyStateAllocs asserts the columnar DM/IPS/DR hot
-// path over a warm view allocates at most a small constant per
-// evaluation — the slice path allocates O(n). The trace stays below
-// ParallelThreshold so the measurement excludes goroutine scheduling,
-// and the model is prefit so only the estimator itself is measured.
+// TestEstimatorSteadyStateAllocs asserts the DM/IPS/DR fold over a warm
+// view allocates at most a small constant per evaluation, never per
+// record. The model is prefit so only the estimator itself is
+// measured.
 func TestEstimatorSteadyStateAllocs(t *testing.T) {
 	const n = 2000
 	tr, np, _ := quantizedTrace(n)
@@ -131,7 +130,7 @@ func TestEstimatorSteadyStateAllocs(t *testing.T) {
 // TestBootstrapSteadyStateAllocs bounds per-resample allocation of the
 // packaged refit-DR bootstrap: the per-resample cost must be O(1)
 // allocations (pooled index + sufficient-statistic buffers), not the
-// O(n) record copy plus O(U·K) model maps of the slice closure.
+// O(n) record copy plus O(U·K) model maps of a per-resample FitTable.
 func TestBootstrapSteadyStateAllocs(t *testing.T) {
 	const (
 		n = 2000
@@ -143,7 +142,7 @@ func TestBootstrapSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("NewTraceView: %v", err)
 	}
 	run := func() {
-		if _, _, err := BootstrapDRViewSeededStats(v, np, DROptions{Clip: 4}, 17, b, 0.9); err != nil {
+		if _, err := BootstrapDRViewSeeded(v, np, DROptions{Clip: 4}, 17, b, 0.9); err != nil {
 			t.Fatalf("bootstrap: %v", err)
 		}
 	}

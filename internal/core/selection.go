@@ -45,13 +45,14 @@ type SelectOptions struct {
 // estimates each candidate's value with DR, attaches bootstrap
 // intervals and overlap diagnostics, filters out candidates the trace
 // cannot support, and returns the survivors sorted by estimated value
-// (best first).
+// (best first). Each interval resamples the records with replacement,
+// drawing indices from rng, and keeps the model fixed.
 //
 // It returns ErrNoSupportedCandidates when the trace supports none of
 // the candidates — the correct answer when an operator asks a trace a
 // question it cannot answer.
-func SelectBest[C any, D comparable](t Trace[C, D], model RewardModel[C, D], candidates []Candidate[C, D], rng *mathx.RNG, opts SelectOptions) ([]Ranked[C, D], error) {
-	if len(t) == 0 {
+func SelectBest[C any, D comparable](v *TraceView[C, D], model RewardModel[C, D], candidates []Candidate[C, D], rng *mathx.RNG, opts SelectOptions) ([]Ranked[C, D], error) {
+	if v.Len() == 0 {
 		return nil, ErrEmptyTrace
 	}
 	if len(candidates) == 0 {
@@ -68,28 +69,21 @@ func SelectBest[C any, D comparable](t Trace[C, D], model RewardModel[C, D], can
 	}
 	var out []Ranked[C, D]
 	for _, cand := range candidates {
-		diag, err := Diagnose(t, cand.Policy)
+		diag, err := DiagnoseView(v, cand.Policy)
 		if err != nil {
 			return nil, fmt.Errorf("core: candidate %q: %w", cand.Name, err)
 		}
-		est, err := DoublyRobust(t, cand.Policy, model, opts.DR)
+		est, err := DoublyRobustView(v, cand.Policy, model, opts.DR)
 		if err != nil {
 			return nil, fmt.Errorf("core: candidate %q: %w", cand.Name, err)
 		}
 		if est.ESS < opts.MinESS {
 			continue // unsupported by this trace
 		}
-		policy := cand.Policy
-		ci, err := Bootstrap(t, func(rt Trace[C, D]) (Estimate, error) {
-			return DoublyRobust(rt, policy, model, opts.DR)
-		}, rng, opts.Bootstrap, opts.Level)
-		if err != nil {
-			return nil, fmt.Errorf("core: candidate %q: %w", cand.Name, err)
-		}
 		out = append(out, Ranked[C, D]{
 			Candidate:   cand,
 			Estimate:    est,
-			Interval:    ci,
+			Interval:    bootstrapDR(v, cand.Policy, model, rng, opts),
 			Diagnostics: diag,
 		})
 	}
@@ -100,6 +94,24 @@ func SelectBest[C any, D comparable](t Trace[C, D], model RewardModel[C, D], can
 		return out[i].Estimate.Value > out[j].Estimate.Value
 	})
 	return out, nil
+}
+
+// bootstrapDR is SelectBest's percentile interval: opts.Bootstrap
+// resamples of DR with the fixed model, each drawing n record indices
+// from rng in turn. DoublyRobustView has already accepted every
+// context's distribution, so no resample can fail.
+func bootstrapDR[C any, D comparable](v *TraceView[C, D], policy Policy[C, D], model RewardModel[C, D], rng *mathx.RNG, opts SelectOptions) Interval {
+	tb := newTable(v, policy, model)
+	defer tb.release()
+	idx := make([]int, v.Len())
+	values := make([]float64, opts.Bootstrap)
+	for i := range values {
+		for j := range idx {
+			idx[j] = rng.Intn(len(idx))
+		}
+		values[i] = drValue(v, tb.tables, idx, opts.DR, tb.dm, tb.pred)
+	}
+	return percentiles(values, opts.Level)
 }
 
 // ErrNoSupportedCandidates is returned by SelectBest when every

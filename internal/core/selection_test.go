@@ -20,7 +20,7 @@ func TestSelectBestRanksByTrueValue(t *testing.T) {
 	tr, _ := collectBanditTrace(b, 3000, 0.5)
 	rng := mathx.NewRNG(5)
 	model := RewardFunc[float64, int](b.trueReward)
-	ranked, err := SelectBest(tr, model, banditCandidates(), rng, SelectOptions{Bootstrap: 100})
+	ranked, err := SelectBest(mustView(t, tr), model, banditCandidates(), rng, SelectOptions{Bootstrap: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,13 +60,13 @@ func TestSelectBestFiltersUnsupported(t *testing.T) {
 	cands := []Candidate[float64, int]{
 		{Name: "disjoint", Policy: DeterministicPolicy[float64, int]{Choose: func(float64) int { return 2 }}},
 	}
-	_, err := SelectBest(tr, model, cands, rng, SelectOptions{})
+	_, err := SelectBest(mustView(t, tr), model, cands, rng, SelectOptions{})
 	if !errors.Is(err, ErrNoSupportedCandidates) {
 		t.Fatalf("want ErrNoSupportedCandidates, got %v", err)
 	}
 	// Adding a supported candidate keeps only it.
 	cands = append(cands, Candidate[float64, int]{Name: "same", Policy: old})
-	ranked, err := SelectBest(tr, model, cands, rng, SelectOptions{Bootstrap: 50})
+	ranked, err := SelectBest(mustView(t, tr), model, cands, rng, SelectOptions{Bootstrap: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,16 +78,16 @@ func TestSelectBestFiltersUnsupported(t *testing.T) {
 func TestSelectBestErrors(t *testing.T) {
 	rng := mathx.NewRNG(7)
 	model := ConstantModel[float64, int]{}
-	if _, err := SelectBest(Trace[float64, int]{}, model, banditCandidates(), rng, SelectOptions{}); !errors.Is(err, ErrEmptyTrace) {
+	if _, err := SelectBest(mustView(t, Trace[float64, int]{}), model, banditCandidates(), rng, SelectOptions{}); !errors.Is(err, ErrEmptyTrace) {
 		t.Fatal("expected ErrEmptyTrace")
 	}
 	tr := Trace[float64, int]{{Context: 0.5, Decision: 0, Reward: 1, Propensity: 1}}
-	if _, err := SelectBest(tr, model, nil, rng, SelectOptions{}); err == nil {
+	if _, err := SelectBest(mustView(t, tr), model, nil, rng, SelectOptions{}); err == nil {
 		t.Fatal("expected error for no candidates")
 	}
-	bad := Trace[float64, int]{{Context: 0.5, Decision: 0, Reward: 1, Propensity: 0}}
-	if _, err := SelectBest(bad, model, banditCandidates(), rng, SelectOptions{}); err == nil {
-		t.Fatal("expected validation error")
+	bad := []Candidate[float64, int]{{Name: "bad", Policy: FuncPolicy[float64, int](func(float64) []Weighted[int] { return nil })}}
+	if _, err := SelectBest(mustView(t, tr), model, bad, rng, SelectOptions{}); err == nil {
+		t.Fatal("expected invalid-distribution error")
 	}
 }
 
@@ -187,7 +187,7 @@ func TestFitPropensityModelEnablesDR(t *testing.T) {
 	}
 	np := banditNewPolicy(0.2)
 	truth := TrueValue(ctxs, np, b.trueReward)
-	dr, err := DoublyRobust(tr, np, ConstantModel[float64, int]{Value: 1}, DROptions{})
+	dr, err := DoublyRobustView(mustView(t, tr), np, ConstantModel[float64, int]{Value: 1}, DROptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

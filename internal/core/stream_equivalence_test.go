@@ -5,58 +5,136 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"drnet/internal/mathx"
 )
 
-// This file locks down the streaming engine's equivalence contract
-// (the ISSUE 8 satellite): aggregates folded over N ingest batches
-// reproduce the *View estimators on the full concatenated trace —
-// bit-identically for every single-pass quantity (Value, ESS,
-// MaxWeight, N, all Diagnostics fields), within tolerance for the
-// two-pass ones (StdErr, self-normalized DR value) — with the batch
-// side swept sequentially and at workers {1, 2, 8}.
+// A StreamEval runs the batch estimators' fold over each new batch, so
+// after every Apply its reading equals the batch *View calls over the
+// same prefix bit for bit — whatever the batch sizes, and while new
+// contexts and decisions keep appearing.
 
-func bitsEqual(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-
-func closeRel(a, b, tol float64) bool {
-	if a == b {
-		return true
+// batchEstimates is what a StreamEval must read over v: the batch
+// calls over the same records.
+func batchEstimates[C any, D comparable](v *TraceView[C, D], np Policy[C, D], model RewardModel[C, D], clip float64) (StreamEstimates, error) {
+	var out StreamEstimates
+	var err error
+	if out.IPS, err = IPSView(v, np, IPSOptions{Clip: clip}); err != nil {
+		return out, err
 	}
-	d := math.Abs(a - b)
-	m := math.Max(math.Abs(a), math.Abs(b))
-	return d <= tol*m
+	if out.SNIPS, err = IPSView(v, np, IPSOptions{Clip: clip, SelfNormalize: true}); err != nil {
+		return out, err
+	}
+	if out.Diagnostics, err = DiagnoseView(v, np); err != nil {
+		return out, err
+	}
+	if out.DM, err = DirectMethodView(v, np, model); err != nil {
+		return out, err
+	}
+	if out.DR, err = DoublyRobustView(v, np, model, DROptions{Clip: clip}); err != nil {
+		return out, err
+	}
+	out.SNDR, err = DoublyRobustView(v, np, model, DROptions{Clip: clip, SelfNormalize: true})
+	return out, err
 }
 
-// streamTolerance is the documented bound for the quantities whose
-// batch reduction is two-pass: Welford/co-moment algebra agrees to
-// roughly 1e-12 relative on well-conditioned data; 1e-9 leaves head-
-// room for the SNIPS influence expansion's cancellation.
-const streamTolerance = 1e-9
-
-// batchSplits are the ingestion schedules the fold is swept over: the
-// aggregates must not depend on how the stream was chopped into
-// batches.
-func batchSplits(n int) [][]int {
-	uneven := []int{1, 2, 4, 8, 16, 32, 64, 128}
-	var cuts []int
-	at := 0
-	for i := 0; at < n; i++ {
-		at += uneven[i%len(uneven)] * (1 + i/len(uneven))
-		if at > n {
-			at = n
+// growingTrace logs decisions {0, 1} over contexts in [0, 1) for its
+// first half, then decisions {0, 1, 2, 3} over contexts in [0, 2): new
+// contexts and new decisions arrive mid-stream. The target policy
+// favours decision 3, which the first half never logs.
+func growingTrace(n int) (Trace[float64, int], Policy[float64, int], RewardModel[float64, int]) {
+	rng := mathx.NewRNG(77)
+	reward := func(x float64, d int) float64 { return x*float64(d+1) + 0.1*float64(d) }
+	var tr Trace[float64, int]
+	for half, decisions := range [][]int{{0, 1}, {0, 1, 2, 3}} {
+		old := EpsilonGreedyPolicy[float64, int]{Base: func(float64) int { return 0 }, Decisions: decisions, Epsilon: 0.5}
+		ctxs := make([]float64, n/2)
+		for i := range ctxs {
+			ctxs[i] = float64(rng.Intn(8*(half+1))) / 8
 		}
-		cuts = append(cuts, at)
+		tr = append(tr, CollectTrace(ctxs, old, func(x float64, d int) float64 { return reward(x, d) + rng.Normal(0, 0.2) }, rng)...)
 	}
-	return [][]int{
-		{n},            // one shot
-		halves(n),      // two halves
-		everyK(n, 1),   // record at a time
-		everyK(n, 137), // fixed odd stride
-		cuts,           // growing uneven batches
+	np := EpsilonGreedyPolicy[float64, int]{Base: func(float64) int { return 3 }, Decisions: []int{0, 1, 2, 3}, Epsilon: 0.2}
+	return tr, np, RewardFunc[float64, int](func(x float64, d int) float64 { return reward(x, d) - 0.1 })
+}
+
+// TestStreamEvalMatchesBatchEstimators feeds Apply calls of 1, 7 and
+// 100 records and compares every reading with the batch calls over the
+// same prefix — every field, StdErr and SN-DR included, bit for bit —
+// for a pure model and a table model frozen on an early prefix
+// (drevald's registration flow).
+func TestStreamEvalMatchesBatchEstimators(t *testing.T) {
+	const n = 600
+	tr, np, pure := growingTrace(n)
+	early := NewViewBuilder[float64, int]()
+	for _, rec := range tr[:n/4] {
+		if err := early.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	models := map[string]RewardModel[float64, int]{"pure": pure, "table": FitTableView(early.Snapshot())}
+	for mname, model := range models {
+		for _, size := range []int{1, 7, 100} {
+			for _, clip := range []float64{0, 3} {
+				b := NewViewBuilder[float64, int]()
+				se := NewStreamEval(np, model, StreamOptions{Clip: clip})
+				for from := 0; from < n; from += size {
+					for _, rec := range tr[from:min(from+size, n)] {
+						if err := b.Append(rec); err != nil {
+							t.Fatal(err)
+						}
+					}
+					snap := b.Snapshot()
+					if err := se.Apply(snap, from); err != nil {
+						t.Fatal(err)
+					}
+					got, err := se.Estimates()
+					if err != nil {
+						t.Fatalf("%s size=%d clip=%g at %d: %v", mname, size, clip, snap.Len(), err)
+					}
+					want, err := batchEstimates(snap, np, model, clip)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Fatalf("%s size=%d clip=%g at %d:\nstream %+v\nbatch  %+v", mname, size, clip, snap.Len(), got, want)
+					}
+				}
+				if v := b.Snapshot(); v.NumDecisions() != 4 || v.NumContexts() <= 8 {
+					t.Fatalf("trace did not grow its dictionaries: %d decisions, %d contexts", v.NumDecisions(), v.NumContexts())
+				}
+			}
+		}
 	}
 }
 
-func halves(n int) []int { return []int{n / 2, n} }
+// foldStream pushes tr through a ViewBuilder in batches ending at the
+// cut points and folds each into fresh StreamEvals (unclipped, clip 3).
+func foldStream(t *testing.T, tr Trace[float64, int], np Policy[float64, int], model RewardModel[float64, int], cuts []int) (*StreamEval[float64, int], *StreamEval[float64, int]) {
+	t.Helper()
+	b := NewViewBuilder[float64, int]()
+	se := NewStreamEval(np, model, StreamOptions{})
+	seClip := NewStreamEval(np, model, StreamOptions{Clip: 3})
+	prev := 0
+	for _, cut := range cuts {
+		for _, rec := range tr[prev:cut] {
+			if err := b.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap := b.Snapshot()
+		if err := se.Apply(snap, prev); err != nil {
+			t.Fatal(err)
+		}
+		if err := seClip.Apply(snap, prev); err != nil {
+			t.Fatal(err)
+		}
+		prev = cut
+	}
+	return se, seClip
+}
 
+// everyK cuts n records into batches of k.
 func everyK(n, k int) []int {
 	var out []int
 	for at := k; at < n; at += k {
@@ -65,188 +143,33 @@ func everyK(n, k int) []int {
 	return append(out, n)
 }
 
-// foldStream pushes tr through a ViewBuilder according to the batch
-// cut points and folds each prefix into fresh StreamEvals (one per
-// clip option), returning the final snapshot and accumulators.
-func foldStream(t *testing.T, tr Trace[float64, int], np Policy[float64, int], model RewardModel[float64, int], cuts []int) (*TraceView[float64, int], *StreamEval[float64, int], *StreamEval[float64, int]) {
-	t.Helper()
-	b := NewViewBuilder[float64, int]()
-	se := NewStreamEval(np, model, StreamOptions{})
-	seClip := NewStreamEval(np, model, StreamOptions{Clip: 3})
-	prev := 0
-	for _, cut := range cuts {
-		for i := prev; i < cut; i++ {
-			if err := b.Append(tr[i]); err != nil {
-				t.Fatalf("Append record %d: %v", i, err)
-			}
-		}
-		snap := b.Snapshot()
-		if err := se.Apply(snap, prev); err != nil {
-			t.Fatalf("Apply at %d: %v", prev, err)
-		}
-		if err := seClip.Apply(snap, prev); err != nil {
-			t.Fatalf("Apply(clip) at %d: %v", prev, err)
-		}
-		prev = cut
-	}
-	return b.Snapshot(), se, seClip
-}
-
-// assertEstimate compares a streaming estimate against the batch
-// reference: exact fields bitwise, StdErr within tolerance, Value
-// optionally within tolerance (self-normalized DR).
-func assertEstimate(t *testing.T, label string, got, want Estimate, valueExact bool) {
-	t.Helper()
-	if got.N != want.N {
-		t.Fatalf("%s: N %d != %d", label, got.N, want.N)
-	}
-	if valueExact {
-		if !bitsEqual(got.Value, want.Value) {
-			t.Fatalf("%s: Value %v (%x) != %v (%x)", label, got.Value, math.Float64bits(got.Value), want.Value, math.Float64bits(want.Value))
-		}
-	} else if !closeRel(got.Value, want.Value, streamTolerance) {
-		t.Fatalf("%s: Value %v !~ %v", label, got.Value, want.Value)
-	}
-	if !bitsEqual(got.ESS, want.ESS) {
-		t.Fatalf("%s: ESS %v != %v", label, got.ESS, want.ESS)
-	}
-	if !bitsEqual(got.MaxWeight, want.MaxWeight) {
-		t.Fatalf("%s: MaxWeight %v != %v", label, got.MaxWeight, want.MaxWeight)
-	}
-	if !closeRel(got.StdErr, want.StdErr, streamTolerance) {
-		t.Fatalf("%s: StdErr %v !~ %v", label, got.StdErr, want.StdErr)
-	}
-}
-
-func TestStreamEvalMatchesBatchEstimators(t *testing.T) {
-	const n = 5000
-	for shape, mk := range equivalenceCases(n) {
-		tr, np, pureModel := mk(n)
-
-		// Two frozen models: a pure function, and a table model fit on
-		// the first half of the stream (drevald's registration flow).
-		half := NewViewBuilder[float64, int]()
-		for i := 0; i < n/2; i++ {
-			if err := half.Append(tr[i]); err != nil {
-				t.Fatalf("prefix Append: %v", err)
-			}
-		}
-		tableModel := FitTableView(half.Snapshot())
-
-		models := map[string]RewardModel[float64, int]{
-			"pure":  pureModel,
-			"table": tableModel,
-		}
-		for mname, model := range models {
-			for si, cuts := range batchSplits(n) {
-				v, se, seClip := foldStream(t, tr, np, model, cuts)
-				got, err := se.Estimates()
-				if err != nil {
-					t.Fatalf("%s/%s split %d: Estimates: %v", shape, mname, si, err)
-				}
-				gotClip, err := seClip.Estimates()
-				if err != nil {
-					t.Fatalf("%s/%s split %d: Estimates(clip): %v", shape, mname, si, err)
-				}
-
-				// Batch side: sequential, then workers 1/2/8.
-				for _, w := range append([]int{0}, workerCounts...) {
-					threshold := 64
-					if w == 0 {
-						w, threshold = 1, n+1
-					}
-					withParallelism(t, w, threshold, func() {
-						pfx := fmt.Sprintf("%s/%s split=%d workers=%d", shape, mname, si, w)
-
-						dm, err := DirectMethodView(v, np, model)
-						if err != nil {
-							t.Fatalf("%s DM: %v", pfx, err)
-						}
-						assertEstimate(t, pfx+" DM", got.DM, dm, true)
-
-						ips, err := IPSView(v, np, IPSOptions{})
-						if err != nil {
-							t.Fatalf("%s IPS: %v", pfx, err)
-						}
-						assertEstimate(t, pfx+" IPS", got.IPS, ips, true)
-
-						ipsClip, err := IPSView(v, np, IPSOptions{Clip: 3})
-						if err != nil {
-							t.Fatalf("%s IPS clip: %v", pfx, err)
-						}
-						assertEstimate(t, pfx+" IPS clip", gotClip.IPS, ipsClip, true)
-
-						snips, err := IPSView(v, np, IPSOptions{SelfNormalize: true})
-						if err != nil {
-							t.Fatalf("%s SNIPS: %v", pfx, err)
-						}
-						assertEstimate(t, pfx+" SNIPS", got.SNIPS, snips, true)
-
-						dr, err := DoublyRobustView(v, np, model, DROptions{})
-						if err != nil {
-							t.Fatalf("%s DR: %v", pfx, err)
-						}
-						assertEstimate(t, pfx+" DR", got.DR, dr, true)
-
-						drClip, err := DoublyRobustView(v, np, model, DROptions{Clip: 3})
-						if err != nil {
-							t.Fatalf("%s DR clip: %v", pfx, err)
-						}
-						assertEstimate(t, pfx+" DR clip", gotClip.DR, drClip, true)
-
-						sndr, err := DoublyRobustView(v, np, model, DROptions{SelfNormalize: true})
-						if err != nil {
-							t.Fatalf("%s SNDR: %v", pfx, err)
-						}
-						// The self-normalized value regroups the final
-						// n/Σw factor: tolerance, not bits.
-						assertEstimate(t, pfx+" SNDR", got.SNDR, sndr, false)
-
-						diag, err := DiagnoseView(v, np)
-						if err != nil {
-							t.Fatalf("%s Diagnose: %v", pfx, err)
-						}
-						if got.Diagnostics != diag {
-							t.Fatalf("%s Diagnose: %+v != %+v", pfx, got.Diagnostics, diag)
-						}
-					})
-				}
-			}
-		}
-	}
-}
-
-// TestStreamEvalReplayBitExact: two accumulators fed the same records
-// under different batch schedules end bit-identical in EVERY field,
-// StdErr included — the property WAL replay relies on.
+// TestStreamEvalReplayBitExact: accumulators fed the same records
+// under different batch schedules end bit-identical in every field —
+// the property WAL replay relies on.
 func TestStreamEvalReplayBitExact(t *testing.T) {
 	const n = 3000
 	tr, np, model := quantizedTrace(n)
-	splits := batchSplits(n)
-	_, ref, refClip := foldStream(t, tr, np, model, splits[0])
+	ref, refClip := foldStream(t, tr, np, model, []int{n})
 	want, err := ref.Estimates()
 	if err != nil {
-		t.Fatalf("reference Estimates: %v", err)
+		t.Fatal(err)
 	}
 	wantClip, err := refClip.Estimates()
 	if err != nil {
-		t.Fatalf("reference Estimates(clip): %v", err)
+		t.Fatal(err)
 	}
-	for si, cuts := range splits[1:] {
-		_, se, seClip := foldStream(t, tr, np, model, cuts)
+	for _, cuts := range [][]int{{n / 2, n}, everyK(n, 1), everyK(n, 137)} {
+		se, seClip := foldStream(t, tr, np, model, cuts)
 		got, err := se.Estimates()
 		if err != nil {
-			t.Fatalf("split %d: %v", si, err)
+			t.Fatal(err)
 		}
 		gotClip, err := seClip.Estimates()
 		if err != nil {
-			t.Fatalf("split %d (clip): %v", si, err)
+			t.Fatal(err)
 		}
-		if got != want {
-			t.Fatalf("split %d: %+v != %+v", si, got, want)
-		}
-		if gotClip != wantClip {
-			t.Fatalf("split %d (clip): %+v != %+v", si, gotClip, wantClip)
+		if got != want || gotClip != wantClip {
+			t.Fatalf("%d batches: %+v / %+v != %+v / %+v", len(cuts), got, gotClip, want, wantClip)
 		}
 	}
 }
@@ -383,7 +306,9 @@ func TestStreamEvalInvalidDistributionMatchesBatch(t *testing.T) {
 		t.Fatalf("error %q != batch %q", err.Error(), wantErr.Error())
 	}
 	// The partial result still carries IPS and Diagnostics.
-	assertEstimate(t, "IPS under invalid dist", got.IPS, wantIPS, true)
+	if got.IPS != wantIPS {
+		t.Fatalf("IPS under invalid dist: %+v != %+v", got.IPS, wantIPS)
+	}
 	if got.Diagnostics != wantDiag {
 		t.Fatalf("Diagnose under invalid dist: %+v != %+v", got.Diagnostics, wantDiag)
 	}
@@ -510,7 +435,9 @@ func TestViewBuilderKeyedMatchesKeyedView(t *testing.T) {
 	if err != nil {
 		t.Fatalf("batch DR: %v", err)
 	}
-	assertEstimate(t, "keyed DR", got.DR, wantDR, true)
+	if got.DR != wantDR {
+		t.Fatalf("keyed DR: %+v != %+v", got.DR, wantDR)
+	}
 	wantDiag, err := DiagnoseView(want, np)
 	if err != nil {
 		t.Fatalf("batch Diagnose: %v", err)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"drnet/internal/mathx"
@@ -13,11 +14,11 @@ func TestSwitchDREqualsDRWithHugeTau(t *testing.T) {
 	tr, _ := collectBanditTrace(b, 800, 0.4)
 	np := banditNewPolicy(0.2)
 	model := RewardFunc[float64, int](b.trueReward)
-	sw, err := SwitchDR(tr, np, model, SwitchOptions{Tau: 1e9})
+	sw, err := SwitchDRView(mustView(t, tr), np, model, SwitchOptions{Tau: 1e9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dr, err := DoublyRobust(tr, np, model, DROptions{})
+	dr, err := DoublyRobustView(mustView(t, tr), np, model, DROptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,11 +32,11 @@ func TestSwitchDREqualsDMWithTinyTau(t *testing.T) {
 	tr, _ := collectBanditTrace(b, 400, 0.4)
 	np := banditNewPolicy(0.2)
 	model := ConstantModel[float64, int]{Value: 3}
-	sw, err := SwitchDR(tr, np, model, SwitchOptions{Tau: 1e-9})
+	sw, err := SwitchDRView(mustView(t, tr), np, model, SwitchOptions{Tau: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dm, err := DirectMethod(tr, np, model)
+	dm, err := DirectMethodView(mustView(t, tr), np, model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +56,11 @@ func TestSwitchDRVarianceBetweenDMAndDR(t *testing.T) {
 	for run := 0; run < 40; run++ {
 		b := newTestBandit(int64(900+run), 0.3)
 		tr, _ := collectBanditTrace(b, 300, 0.06)
-		dr, err := DoublyRobust(tr, np, model, DROptions{})
+		dr, err := DoublyRobustView(mustView(t, tr), np, model, DROptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sw, err := SwitchDR(tr, np, model, SwitchOptions{Tau: 5})
+		sw, err := SwitchDRView(mustView(t, tr), np, model, SwitchOptions{Tau: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +77,7 @@ func TestSwitchDRDefaultTau(t *testing.T) {
 	b := newTestBandit(73, 0.1)
 	tr, _ := collectBanditTrace(b, 500, 0.2)
 	np := banditNewPolicy(0.1)
-	sw, err := SwitchDR(tr, np, RewardFunc[float64, int](b.trueReward), SwitchOptions{})
+	sw, err := SwitchDRView(mustView(t, tr), np, RewardFunc[float64, int](b.trueReward), SwitchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,13 +89,31 @@ func TestSwitchDRDefaultTau(t *testing.T) {
 func TestSwitchDRErrors(t *testing.T) {
 	np := banditNewPolicy(0.1)
 	model := ConstantModel[float64, int]{}
-	if _, err := SwitchDR(Trace[float64, int]{}, np, model, SwitchOptions{}); !errors.Is(err, ErrEmptyTrace) {
+	if _, err := SwitchDRView(mustView(t, Trace[float64, int]{}), np, model, SwitchOptions{}); !errors.Is(err, ErrEmptyTrace) {
 		t.Fatal("expected ErrEmptyTrace")
 	}
-	bad := Trace[float64, int]{{Context: 0.5, Decision: 0, Reward: 1, Propensity: 0}}
-	if _, err := SwitchDR(bad, np, model, SwitchOptions{}); err == nil {
-		t.Fatal("expected validation error")
+	tr := Trace[float64, int]{{Context: 0.5, Decision: 0, Reward: 1, Propensity: 0.5}}
+	bad := FuncPolicy[float64, int](func(float64) []Weighted[int] { return nil })
+	if _, err := SwitchDRView(mustView(t, tr), bad, model, SwitchOptions{}); err == nil {
+		t.Fatal("expected invalid-distribution error")
 	}
+}
+
+// streamDR appends tr record by record to a ViewBuilder, folds each
+// record into a StreamEval as it arrives, and returns the DR reading.
+func streamDR(tr Trace[float64, int], np Policy[float64, int], model RewardModel[float64, int]) (Estimate, *StreamEval[float64, int], error) {
+	b := NewViewBuilder[float64, int]()
+	se := NewStreamEval(np, model, StreamOptions{})
+	for i, rec := range tr {
+		if err := b.Append(rec); err != nil {
+			return Estimate{}, se, err
+		}
+		if err := se.Apply(b.Snapshot(), i); err != nil {
+			return Estimate{}, se, err
+		}
+	}
+	est, err := se.Estimates()
+	return est.DR, se, err
 }
 
 func TestStreamingDRMatchesBatch(t *testing.T) {
@@ -102,52 +121,39 @@ func TestStreamingDRMatchesBatch(t *testing.T) {
 	tr, _ := collectBanditTrace(b, 700, 0.4)
 	np := banditNewPolicy(0.2)
 	model := RewardFunc[float64, int](b.trueReward)
-	s := NewStreamingDR(np, model)
-	for _, rec := range tr {
-		if err := s.Offer(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := s.Estimate()
+	got, s, err := streamDR(tr, np, model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := DoublyRobust(tr, np, model, DROptions{})
+	want, err := DoublyRobustView(mustView(t, tr), np, model, DROptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(got.Value-want.Value) > 1e-9 {
-		t.Fatalf("streaming %g != batch %g", got.Value, want.Value)
-	}
-	if math.Abs(got.StdErr-want.StdErr) > 1e-9 {
-		t.Fatalf("streaming stderr %g != batch %g", got.StdErr, want.StdErr)
-	}
-	if math.Abs(got.ESS-want.ESS) > 1e-6 {
-		t.Fatalf("streaming ESS %g != batch %g", got.ESS, want.ESS)
-	}
-	if got.N != want.N || s.N() != len(tr) {
-		t.Fatal("record accounting mismatch")
+	if got != want || s.N() != len(tr) {
+		t.Fatalf("streaming %+v (n=%d) != batch %+v", got, s.N(), want)
 	}
 }
 
 func TestStreamingDRRejectsBadRecords(t *testing.T) {
 	np := banditNewPolicy(0.2)
-	s := NewStreamingDR(np, ConstantModel[float64, int]{})
-	if err := s.Offer(Record[float64, int]{Propensity: 0}); err == nil {
+	b := NewViewBuilder[float64, int]()
+	s := NewStreamEval(np, ConstantModel[float64, int]{}, StreamOptions{})
+	if err := b.Append(Record[float64, int]{Propensity: 0}); err == nil {
 		t.Fatal("expected rejection")
 	}
-	if s.Rejected() != 1 || s.N() != 0 {
-		t.Fatal("rejection accounting broken")
+	if err := s.Apply(b.Snapshot(), 0); err != nil || b.Len() != 0 || s.N() != 0 {
+		t.Fatalf("rejected record was folded: %v, len %d, n %d", err, b.Len(), s.N())
 	}
-	if _, err := s.Estimate(); !errors.Is(err, ErrEmptyTrace) {
+	if _, err := s.Estimates(); !errors.Is(err, ErrEmptyTrace) {
 		t.Fatal("expected ErrEmptyTrace before any accepted record")
 	}
-	// A bad policy distribution also rejects.
-	bad := NewStreamingDR[float64, int](FuncPolicy[float64, int](func(float64) []Weighted[int] {
+	// A bad policy distribution makes DR refuse, naming the record.
+	bad := FuncPolicy[float64, int](func(float64) []Weighted[int] {
 		return []Weighted[int]{{Decision: 0, Prob: 0.2}}
-	}), ConstantModel[float64, int]{})
-	if err := bad.Offer(Record[float64, int]{Propensity: 0.5}); err == nil {
-		t.Fatal("expected distribution rejection")
+	})
+	if _, _, err := streamDR(Trace[float64, int]{{Propensity: 0.5}}, bad, ConstantModel[float64, int]{}); err == nil ||
+		!strings.HasPrefix(err.Error(), "record 0: ") {
+		t.Fatalf("expected distribution rejection, got %v", err)
 	}
 }
 
@@ -158,26 +164,26 @@ func TestStreamingDRIncremental(t *testing.T) {
 	np := banditNewPolicy(0.2)
 	model := RewardFunc[float64, int](b.trueReward)
 	truth := TrueValue(ctxs, np, b.trueReward)
-	s := NewStreamingDR(np, model)
-	var at100, at2000 float64
-	for i, rec := range tr {
-		if err := s.Offer(rec); err != nil {
-			t.Fatal(err)
-		}
-		if i == 99 {
-			est, err := s.Estimate()
-			if err != nil {
+	records := NewViewBuilder[float64, int]()
+	s := NewStreamEval(np, model, StreamOptions{})
+	var errAt []float64
+	for _, batch := range []Trace[float64, int]{tr[:100], tr[100:]} {
+		from := records.Len()
+		for _, rec := range batch {
+			if err := records.Append(rec); err != nil {
 				t.Fatal(err)
 			}
-			at100 = math.Abs(est.Value - truth)
 		}
+		if err := s.Apply(records.Snapshot(), from); err != nil {
+			t.Fatal(err)
+		}
+		est, err := s.Estimates()
+		if err != nil {
+			t.Fatal(err)
+		}
+		errAt = append(errAt, math.Abs(est.DR.Value-truth))
 	}
-	est, err := s.Estimate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	at2000 = math.Abs(est.Value - truth)
-	if at2000 > at100+0.02 {
-		t.Fatalf("estimate did not improve with data: |err| %g -> %g", at100, at2000)
+	if errAt[1] > errAt[0]+0.02 {
+		t.Fatalf("estimate did not improve with data: |err| %g -> %g", errAt[0], errAt[1])
 	}
 }

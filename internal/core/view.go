@@ -27,13 +27,11 @@ import (
 //     traces whose context/decision spaces are much smaller than n,
 //     which is the regime of every workload in this repository).
 //
-// Equivalence contract: the *View estimators are bit-identical to
-// their Trace counterparts provided the policy and reward model are
-// pure functions that do not distinguish between contexts the view
-// interned together (for NewTraceView: contexts that compare equal;
-// for NewTraceViewKeyed: contexts with equal keys). The equivalence
-// suite in view_equivalence_test.go locks this down for every
-// estimator at worker counts 1, 2 and 8.
+// Results over a view equal a per-record evaluation provided the
+// policy and reward model are pure functions that do not distinguish
+// between contexts the view interned together (for NewTraceView:
+// contexts that compare equal; for NewTraceViewKeyed: contexts with
+// equal keys); the oracle tests in oracle_test.go check this.
 type TraceView[C any, D comparable] struct {
 	rewards      []float64
 	propensities []float64
@@ -58,12 +56,6 @@ type TraceView[C any, D comparable] struct {
 // value (C must be comparable). It validates exactly like
 // Trace.Validate and fails with the same error on the same record.
 func NewTraceView[C comparable, D comparable](t Trace[C, D]) (*TraceView[C, D], error) {
-	return NewTraceViewCtx(context.Background(), t)
-}
-
-// NewTraceViewCtx is NewTraceView with cooperative cancellation: ctx
-// is checked once per chunk of records during the build pass.
-func NewTraceViewCtx[C comparable, D comparable](ctx context.Context, t Trace[C, D]) (*TraceView[C, D], error) {
 	index := make(map[C]int32)
 	intern := func(c C) (int32, bool) {
 		if u, ok := index[c]; ok {
@@ -77,7 +69,7 @@ func NewTraceViewCtx[C comparable, D comparable](ctx context.Context, t Trace[C,
 		u, ok := index[c]
 		return u, ok
 	}
-	return buildView(ctx, t, intern, lookup)
+	return buildView(context.Background(), t, intern, lookup)
 }
 
 // NewTraceViewKeyed builds a columnar view of t for context types that
@@ -85,14 +77,15 @@ func NewTraceViewCtx[C comparable, D comparable](ctx context.Context, t Trace[C,
 // by the caller-supplied key. The key must be injective up to
 // behavioral equivalence — contexts mapping to the same key must be
 // indistinguishable to every policy and reward model evaluated against
-// the view, or the *View estimators lose their bit-equivalence with
-// the Trace path.
+// the view, or the *View estimators stop matching a per-record
+// evaluation.
 func NewTraceViewKeyed[C any, D comparable](t Trace[C, D], key func(C) string) (*TraceView[C, D], error) {
 	return NewTraceViewKeyedCtx(context.Background(), t, key)
 }
 
 // NewTraceViewKeyedCtx is NewTraceViewKeyed with cooperative
-// cancellation, mirroring NewTraceViewCtx.
+// cancellation: ctx is checked once per chunk of records during the
+// build pass.
 func NewTraceViewKeyedCtx[C any, D comparable](ctx context.Context, t Trace[C, D], key func(C) string) (*TraceView[C, D], error) {
 	index := make(map[string]int32)
 	intern := func(c C) (int32, bool) {
@@ -208,18 +201,6 @@ func (v *TraceView[C, D]) DecisionValue(k int) D { return v.decisions[k] }
 func (v *TraceView[C, D]) DecisionIndex(d D) (int, bool) {
 	k, ok := v.decIndex[d]
 	return int(k), ok
-}
-
-// Materialize reconstructs the full trace from the columns and
-// dictionaries (the interning round-trip the fuzz target checks).
-//
-//lint:allow ctxdiscipline test/debug round-trip helper, never on the request path
-func (v *TraceView[C, D]) Materialize() Trace[C, D] {
-	out := make(Trace[C, D], v.Len())
-	for i := range out {
-		out[i] = v.At(i)
-	}
-	return out
 }
 
 // Rewards returns a copy of the reward column.

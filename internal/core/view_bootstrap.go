@@ -3,96 +3,60 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"drnet/internal/mathx"
 	"drnet/internal/parallel"
 )
 
-// ViewEstimator is the columnar counterpart of Estimator: it evaluates
-// a statistic over the record multiset idx (indices into v, duplicates
-// allowed). The bootstrap variants below call it once per resample
-// with a pooled index buffer instead of materializing a record copy.
-type ViewEstimator[C any, D comparable] func(v *TraceView[C, D], idx []int) (Estimate, error)
-
-// BootstrapView is Bootstrap over a columnar view: resamples are drawn
-// by index from the same rng stream, so for an estimator pair
-// satisfying est_view(v, idx) ≡ est_slice(resample) the interval is
-// bit-identical to Bootstrap's.
-func BootstrapView[C any, D comparable](v *TraceView[C, D], est ViewEstimator[C, D], rng *mathx.RNG, b int, level float64) (Interval, error) {
-	return BootstrapViewCtx(context.Background(), v, est, rng, b, level)
+// Interval is a two-sided confidence interval.
+type Interval struct {
+	Lo, Hi float64
+	Level  float64
 }
 
-// BootstrapViewCtx is BootstrapView with cooperative cancellation,
-// mirroring BootstrapCtx: ctx is checked before each resample.
-func BootstrapViewCtx[C any, D comparable](ctx context.Context, v *TraceView[C, D], est ViewEstimator[C, D], rng *mathx.RNG, b int, level float64) (Interval, error) {
-	n := v.Len()
-	if n == 0 {
-		return Interval{}, ErrEmptyTrace
-	}
-	if b <= 0 {
-		b = 200
-	}
-	if level <= 0 || level >= 1 {
-		return Interval{}, fmt.Errorf("core: confidence level %g out of (0,1)", level)
-	}
-	var values []float64
-	var lastErr error
-	ip := getInts(n)
-	defer putInts(ip)
-	idx := *ip
-	for i := 0; i < b; i++ {
-		if err := ctx.Err(); err != nil {
-			return Interval{}, err
-		}
-		for j := range idx {
-			idx[j] = rng.Intn(n)
-		}
-		e, err := est(v, idx)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		values = append(values, e.Value)
-	}
-	if len(values) == 0 {
-		return Interval{}, fmt.Errorf("core: all bootstrap resamples failed: %w", lastErr)
-	}
-	alpha := (1 - level) / 2
-	return Interval{
-		Lo:    mathx.Quantile(values, alpha),
-		Hi:    mathx.Quantile(values, 1-alpha),
-		Level: level,
-	}, nil
+// BootstrapStats reports bookkeeping from a seeded bootstrap run, so
+// callers can tell a fragile interval (many failed resamples) from a
+// solid one and export the distinction as a metric.
+type BootstrapStats struct {
+	// Resamples is the number of resamples attempted (b after defaulting).
+	Resamples int
+	// Skipped counts resamples on which the estimator failed; their
+	// values do not enter the interval.
+	Skipped int
 }
 
-// BootstrapViewSeeded is BootstrapSeeded over a columnar view:
-// resample i is drawn by index from parallel.ShardedRNG shard i — the
-// identical stream consumption as the record-copying version — so the
-// interval is a pure function of (v, est, seed, b, level),
-// bit-identical at every worker count and to BootstrapSeeded with the
-// equivalent slice estimator.
-func BootstrapViewSeeded[C any, D comparable](v *TraceView[C, D], est ViewEstimator[C, D], seed int64, b int, level float64) (Interval, error) {
-	iv, _, err := BootstrapViewSeededStats(v, est, seed, b, level)
+// resample is one bootstrap resample's scratch: the drawn record
+// indices and the refit model's cells.
+type resample struct {
+	idx    []int
+	means  []float64
+	counts []int32
+	dm     []float64
+}
+
+var resamplePool = sync.Pool{New: func() any { return new(resample) }}
+
+// BootstrapDRViewSeeded computes a percentile bootstrap interval for
+// the refit doubly robust estimator, the one drevald's /evaluate
+// serves: each resample draws n records with replacement, refits the
+// per-(context, decision) mean-reward model on them, and evaluates DR
+// with it. Resample i draws from parallel.ShardedRNG shard i and the
+// resamples run on the shared worker pool, so the interval is a pure
+// function of (v, policy, opts, seed, b, level) at every worker count.
+// b <= 0 selects 200 resamples. Resamples on which DR fails (a drawn
+// context with an invalid distribution) are skipped; if all fail, the
+// error of the last one is returned.
+func BootstrapDRViewSeeded[C any, D comparable](v *TraceView[C, D], newPolicy Policy[C, D], opts DROptions, seed int64, b int, level float64) (Interval, error) {
+	iv, _, err := BootstrapDRViewSeededStatsCtx(context.Background(), v, newPolicy, opts, seed, b, level)
 	return iv, err
 }
 
-// BootstrapViewSeededStats is BootstrapViewSeeded plus resample
-// bookkeeping.
-func BootstrapViewSeededStats[C any, D comparable](v *TraceView[C, D], est ViewEstimator[C, D], seed int64, b int, level float64) (Interval, BootstrapStats, error) {
-	return BootstrapViewSeededStatsCtx(context.Background(), v, est, seed, b, level)
-}
-
-// BootstrapViewSeededCtx is BootstrapViewSeeded with cooperative
-// cancellation.
-func BootstrapViewSeededCtx[C any, D comparable](ctx context.Context, v *TraceView[C, D], est ViewEstimator[C, D], seed int64, b int, level float64) (Interval, error) {
-	iv, _, err := BootstrapViewSeededStatsCtx(ctx, v, est, seed, b, level)
-	return iv, err
-}
-
-// BootstrapViewSeededStatsCtx is BootstrapSeededStatsCtx over a
-// columnar view: per-resample work is one pooled index fill plus one
-// ViewEstimator call — no record copies, no per-resample slices.
-func BootstrapViewSeededStatsCtx[C any, D comparable](ctx context.Context, v *TraceView[C, D], est ViewEstimator[C, D], seed int64, b int, level float64) (Interval, BootstrapStats, error) {
+// BootstrapDRViewSeededStatsCtx is BootstrapDRViewSeeded plus resample
+// bookkeeping and cooperative cancellation: once ctx ends no new
+// resample starts and ctx's error is returned. The policy is flattened
+// once; each resample then touches only pooled arrays.
+func BootstrapDRViewSeededStatsCtx[C any, D comparable](ctx context.Context, v *TraceView[C, D], newPolicy Policy[C, D], opts DROptions, seed int64, b int, level float64) (Interval, BootstrapStats, error) {
 	n := v.Len()
 	if n == 0 {
 		return Interval{}, BootstrapStats{}, ErrEmptyTrace
@@ -103,37 +67,31 @@ func BootstrapViewSeededStatsCtx[C any, D comparable](ctx context.Context, v *Tr
 	if level <= 0 || level >= 1 {
 		return Interval{}, BootstrapStats{}, fmt.Errorf("core: confidence level %g out of (0,1)", level)
 	}
+	tb := newTable(v, newPolicy, nil)
+	defer tb.release()
 	sh := parallel.NewShardedRNG(seed)
-	draws, err := parallel.TimesCtx(ctx, b, 0, func(i int) (bootstrapDraw, error) {
+	type draw struct {
+		value float64
+		err   error
+	}
+	draws, err := parallel.TimesCtx(ctx, b, 0, func(i int) (draw, error) {
 		rng := sh.Shard(i)
-		ip := getInts(n)
-		idx := *ip
+		rs := resamplePool.Get().(*resample)
+		defer resamplePool.Put(rs)
+		idx := resize(rs.idx, n)
 		for j := range idx {
 			idx[j] = rng.Intn(n)
 		}
-		e, derr := est(v, idx)
-		putInts(ip)
-		if derr != nil {
-			return bootstrapDraw{err: derr}, nil
+		rs.idx = idx
+		if err := tb.invalidIn(v.ctxCodes, idx); err != nil {
+			return draw{err: err}, nil
 		}
-		return bootstrapDraw{value: e.Value}, nil
+		refit(rs, v, tb.tables)
+		return draw{value: drValue(v, tb.tables, idx, opts, rs.dm, rs.means)}, nil
 	})
 	if err != nil {
 		return Interval{}, BootstrapStats{}, err
 	}
-	return collectBootstrapDraws(draws, b, level)
-}
-
-// bootstrapDraw is one resample outcome from a seeded bootstrap run.
-type bootstrapDraw struct {
-	value float64
-	err   error
-}
-
-// collectBootstrapDraws aggregates per-resample outcomes into the
-// percentile interval and stats, exactly as BootstrapSeededStatsCtx
-// does.
-func collectBootstrapDraws(draws []bootstrapDraw, b int, level float64) (Interval, BootstrapStats, error) {
 	stats := BootstrapStats{Resamples: b}
 	values := make([]float64, 0, b)
 	var lastErr error
@@ -148,174 +106,85 @@ func collectBootstrapDraws(draws []bootstrapDraw, b int, level float64) (Interva
 	if len(values) == 0 {
 		return Interval{}, stats, fmt.Errorf("core: all bootstrap resamples failed: %w", lastErr)
 	}
-	alpha := (1 - level) / 2
-	return Interval{
-		Lo:    mathx.Quantile(values, alpha),
-		Hi:    mathx.Quantile(values, 1-alpha),
-		Level: level,
-	}, stats, nil
+	return percentiles(values, level), stats, nil
 }
 
-// BootstrapDRViewSeeded bootstraps the refit doubly robust estimator:
-// each resample refits the per-(context, decision) table model on the
-// resampled records and evaluates DR with it — the exact estimator
-// drevald's /evaluate serves (FitTable + DoublyRobust per resample),
-// reduced to running sufficient statistics over index draws. The
-// interval and skip counts are bit-identical to BootstrapSeededStats
-// with that slice closure (for table-model key functions injective per
-// (interned context, decision) pair).
-func BootstrapDRViewSeeded[C any, D comparable](v *TraceView[C, D], newPolicy Policy[C, D], opts DROptions, seed int64, b int, level float64) (Interval, error) {
-	iv, _, err := BootstrapDRViewSeededStats(v, newPolicy, opts, seed, b, level)
-	return iv, err
-}
-
-// BootstrapDRViewSeededStats is BootstrapDRViewSeeded plus resample
-// bookkeeping.
-func BootstrapDRViewSeededStats[C any, D comparable](v *TraceView[C, D], newPolicy Policy[C, D], opts DROptions, seed int64, b int, level float64) (Interval, BootstrapStats, error) {
-	return BootstrapDRViewSeededStatsCtx(context.Background(), v, newPolicy, opts, seed, b, level)
-}
-
-// BootstrapDRViewSeededStatsCtx is BootstrapDRViewSeededStats with
-// cooperative cancellation. The policy is flattened over the view's
-// context dictionary once; each resample then touches only pooled
-// arrays: per-cell refit sums, per-context direct-method values, and
-// an in-order running contribution sum.
-func BootstrapDRViewSeededStatsCtx[C any, D comparable](ctx context.Context, v *TraceView[C, D], newPolicy Policy[C, D], opts DROptions, seed int64, b int, level float64) (Interval, BootstrapStats, error) {
-	n := v.Len()
-	if n == 0 {
-		return Interval{}, BootstrapStats{}, ErrEmptyTrace
-	}
-	if b <= 0 {
-		b = 200
-	}
-	if level <= 0 || level >= 1 {
-		return Interval{}, BootstrapStats{}, fmt.Errorf("core: confidence level %g out of (0,1)", level)
-	}
-	tb := buildViewTables(v, newPolicy)
-	defer tb.release()
-	sh := parallel.NewShardedRNG(seed)
-	draws, err := parallel.TimesCtx(ctx, b, 0, func(i int) (bootstrapDraw, error) {
-		rng := sh.Shard(i)
-		ip := getInts(n)
-		idx := *ip
-		for j := range idx {
-			idx[j] = rng.Intn(n)
-		}
-		val, derr := drRefitResampleValue(v, tb, idx, opts)
-		putInts(ip)
-		if derr != nil {
-			return bootstrapDraw{err: derr}, nil
-		}
-		return bootstrapDraw{value: val}, nil
-	})
-	if err != nil {
-		return Interval{}, BootstrapStats{}, err
-	}
-	return collectBootstrapDraws(draws, b, level)
-}
-
-// drRefitResampleValue computes the DR point estimate of one resample
-// with a table model refit on that resample. Every accumulation runs
-// in idx order, reproducing bit-for-bit what FitTable + DoublyRobust
-// compute on the materialized resample:
-//   - per-cell reward sums and the default (resample mean reward)
-//     accumulate in record order, as FitTableCtx's map does;
-//   - the per-context dm value consumes the flattened distribution in
-//     its original entry order, as the per-record dm loop does;
-//   - contributions are summed in record order, as
-//     summarizeContributions' mean does (only the point estimate
-//     enters the interval, so no per-record array is needed).
-func drRefitResampleValue[C any, D comparable](v *TraceView[C, D], tb *viewTables[D], idx []int, opts DROptions) (float64, error) {
-	if tb.anyInvalid {
-		if j, err := tb.firstInvalidIdx(v.ctxCodes, idx); err != nil {
-			return 0, fmt.Errorf("record %d: %w", j, err)
-		}
-	}
-	numCtx, k := len(tb.argmax), tb.k
-	mp := getFloats(numCtx * k)
-	cp := getInt32s(numCtx * k)
-	dp := getFloats(numCtx)
-	defer putFloats(mp)
-	defer putInt32s(cp)
-	defer putFloats(dp)
-	means, counts, dm := *mp, *cp, *dp
-	for c := range means {
-		means[c] = 0
-		counts[c] = 0
-	}
-	// Refit: per-cell mean rewards plus the resample's mean reward as
-	// the default for unseen cells.
+// refit fits the per-(context, decision) mean-reward model on the
+// resample — in record order, as FitTable does — leaving each cell's
+// prediction in means (the resample's mean reward for unseen cells) and
+// each context's DM value in dm.
+func refit[C any, D comparable](rs *resample, v *TraceView[C, D], t *tables) {
+	cells := t.numCtx * t.k
+	rs.means, rs.counts, rs.dm = resize(rs.means, cells), resize(rs.counts, cells), resize(rs.dm, t.numCtx)
+	clear(rs.means)
+	clear(rs.counts)
 	total := 0.0
-	for _, id := range idx {
-		cell := int(v.ctxCodes[id])*k + int(v.decCodes[id])
-		means[cell] += v.rewards[id]
-		counts[cell]++
+	for _, id := range rs.idx {
+		cell := int(v.ctxCodes[id])*t.k + int(v.decCodes[id])
+		rs.means[cell] += v.rewards[id]
+		rs.counts[cell]++
 		total += v.rewards[id]
 	}
-	nf := float64(len(idx))
-	def := total / nf
-	for c, cnt := range counts {
+	def := total / float64(len(rs.idx))
+	for c, cnt := range rs.counts {
 		if cnt > 0 {
-			means[c] /= float64(cnt)
+			rs.means[c] /= float64(cnt)
+		} else {
+			rs.means[c] = def
 		}
 	}
-	// Direct-method value per context under the refit model.
-	for u := 0; u < numCtx; u++ {
-		row := u * k
-		s := 0.0
-		for j := tb.distOff[u]; j < tb.distOff[u+1]; j++ {
-			p := def
-			if ci := tb.distCode[j]; ci >= 0 && counts[row+int(ci)] > 0 {
-				p = means[row+int(ci)]
+	for u := 0; u < t.numCtx; u++ {
+		row, s := u*t.k, 0.0
+		for j := t.off[u]; j < t.off[u+1]; j++ {
+			p := t.entProb[j]
+			if p == 0 {
+				continue
 			}
-			s += tb.distProb[j] * p
+			if c := t.entCode[j]; c >= 0 {
+				s += p * rs.means[row+int(c)]
+			} else {
+				s += p * def
+			}
 		}
-		dm[u] = s
+		rs.dm[u] = s
 	}
+}
+
+// drValue is the DR point value over the record multiset idx, given
+// each context's DM value and each cell's prediction, summed in idx
+// order. A bootstrap needs nothing else from a resample, so this loop
+// skips the fold's variance sums.
+func drValue[C any, D comparable](v *TraceView[C, D], t *tables, idx []int, opts DROptions, dm, pred []float64) float64 {
+	nf := float64(len(idx))
+	scale := 1.0
 	if opts.SelfNormalize {
 		sumW := 0.0
 		for _, id := range idx {
-			u, kc := int(v.ctxCodes[id]), int(v.decCodes[id])
-			w := tb.probFirst[u*k+kc] / v.propensities[id]
+			w := t.probFirst[int(v.ctxCodes[id])*t.k+int(v.decCodes[id])] / v.propensities[id]
 			if opts.Clip > 0 && w > opts.Clip {
 				w = opts.Clip
 			}
 			sumW += w
 		}
-		norm := nf
 		if sumW > 0 {
-			norm = sumW
+			scale = nf / sumW
 		}
-		s := 0.0
-		for _, id := range idx {
-			u, kc := int(v.ctxCodes[id]), int(v.decCodes[id])
-			cell := u*k + kc
-			w := tb.probFirst[cell] / v.propensities[id]
-			if opts.Clip > 0 && w > opts.Clip {
-				w = opts.Clip
-			}
-			pred := def
-			if counts[cell] > 0 {
-				pred = means[cell]
-			}
-			resid := v.rewards[id] - pred
-			s += dm[u] + nf/norm*w*resid
-		}
-		return s / nf, nil
 	}
 	s := 0.0
 	for _, id := range idx {
-		u, kc := int(v.ctxCodes[id]), int(v.decCodes[id])
-		cell := u*k + kc
-		w := tb.probFirst[cell] / v.propensities[id]
+		u := int(v.ctxCodes[id])
+		cell := u*t.k + int(v.decCodes[id])
+		w := t.probFirst[cell] / v.propensities[id]
 		if opts.Clip > 0 && w > opts.Clip {
 			w = opts.Clip
 		}
-		pred := def
-		if counts[cell] > 0 {
-			pred = means[cell]
-		}
-		s += dm[u] + w*(v.rewards[id]-pred)
+		s += dm[u] + scale*w*(v.rewards[id]-pred[cell])
 	}
-	return s / nf, nil
+	return s / nf
+}
+
+// percentiles is the percentile interval of bootstrap values.
+func percentiles(values []float64, level float64) Interval {
+	alpha := (1 - level) / 2
+	return Interval{Lo: mathx.Quantile(values, alpha), Hi: mathx.Quantile(values, 1-alpha), Level: level}
 }

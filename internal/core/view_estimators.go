@@ -2,380 +2,254 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
 	"drnet/internal/mathx"
 )
 
-// This file holds the columnar estimator hot path: every estimator in
-// estimators.go/switchdr.go/diagnostics.go re-expressed over a
-// TraceView. Each *View function is bit-identical to its Trace
-// counterpart (same floats, same errors, same text) for pure policies
-// and models — the per-record quantities are read from per-unique-
-// context tables holding the exact values the slice path recomputes
-// per record, and every reduction runs in the same index order.
-// view_equivalence_test.go enforces this across worker counts 1/2/8.
+// evalView folds every record of v for the estimator families in want.
+// A model makes the fold refuse traces whose contexts include an
+// invalid distribution, as DM and DR do; IPS, SNIPS, matched rewards
+// and Diagnose read only probabilities and never refuse.
+func evalView[C any, D comparable](ctx context.Context, v *TraceView[C, D], policy Policy[C, D], model RewardModel[C, D], want uint8, clip float64) (acc, error) {
+	if v.Len() == 0 {
+		return acc{}, ErrEmptyTrace
+	}
+	tb := newTable(v, policy, model)
+	defer tb.release()
+	if model != nil {
+		if err := tb.invalidErr(); err != nil {
+			return acc{}, err
+		}
+	}
+	a := acc{want: want, clip: clip}
+	if err := foldView(ctx, &a, tb.tables, v, 0, v.Len(), nil); err != nil {
+		return acc{}, err
+	}
+	return a, nil
+}
 
-// DirectMethodView is DirectMethod over a columnar view.
+// DirectMethodView estimates V(µ_new) with a reward model only (the
+// paper's DM): V̂_DM = (1/n) Σ_k Σ_d µ_new(d|c_k) · r̂(c_k, d).
+//
+// DM has no variance problems — it uses every record and no importance
+// weights — but inherits every bias of the reward model (§2.2.1).
 func DirectMethodView[C any, D comparable](v *TraceView[C, D], newPolicy Policy[C, D], model RewardModel[C, D]) (Estimate, error) {
 	return DirectMethodViewCtx(context.Background(), v, newPolicy, model)
 }
 
-// DirectMethodViewCtx is DirectMethodCtx over a columnar view.
+// DirectMethodViewCtx is DirectMethodView with cooperative
+// cancellation: the fold checks ctx every few thousand records and
+// returns its error once it has ended.
 func DirectMethodViewCtx[C any, D comparable](ctx context.Context, v *TraceView[C, D], newPolicy Policy[C, D], model RewardModel[C, D]) (Estimate, error) {
-	n := v.Len()
-	if n == 0 {
-		return Estimate{}, ErrEmptyTrace
-	}
-	tb := buildViewTables(v, newPolicy)
-	defer tb.release()
-	if tb.anyInvalid {
-		i, err := tb.firstInvalidFull(v.ctxFirst)
-		return Estimate{}, fmt.Errorf("record %d: %w", i, err)
-	}
-	mt := buildModelTable(v, tb, model)
-	defer mt.release()
-	cp := getFloats(n)
-	defer putFloats(cp)
-	contrib := *cp
-	err := forEachRecordCtx(ctx, n, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			contrib[i] = mt.dm[v.ctxCodes[i]]
-		}
-		return nil
-	})
+	a, err := evalView(ctx, v, newPolicy, model, foldDM, 0)
 	if err != nil {
 		return Estimate{}, err
 	}
-	return summarizeContributions(contrib), nil
+	return a.dmEstimate(), nil
 }
 
-// IPSView is IPS over a columnar view. The view was validated at
-// construction, so the slice path's Trace.Validate pass is skipped.
+// IPSView estimates V(µ_new) by importance-weighting observed rewards
+// (the paper's model-free estimator):
+//
+//	V̂_IPS = (1/n) Σ_k [µ_new(d_k|c_k)/µ_old(d_k|c_k)] · r_k.
+//
+// It is unbiased whenever propensities are correct and positive
+// wherever µ_new is, but its variance explodes when the old policy
+// rarely takes decisions the new policy favours (§2.2.2).
 func IPSView[C any, D comparable](v *TraceView[C, D], newPolicy Policy[C, D], opts IPSOptions) (Estimate, error) {
 	return IPSViewCtx(context.Background(), v, newPolicy, opts)
 }
 
-// IPSViewCtx is IPSCtx over a columnar view.
+// IPSViewCtx is IPSView with cooperative cancellation.
 func IPSViewCtx[C any, D comparable](ctx context.Context, v *TraceView[C, D], newPolicy Policy[C, D], opts IPSOptions) (Estimate, error) {
-	n := v.Len()
-	if n == 0 {
-		return Estimate{}, ErrEmptyTrace
-	}
-	tb := buildViewTables(v, newPolicy)
-	defer tb.release()
-	wp, cp := getFloats(n), getFloats(n)
-	defer putFloats(wp)
-	defer putFloats(cp)
-	weights, contrib := *wp, *cp
-	k := tb.k
-	if err := forEachRecordCtx(ctx, n, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			w := tb.probFirst[int(v.ctxCodes[i])*k+int(v.decCodes[i])] / v.propensities[i]
-			if opts.Clip > 0 && w > opts.Clip {
-				w = opts.Clip
-			}
-			weights[i] = w
-			contrib[i] = w * v.rewards[i]
-		}
-		return nil
-	}); err != nil {
+	a, err := evalView(ctx, v, newPolicy, nil, foldW|foldIPS, opts.Clip)
+	if err != nil {
 		return Estimate{}, err
 	}
-	maxW := maxWeight(weights)
-	var est Estimate
-	if opts.SelfNormalize {
-		est.Value = mathx.WeightedMean(v.rewards, weights)
-		// Plug-in stderr via the linearized influence function of SNIPS.
-		nf := float64(n)
-		wbar := mathx.Mean(weights)
-		if wbar > 0 {
-			ip := getFloats(n)
-			infl := *ip
-			for i := range infl {
-				infl[i] = weights[i] * (v.rewards[i] - est.Value) / wbar
-			}
-			est.StdErr = mathx.StdDev(infl) / math.Sqrt(nf)
-			putFloats(ip)
-		}
-		est.N = n
-	} else {
-		est = summarizeContributions(contrib)
-	}
-	est.ESS = mathx.EffectiveSampleSize(weights)
-	est.MaxWeight = maxW
-	return est, nil
+	return a.ipsEstimate(opts.SelfNormalize), nil
 }
 
-// DoublyRobustView is DoublyRobust over a columnar view.
+// DoublyRobustView estimates V(µ_new) by combining the reward model
+// with an importance-weighted correction using observed rewards (the
+// paper's Eq. 2):
+//
+//	V̂_DR = (1/n) Σ_k [ Σ_d µ_new(d|c_k) r̂(c_k,d)
+//	                   + w_k · (r_k − r̂(c_k,d_k)) ],
+//	w_k = µ_new(d_k|c_k)/µ_old(d_k|c_k).
+//
+// DR is accurate when either the reward model or the propensities are
+// accurate ("double robustness"), and its error is bounded by roughly
+// the product of the two ingredient errors ("second-order bias").
 func DoublyRobustView[C any, D comparable](v *TraceView[C, D], newPolicy Policy[C, D], model RewardModel[C, D], opts DROptions) (Estimate, error) {
 	return DoublyRobustViewCtx(context.Background(), v, newPolicy, model, opts)
 }
 
-// DoublyRobustViewCtx is DoublyRobustCtx over a columnar view.
+// DoublyRobustViewCtx is DoublyRobustView with cooperative
+// cancellation.
 func DoublyRobustViewCtx[C any, D comparable](ctx context.Context, v *TraceView[C, D], newPolicy Policy[C, D], model RewardModel[C, D], opts DROptions) (Estimate, error) {
-	n := v.Len()
-	if n == 0 {
-		return Estimate{}, ErrEmptyTrace
-	}
-	tb := buildViewTables(v, newPolicy)
-	defer tb.release()
-	if tb.anyInvalid {
-		i, err := tb.firstInvalidFull(v.ctxFirst)
-		return Estimate{}, fmt.Errorf("record %d: %w", i, err)
-	}
-	mt := buildModelTable(v, tb, model)
-	defer mt.release()
-	dp, wp, rp, cp := getFloats(n), getFloats(n), getFloats(n), getFloats(n)
-	defer putFloats(dp)
-	defer putFloats(wp)
-	defer putFloats(rp)
-	defer putFloats(cp)
-	dmPart, weights, resid, contrib := *dp, *wp, *rp, *cp
-	k := tb.k
-	err := forEachRecordCtx(ctx, n, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			u, kc := int(v.ctxCodes[i]), int(v.decCodes[i])
-			dmPart[i] = mt.dm[u]
-			w := tb.probFirst[u*k+kc] / v.propensities[i]
-			if opts.Clip > 0 && w > opts.Clip {
-				w = opts.Clip
-			}
-			weights[i] = w
-			resid[i] = v.rewards[i] - mt.pred[u*k+kc]
-		}
-		return nil
-	})
+	a, err := evalView(ctx, v, newPolicy, model, foldDM|foldW|foldDR, opts.Clip)
 	if err != nil {
 		return Estimate{}, err
 	}
-	maxW := maxWeight(weights)
-
-	if opts.SelfNormalize {
-		sumW := 0.0
-		for _, w := range weights {
-			sumW += w
-		}
-		norm := float64(n)
-		if sumW > 0 {
-			norm = sumW
-		}
-		for i := range contrib {
-			contrib[i] = dmPart[i] + float64(n)/norm*weights[i]*resid[i]
-		}
-	} else {
-		for i := range contrib {
-			contrib[i] = dmPart[i] + weights[i]*resid[i]
-		}
-	}
-	est := summarizeContributions(contrib)
-	est.ESS = mathx.EffectiveSampleSize(weights)
-	est.MaxWeight = maxW
-	return est, nil
+	return a.drEstimate(opts.SelfNormalize), nil
 }
 
-// SwitchDRView is SwitchDR over a columnar view.
-func SwitchDRView[C any, D comparable](v *TraceView[C, D], newPolicy Policy[C, D], model RewardModel[C, D], opts SwitchOptions) (Estimate, error) {
-	return SwitchDRViewCtx(context.Background(), v, newPolicy, model, opts)
-}
-
-// SwitchDRViewCtx is SwitchDRCtx over a columnar view.
-func SwitchDRViewCtx[C any, D comparable](ctx context.Context, v *TraceView[C, D], newPolicy Policy[C, D], model RewardModel[C, D], opts SwitchOptions) (Estimate, error) {
-	n := v.Len()
-	if n == 0 {
-		return Estimate{}, ErrEmptyTrace
-	}
-	tb := buildViewTables(v, newPolicy)
-	defer tb.release()
-	wp := getFloats(n)
-	defer putFloats(wp)
-	weights := *wp
-	k := tb.k
-	for i := 0; i < n; i++ {
-		if i%estimatorGrain == 0 {
-			if err := ctx.Err(); err != nil {
-				return Estimate{}, err
-			}
-		}
-		weights[i] = tb.probFirst[int(v.ctxCodes[i])*k+int(v.decCodes[i])] / v.propensities[i]
-	}
-	tau := opts.Tau
-	if tau <= 0 {
-		tau = math.Max(1, mathx.Quantile(weights, 0.95))
-	}
-	// The slice path surfaces the first invalid distribution from its
-	// contribution pass; the view knows it up front (same error value).
-	if tb.anyInvalid {
-		_, err := tb.firstInvalidFull(v.ctxFirst)
+// MatchedRewardsView estimates V(µ_new) by exact decision matching: it
+// averages observed rewards over records whose logged decision would
+// be the (deterministic, highest-probability) choice of the new policy.
+// This is the CFA-style evaluator of Figure 5 — unbiased under a
+// randomized old policy but starved of data as the decision space
+// grows. It returns the number of matched records in Estimate.N, and
+// ErrNoMatches when no record matches.
+func MatchedRewardsView[C any, D comparable](v *TraceView[C, D], newPolicy Policy[C, D]) (Estimate, error) {
+	a, err := evalView(context.Background(), v, newPolicy, nil, foldMatch, 0)
+	if err != nil {
 		return Estimate{}, err
 	}
-	mt := buildModelTable(v, tb, model)
-	defer mt.release()
-	cp, kp := getFloats(n), getFloats(n)
-	defer putFloats(cp)
-	defer putFloats(kp)
-	contrib := *cp
-	kept := (*kp)[:0]
-	maxW := 0.0
-	for i := 0; i < n; i++ {
-		if i%estimatorGrain == 0 {
-			if err := ctx.Err(); err != nil {
-				return Estimate{}, err
-			}
-		}
-		u, kc := int(v.ctxCodes[i]), int(v.decCodes[i])
-		dm := mt.dm[u]
-		if weights[i] <= tau {
-			contrib[i] = dm + weights[i]*(v.rewards[i]-mt.pred[u*k+kc])
-			//lint:allow hotalloc appends into pooled scratch; grows only until capacity settles
-			kept = append(kept, weights[i])
-			if weights[i] > maxW {
-				maxW = weights[i]
-			}
-		} else {
-			contrib[i] = dm
-		}
-	}
-	est := summarizeContributions(contrib)
-	if len(kept) > 0 {
-		est.ESS = mathx.EffectiveSampleSize(kept)
-	}
-	est.MaxWeight = maxW
-	return est, nil
+	return a.matchedEstimate()
 }
 
-// MatchedRewardsView is MatchedRewards over a columnar view.
-func MatchedRewardsView[C any, D comparable](v *TraceView[C, D], newPolicy Policy[C, D]) (Estimate, error) {
-	return MatchedRewardsViewCtx(context.Background(), v, newPolicy)
-}
-
-// MatchedRewardsViewCtx is MatchedRewardsCtx over a columnar view.
-func MatchedRewardsViewCtx[C any, D comparable](ctx context.Context, v *TraceView[C, D], newPolicy Policy[C, D]) (Estimate, error) {
-	n := v.Len()
-	if n == 0 {
-		return Estimate{}, ErrEmptyTrace
-	}
-	tb := buildViewTables(v, newPolicy)
-	defer tb.release()
-	mp := getFloats(n)
-	defer putFloats(mp)
-	matched := (*mp)[:0]
-	for i := 0; i < n; i++ {
-		if i%estimatorGrain == 0 {
-			if err := ctx.Err(); err != nil {
-				return Estimate{}, err
-			}
-		}
-		if tb.argmax[v.ctxCodes[i]] == v.decCodes[i] {
-			//lint:allow hotalloc appends into pooled scratch; grows only until capacity settles
-			matched = append(matched, v.rewards[i])
-		}
-	}
-	if len(matched) == 0 {
-		return Estimate{}, ErrNoMatches
-	}
-	return summarizeContributions(matched), nil
-}
-
-// DiagnoseView is Diagnose over a columnar view.
+// DiagnoseView computes overlap diagnostics between the trace's
+// logging policy and a target policy.
 func DiagnoseView[C any, D comparable](v *TraceView[C, D], newPolicy Policy[C, D]) (Diagnostics, error) {
 	return DiagnoseViewCtx(context.Background(), v, newPolicy)
 }
 
-// DiagnoseViewCtx is DiagnoseCtx over a columnar view. The view was
-// validated at construction, so the slice path's Trace.Validate pass
-// is skipped.
+// DiagnoseViewCtx is DiagnoseView with cooperative cancellation.
 func DiagnoseViewCtx[C any, D comparable](ctx context.Context, v *TraceView[C, D], newPolicy Policy[C, D]) (Diagnostics, error) {
-	n := v.Len()
-	if n == 0 {
-		return Diagnostics{}, ErrEmptyTrace
+	a, err := evalView(ctx, v, newPolicy, nil, foldDiag, 0)
+	if err != nil {
+		return Diagnostics{}, err
 	}
-	tb := buildViewTables(v, newPolicy)
-	defer tb.release()
-	d := Diagnostics{N: n, MinPropensity: v.propensities[0]}
-	wp := getFloats(n)
-	defer putFloats(wp)
-	weights := *wp
-	matches := 0
-	k := tb.k
-	for i := 0; i < n; i++ {
-		if i%diagnoseCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return Diagnostics{}, err
-			}
-		}
-		u, kc := int(v.ctxCodes[i]), int(v.decCodes[i])
-		w := tb.probLast[u*k+kc] / v.propensities[i]
-		weights[i] = w
-		if w == 0 {
-			d.ZeroSupport++
-		}
-		if w > d.MaxWeight {
-			d.MaxWeight = w
-		}
-		if tb.argmax[u] == v.decCodes[i] {
-			matches++
-		}
-		if v.propensities[i] < d.MinPropensity {
-			d.MinPropensity = v.propensities[i]
-		}
-	}
-	d.ESS = mathx.EffectiveSampleSize(weights)
-	d.MatchRate = float64(matches) / float64(n)
-	d.MeanWeight = mathx.Mean(weights)
-	return d, nil
+	return a.diagnostics(), nil
 }
 
-// CrossFitDRView is CrossFitDR over a columnar view: the policy is
-// flattened once for all folds, per-fold evaluation runs by index, and
-// only the fit part is materialized (the generic ModelFitter consumes
-// a Trace).
+// SwitchOptions configures SwitchDRView.
+type SwitchOptions struct {
+	// Tau is the importance-weight threshold: records whose weight
+	// exceeds Tau contribute through the reward model alone; the rest
+	// keep the full DR correction. Tau <= 0 selects a data-driven
+	// default (the 95th percentile of the weights, at least 1).
+	Tau float64
+}
+
+// SwitchDRView is the SWITCH estimator of Wang, Agarwal & Dudík (2017)
+// adapted to the DR form: a per-record interpolation between DR (where
+// importance weights are moderate, so the correction is trustworthy)
+// and the pure Direct Method (where weights explode, so the correction
+// would inject more variance than the model's bias costs).
+//
+// Compared with hard clipping (DROptions.Clip), switching drops the
+// partially-corrected term entirely above the threshold instead of
+// keeping a truncated — and therefore systematically understated —
+// correction. On traces logged by nearly deterministic policies (§4.1's
+// regime) this is often the better bias/variance point.
+func SwitchDRView[C any, D comparable](v *TraceView[C, D], newPolicy Policy[C, D], model RewardModel[C, D], opts SwitchOptions) (Estimate, error) {
+	n := v.Len()
+	if n == 0 {
+		return Estimate{}, ErrEmptyTrace
+	}
+	tb := newTable(v, newPolicy, model)
+	defer tb.release()
+	if tb.bad >= 0 {
+		return Estimate{}, tb.badErr
+	}
+	weight := func(i int) float64 {
+		return tb.probFirst[int(v.ctxCodes[i])*tb.k+int(v.decCodes[i])] / v.propensities[i]
+	}
+	tau := opts.Tau
+	if tau <= 0 {
+		ws := make([]float64, n)
+		for i := range ws {
+			ws[i] = weight(i)
+		}
+		tau = math.Max(1, mathx.Quantile(ws, 0.95))
+	}
+	var sum, keptW, keptW2, maxW float64
+	var kept int
+	var sp spread
+	for i := 0; i < n; i++ {
+		u, kc := int(v.ctxCodes[i]), int(v.decCodes[i])
+		c := tb.dm[u]
+		if w := weight(i); w <= tau {
+			c += w * (v.rewards[i] - tb.pred[u*tb.k+kc])
+			kept++
+			keptW += w
+			keptW2 += w * w
+			if w > maxW {
+				maxW = w
+			}
+		}
+		sum += c
+		sp.add(c, i == 0)
+	}
+	est := Estimate{Value: sum / float64(n), StdErr: sp.stdErr(n), N: n, ESS: float64(n), MaxWeight: maxW}
+	if kept > 0 {
+		est.ESS = ess(keptW, keptW2)
+	}
+	return est, nil
+}
+
+// ModelFitter fits a reward model on a subset of trace records. It is
+// used by CrossFitDRView to keep the model independent of the records
+// it corrects.
+type ModelFitter[C any, D comparable] func(Trace[C, D]) (RewardModel[C, D], error)
+
+// CrossFitDRView runs the doubly robust estimator with K-fold
+// cross-fitting: records are assigned to folds round-robin, the reward
+// model for each fold is fit on the other K−1 folds, and fold-local DR
+// estimates are averaged.
+//
+// Cross-fitting matters whenever the reward model is estimated from the
+// evaluation trace itself (the common case — e.g. CFA's k-NN model).
+// A model fit on all records partially memorizes each logged reward, so
+// the DR residuals r_k − r̂(c_k, d_k) collapse toward zero and DR
+// silently degrades to the biased Direct Method. Fitting out-of-fold
+// restores the correction.
 func CrossFitDRView[C any, D comparable](v *TraceView[C, D], newPolicy Policy[C, D], fit ModelFitter[C, D], folds int, opts DROptions) (Estimate, error) {
 	n := v.Len()
 	if n == 0 {
 		return Estimate{}, ErrEmptyTrace
 	}
 	if folds < 2 {
-		return Estimate{}, fmt.Errorf("core: cross-fitting needs at least 2 folds")
+		return Estimate{}, errors.New("core: cross-fitting needs at least 2 folds")
 	}
 	if folds > n {
 		folds = n
 	}
-	tb := buildViewTables(v, newPolicy)
-	defer tb.release()
-
 	var total, weightSum float64
 	var used int
 	agg := Estimate{}
+	evalIdx := make([]int, 0, n/folds+1)
 	for f := 0; f < folds; f++ {
 		var fitPart Trace[C, D]
-		ip := getInts(0)
-		evalIdx := (*ip)[:0]
+		evalIdx = evalIdx[:0]
 		for i := 0; i < n; i++ {
 			if i%folds == f {
-				//lint:allow hotalloc per-fold index build, O(n/folds) amortized once per cross-fit call
+				//lint:allow hotalloc per-fold index list, preallocated to its final size
 				evalIdx = append(evalIdx, i)
 			} else {
 				//lint:allow hotalloc per-fold training partition; cross-fitting is inherently O(n) per fold
 				fitPart = append(fitPart, v.At(i))
 			}
 		}
-		*ip = evalIdx
-		if len(evalIdx) == 0 {
-			putInts(ip)
-			continue
-		}
 		model, err := fit(fitPart)
 		if err != nil {
-			putInts(ip)
 			return Estimate{}, fmt.Errorf("core: fold %d model fit: %w", f, err)
 		}
-		est, err := doublyRobustViewIdx(v, tb, evalIdx, model, opts)
-		putInts(ip)
+		tb := newTable(v, newPolicy, model)
+		a := acc{want: foldDM | foldW | foldDR, clip: opts.Clip}
+		if err = tb.invalidIn(v.ctxCodes, evalIdx); err == nil {
+			err = foldView(context.Background(), &a, tb.tables, v, 0, len(evalIdx), evalIdx)
+		}
+		tb.release()
 		if err != nil {
 			return Estimate{}, fmt.Errorf("core: fold %d: %w", f, err)
 		}
+		est := a.drEstimate(opts.SelfNormalize)
 		w := float64(est.N)
 		total += est.Value * w
 		weightSum += w
@@ -387,154 +261,8 @@ func CrossFitDRView[C any, D comparable](v *TraceView[C, D], newPolicy Policy[C,
 		// Pool fold variances (approximate: folds are independent).
 		agg.StdErr += est.StdErr * est.StdErr * w * w
 	}
-	if weightSum == 0 {
-		return Estimate{}, ErrEmptyTrace
-	}
 	agg.Value = total / weightSum
 	agg.N = used
 	agg.StdErr = math.Sqrt(agg.StdErr) / weightSum
 	return agg, nil
-}
-
-// DirectMethodViewIdx evaluates the Direct Method over the record
-// multiset idx (indices into v, duplicates allowed) — bit-identical to
-// DirectMethod on the materialized resample. Bootstrap resamples use
-// this family instead of copying records.
-func DirectMethodViewIdx[C any, D comparable](v *TraceView[C, D], idx []int, newPolicy Policy[C, D], model RewardModel[C, D]) (Estimate, error) {
-	tb := buildViewTables(v, newPolicy)
-	defer tb.release()
-	return directMethodViewIdx(v, tb, idx, model)
-}
-
-func directMethodViewIdx[C any, D comparable](v *TraceView[C, D], tb *viewTables[D], idx []int, model RewardModel[C, D]) (Estimate, error) {
-	if len(idx) == 0 {
-		return Estimate{}, ErrEmptyTrace
-	}
-	if tb.anyInvalid {
-		if j, err := tb.firstInvalidIdx(v.ctxCodes, idx); err != nil {
-			return Estimate{}, fmt.Errorf("record %d: %w", j, err)
-		}
-	}
-	mt := buildModelTable(v, tb, model)
-	defer mt.release()
-	cp := getFloats(len(idx))
-	defer putFloats(cp)
-	contrib := *cp
-	for j, id := range idx {
-		contrib[j] = mt.dm[v.ctxCodes[id]]
-	}
-	return summarizeContributions(contrib), nil
-}
-
-// IPSViewIdx evaluates IPS over the record multiset idx —
-// bit-identical to IPS on the materialized resample.
-func IPSViewIdx[C any, D comparable](v *TraceView[C, D], idx []int, newPolicy Policy[C, D], opts IPSOptions) (Estimate, error) {
-	tb := buildViewTables(v, newPolicy)
-	defer tb.release()
-	return ipsViewIdx(v, tb, idx, opts)
-}
-
-func ipsViewIdx[C any, D comparable](v *TraceView[C, D], tb *viewTables[D], idx []int, opts IPSOptions) (Estimate, error) {
-	m := len(idx)
-	if m == 0 {
-		return Estimate{}, ErrEmptyTrace
-	}
-	wp, cp, rp := getFloats(m), getFloats(m), getFloats(m)
-	defer putFloats(wp)
-	defer putFloats(cp)
-	defer putFloats(rp)
-	weights, contrib, rews := *wp, *cp, *rp
-	k := tb.k
-	for j, id := range idx {
-		w := tb.probFirst[int(v.ctxCodes[id])*k+int(v.decCodes[id])] / v.propensities[id]
-		if opts.Clip > 0 && w > opts.Clip {
-			w = opts.Clip
-		}
-		weights[j] = w
-		rews[j] = v.rewards[id]
-		contrib[j] = w * rews[j]
-	}
-	maxW := maxWeight(weights)
-	var est Estimate
-	if opts.SelfNormalize {
-		est.Value = mathx.WeightedMean(rews, weights)
-		nf := float64(m)
-		wbar := mathx.Mean(weights)
-		if wbar > 0 {
-			ifp := getFloats(m)
-			infl := *ifp
-			for j := range infl {
-				infl[j] = weights[j] * (rews[j] - est.Value) / wbar
-			}
-			est.StdErr = mathx.StdDev(infl) / math.Sqrt(nf)
-			putFloats(ifp)
-		}
-		est.N = m
-	} else {
-		est = summarizeContributions(contrib)
-	}
-	est.ESS = mathx.EffectiveSampleSize(weights)
-	est.MaxWeight = maxW
-	return est, nil
-}
-
-// DoublyRobustViewIdx evaluates DR over the record multiset idx —
-// bit-identical to DoublyRobust on the materialized resample.
-func DoublyRobustViewIdx[C any, D comparable](v *TraceView[C, D], idx []int, newPolicy Policy[C, D], model RewardModel[C, D], opts DROptions) (Estimate, error) {
-	tb := buildViewTables(v, newPolicy)
-	defer tb.release()
-	return doublyRobustViewIdx(v, tb, idx, model, opts)
-}
-
-func doublyRobustViewIdx[C any, D comparable](v *TraceView[C, D], tb *viewTables[D], idx []int, model RewardModel[C, D], opts DROptions) (Estimate, error) {
-	m := len(idx)
-	if m == 0 {
-		return Estimate{}, ErrEmptyTrace
-	}
-	if tb.anyInvalid {
-		if j, err := tb.firstInvalidIdx(v.ctxCodes, idx); err != nil {
-			return Estimate{}, fmt.Errorf("record %d: %w", j, err)
-		}
-	}
-	mt := buildModelTable(v, tb, model)
-	defer mt.release()
-	dp, wp, rp, cp := getFloats(m), getFloats(m), getFloats(m), getFloats(m)
-	defer putFloats(dp)
-	defer putFloats(wp)
-	defer putFloats(rp)
-	defer putFloats(cp)
-	dmPart, weights, resid, contrib := *dp, *wp, *rp, *cp
-	k := tb.k
-	for j, id := range idx {
-		u, kc := int(v.ctxCodes[id]), int(v.decCodes[id])
-		dmPart[j] = mt.dm[u]
-		w := tb.probFirst[u*k+kc] / v.propensities[id]
-		if opts.Clip > 0 && w > opts.Clip {
-			w = opts.Clip
-		}
-		weights[j] = w
-		resid[j] = v.rewards[id] - mt.pred[u*k+kc]
-	}
-	maxW := maxWeight(weights)
-	if opts.SelfNormalize {
-		sumW := 0.0
-		for _, w := range weights {
-			sumW += w
-		}
-		norm := float64(m)
-		if sumW > 0 {
-			norm = sumW
-		}
-		for j := range contrib {
-			contrib[j] = dmPart[j] + float64(m)/norm*weights[j]*resid[j]
-		}
-	} else {
-		for j := range contrib {
-			contrib[j] = dmPart[j] + weights[j]*resid[j]
-		}
-	}
-	est := summarizeContributions(contrib)
-	est.ESS = mathx.EffectiveSampleSize(weights)
-	est.MaxWeight = maxW
-	return est, nil
 }

@@ -63,13 +63,12 @@ func FuzzNewTraceView(f *testing.F) {
 			return
 		}
 		// Round-trip: columns + dictionaries reconstruct the trace.
-		back := v.Materialize()
-		if len(back) != len(tr) {
-			t.Fatalf("materialize length %d != %d", len(back), len(tr))
+		if v.Len() != len(tr) {
+			t.Fatalf("view length %d != %d", v.Len(), len(tr))
 		}
 		for i := range tr {
-			if back[i] != tr[i] {
-				t.Fatalf("record %d: materialized %+v != original %+v", i, back[i], tr[i])
+			if v.At(i) != tr[i] {
+				t.Fatalf("record %d: reconstructed %+v != original %+v", i, v.At(i), tr[i])
 			}
 		}
 		// Dictionary minimality and first-occurrence order.
@@ -116,10 +115,9 @@ func FuzzNewTraceView(f *testing.F) {
 			t.Fatalf("keyed dictionaries (%d,%d) != comparable (%d,%d)",
 				kv.NumContexts(), kv.NumDecisions(), v.NumContexts(), v.NumDecisions())
 		}
-		kb := kv.Materialize()
 		for i := range tr {
-			if kb[i] != tr[i] {
-				t.Fatalf("keyed record %d: %+v != %+v", i, kb[i], tr[i])
+			if kv.At(i) != tr[i] {
+				t.Fatalf("keyed record %d: %+v != %+v", i, kv.At(i), tr[i])
 			}
 		}
 		if v.MeanReward() != tr.MeanReward() {

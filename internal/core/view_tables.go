@@ -1,238 +1,268 @@
 package core
 
-import "context"
+import (
+	"context"
+	"fmt"
+	"slices"
+	"sync"
+)
 
-// viewTables is the per-evaluation flattening of a Policy over a
-// TraceView's context dictionary. Building it costs one
-// Distribution call per UNIQUE context; afterwards the per-record hot
-// loops are pure array arithmetic. All float values are the exact
-// floats the slice path would compute per record (same Distribution
-// results, consumed in the same order), which is what makes the *View
-// estimators bit-identical to their Trace counterparts.
-type viewTables[D comparable] struct {
-	// k is the decision-dictionary size (row stride of the U×K tables).
-	k int
-	// probFirst[u*k+kc] is Prob(policy, context u, decision kc):
-	// first-match semantics, 0 when the decision is outside the
-	// distribution's support.
-	probFirst []float64
-	// probLast mirrors DiagnoseCtx's accumulation, where the LAST
-	// matching entry wins.
-	probLast []float64
-	// argmax[u] is the decision code of the distribution's modal entry
-	// (first maximum wins, as in the slice argmax), or -1 when that
-	// decision never appears in the trace.
+// tables is the per-context table the fold and the bootstrap read: one
+// policy, and optionally one reward model, flattened over a view's
+// context and decision dictionaries. Rows are context codes, columns
+// decision codes (row stride k). Every float is the exact value a
+// per-record evaluation of a pure policy and model would produce, so
+// flattening is invisible in the results.
+type tables struct {
+	k, numCtx int
+	// probFirst[u*k+kc] is µ(d_kc|c_u) with Prob's first-match
+	// semantics (the estimator weights); probLast keeps the last
+	// matching entry (the Diagnose weights). Both are 0 off the support.
+	probFirst, probLast []float64
+	// argmax[u] is the decision code of the first maximal entry of
+	// context u's distribution; -1 when that decision is not in the
+	// dictionary (yet) or the distribution is empty.
 	argmax []int32
-	// distOff/distProb/distCode/distDec flatten each context's
-	// distribution with zero-probability entries dropped (the dm loops
-	// skip them): entries for context u live at [distOff[u],
-	// distOff[u+1]). distCode is -1 for decisions outside the
-	// dictionary; distDec keeps the decision value so arbitrary reward
-	// models can still be consulted.
-	distOff  []int32
-	distProb []float64
-	distCode []int32
-	distDec  []D
-	// valErr[u] is ValidateDistribution's verdict for context u (nil
-	// slice when every distribution is valid).
-	valErr     []error
-	anyInvalid bool
-
-	pf, pl, dp         *[]float64
-	am, off, dc, stamp *[]int32
+	// pred[u*k+kc] = r̂(c_u, d_kc) and dm[u] = Σ_d µ(d|c_u)·r̂(c_u, d),
+	// filled only when the table has a model.
+	pred, dm []float64
+	// Every distribution entry in order: context u owns entries
+	// [off[u], off[u+1]); entCode is -1 for a decision not in the
+	// dictionary (yet).
+	off     []int32
+	entProb []float64
+	entCode []int32
+	// valErr[u] is ValidateDistribution's verdict on context u. bad is
+	// the record at which the first invalid context first appeared (-1
+	// if none) and badErr its error: contexts are interned in record
+	// order, so that is the record a per-record scan rejects first.
+	valErr []error
+	bad    int
+	badErr error
 }
 
-// buildViewTables flattens newPolicy over v's context dictionary.
-// Release with (*viewTables).release once no result aliases it.
-func buildViewTables[C any, D comparable](v *TraceView[C, D], newPolicy Policy[C, D]) *viewTables[D] {
-	numCtx, k := len(v.contexts), len(v.decisions)
-	tb := &viewTables[D]{k: k}
-	tb.pf = getFloats(numCtx * k)
-	tb.pl = getFloats(numCtx * k)
-	tb.am = getInt32s(numCtx)
-	tb.off = getInt32s(numCtx + 1)
-	tb.dp = getFloats(0)
-	tb.dc = getInt32s(0)
-	tb.stamp = getInt32s(k)
+// tablePool recycles the batch calls' tables; a StreamEval owns one
+// for its lifetime.
+var tablePool = sync.Pool{New: func() any { return new(tables) }}
 
-	probFirst, probLast := *tb.pf, *tb.pl
-	for i := range probFirst {
-		probFirst[i] = 0
-		probLast[i] = 0
-	}
-	// stamp[kc] == u marks "decision kc already seen for context u", so
-	// first-match wins in probFirst without a per-context bool slice.
-	stamp := *tb.stamp
-	for i := range stamp {
-		stamp[i] = -1
-	}
-	argmax := *tb.am
-	off := *tb.off
+// reset empties t, keeping its capacity.
+func (t *tables) reset() {
+	clear(t.valErr)
+	off := resize(t.off, 1)
 	off[0] = 0
-	distProb := (*tb.dp)[:0]
-	distCode := (*tb.dc)[:0]
-	var distDec []D
-
-	for u := 0; u < numCtx; u++ {
-		dist := newPolicy.Distribution(v.contexts[u])
-		if err := ValidateDistribution(dist); err != nil {
-			if tb.valErr == nil {
-				//lint:allow hotalloc validation-failure path; allocated at most once per table build
-				tb.valErr = make([]error, numCtx)
-			}
-			tb.valErr[u] = err
-			tb.anyInvalid = true
-		}
-		row := u * k
-		for _, w := range dist {
-			kc, inDict := v.decIndex[w.Decision]
-			if inDict {
-				if stamp[kc] != int32(u) {
-					stamp[kc] = int32(u)
-					probFirst[row+int(kc)] = w.Prob
-				}
-				probLast[row+int(kc)] = w.Prob
-			}
-			if w.Prob == 0 {
-				continue
-			}
-			code := int32(-1)
-			if inDict {
-				code = kc
-			}
-			//lint:allow hotalloc appends into pooled table scratch, per unique context not per record
-			distProb = append(distProb, w.Prob)
-			//lint:allow hotalloc appends into pooled table scratch, per unique context not per record
-			distCode = append(distCode, code)
-			//lint:allow hotalloc decision dictionary grows per unique context, amortized across records
-			distDec = append(distDec, w.Decision)
-		}
-		off[u+1] = int32(len(distProb))
-		am := int32(-1)
-		if len(dist) > 0 {
-			best := dist[0]
-			for _, w := range dist[1:] {
-				if w.Prob > best.Prob {
-					best = w
-				}
-			}
-			if kc, ok := v.decIndex[best.Decision]; ok {
-				am = kc
-			}
-		}
-		argmax[u] = am
+	*t = tables{
+		probFirst: t.probFirst[:0], probLast: t.probLast[:0], argmax: t.argmax[:0],
+		pred: t.pred[:0], dm: t.dm[:0],
+		off: off, entProb: t.entProb[:0], entCode: t.entCode[:0],
+		valErr: t.valErr[:0], bad: -1,
 	}
-	// Appends may have regrown the pooled backings; keep the grown ones.
-	*tb.dp = distProb
-	*tb.dc = distCode
+}
 
-	tb.probFirst, tb.probLast = probFirst, probLast
-	tb.argmax = argmax
-	tb.distOff = off
-	tb.distProb = distProb
-	tb.distCode = distCode
-	tb.distDec = distDec
+// reserve sizes t for u contexts of k decisions, so a fresh table
+// allocates each buffer once instead of growing it by doubling.
+func (t *tables) reserve(u, k int) {
+	t.probFirst, t.probLast, t.pred = slices.Grow(t.probFirst, u*k), slices.Grow(t.probLast, u*k), slices.Grow(t.pred, u*k)
+	t.argmax, t.dm, t.valErr = slices.Grow(t.argmax, u), slices.Grow(t.dm, u), slices.Grow(t.valErr, u)
+	t.off, t.entProb, t.entCode = slices.Grow(t.off, u), slices.Grow(t.entProb, u*k), slices.Grow(t.entCode, u*k)
+}
+
+// invalidErr is DM and DR's refusal when some record's context has an
+// invalid distribution, nil otherwise.
+func (t *tables) invalidErr() error {
+	if t.bad < 0 {
+		return nil
+	}
+	return fmt.Errorf("record %d: %w", t.bad, t.badErr)
+}
+
+// invalidIn is invalidErr for the record multiset idx, reporting the
+// first position in idx whose context is invalid.
+func (t *tables) invalidIn(ctxCodes []int32, idx []int) error {
+	if t.bad < 0 {
+		return nil
+	}
+	for j, id := range idx {
+		if err := t.valErr[ctxCodes[id]]; err != nil {
+			return fmt.Errorf("record %d: %w", j, err)
+		}
+	}
+	return nil
+}
+
+// resize returns s with length n, reusing its capacity. New elements
+// hold arbitrary values; callers overwrite them.
+func resize[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	//lint:allow hotalloc table growth; capacity is kept across pooled uses and stream batches
+	return append(s[:cap(s)], make([]T, n-cap(s))...)
+}
+
+// restride grows a rows×old row-major table to rows×k in place, moving
+// rows back to front; the new columns are left for the caller.
+func restride(s []float64, rows, old, k int) []float64 {
+	s = resize(s, rows*k)
+	for u := rows - 1; u > 0; u-- {
+		copy(s[u*k:u*k+old], s[u*old:u*old+old])
+	}
+	return s
+}
+
+// ctxTable is tables plus the generic values that fill it.
+type ctxTable[C any, D comparable] struct {
+	*tables
+	policy Policy[C, D]
+	model  RewardModel[C, D] // nil for policy-only tables
+	entDec []D               // each entry's decision, to resolve codes as the dictionary grows
+	// fast is the model when it is a ViewTableModel fit on the view
+	// being extended: its dense cells are read directly.
+	fast *ViewTableModel[C, D]
+}
+
+// newTable flattens policy, and model when non-nil, over v on pooled
+// buffers. Release it once no result depends on it.
+func newTable[C any, D comparable](v *TraceView[C, D], policy Policy[C, D], model RewardModel[C, D]) *ctxTable[C, D] {
+	t := tablePool.Get().(*tables)
+	t.reset()
+	u, k := len(v.contexts), len(v.decisions)
+	t.reserve(u, k)
+	//lint:allow hotalloc one table header per evaluation; its buffers are pooled
+	tb := &ctxTable[C, D]{tables: t, policy: policy, model: model, entDec: make([]D, 0, u*k)}
+	tb.extend(v)
 	return tb
 }
 
-func (tb *viewTables[D]) release() {
-	putFloats(tb.pf)
-	putFloats(tb.pl)
-	putFloats(tb.dp)
-	putInt32s(tb.am)
-	putInt32s(tb.off)
-	putInt32s(tb.dc)
-	putInt32s(tb.stamp)
-}
+func (tb *ctxTable[C, D]) release() { tablePool.Put(tb.tables) }
 
-// firstInvalidFull returns the lowest record index whose context has
-// an invalid distribution, plus that error. Contexts are interned in
-// first-occurrence order, so the first invalid dictionary entry is
-// also the record-order first — exactly the record a sequential
-// per-record validation would have rejected. Call only when
-// anyInvalid.
-func (tb *viewTables[D]) firstInvalidFull(ctxFirst []int32) (int, error) {
-	for u, err := range tb.valErr {
-		if err != nil {
-			return int(ctxFirst[u]), err
+// extend brings the table up to v's dictionaries: columns for new
+// decisions, then rows for contexts first seen since the last call. v
+// must extend the view the table was last extended with (a later
+// ViewBuilder snapshot), as it does for a StreamEval.
+func (tb *ctxTable[C, D]) extend(v *TraceView[C, D]) {
+	tb.fast, _ = tb.model.(*ViewTableModel[C, D])
+	if tb.fast != nil && tb.fast.view != v {
+		tb.fast = nil
+	}
+	if k := len(v.decisions); k > tb.k {
+		old := tb.k
+		tb.k = k
+		tb.probFirst = restride(tb.probFirst, tb.numCtx, old, k)
+		tb.probLast = restride(tb.probLast, tb.numCtx, old, k)
+		if tb.model != nil {
+			tb.pred = restride(tb.pred, tb.numCtx, old, k)
+		}
+		for j, c := range tb.entCode {
+			if c >= 0 {
+				continue
+			}
+			if kc, ok := v.decIndex[tb.entDec[j]]; ok {
+				tb.entCode[j] = kc
+			}
+		}
+		for u := 0; u < tb.numCtx; u++ {
+			tb.fillProbs(u, old)
+			if tb.model != nil {
+				tb.fillModel(v, u, old)
+			}
 		}
 	}
-	return 0, nil
-}
-
-// firstInvalidIdx returns the first position j in idx whose record's
-// context has an invalid distribution (the resample-local index the
-// slice path would report), or (0, nil) when the subset avoids every
-// invalid context.
-func (tb *viewTables[D]) firstInvalidIdx(ctxCodes []int32, idx []int) (int, error) {
-	for j, id := range idx {
-		if err := tb.valErr[ctxCodes[id]]; err != nil {
-			return j, err
+	for u := tb.numCtx; u < len(v.contexts); u++ {
+		dist := tb.policy.Distribution(v.contexts[u])
+		err := ValidateDistribution(dist)
+		if err != nil && tb.bad < 0 {
+			tb.bad, tb.badErr = int(v.ctxFirst[u]), err
+		}
+		//lint:allow hotalloc per unique context, into capacity kept across uses
+		tb.valErr = append(tb.valErr, err)
+		for _, w := range dist {
+			code := int32(-1)
+			if kc, ok := v.decIndex[w.Decision]; ok {
+				code = kc
+			}
+			//lint:allow hotalloc per distribution entry, into capacity kept across uses
+			tb.entProb = append(tb.entProb, w.Prob)
+			//lint:allow hotalloc per distribution entry, into capacity kept across uses
+			tb.entCode = append(tb.entCode, code)
+			//lint:allow hotalloc per distribution entry; the decisions a model is asked about
+			tb.entDec = append(tb.entDec, w.Decision)
+		}
+		//lint:allow hotalloc per unique context, into capacity kept across uses
+		tb.off = append(tb.off, int32(len(tb.entProb)))
+		tb.numCtx++
+		tb.probFirst = resize(tb.probFirst, tb.numCtx*tb.k)
+		tb.probLast = resize(tb.probLast, tb.numCtx*tb.k)
+		tb.argmax = resize(tb.argmax, tb.numCtx)
+		tb.fillProbs(u, 0)
+		if tb.model != nil {
+			tb.pred = resize(tb.pred, tb.numCtx*tb.k)
+			tb.dm = resize(tb.dm, tb.numCtx)
+			tb.fillModel(v, u, 0)
 		}
 	}
-	return 0, nil
 }
 
-// modelTable snapshots a RewardModel over the view's dictionaries:
-// pred[u*k+kc] is the prediction for each (context, decision) pair and
-// dm[u] is the direct-method value Σ_d µ_new(d|c_u)·r̂(c_u, d),
-// accumulated over the flattened distribution in its original entry
-// order (bit-identical to the slice path's per-record dm loop).
-type modelTable struct {
-	pred []float64
-	dm   []float64
-
-	pp, pd *[]float64
-}
-
-// buildModelTable snapshots model over v's dictionaries. Models must
-// be pure functions of (context, decision). A ViewTableModel fit on
-// the same view is read directly from its dense cells, skipping the
-// per-pair interface and map traffic.
-func buildModelTable[C any, D comparable](v *TraceView[C, D], tb *viewTables[D], model RewardModel[C, D]) *modelTable {
-	numCtx, k := len(v.contexts), tb.k
-	//lint:allow hotalloc one table header per evaluation, released to pools by the caller
-	mt := &modelTable{}
-	mt.pp = getFloats(numCtx * k)
-	mt.pd = getFloats(numCtx)
-	pred, dm := *mt.pp, *mt.pd
-	if m, ok := model.(*ViewTableModel[C, D]); ok && m.view == v {
-		for u := 0; u < numCtx; u++ {
-			row := u * k
-			for kc := 0; kc < k; kc++ {
-				pred[row+kc] = m.predictCell(row + kc)
-			}
-			s := 0.0
-			for j := tb.distOff[u]; j < tb.distOff[u+1]; j++ {
-				p := m.def
-				if ci := tb.distCode[j]; ci >= 0 {
-					p = m.predictCell(row + int(ci))
-				}
-				s += tb.distProb[j] * p
-			}
-			dm[u] = s
-		}
-	} else {
-		for u := 0; u < numCtx; u++ {
-			c := v.contexts[u]
-			row := u * k
-			for kc := 0; kc < k; kc++ {
-				pred[row+kc] = model.Predict(c, v.decisions[kc])
-			}
-			s := 0.0
-			for j := tb.distOff[u]; j < tb.distOff[u+1]; j++ {
-				s += tb.distProb[j] * model.Predict(c, tb.distDec[j])
-			}
-			dm[u] = s
+// fillProbs fills context u's probabilities for decision codes
+// [k0, k) and refreshes its argmax.
+func (t *tables) fillProbs(u, k0 int) {
+	row, lo, hi := u*t.k, int(t.off[u]), int(t.off[u+1])
+	for kc := k0; kc < t.k; kc++ {
+		t.probFirst[row+kc], t.probLast[row+kc] = 0, 0
+	}
+	for j := lo; j < hi; j++ {
+		if c := int(t.entCode[j]); c >= k0 {
+			t.probLast[row+c] = t.entProb[j]
 		}
 	}
-	mt.pred, mt.dm = pred, dm
-	return mt
+	for j := hi - 1; j >= lo; j-- {
+		if c := int(t.entCode[j]); c >= k0 {
+			t.probFirst[row+c] = t.entProb[j]
+		}
+	}
+	t.argmax[u] = -1
+	if hi > lo {
+		best := lo
+		for j := lo + 1; j < hi; j++ {
+			if t.entProb[j] > t.entProb[best] {
+				best = j
+			}
+		}
+		t.argmax[u] = t.entCode[best]
+	}
 }
 
-func (mt *modelTable) release() {
-	putFloats(mt.pp)
-	putFloats(mt.pd)
+// fillModel fills context u's predictions for decision codes [k0, k),
+// and its DM value when the row is new (k0 == 0). The DM sum runs over
+// the distribution's nonzero entries in order, as a per-record loop
+// does.
+func (tb *ctxTable[C, D]) fillModel(v *TraceView[C, D], u, k0 int) {
+	row, c, m := u*tb.k, v.contexts[u], tb.fast
+	for kc := k0; kc < tb.k; kc++ {
+		if m != nil {
+			tb.pred[row+kc] = m.predictCell(row + kc)
+		} else {
+			tb.pred[row+kc] = tb.model.Predict(c, v.decisions[kc])
+		}
+	}
+	if k0 > 0 {
+		return
+	}
+	s := 0.0
+	for j := tb.off[u]; j < tb.off[u+1]; j++ {
+		p := tb.entProb[j]
+		if p == 0 {
+			continue
+		}
+		switch {
+		case m == nil:
+			s += p * tb.model.Predict(c, tb.entDec[j])
+		case tb.entCode[j] < 0:
+			s += p * m.def
+		default:
+			s += p * m.predictCell(row+int(tb.entCode[j]))
+		}
+	}
+	tb.dm[u] = s
 }
 
 // ViewTableModel is the columnar counterpart of TableModel: per-
@@ -286,8 +316,8 @@ func FitTableView[C any, D comparable](v *TraceView[C, D]) *ViewTableModel[C, D]
 	return m
 }
 
-// FitTableViewCtx is FitTableView with cooperative cancellation,
-// mirroring FitTableCtx: ctx is checked once per chunk of records.
+// FitTableViewCtx is FitTableView with cooperative cancellation: ctx
+// is checked once per chunk of records.
 func FitTableViewCtx[C any, D comparable](ctx context.Context, v *TraceView[C, D]) (*ViewTableModel[C, D], error) {
 	numCtx, k := len(v.contexts), len(v.decisions)
 	m := &ViewTableModel[C, D]{

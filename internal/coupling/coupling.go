@@ -12,6 +12,7 @@ package coupling
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"drnet/internal/changepoint"
 	"drnet/internal/core"
@@ -282,10 +283,16 @@ func MatchState(steps []Step, labels []int, server int, targetLoad, tol float64)
 		sums[labels[i]] += st.Loads[server]
 		counts[labels[i]]++
 	}
+	// Segments in label order, so equal distances go to the lower label.
+	segs := make([]int, 0, len(sums))
+	for seg := range sums {
+		segs = append(segs, seg)
+	}
+	sort.Ints(segs)
 	keep := make(map[int]bool)
 	best, bestDist := -1, 0.0
-	for seg, sum := range sums {
-		mean := sum / float64(counts[seg])
+	for _, seg := range segs {
+		mean := sums[seg] / float64(counts[seg])
 		dist := mean - targetLoad
 		if dist < 0 {
 			dist = -dist

@@ -180,7 +180,7 @@ func TestStateMatchedDRBeatsNaive(t *testing.T) {
 		model := core.FitTable(full, func(c, v int) string {
 			return string(rune('0'+c)) + "/" + string(rune('0'+v))
 		})
-		naive, err := core.DoublyRobust(full, np, model, core.DROptions{})
+		naive, err := core.DoublyRobustView(mustView(t, full), np, model, core.DROptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +195,7 @@ func TestStateMatchedDRBeatsNaive(t *testing.T) {
 		mmodel := core.FitTable(matchedTrace, func(c, v int) string {
 			return string(rune('0'+c)) + "/" + string(rune('0'+v))
 		})
-		matched, err := core.DoublyRobust(matchedTrace, np, mmodel, core.DROptions{})
+		matched, err := core.DoublyRobustView(mustView(t, matchedTrace), np, mmodel, core.DROptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,4 +207,13 @@ func TestStateMatchedDRBeatsNaive(t *testing.T) {
 	if mMean >= nMean {
 		t.Fatalf("state matching should reduce error: %g vs %g", mMean, nMean)
 	}
+}
+
+func mustView(t *testing.T, tr core.Trace[int, int]) *core.TraceView[int, int] {
+	t.Helper()
+	v, err := core.NewTraceView(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }

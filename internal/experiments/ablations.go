@@ -103,7 +103,7 @@ func Ablations(runs int, seed int64) (Result, error) {
 			}
 			np := w.NewPolicy(0.4, rng)
 			truth := d.GroundTruth(np)
-			v, err := core.NewTraceViewKeyed(d.Trace, clientKey)
+			v, err := core.NewTraceViewKeyed(d.Trace, cfa.Client.Key)
 			if err != nil {
 				return Result{}, err
 			}

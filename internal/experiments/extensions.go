@@ -79,15 +79,19 @@ func SecondOrderBias(runs int, seed int64) (Result, error) {
 			for i := range tr {
 				tr[i].Propensity = mathx.Clamp(tr[i].Propensity*(1+c.dp), 0.01, 1)
 			}
-			dm, err := core.DirectMethod(tr, newPolicy, model)
+			v, err := core.NewTraceView(tr)
 			if err != nil {
 				return runOut{}, err
 			}
-			ips, err := core.IPS(tr, newPolicy, core.IPSOptions{})
+			dm, err := core.DirectMethodView(v, newPolicy, model)
 			if err != nil {
 				return runOut{}, err
 			}
-			dr, err := core.DoublyRobust(tr, newPolicy, model, core.DROptions{})
+			ips, err := core.IPSView(v, newPolicy, core.IPSOptions{})
+			if err != nil {
+				return runOut{}, err
+			}
+			dr, err := core.DoublyRobustView(v, newPolicy, model, core.DROptions{})
 			if err != nil {
 				return runOut{}, err
 			}
@@ -141,11 +145,15 @@ func RandomnessSweep(runs int, seed int64) (Result, error) {
 			model := core.RewardFunc[float64, int](func(x float64, d int) float64 {
 				return b.trueReward(x, d) + 0.3
 			})
-			ips, err := core.IPS(tr, newPolicy, core.IPSOptions{})
+			v, err := core.NewTraceView(tr)
 			if err != nil {
 				return runOut{}, err
 			}
-			dr, err := core.DoublyRobust(tr, newPolicy, model, core.DROptions{})
+			ips, err := core.IPSView(v, newPolicy, core.IPSOptions{})
+			if err != nil {
+				return runOut{}, err
+			}
+			dr, err := core.DoublyRobustView(v, newPolicy, model, core.DROptions{})
 			if err != nil {
 				return runOut{}, err
 			}
@@ -259,7 +267,11 @@ func NonStationaryReplay(runs int, seed int64) (Result, error) {
 		frozen := core.FuncPolicy[float64, int](func(x float64) []core.Weighted[int] {
 			return target.DistributionWithHistory(nil, x)
 		})
-		naive, err := core.DoublyRobust(tr, frozen, model, core.DROptions{})
+		v, err := core.NewTraceView(tr)
+		if err != nil {
+			return runOut{}, err
+		}
+		naive, err := core.DoublyRobustView(v, frozen, model, core.DROptions{})
 		if err != nil {
 			return runOut{}, err
 		}
@@ -318,8 +330,11 @@ func WorldStateCorrection(runs int, seed int64) (Result, error) {
 		tableKey := func(c, v int) string { return worldstate.ServerGroup(c, v) }
 
 		estimate := func(tr core.Trace[int, int]) (float64, error) {
-			model := core.FitTable(tr, tableKey)
-			est, err := core.DoublyRobust(tr, np, model, core.DROptions{})
+			v, err := core.NewTraceView(tr)
+			if err != nil {
+				return 0, err
+			}
+			est, err := core.DoublyRobustView(v, np, core.FitTable(tr, tableKey), core.DROptions{})
 			return est.Value, err
 		}
 		raw, err := estimate(morning.Trace)
@@ -394,8 +409,11 @@ func CouplingCorrection(runs int, seed int64) (Result, error) {
 		key := func(c, v int) string { return fmt.Sprintf("%d/%d", c, v) }
 
 		estimate := func(tr core.Trace[int, int]) (float64, error) {
-			model := core.FitTable(tr, key)
-			est, err := core.DoublyRobust(tr, np, model, core.DROptions{})
+			v, err := core.NewTraceView(tr)
+			if err != nil {
+				return 0, err
+			}
+			est, err := core.DoublyRobustView(v, np, core.FitTable(tr, key), core.DROptions{})
 			return est.Value, err
 		}
 		naive, err := estimate(coupling.Trace(steps))
@@ -494,12 +512,16 @@ func DimensionalitySweep(runs int, seed int64) (Result, error) {
 				}
 				np := w.NewPolicy(0.4, rng)
 				truth := d.GroundTruth(np)
-				diag, err := core.Diagnose(d.Trace, np)
+				v, err := core.NewTraceViewKeyed(d.Trace, cfa.Client.Key)
+				if err != nil {
+					return runOut{}, err
+				}
+				diag, err := core.DiagnoseView(v, np)
 				if err != nil {
 					return runOut{}, err
 				}
 				out := runOut{matchRate: diag.MatchRate}
-				matched, err := core.MatchedRewards(d.Trace, np)
+				matched, err := core.MatchedRewardsView(v, np)
 				if err != nil {
 					// No matches at all: score the worst case.
 					out.cfa = 1
@@ -509,7 +531,7 @@ func DimensionalitySweep(runs int, seed int64) (Result, error) {
 				fit := func(tr core.Trace[cfa.Client, cfa.Decision]) (core.RewardModel[cfa.Client, cfa.Decision], error) {
 					return (&cfa.Data{Trace: tr, World: d.World}).PerDecisionKNNModel(3)
 				}
-				dr, err := core.CrossFitDR(d.Trace, np, fit, 2, core.DROptions{})
+				dr, err := core.CrossFitDRView(v, np, fit, 2, core.DROptions{})
 				if err != nil {
 					return runOut{}, err
 				}
@@ -559,19 +581,23 @@ func RelayBias(runs int, seed int64) (Result, error) {
 		truth := d.GroundTruth(np)
 		via := d.VIAModel()
 		full := d.FullModel()
-		dm, err := core.DirectMethod(d.Trace, np, via)
+		v, err := core.NewTraceView(d.Trace)
 		if err != nil {
 			return runOut{}, err
 		}
-		dr, err := core.DoublyRobust(d.Trace, np, via, core.DROptions{})
+		dm, err := core.DirectMethodView(v, np, via)
 		if err != nil {
 			return runOut{}, err
 		}
-		fdm, err := core.DirectMethod(d.Trace, np, full)
+		dr, err := core.DoublyRobustView(v, np, via, core.DROptions{})
 		if err != nil {
 			return runOut{}, err
 		}
-		fdr, err := core.DoublyRobust(d.Trace, np, full, core.DROptions{})
+		fdm, err := core.DirectMethodView(v, np, full)
+		if err != nil {
+			return runOut{}, err
+		}
+		fdr, err := core.DoublyRobustView(v, np, full, core.DROptions{})
 		if err != nil {
 			return runOut{}, err
 		}

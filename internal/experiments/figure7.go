@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"drnet/internal/abr"
 	"drnet/internal/biasobs"
@@ -189,18 +187,6 @@ func Figure7b(runs, sessionsPerRun int, seed int64) (Result, error) {
 	return res, nil
 }
 
-// clientKey interns CFA clients by their full feature vector — the only
-// field Client has, so no policy or model can distinguish two clients
-// that share a key and the keyed TraceView stays faithful.
-func clientKey(c cfa.Client) string {
-	var b strings.Builder
-	for _, f := range c.Features {
-		b.WriteString(strconv.Itoa(f))
-		b.WriteByte(',')
-	}
-	return b.String()
-}
-
 // Figure7c reproduces the paper's Figure 7c ("Variance"): the CFA
 // exact-matching evaluator versus DR with a k-NN direct model on the
 // randomized-logging video-QoE world. The paper reports DR's error ≈36%
@@ -225,7 +211,7 @@ func Figure7c(runs, clients int, seed int64) (Result, error) {
 		}
 		np := w.NewPolicy(0.4, rng)
 		truth := d.GroundTruth(np)
-		v, err := core.NewTraceViewKeyed(d.Trace, clientKey)
+		v, err := core.NewTraceViewKeyed(d.Trace, cfa.Client.Key)
 		if err != nil {
 			return runOut{}, err
 		}

@@ -107,9 +107,13 @@ func OnlineVsOffline(runs int, seed int64) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
+		v, err := core.NewTraceViewKeyed(evalHalf, cfa.Client.Key)
+		if err != nil {
+			return Result{}, err
+		}
 		bestIdx, bestVal := 0, -1e300
 		for i, cand := range cands {
-			est, err := core.DoublyRobust(evalHalf, cand.Policy, model, core.DROptions{})
+			est, err := core.DoublyRobustView(v, cand.Policy, model, core.DROptions{})
 			if err != nil {
 				return Result{}, err
 			}

@@ -58,6 +58,10 @@ func PolicySelection(runs int, seed int64) (Result, error) {
 			return Result{}, err
 		}
 
+		v, err := core.NewTraceViewKeyed(evalHalf, cfa.Client.Key)
+		if err != nil {
+			return Result{}, err
+		}
 		pick := func(score func(core.Candidate[cfa.Client, cfa.Decision]) (float64, bool)) int {
 			bestIdx, bestVal, any := -1, 0.0, false
 			for i, c := range cands {
@@ -75,15 +79,15 @@ func PolicySelection(runs int, seed int64) (Result, error) {
 			return bestIdx
 		}
 		dmPick := pick(func(c core.Candidate[cfa.Client, cfa.Decision]) (float64, bool) {
-			est, err := core.DirectMethod(evalHalf, c.Policy, model)
+			est, err := core.DirectMethodView(v, c.Policy, model)
 			return est.Value, err == nil
 		})
 		cfaPick := pick(func(c core.Candidate[cfa.Client, cfa.Decision]) (float64, bool) {
-			est, err := core.MatchedRewards(evalHalf, c.Policy)
+			est, err := core.MatchedRewardsView(v, c.Policy)
 			return est.Value, err == nil
 		})
 		drPick := pick(func(c core.Candidate[cfa.Client, cfa.Decision]) (float64, bool) {
-			est, err := core.DoublyRobust(evalHalf, c.Policy, model, core.DROptions{})
+			est, err := core.DoublyRobustView(v, c.Policy, model, core.DROptions{})
 			return est.Value, err == nil
 		})
 
@@ -147,7 +151,11 @@ func PropensityEstimation(runs int, seed int64) (Result, error) {
 		})
 
 		evalDR := func(t core.Trace[float64, int]) (float64, error) {
-			est, err := core.DoublyRobust(t, newPolicy, model, core.DROptions{})
+			v, err := core.NewTraceView(t)
+			if err != nil {
+				return 0, err
+			}
+			est, err := core.DoublyRobustView(v, newPolicy, model, core.DROptions{})
 			return est.Value, err
 		}
 		exact, err := evalDR(tr)

@@ -130,11 +130,15 @@ func TestMultiRelayDRRanksOracleAboveLegacy(t *testing.T) {
 	if truthOracle <= truthLegacy {
 		t.Fatalf("oracle %g should beat legacy %g in truth", truthOracle, truthLegacy)
 	}
-	estOracle, err := core.DoublyRobust(d.Trace, oracle, model, core.DROptions{Clip: 50})
+	v, err := core.NewTraceView(d.Trace)
 	if err != nil {
 		t.Fatal(err)
 	}
-	estLegacy, err := core.DoublyRobust(d.Trace, legacy, model, core.DROptions{Clip: 50})
+	estOracle, err := core.DoublyRobustView(v, oracle, model, core.DROptions{Clip: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	estLegacy, err := core.DoublyRobustView(v, legacy, model, core.DROptions{Clip: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,13 +163,17 @@ func TestMultiRelayMatchingStarves(t *testing.T) {
 		}
 		oracle := w.OraclePolicy()
 		truth := d.GroundTruth(oracle)
-		matched, err := core.MatchedRewards(d.Trace, oracle)
+		v, err := core.NewTraceView(d.Trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matched, err := core.MatchedRewardsView(v, oracle)
 		if err != nil {
 			matchErrs = append(matchErrs, 1)
 		} else {
 			matchErrs = append(matchErrs, mathx.RelativeError(truth, matched.Value))
 		}
-		dr, err := core.DoublyRobust(d.Trace, oracle, d.VIAModel(), core.DROptions{Clip: 50})
+		dr, err := core.DoublyRobustView(v, oracle, d.VIAModel(), core.DROptions{Clip: 50})
 		if err != nil {
 			t.Fatal(err)
 		}

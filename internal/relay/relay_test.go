@@ -183,11 +183,15 @@ func TestDRCorrectsNATBias(t *testing.T) {
 		np := w.NewPolicy()
 		truth := d.GroundTruth(np)
 		via := d.VIAModel()
-		dm, err := core.DirectMethod(d.Trace, np, via)
+		v, err := core.NewTraceView(d.Trace)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dr, err := core.DoublyRobust(d.Trace, np, via, core.DROptions{})
+		dm, err := core.DirectMethodView(v, np, via)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dr, err := core.DoublyRobustView(v, np, via, core.DROptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

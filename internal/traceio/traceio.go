@@ -230,41 +230,60 @@ func ParsePolicy(spec string, trace core.Trace[FlatContext, string]) (core.Polic
 			Choose: func(FlatContext) string { return d },
 		}, nil
 	case spec == "best-observed":
+		// Argmax tables are built once here, so Choose is a pure lookup.
+		// Decisions are scanned in the order each group first logged
+		// them and a tie keeps the earlier one, so equal means resolve
+		// the same way on every call and every run.
 		type cell struct {
-			sum   float64
-			count int
+			decision string
+			sum      float64
+			count    int
 		}
-		stats := make(map[string]map[string]*cell)
-		global := make(map[string]*cell)
-		for _, rec := range trace {
-			k := rec.Context.Key()
-			if stats[k] == nil {
-				stats[k] = make(map[string]*cell)
-			}
-			for _, m := range []map[string]*cell{stats[k], global} {
-				c := m[rec.Decision]
-				if c == nil {
-					c = &cell{}
-					m[rec.Decision] = c
-				}
-				c.sum += rec.Reward
-				c.count++
-			}
+		type group struct {
+			cells map[string]*cell
+			order []*cell // first-logged order
 		}
-		best := func(m map[string]*cell) string {
+		newGroup := func() *group { return &group{cells: map[string]*cell{}} }
+		add := func(g *group, d string, r float64) {
+			c := g.cells[d]
+			if c == nil {
+				c = &cell{decision: d}
+				g.cells[d] = c
+				g.order = append(g.order, c)
+			}
+			c.sum += r
+			c.count++
+		}
+		best := func(g *group) string {
 			bestD, bestV := "", -1e300
-			for d, c := range m {
+			for _, c := range g.order {
 				if v := c.sum / float64(c.count); v > bestV {
-					bestV, bestD = v, d
+					bestV, bestD = v, c.decision
 				}
 			}
 			return bestD
 		}
+		groups := make(map[string]*group)
+		global := newGroup()
+		for _, rec := range trace {
+			k := rec.Context.Key()
+			g := groups[k]
+			if g == nil {
+				g = newGroup()
+				groups[k] = g
+			}
+			add(g, rec.Decision, rec.Reward)
+			add(global, rec.Decision, rec.Reward)
+		}
+		argmax := make(map[string]string, len(groups))
+		for k, g := range groups {
+			argmax[k] = best(g)
+		}
 		globalBest := best(global)
 		return core.DeterministicPolicy[FlatContext, string]{
 			Choose: func(c FlatContext) string {
-				if m, ok := stats[c.Key()]; ok {
-					return best(m)
+				if d, ok := argmax[c.Key()]; ok {
+					return d
 				}
 				return globalBest
 			},

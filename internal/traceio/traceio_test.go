@@ -242,3 +242,26 @@ func TestParsePolicyConstant(t *testing.T) {
 		t.Fatal("unknown spec should fail")
 	}
 }
+
+// TestParsePolicyBestObservedTiesPure: eight equally rewarded
+// decisions in one context must resolve to one decision — the first
+// logged — on every call, for the context and for unseen contexts.
+func TestParsePolicyBestObservedTiesPure(t *testing.T) {
+	ctx := FlatContext{Features: []float64{1}}
+	var tr core.Trace[FlatContext, string]
+	for _, d := range []string{"h", "c", "a", "f", "b", "g", "e", "d"} {
+		tr = append(tr, core.Record[FlatContext, string]{Context: ctx, Decision: d, Reward: 2, Propensity: 0.125})
+	}
+	p, err := ParsePolicy("best-observed", tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if got := p.Distribution(ctx)[0].Decision; got != "h" {
+			t.Fatalf("call %d: best-observed chose %q, want the first logged decision h", i, got)
+		}
+		if got := p.Distribution(FlatContext{Features: []float64{9}})[0].Decision; got != "h" {
+			t.Fatalf("call %d: global fallback chose %q, want h", i, got)
+		}
+	}
+}

@@ -222,7 +222,7 @@ func TestStateCorrectionReducesError(t *testing.T) {
 		model := core.FitTable(morning.Trace, func(c, v int) string {
 			return ServerGroup(c, v)
 		})
-		raw, err := core.DoublyRobust(morning.Trace, np, model, core.DROptions{})
+		raw, err := core.DoublyRobustView(mustView(t, morning.Trace), np, model, core.DROptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +238,7 @@ func TestStateCorrectionReducesError(t *testing.T) {
 			t.Fatalf("%d records missing transitions", skipped)
 		}
 		cmodel := core.FitTable(corrected, func(c, v int) string { return ServerGroup(c, v) })
-		corr, err := core.DoublyRobust(corrected, np, cmodel, core.DROptions{})
+		corr, err := core.DoublyRobustView(mustView(t, corrected), np, cmodel, core.DROptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,4 +250,13 @@ func TestStateCorrectionReducesError(t *testing.T) {
 	if corrMean >= rawMean {
 		t.Fatalf("state correction should reduce error: %g vs %g", corrMean, rawMean)
 	}
+}
+
+func mustView(t *testing.T, tr core.Trace[int, int]) *core.TraceView[int, int] {
+	t.Helper()
+	v, err := core.NewTraceView(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }

@@ -140,19 +140,21 @@ func run(tracePath, format, policySpec string, estProp bool, clip float64, selfN
 	if err != nil {
 		return err
 	}
+	// A non-finite feature would also break its context's key.
+	if err := traceio.ValidateFinite(ft.Records); err != nil {
+		return err
+	}
 	trace := traceio.ToCore(ft)
-	key := func(c traceio.FlatContext) string { return c.Key() }
-
 	if estProp {
-		if err := core.EstimatePropensities(trace, key, 5, 1e-3); err != nil {
+		if err := core.EstimatePropensities(trace, traceio.FlatContext.Key, 5, 1e-3); err != nil {
 			return err
 		}
 	}
-	view, err := core.NewTraceViewKeyed(trace, key)
+	view, err := core.NewTraceViewKeyed(trace, traceio.FlatContext.Key)
 	if err != nil {
 		return fmt.Errorf("%w (use -estimate-propensities if the trace has none)", err)
 	}
-	newPolicy, err := traceio.ParsePolicy(policySpec, trace)
+	newPolicy, err := traceio.ParsePolicyView(policySpec, view)
 	if err != nil {
 		return err
 	}
@@ -163,8 +165,8 @@ func run(tracePath, format, policySpec string, estProp bool, clip float64, selfN
 		return err
 	}
 	evb.SetRegime(diag.ESS/float64(diag.N), diag.MaxWeight, diag.ZeroSupport)
-	fmt.Printf("trace: %d records, %d distinct decisions\n", len(trace), len(trace.DecisionCounts()))
-	fmt.Printf("old policy on-policy value: %.4f\n", trace.MeanReward())
+	fmt.Printf("trace: %d records, %d distinct decisions\n", view.Len(), view.NumDecisions())
+	fmt.Printf("old policy on-policy value: %.4f\n", view.MeanReward())
 	fmt.Printf("overlap: %s\n\n", diag)
 
 	if windows > 0 {

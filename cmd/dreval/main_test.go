@@ -90,6 +90,18 @@ func TestRunErrors(t *testing.T) {
 	if err := run(path, "csv", "constant:", false, 0, false, 0, 1, 0, false, nil); err == nil {
 		t.Fatal("expected empty-decision error")
 	}
+	// Non-finite features share no key with anything, so they are
+	// refused up front rather than merged into one context.
+	nonFinite := filepath.Join(t.TempDir(), "nonfinite.csv")
+	csv := "f0,f1,decision,reward,propensity\n" +
+		"NaN,1,a,0.5,0.5\nNaN,2,b,0.9,0.5\n+Inf,3,a,0.8,0.5\n1,1,a,0.4,0.5\n1,1,b,0.7,0.5\n"
+	if err := os.WriteFile(nonFinite, []byte(csv), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run(nonFinite, "csv", "best-observed", false, 0, false, 0, 1, 0, false, nil)
+	if err == nil || !strings.Contains(err.Error(), "record 0: feature 0 must be finite, got NaN") {
+		t.Fatalf("non-finite features: got %v, want the record-addressed error", err)
+	}
 }
 
 func TestBuildPolicyBestObserved(t *testing.T) {

@@ -140,7 +140,9 @@ func recordTraceSummary(view *core.TraceView[traceio.FlatContext, string], build
 	})
 }
 
-// lastTraceJSON is the /healthz lastTrace block.
+// lastTraceJSON is the /healthz lastTrace block. ViewBuildSeconds runs
+// from the buffered body to the view and its policy, decoding included:
+// the fast path builds the view while it decodes.
 type lastTraceJSON struct {
 	Records          int     `json:"records"`
 	UniqueContexts   int     `json:"uniqueContexts"`

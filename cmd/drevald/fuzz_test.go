@@ -1,16 +1,20 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
+	"reflect"
 	"testing"
 
+	"drnet/internal/core"
 	"drnet/internal/traceio"
 )
 
 // FuzzParseEvalRequest throws arbitrary bytes at the /evaluate request
 // decoder. The contract under fuzzing: malformed input yields an error,
-// never a panic, and accepted input yields a non-nil trace and policy.
+// never a panic, and accepted input yields a non-empty view and a
+// policy.
 func FuzzParseEvalRequest(f *testing.F) {
 	// A well-formed request as the seed the mutator grows from.
 	valid, err := json.Marshal(evalRequest{
@@ -35,18 +39,98 @@ func FuzzParseEvalRequest(f *testing.F) {
 	f.Add([]byte(`{"trace":[{"features":[1e309],"decision":"a","reward":1,"propensity":0.5}],"policy":"constant:a"}`))
 	f.Add([]byte(``))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, trace, policy, err := parseEvalRequest(bytes.NewReader(data))
+		req, view, policy, err := parseEvalRequest(data)
 		if err != nil {
-			if req != nil || trace != nil || policy != nil {
+			if req != nil || view != nil || policy != nil {
 				t.Fatal("non-nil results alongside an error")
 			}
 			return
 		}
-		if req == nil || trace == nil || policy == nil {
+		if req == nil || view == nil || policy == nil {
 			t.Fatal("nil results without an error")
 		}
-		if len(trace) == 0 {
+		if view.Len() == 0 {
 			t.Fatal("accepted an empty trace")
 		}
 	})
+}
+
+// FuzzDecodeEvalView is the fast path's differential check: whenever
+// decodeEvalFast accepts a body, the reference path (encoding/json,
+// then buildEvalView) must accept the same bytes with the same policy
+// and options, a view equal to the fast path's in every column and
+// dictionary, and a policy that decides every context alike. The
+// checked-in corpus covers each class of body the fast path hands back.
+func FuzzDecodeEvalView(f *testing.F) {
+	f.Add([]byte(`{"trace":[{"features":[0.25,0.5],"decision":"cdn-a","reward":0.75,"propensity":0.7}],"policy":"best-observed"}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, view, ok := decodeEvalFast(data)
+		if !ok {
+			return
+		}
+		ref, err := decodeEvalBody(data)
+		if err != nil {
+			t.Fatalf("fast path accepted a body the reference path rejects: %v", err)
+		}
+		refView, err := buildEvalView(ref)
+		if err != nil {
+			t.Fatalf("fast path accepted a trace the reference path rejects: %v", err)
+		}
+		if req.Policy != ref.Policy || req.Options != ref.Options || req.Trace != nil {
+			t.Fatalf("request %+v, reference %+v", req, ref)
+		}
+		if err := sameView(view, refView); err != nil {
+			t.Fatal(err)
+		}
+		policy, err := traceio.ParsePolicyView(req.Policy, view)
+		refPolicy, refErr := traceio.ParsePolicyView(ref.Policy, refView)
+		if fmt.Sprint(err) != fmt.Sprint(refErr) {
+			t.Fatalf("policy error %v, reference %v", err, refErr)
+		}
+		if err != nil {
+			return
+		}
+		probe := []traceio.FlatContext{{Features: []float64{math.MaxFloat64}}}
+		for u := 0; u < view.NumContexts(); u++ {
+			probe = append(probe, view.ContextValue(u))
+		}
+		for _, c := range probe {
+			if got, want := policy.Distribution(c), refPolicy.Distribution(c); !reflect.DeepEqual(got, want) {
+				t.Fatalf("context %v: policy %v, reference %v", c.Features, got, want)
+			}
+		}
+	})
+}
+
+// sameView compares two views column by column and entry by entry,
+// floats by their bits. Equal context-code columns also make the
+// first-occurrence indexes equal.
+func sameView(a, b *core.TraceView[traceio.FlatContext, string]) error {
+	if a.Len() != b.Len() || a.NumContexts() != b.NumContexts() || a.NumDecisions() != b.NumDecisions() {
+		return fmt.Errorf("view shape %d/%d/%d, reference %d/%d/%d",
+			a.Len(), a.NumContexts(), a.NumDecisions(), b.Len(), b.NumContexts(), b.NumDecisions())
+	}
+	bits := math.Float64bits
+	for i := 0; i < a.Len(); i++ {
+		if bits(a.RewardAt(i)) != bits(b.RewardAt(i)) || bits(a.PropensityAt(i)) != bits(b.PropensityAt(i)) ||
+			a.ContextCode(i) != b.ContextCode(i) || a.DecisionCode(i) != b.DecisionCode(i) {
+			return fmt.Errorf("record %d: %+v, reference %+v", i, a.At(i), b.At(i))
+		}
+	}
+	for u := 0; u < a.NumContexts(); u++ {
+		fa, fb := a.ContextValue(u).Features, b.ContextValue(u).Features
+		same := len(fa) == len(fb) && (fa == nil) == (fb == nil)
+		for j := 0; same && j < len(fa); j++ {
+			same = bits(fa[j]) == bits(fb[j])
+		}
+		if !same {
+			return fmt.Errorf("context %d: features %v, reference %v", u, fa, fb)
+		}
+	}
+	for k := 0; k < a.NumDecisions(); k++ {
+		if a.DecisionValue(k) != b.DecisionValue(k) {
+			return fmt.Errorf("decision %d: %q, reference %q", k, a.DecisionValue(k), b.DecisionValue(k))
+		}
+	}
+	return nil
 }

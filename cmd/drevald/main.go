@@ -55,14 +55,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"math"
 	"net"
 	"net/http"
 	"os"
@@ -449,25 +448,11 @@ func handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, h)
 }
 
-// evalOptions mirrors the request "options" object.
-type evalOptions struct {
-	Clip                 float64 `json:"clip"`
-	SelfNormalize        bool    `json:"selfNormalize"`
-	EstimatePropensities bool    `json:"estimatePropensities"`
-	Bootstrap            int     `json:"bootstrap"`
-	Seed                 int64   `json:"seed"`
-	// RefreshModel (streamed evaluation only) re-registers the policy
-	// fingerprint: the reward model is refit at the current epoch, so
-	// the response's staleness resets to zero.
-	RefreshModel bool `json:"refreshModel"`
-}
-
-// evalRequest is the request body of /evaluate and /diagnose.
-type evalRequest struct {
-	Trace   []traceio.FlatRecord `json:"trace"`
-	Policy  string               `json:"policy"`
-	Options evalOptions          `json:"options"`
-}
+// The request schema lives in traceio, beside its one-pass decoder.
+type (
+	evalOptions = traceio.EvalOptions
+	evalRequest = traceio.EvalRequest
+)
 
 // estimateJSON serializes a core.Estimate.
 type estimateJSON struct {
@@ -549,89 +534,96 @@ type fallbackJSON struct {
 var maxBodyBytes int64 = 64 << 20
 
 // parseEvalRequest decodes and validates an /evaluate or /diagnose
-// request body. It is independent of net/http so the fuzz harness can
+// body into the request, its trace's view and the policy derived from
+// that view. It is independent of net/http so the fuzz harness can
 // drive it with arbitrary bytes: malformed input must produce an error,
 // never a panic.
-func parseEvalRequest(body io.Reader) (*evalRequest, core.Trace[traceio.FlatContext, string], core.Policy[traceio.FlatContext, string], error) {
-	req, err := decodeEvalBody(body)
+func parseEvalRequest(body []byte) (*evalRequest, *core.TraceView[traceio.FlatContext, string], core.Policy[traceio.FlatContext, string], error) {
+	req, view, fast := decodeEvalFast(body)
+	if !fast {
+		var err error
+		if req, err = decodeEvalBody(body); err != nil {
+			return nil, nil, nil, err
+		}
+		if view, err = buildEvalView(req); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	policy, err := traceio.ParsePolicyView(req.Policy, view)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	trace, policy, err := buildEvalInputs(req)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return req, trace, policy, nil
+	return req, view, policy, nil
 }
 
-// decodeEvalBody is the pure JSON step of parseEvalRequest, split out
-// so the handlers can branch to streamed evaluation (empty trace + an
-// active engine) before batch validation rejects the empty trace.
-func decodeEvalBody(body io.Reader) (*evalRequest, error) {
+// decodeEvalFast is the fast path: traceio.DecodeEvalView decodes a
+// canonical body straight into the view. It reports false, never an
+// error, for a body the decoder hands back and for options that the
+// reference path (decodeEvalBody, then buildEvalView) rejects or must
+// see the decoded records for. The reference path then runs on the
+// same bytes, so status codes and error texts are its own.
+func decodeEvalFast(body []byte) (*evalRequest, *core.TraceView[traceio.FlatContext, string], bool) {
+	req, view, ok := traceio.DecodeEvalView(body)
+	if !ok || req.Options.EstimatePropensities ||
+		req.Options.Bootstrap < 0 || req.Options.Bootstrap > maxBootstrapResamples {
+		return nil, nil, false
+	}
+	return req, view, true
+}
+
+// decodeEvalBody is the reference path's JSON step, split out so the
+// handlers can branch to streamed evaluation (empty trace + an active
+// engine) before batch validation rejects the empty trace.
+func decodeEvalBody(body []byte) (*evalRequest, error) {
 	var req evalRequest
-	dec := json.NewDecoder(body)
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		// %w so decodeRequest can distinguish an oversized body
-		// (*http.MaxBytesError → 413) from plain bad JSON (400).
 		return nil, fmt.Errorf("invalid request body: %w", err)
 	}
 	return &req, nil
 }
 
-// validateFiniteRecords rejects non-finite numerics up front with a
-// record-addressed message. Standard JSON cannot encode NaN/Inf, but
-// permissive clients exist and a NaN that slips past here poisons
-// every weighted sum downstream. Shared by /evaluate, /diagnose and
-// /ingest.
-func validateFiniteRecords(records []traceio.FlatRecord) error {
-	for i, rec := range records {
-		if math.IsNaN(rec.Reward) || math.IsInf(rec.Reward, 0) {
-			return fmt.Errorf("record %d: reward must be finite, got %g", i, rec.Reward)
-		}
-		if math.IsNaN(rec.Propensity) || math.IsInf(rec.Propensity, 0) {
-			return fmt.Errorf("record %d: propensity must be finite, got %g", i, rec.Propensity)
-		}
-		for j, f := range rec.Features {
-			if math.IsNaN(f) || math.IsInf(f, 0) {
-				return fmt.Errorf("record %d: feature %d must be finite, got %g", i, j, f)
-			}
-		}
-	}
-	return nil
-}
-
-// buildEvalInputs is the validation half of parseEvalRequest: it turns
-// a decoded batch request into a validated trace and parsed policy.
-func buildEvalInputs(req *evalRequest) (core.Trace[traceio.FlatContext, string], core.Policy[traceio.FlatContext, string], error) {
+// buildEvalView is the reference path's validation half: it turns a
+// decoded batch request into a validated view.
+func buildEvalView(req *evalRequest) (*core.TraceView[traceio.FlatContext, string], error) {
 	if len(req.Trace) == 0 {
-		return nil, nil, errors.New("empty trace")
+		return nil, errors.New("empty trace")
 	}
-	if err := validateFiniteRecords(req.Trace); err != nil {
-		return nil, nil, err
+	if err := traceio.ValidateFinite(req.Trace); err != nil {
+		return nil, err
 	}
 	if req.Options.Bootstrap < 0 {
-		return nil, nil, fmt.Errorf("options.bootstrap must not be negative, got %d", req.Options.Bootstrap)
+		return nil, fmt.Errorf("options.bootstrap must not be negative, got %d", req.Options.Bootstrap)
 	}
 	if req.Options.Bootstrap > maxBootstrapResamples {
-		return nil, nil, fmt.Errorf("options.bootstrap %d exceeds the maximum of %d resamples", req.Options.Bootstrap, maxBootstrapResamples)
+		return nil, fmt.Errorf("options.bootstrap %d exceeds the maximum of %d resamples", req.Options.Bootstrap, maxBootstrapResamples)
 	}
 	trace := traceio.ToCore(traceio.FlatTrace{Records: req.Trace})
 	if req.Options.EstimatePropensities {
-		if err := core.EstimatePropensities(trace, func(c traceio.FlatContext) string {
-			return c.Key()
-		}, 5, 1e-3); err != nil {
-			return nil, nil, fmt.Errorf("propensity estimation: %v", err)
+		if err := core.EstimatePropensities(trace, traceio.FlatContext.Key, 5, 1e-3); err != nil {
+			return nil, fmt.Errorf("propensity estimation: %v", err)
 		}
 	}
-	if err := trace.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("%v (set options.estimatePropensities if the trace has none)", err)
-	}
-	policy, err := traceio.ParsePolicy(req.Policy, trace)
+	view, err := core.NewTraceViewKeyed(trace, traceio.FlatContext.Key)
 	if err != nil {
-		return nil, nil, err
+		return nil, fmt.Errorf("%v (set options.estimatePropensities if the trace has none)", err)
 	}
-	return trace, policy, nil
+	return view, nil
+}
+
+// readBody buffers a request body of at most limit bytes. A larger
+// body fails with *http.MaxBytesError, even when a complete JSON value
+// ends before the limit.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= limit {
+		// Content-Length is the client's claim: size for it up to a
+		// bound, and let the buffer grow past that.
+		buf.Grow(int(min(n, 8<<20)) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	return buf.Bytes(), err
 }
 
 // decodeRequest decodes an /evaluate or /diagnose body. When the trace
@@ -639,27 +631,46 @@ func buildEvalInputs(req *evalRequest) (core.Trace[traceio.FlatContext, string],
 // aggregate-serving handler) and reports handled=true; otherwise it
 // validates the batch inputs, writing the error response itself on
 // failure (400, or 413 for an oversized body).
-func decodeRequest(w http.ResponseWriter, r *http.Request, streamed func(http.ResponseWriter, *http.Request, *evalRequest)) (*evalRequest, core.Trace[traceio.FlatContext, string], core.Policy[traceio.FlatContext, string], bool) {
-	req, err := decodeEvalBody(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+func decodeRequest(w http.ResponseWriter, r *http.Request, streamed func(http.ResponseWriter, *http.Request, *evalRequest)) (*evalRequest, *core.TraceView[traceio.FlatContext, string], core.Policy[traceio.FlatContext, string], bool) {
+	body, err := readBody(w, r, maxBodyBytes)
 	if err != nil {
 		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			code = http.StatusRequestEntityTooLarge
 		}
-		httpError(w, code, err.Error())
+		httpError(w, code, "invalid request body: "+err.Error())
 		return nil, nil, nil, false
 	}
-	if len(req.Trace) == 0 && streamEng != nil {
-		streamed(w, r, req)
-		return nil, nil, nil, false
+	start := time.Now()
+	req, view, fast := decodeEvalFast(body)
+	if !fast {
+		if req, err = decodeEvalBody(body); err != nil {
+			httpError(w, http.StatusBadRequest, err.Error())
+			return nil, nil, nil, false
+		}
+		if len(req.Trace) == 0 && streamEng != nil {
+			streamed(w, r, req)
+			return nil, nil, nil, false
+		}
 	}
-	trace, policy, err := buildEvalInputs(req)
+	// The fast path built the view as it decoded, so on that path
+	// build_view times only deriving the policy from it.
+	policy, err := timed(r.Context(), obs.SpanFromContext(r.Context()), "build_view", func() (core.Policy[traceio.FlatContext, string], error) {
+		if !fast {
+			var err error
+			if view, err = buildEvalView(req); err != nil {
+				return nil, err
+			}
+		}
+		return traceio.ParsePolicyView(req.Policy, view)
+	})
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return nil, nil, nil, false
 	}
-	return req, trace, policy, true
+	recordTraceSummary(view, time.Since(start))
+	return req, view, policy, true
 }
 
 // requestCtx derives the compute context for /evaluate and /diagnose:
@@ -744,22 +755,13 @@ type diagnoseResponse struct {
 }
 
 func handleDiagnose(w http.ResponseWriter, r *http.Request) {
-	req, trace, policy, ok := decodeRequest(w, r, handleStreamDiagnose)
+	req, view, policy, ok := decodeRequest(w, r, handleStreamDiagnose)
 	if !ok {
 		return
 	}
 	ctx, cancel := requestCtx(r)
 	defer cancel()
 	root := obs.SpanFromContext(r.Context())
-	buildStart := time.Now()
-	view, err := timed(ctx, root, "build_view", func() (*core.TraceView[traceio.FlatContext, string], error) {
-		return core.NewTraceViewKeyedCtx(ctx, trace, traceio.FlatContext.Key)
-	})
-	if err != nil {
-		writeEvalError(w, err)
-		return
-	}
-	recordTraceSummary(view, time.Since(buildStart))
 	diag, err := timed(ctx, root, "diagnose", func() (core.Diagnostics, error) {
 		return core.DiagnoseViewCtx(ctx, view, policy)
 	})
@@ -782,7 +784,7 @@ func handleDiagnose(w http.ResponseWriter, r *http.Request) {
 }
 
 func handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	req, trace, policy, ok := decodeRequest(w, r, handleStreamEvaluate)
+	req, view, policy, ok := decodeRequest(w, r, handleStreamEvaluate)
 	if !ok {
 		return
 	}
@@ -791,18 +793,8 @@ func handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	root := obs.SpanFromContext(r.Context())
 	evb := wideevent.FromContext(r.Context())
 	evb.SetPolicy(req.Policy)
-	// Columnar hot path: intern the trace once, then every phase below
-	// (diagnostics, model fit, estimators, bootstrap) reads the shared
-	// view.
-	buildStart := time.Now()
-	view, err := timed(ctx, root, "build_view", func() (*core.TraceView[traceio.FlatContext, string], error) {
-		return core.NewTraceViewKeyedCtx(ctx, trace, traceio.FlatContext.Key)
-	})
-	if err != nil {
-		writeEvalError(w, err)
-		return
-	}
-	recordTraceSummary(view, time.Since(buildStart))
+	// Columnar hot path: every phase below (diagnostics, model fit,
+	// estimators, bootstrap) reads the view the request decoded into.
 	diag, err := timed(ctx, root, "diagnose", func() (core.Diagnostics, error) {
 		return core.DiagnoseViewCtx(ctx, view, policy)
 	})

@@ -472,7 +472,7 @@ func handleIngest(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
-	if err := validateFiniteRecords(req.Records); err != nil {
+	if err := traceio.ValidateFinite(req.Records); err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}

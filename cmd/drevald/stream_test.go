@@ -42,7 +42,13 @@ func withStreamEngine(t *testing.T, cfg streamConfig) *streamEngine {
 // ingestBatch POSTs one batch and decodes the ack.
 func ingestBatch(t *testing.T, srv *httptest.Server, records []traceio.FlatRecord) ingestResponse {
 	t.Helper()
-	resp := post(t, srv, "/ingest", ingestRequest{Records: records})
+	return ingestBody(t, srv, marshal(t, ingestRequest{Records: records}))
+}
+
+// ingestBody POSTs one raw /ingest body and decodes the ack.
+func ingestBody(t *testing.T, srv *httptest.Server, body []byte) ingestResponse {
+	t.Helper()
+	resp := postRawWithID(t, srv, "/ingest", "", body)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		var buf bytes.Buffer
@@ -156,13 +162,57 @@ func abs(x float64) float64 {
 	return x
 }
 
+// mixedFeaturesRecords mixes records with "features": [] and records
+// that omit features. Both are the one featureless context on every
+// path: batch decode, live ingest and WAL replay, which decodes both
+// as nil.
+const mixedFeaturesRecords = `[
+	{"features":[],"decision":"a","reward":1,"propensity":0.5},
+	{"decision":"b","reward":0,"propensity":0.5},
+	{"features":[],"decision":"b","reward":0.2,"propensity":0.5},
+	{"decision":"a","reward":0.6,"propensity":0.5},
+	{"features":[],"decision":"b","reward":0.9,"propensity":0.5}]`
+
 // TestStreamRestartByteIdentical pins crash-replay equivalence through
 // the HTTP surface: close the engine, reopen the same WAL dir, replay,
 // and the streamed /evaluate body must be byte-identical.
 func TestStreamRestartByteIdentical(t *testing.T) {
-	dir := t.TempDir()
 	records := testTraceJSON(t, false)
+	var batches [][]byte
+	for i := 0; i < len(records); i += 50 {
+		batches = append(batches, marshal(t, ingestRequest{Records: records[i : i+50]}))
+	}
+	mixed := []byte(`{"records":` + mixedFeaturesRecords + `}`)
+	for _, c := range []struct {
+		name    string
+		batches [][]byte
+		records int
+	}{
+		{"trace", batches, len(records)},
+		{"mixed empty and omitted features", [][]byte{mixed}, 5},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			want := streamedAcrossRestart(t, dir, c.batches, func(eng *streamEngine) {
+				if got := eng.builder.Len(); got != c.records {
+					t.Fatalf("replayed %d records, want %d", got, c.records)
+				}
+				if len(c.batches) > 1 && eng.wal.Segments() < 2 {
+					t.Fatalf("expected multiple segments at SegmentBytes=4096, got %d", eng.wal.Segments())
+				}
+			})
+			if !bytes.Equal(want[1], want[0]) {
+				t.Fatalf("streamed response differs after restart:\n%s\nvs\n%s", want[1], want[0])
+			}
+		})
+	}
+}
 
+// streamedAcrossRestart ingests batches into a fresh engine over dir,
+// reads a streamed best-observed /evaluate, restarts the engine on the
+// same WAL and reads again. check inspects the replayed engine.
+func streamedAcrossRestart(t *testing.T, dir string, batches [][]byte, check func(*streamEngine)) [2][]byte {
+	t.Helper()
 	read := func() []byte {
 		srv := httptest.NewServer(newMux())
 		defer srv.Close()
@@ -177,42 +227,53 @@ func TestStreamRestartByteIdentical(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-
-	var want []byte
-	func() {
+	var out [2][]byte
+	for run := range out {
 		eng, err := newStreamEngine(streamConfig{Dir: dir, SegmentBytes: 4096})
 		if err != nil {
 			t.Fatal(err)
 		}
 		eng.replay()
 		streamEng = eng
-		defer func() { streamEng = nil }()
-		defer eng.close()
-		srv := httptest.NewServer(newMux())
-		for i := 0; i < len(records); i += 50 {
-			ingestBatch(t, srv, records[i:i+50])
+		if run == 0 {
+			srv := httptest.NewServer(newMux())
+			for _, b := range batches {
+				ingestBody(t, srv, b)
+			}
+			srv.Close()
+		} else {
+			check(eng)
 		}
-		srv.Close()
-		want = read()
-	}()
+		out[run] = read()
+		streamEng = nil
+		if err := eng.close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
 
-	eng2, err := newStreamEngine(streamConfig{Dir: dir, SegmentBytes: 4096})
-	if err != nil {
-		t.Fatal(err)
+// TestStreamMatchesBatchEmptyFeatures: the same records with empty and
+// omitted features give the batch /evaluate's estimates when streamed,
+// before and after a restart.
+func TestStreamMatchesBatchEmptyFeatures(t *testing.T) {
+	srv := httptest.NewServer(newMux())
+	defer srv.Close()
+	resp := postRawWithID(t, srv, "/evaluate", "", []byte(`{"trace":`+mixedFeaturesRecords+`,"policy":"best-observed","options":{"clip":10}}`))
+	var batch evalResponse
+	if err := json.NewDecoder(resp.Body).Decode(&batch); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d: %v", resp.StatusCode, err)
 	}
-	eng2.replay()
-	streamEng = eng2
-	defer func() { streamEng = nil }()
-	defer eng2.close()
-	if got := eng2.builder.Len(); got != len(records) {
-		t.Fatalf("replayed %d records, want %d", got, len(records))
-	}
-	if eng2.wal.Segments() < 2 {
-		t.Fatalf("expected multiple segments at SegmentBytes=4096, got %d", eng2.wal.Segments())
-	}
-	got := read()
-	if !bytes.Equal(got, want) {
-		t.Fatalf("streamed response differs after restart:\n%s\nvs\n%s", got, want)
+	resp.Body.Close()
+	streamed := streamedAcrossRestart(t, t.TempDir(), [][]byte{[]byte(`{"records":` + mixedFeaturesRecords + `}`)}, func(*streamEngine) {})
+	for run, body := range streamed {
+		var got evalResponse
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.DM != batch.DM || got.IPS != batch.IPS || got.DR != batch.DR || got.Diagnostics != batch.Diagnostics {
+			t.Fatalf("run %d: streamed %+v %+v %+v, batch %+v %+v %+v", run, got.DM, got.IPS, got.DR, batch.DM, batch.IPS, batch.DR)
+		}
 	}
 }
 

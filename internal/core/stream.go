@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"sync"
 )
@@ -34,7 +36,10 @@ type ViewBuilder[C any, D comparable] struct {
 	ctxFirst     []int32     // guarded by mu
 	decisions    []D         // guarded by mu
 	decIndex     map[D]int32 // guarded by mu
-	intern       func(C) (int32, bool)
+	// keys is a keyed builder's interning index, nil for a builder that
+	// interns by value.
+	keys   map[string]int32 // guarded by mu
+	intern func(C) (int32, bool)
 	// copyLookup clones the context-interning index under the lock and
 	// returns a lookup closure over the clone, so snapshots never read
 	// a map a concurrent Append is writing.
@@ -44,7 +49,7 @@ type ViewBuilder[C any, D comparable] struct {
 // NewViewBuilder returns an empty builder interning contexts by value
 // (the streaming NewTraceView).
 func NewViewBuilder[C comparable, D comparable]() *ViewBuilder[C, D] {
-	b := newViewBuilder[C, D]()
+	b := newViewBuilder[C, D](nil)
 	index := make(map[C]int32)
 	b.intern = func(c C) (int32, bool) {
 		if u, ok := index[c]; ok {
@@ -71,22 +76,11 @@ func NewViewBuilder[C comparable, D comparable]() *ViewBuilder[C, D] {
 // key (the streaming NewTraceViewKeyed). The key must be injective up
 // to behavioral equivalence, exactly as for NewTraceViewKeyed.
 func NewViewBuilderKeyed[C any, D comparable](key func(C) string) *ViewBuilder[C, D] {
-	b := newViewBuilder[C, D]()
-	index := make(map[string]int32)
-	b.intern = func(c C) (int32, bool) {
-		k := key(c)
-		if u, ok := index[k]; ok {
-			return u, false
-		}
-		u := int32(len(index))
-		index[k] = u
-		return u, true
-	}
+	keys := make(map[string]int32)
+	b := newViewBuilder[C, D](keys)
+	b.intern = func(c C) (int32, bool) { return internKey(keys, key(c)) }
 	b.copyLookup = func() func(C) (int32, bool) {
-		cp := make(map[string]int32, len(index))
-		for k, v := range index {
-			cp[k] = v
-		}
+		cp := maps.Clone(keys)
 		return func(c C) (int32, bool) {
 			u, ok := cp[key(c)]
 			return u, ok
@@ -95,8 +89,18 @@ func NewViewBuilderKeyed[C any, D comparable](key func(C) string) *ViewBuilder[C
 	return b
 }
 
-func newViewBuilder[C any, D comparable]() *ViewBuilder[C, D] {
-	return &ViewBuilder[C, D]{decIndex: make(map[D]int32)}
+// internKey returns k's code in keys, adding it when absent.
+func internKey(keys map[string]int32, k string) (int32, bool) {
+	if u, ok := keys[k]; ok {
+		return u, false
+	}
+	u := int32(len(keys))
+	keys[k] = u
+	return u, true
+}
+
+func newViewBuilder[C any, D comparable](keys map[string]int32) *ViewBuilder[C, D] {
+	return &ViewBuilder[C, D]{decIndex: make(map[D]int32), keys: keys}
 }
 
 // Append validates and appends one record, returning buildView's exact
@@ -105,22 +109,45 @@ func newViewBuilder[C any, D comparable]() *ViewBuilder[C, D] {
 func (b *ViewBuilder[C, D]) Append(rec Record[C, D]) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if err := b.checkLocked(rec); err != nil {
+		return err
+	}
+	u, isNew := b.intern(rec.Context)
+	b.pushLocked(rec, u, isNew)
+	return nil
+}
+
+// AppendKeyed is Append for a caller that already holds the record's
+// context key, such as a decoder that keys each distinct context once:
+// key must equal what the builder's key function returns for
+// rec.Context. Only builders from NewViewBuilderKeyed accept it.
+func (b *ViewBuilder[C, D]) AppendKeyed(key string, rec Record[C, D]) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.keys == nil {
+		return errors.New("core: AppendKeyed needs a builder from NewViewBuilderKeyed")
+	}
+	if err := b.checkLocked(rec); err != nil {
+		return err
+	}
+	u, isNew := internKey(b.keys, key)
+	b.pushLocked(rec, u, isNew)
+	return nil
+}
+
+// checkLocked is Append's validation: buildView's checks, with the
+// record's stream index.
+func (b *ViewBuilder[C, D]) checkLocked(rec Record[C, D]) error {
 	i := len(b.rewards)
 	if int64(i) >= math.MaxInt32 {
 		return fmt.Errorf("core: trace length %d exceeds TraceView capacity", i+1)
 	}
-	// The negated comparison also rejects NaN propensities, exactly as
-	// in Trace.Validate / buildView.
-	if !(rec.Propensity > 0) || rec.Propensity > 1 {
-		return fmt.Errorf("core: record %d has propensity %g, want (0,1]", i, rec.Propensity)
-	}
-	if math.IsNaN(rec.Reward) {
-		return fmt.Errorf("core: record %d has NaN reward", i)
-	}
-	if math.IsInf(rec.Reward, 0) {
-		return fmt.Errorf("core: record %d has infinite reward", i)
-	}
-	u, isNew := b.intern(rec.Context)
+	return checkRecord(i, rec.Propensity, rec.Reward)
+}
+
+// pushLocked appends a validated record whose context has code u.
+func (b *ViewBuilder[C, D]) pushLocked(rec Record[C, D], u int32, isNew bool) {
+	i := len(b.rewards)
 	if isNew {
 		b.contexts = append(b.contexts, rec.Context)
 		b.ctxFirst = append(b.ctxFirst, int32(i))
@@ -135,7 +162,6 @@ func (b *ViewBuilder[C, D]) Append(rec Record[C, D]) error {
 	b.decCodes = append(b.decCodes, k)
 	b.rewards = append(b.rewards, rec.Reward)
 	b.propensities = append(b.propensities, rec.Propensity)
-	return nil
 }
 
 // Len returns the number of records appended so far.

@@ -125,16 +125,8 @@ func buildView[C any, D comparable](ctx context.Context, t Trace[C, D], intern f
 				return nil, err
 			}
 		}
-		// The negated comparison also rejects NaN propensities, exactly
-		// as in Trace.Validate.
-		if !(rec.Propensity > 0) || rec.Propensity > 1 {
-			return nil, fmt.Errorf("core: record %d has propensity %g, want (0,1]", i, rec.Propensity)
-		}
-		if math.IsNaN(rec.Reward) {
-			return nil, fmt.Errorf("core: record %d has NaN reward", i)
-		}
-		if math.IsInf(rec.Reward, 0) {
-			return nil, fmt.Errorf("core: record %d has infinite reward", i)
+		if err := checkRecord(i, rec.Propensity, rec.Reward); err != nil {
+			return nil, err
 		}
 		u, isNew := intern(rec.Context)
 		if isNew {

@@ -167,8 +167,17 @@ func (tb *ctxTable[C, D]) extend(v *TraceView[C, D]) {
 			}
 		}
 	}
+	fit, _ := tb.policy.(*bestObserved[C, D])
+	if fit != nil && fit.view != v {
+		fit = nil
+	}
 	for u := tb.numCtx; u < len(v.contexts); u++ {
-		dist := tb.policy.Distribution(v.contexts[u])
+		var dist []Weighted[D]
+		if fit != nil {
+			dist = fit.distributionAt(u)
+		} else {
+			dist = tb.policy.Distribution(v.contexts[u])
+		}
 		err := ValidateDistribution(dist)
 		if err != nil && tb.bad < 0 {
 			tb.bad, tb.badErr = int(v.ctxFirst[u]), err

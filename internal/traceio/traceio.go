@@ -4,7 +4,9 @@
 //
 // The on-disk schema is deliberately flat: numeric client features, a
 // string decision label, the observed reward and the logging propensity.
-// Generic traces are converted with Flatten / Unflatten.
+// Generic traces are converted with Flatten. drevald's request bodies
+// are read by DecodeEvalView (evalbody.go), which decodes the canonical
+// /evaluate body straight into a TraceView.
 package traceio
 
 import (
@@ -13,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -52,24 +55,6 @@ func Flatten[C any, D comparable](t core.Trace[C, D], featurize func(C) []float6
 		}
 	}
 	return out
-}
-
-// Unflatten converts a flat trace back to a generic one using the
-// provided parsers.
-func Unflatten[C any, D comparable](ft FlatTrace, parseCtx func([]float64) (C, error), parseDec func(string) (D, error)) (core.Trace[C, D], error) {
-	out := make(core.Trace[C, D], len(ft.Records))
-	for i, rec := range ft.Records {
-		c, err := parseCtx(rec.Features)
-		if err != nil {
-			return nil, fmt.Errorf("traceio: record %d context: %w", i, err)
-		}
-		d, err := parseDec(rec.Decision)
-		if err != nil {
-			return nil, fmt.Errorf("traceio: record %d decision: %w", i, err)
-		}
-		out[i] = core.Record[C, D]{Context: c, Decision: d, Reward: rec.Reward, Propensity: rec.Propensity}
-	}
-	return out, nil
 }
 
 // WriteCSV writes the trace with a header row: f0..fk, decision, reward,
@@ -219,7 +204,24 @@ func ToCore(ft FlatTrace) core.Trace[FlatContext, string] {
 //	best-observed        per-context-group argmax of mean observed
 //	                     reward, falling back to the global argmax for
 //	                     unseen contexts
+//
+// It is ParsePolicyView over the trace's keyed view, so for
+// best-observed the trace must pass Trace.Validate.
 func ParsePolicy(spec string, trace core.Trace[FlatContext, string]) (core.Policy[FlatContext, string], error) {
+	if spec != "best-observed" {
+		return ParsePolicyView(spec, nil)
+	}
+	view, err := core.NewTraceViewKeyed(trace, FlatContext.Key)
+	if err != nil {
+		return nil, err
+	}
+	return ParsePolicyView(spec, view)
+}
+
+// ParsePolicyView is ParsePolicy over a view already built with
+// FlatContext.Key: best-observed is core.FitBestObserved of the view.
+// A constant policy ignores the view, which may then be nil.
+func ParsePolicyView(spec string, view *core.TraceView[FlatContext, string]) (core.Policy[FlatContext, string], error) {
 	switch {
 	case strings.HasPrefix(spec, "constant:"):
 		d := strings.TrimPrefix(spec, "constant:")
@@ -230,64 +232,7 @@ func ParsePolicy(spec string, trace core.Trace[FlatContext, string]) (core.Polic
 			Choose: func(FlatContext) string { return d },
 		}, nil
 	case spec == "best-observed":
-		// Argmax tables are built once here, so Choose is a pure lookup.
-		// Decisions are scanned in the order each group first logged
-		// them and a tie keeps the earlier one, so equal means resolve
-		// the same way on every call and every run.
-		type cell struct {
-			decision string
-			sum      float64
-			count    int
-		}
-		type group struct {
-			cells map[string]*cell
-			order []*cell // first-logged order
-		}
-		newGroup := func() *group { return &group{cells: map[string]*cell{}} }
-		add := func(g *group, d string, r float64) {
-			c := g.cells[d]
-			if c == nil {
-				c = &cell{decision: d}
-				g.cells[d] = c
-				g.order = append(g.order, c)
-			}
-			c.sum += r
-			c.count++
-		}
-		best := func(g *group) string {
-			bestD, bestV := "", -1e300
-			for _, c := range g.order {
-				if v := c.sum / float64(c.count); v > bestV {
-					bestV, bestD = v, c.decision
-				}
-			}
-			return bestD
-		}
-		groups := make(map[string]*group)
-		global := newGroup()
-		for _, rec := range trace {
-			k := rec.Context.Key()
-			g := groups[k]
-			if g == nil {
-				g = newGroup()
-				groups[k] = g
-			}
-			add(g, rec.Decision, rec.Reward)
-			add(global, rec.Decision, rec.Reward)
-		}
-		argmax := make(map[string]string, len(groups))
-		for k, g := range groups {
-			argmax[k] = best(g)
-		}
-		globalBest := best(global)
-		return core.DeterministicPolicy[FlatContext, string]{
-			Choose: func(c FlatContext) string {
-				if d, ok := argmax[c.Key()]; ok {
-					return d
-				}
-				return globalBest
-			},
-		}, nil
+		return core.FitBestObserved(view), nil
 	default:
 		return nil, fmt.Errorf("traceio: unknown policy %q (want constant:<decision> or best-observed)", spec)
 	}
@@ -299,8 +244,36 @@ type FlatContext struct {
 }
 
 // Key returns a string key for grouping identical feature vectors (used
-// for empirical propensity estimation and table models).
+// for empirical propensity estimation and table models): the vector's
+// JSON text, with a nil vector keyed like an empty one, so a record
+// without features is one context however it was decoded. Features
+// must be finite (ValidateFinite); JSON cannot encode NaN or ±Inf.
 func (c FlatContext) Key() string {
+	if len(c.Features) == 0 {
+		return "[]"
+	}
+	//lint:allow hotalloc once per distinct context: decoders memoise the key and views intern by it
 	b, _ := json.Marshal(c.Features)
 	return string(b)
+}
+
+// ValidateFinite rejects non-finite numerics with a record-addressed
+// message. Standard JSON cannot encode NaN or ±Inf, but CSV and
+// permissive clients can, and a NaN that slips through poisons every
+// weighted sum downstream and every context key.
+func ValidateFinite(records []FlatRecord) error {
+	for i, rec := range records {
+		if math.IsNaN(rec.Reward) || math.IsInf(rec.Reward, 0) {
+			return fmt.Errorf("record %d: reward must be finite, got %g", i, rec.Reward)
+		}
+		if math.IsNaN(rec.Propensity) || math.IsInf(rec.Propensity, 0) {
+			return fmt.Errorf("record %d: propensity must be finite, got %g", i, rec.Propensity)
+		}
+		for j, f := range rec.Features {
+			if math.IsNaN(f) || math.IsInf(f, 0) {
+				return fmt.Errorf("record %d: feature %d must be finite, got %g", i, j, f)
+			}
+		}
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package traceio
 
 import (
 	"bytes"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -121,30 +122,19 @@ func TestJSONLErrors(t *testing.T) {
 	}
 }
 
-func TestFlattenUnflatten(t *testing.T) {
+func TestFlatten(t *testing.T) {
 	tr := core.Trace[int, int]{
 		{Context: 7, Decision: 2, Reward: 1.5, Propensity: 0.5},
+		{Context: -3, Decision: 11, Reward: -0.25, Propensity: 1},
 	}
-	ft := Flatten(tr, func(c int) []float64 { return []float64{float64(c)} },
+	ft := Flatten(tr, func(c int) []float64 { return []float64{float64(c), float64(2 * c)} },
 		func(d int) string { return strconv.Itoa(d) })
-	if ft.Records[0].Decision != "2" || ft.Records[0].Features[0] != 7 {
-		t.Fatalf("flatten produced %+v", ft.Records[0])
+	want := []FlatRecord{
+		{Features: []float64{7, 14}, Decision: "2", Reward: 1.5, Propensity: 0.5},
+		{Features: []float64{-3, -6}, Decision: "11", Reward: -0.25, Propensity: 1},
 	}
-	back, err := Unflatten(ft,
-		func(f []float64) (int, error) { return int(f[0]), nil },
-		strconv.Atoi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back[0] != tr[0] {
-		t.Fatalf("round trip mismatch: %+v", back[0])
-	}
-	// Parser errors propagate.
-	ft.Records[0].Decision = "zzz"
-	if _, err := Unflatten(ft,
-		func(f []float64) (int, error) { return int(f[0]), nil },
-		strconv.Atoi); err == nil {
-		t.Fatal("bad decision should fail")
+	if !reflect.DeepEqual(ft.Records, want) {
+		t.Fatalf("flatten produced %+v, want %+v", ft.Records, want)
 	}
 }
 

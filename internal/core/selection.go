@@ -103,13 +103,18 @@ func SelectBest[C any, D comparable](v *TraceView[C, D], model RewardModel[C, D]
 func bootstrapDR[C any, D comparable](v *TraceView[C, D], policy Policy[C, D], model RewardModel[C, D], rng *mathx.RNG, opts SelectOptions) Interval {
 	tb := newTable(v, policy, model)
 	defer tb.release()
+	recs := drRecords(v, tb.tables, opts.DR)
 	idx := make([]int, v.Len())
 	values := make([]float64, opts.Bootstrap)
 	for i := range values {
+		sumW := 0.0
 		for j := range idx {
 			idx[j] = rng.Intn(len(idx))
+			if opts.DR.SelfNormalize {
+				sumW += recs[idx[j]].w
+			}
 		}
-		values[i] = drValue(v, tb.tables, idx, opts.DR, tb.dm, tb.pred)
+		values[i] = drMean(recs, idx, tb.dm, tb.pred, drScale(opts.DR.SelfNormalize, float64(len(idx)), sumW))
 	}
 	return percentiles(values, opts.Level)
 }

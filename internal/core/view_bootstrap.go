@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
+	randv2 "math/rand/v2"
 	"sync"
 
 	"drnet/internal/mathx"
@@ -24,6 +26,31 @@ type BootstrapStats struct {
 	// Skipped counts resamples on which the estimator failed; their
 	// values do not enter the interval.
 	Skipped int
+}
+
+// drRecord is one record as a bootstrap resample reads it: its
+// (context, decision) cell and context codes, its reward, and its
+// importance weight µ(d|c)/p after the clip. A cell code fits an
+// int32 because the tables hold a float64 per cell.
+type drRecord struct {
+	reward, w float64
+	cell, ctx int32
+}
+
+// drRecords packs v's records once per bootstrap; each weight takes
+// the division and clip of the fold's DR term.
+func drRecords[C any, D comparable](v *TraceView[C, D], t *tables, opts DROptions) []drRecord {
+	recs := make([]drRecord, v.Len())
+	for i := range recs {
+		u := v.ctxCodes[i]
+		cell := int(u)*t.k + int(v.decCodes[i])
+		w := t.probFirst[cell] / v.propensities[i]
+		if opts.Clip > 0 && w > opts.Clip {
+			w = opts.Clip
+		}
+		recs[i] = drRecord{reward: v.rewards[i], w: w, cell: int32(cell), ctx: u}
+	}
+	return recs
 }
 
 // resample is one bootstrap resample's scratch: the drawn record
@@ -55,7 +82,8 @@ func BootstrapDRViewSeeded[C any, D comparable](v *TraceView[C, D], newPolicy Po
 // BootstrapDRViewSeededStatsCtx is BootstrapDRViewSeeded plus resample
 // bookkeeping and cooperative cancellation: once ctx ends no new
 // resample starts and ctx's error is returned. The policy is flattened
-// once; each resample then touches only pooled arrays.
+// and the records packed once; each resample then touches only pooled
+// arrays.
 func BootstrapDRViewSeededStatsCtx[C any, D comparable](ctx context.Context, v *TraceView[C, D], newPolicy Policy[C, D], opts DROptions, seed int64, b int, level float64) (Interval, BootstrapStats, error) {
 	n := v.Len()
 	if n == 0 {
@@ -69,25 +97,18 @@ func BootstrapDRViewSeededStatsCtx[C any, D comparable](ctx context.Context, v *
 	}
 	tb := newTable(v, newPolicy, nil)
 	defer tb.release()
+	recs := drRecords(v, tb.tables, opts)
+	drawer := newIndexDrawer(n)
 	sh := parallel.NewShardedRNG(seed)
 	type draw struct {
 		value float64
 		err   error
 	}
 	draws, err := parallel.TimesCtx(ctx, b, 0, func(i int) (draw, error) {
-		rng := sh.Shard(i)
 		rs := resamplePool.Get().(*resample)
 		defer resamplePool.Put(rs)
-		idx := resize(rs.idx, n)
-		for j := range idx {
-			idx[j] = rng.Intn(n)
-		}
-		rs.idx = idx
-		if err := tb.invalidIn(v.ctxCodes, idx); err != nil {
-			return draw{err: err}, nil
-		}
-		refit(rs, v, tb.tables)
-		return draw{value: drValue(v, tb.tables, idx, opts, rs.dm, rs.means)}, nil
+		value, err := refitDR(rs, sh.PCG(i), drawer, recs, tb.tables, v.ctxCodes, opts.SelfNormalize)
+		return draw{value, err}, nil
 	})
 	if err != nil {
 		return Interval{}, BootstrapStats{}, err
@@ -109,28 +130,43 @@ func BootstrapDRViewSeededStatsCtx[C any, D comparable](ctx context.Context, v *
 	return percentiles(values, level), stats, nil
 }
 
-// refit fits the per-(context, decision) mean-reward model on the
-// resample — in record order, as FitTable does — leaving each cell's
-// prediction in means (the resample's mean reward for unseen cells) and
-// each context's DM value in dm.
-func refit[C any, D comparable](rs *resample, v *TraceView[C, D], t *tables) {
+// refitDR is one resample of the refit-DR bootstrap. A single pass
+// draws the n record indices off pcg and, in draw order, sums each
+// cell's rewards and count, the total and (for SN-DR) the weights;
+// the refit model then follows from those sums as FitTable's does —
+// each cell's mean reward, the resample's mean for unseen cells — and
+// DR is evaluated with it over the same draws. Every sum runs in draw
+// order, so the value is the textbook refit-DR's bit for bit.
+//
+//lint:hot
+func refitDR(rs *resample, pcg *randv2.PCG, draw indexDrawer, recs []drRecord, t *tables, ctxCodes []int32, selfNormalize bool) (float64, error) {
 	cells := t.numCtx * t.k
-	rs.means, rs.counts, rs.dm = resize(rs.means, cells), resize(rs.counts, cells), resize(rs.dm, t.numCtx)
-	clear(rs.means)
-	clear(rs.counts)
-	total := 0.0
-	for _, id := range rs.idx {
-		cell := int(v.ctxCodes[id])*t.k + int(v.decCodes[id])
-		rs.means[cell] += v.rewards[id]
-		rs.counts[cell]++
-		total += v.rewards[id]
+	rs.idx, rs.means, rs.counts, rs.dm = resize(rs.idx, len(recs)), resize(rs.means, cells), resize(rs.counts, cells), resize(rs.dm, t.numCtx)
+	idx, means, counts := rs.idx, rs.means, rs.counts
+	clear(means)
+	clear(counts)
+	total, sumW := 0.0, 0.0
+	for j := range idx {
+		id := draw.next(pcg)
+		idx[j] = id
+		r := &recs[id]
+		means[r.cell] += r.reward
+		counts[r.cell]++
+		total += r.reward
+		if selfNormalize {
+			sumW += r.w
+		}
 	}
-	def := total / float64(len(rs.idx))
-	for c, cnt := range rs.counts {
+	if err := t.invalidIn(ctxCodes, idx); err != nil {
+		return 0, err
+	}
+	nf := float64(len(idx))
+	def := total / nf
+	for c, cnt := range counts {
 		if cnt > 0 {
-			rs.means[c] /= float64(cnt)
+			means[c] /= float64(cnt)
 		} else {
-			rs.means[c] = def
+			means[c] = def
 		}
 	}
 	for u := 0; u < t.numCtx; u++ {
@@ -141,46 +177,72 @@ func refit[C any, D comparable](rs *resample, v *TraceView[C, D], t *tables) {
 				continue
 			}
 			if c := t.entCode[j]; c >= 0 {
-				s += p * rs.means[row+int(c)]
+				s += p * means[row+int(c)]
 			} else {
 				s += p * def
 			}
 		}
 		rs.dm[u] = s
 	}
+	return drMean(recs, idx, rs.dm, means, drScale(selfNormalize, nf, sumW)), nil
 }
 
-// drValue is the DR point value over the record multiset idx, given
+// drScale is the factor on DR's correction term: n/Σw for SN-DR with a
+// positive weight sum, 1 otherwise.
+func drScale(selfNormalize bool, nf, sumW float64) float64 {
+	if selfNormalize && sumW > 0 {
+		return nf / sumW
+	}
+	return 1
+}
+
+// drMean is the DR point value over the record multiset idx, given
 // each context's DM value and each cell's prediction, summed in idx
 // order. A bootstrap needs nothing else from a resample, so this loop
 // skips the fold's variance sums.
-func drValue[C any, D comparable](v *TraceView[C, D], t *tables, idx []int, opts DROptions, dm, pred []float64) float64 {
-	nf := float64(len(idx))
-	scale := 1.0
-	if opts.SelfNormalize {
-		sumW := 0.0
-		for _, id := range idx {
-			w := t.probFirst[int(v.ctxCodes[id])*t.k+int(v.decCodes[id])] / v.propensities[id]
-			if opts.Clip > 0 && w > opts.Clip {
-				w = opts.Clip
-			}
-			sumW += w
-		}
-		if sumW > 0 {
-			scale = nf / sumW
-		}
-	}
+func drMean(recs []drRecord, idx []int, dm, pred []float64, scale float64) float64 {
 	s := 0.0
 	for _, id := range idx {
-		u := int(v.ctxCodes[id])
-		cell := u*t.k + int(v.decCodes[id])
-		w := t.probFirst[cell] / v.propensities[id]
-		if opts.Clip > 0 && w > opts.Clip {
-			w = opts.Clip
-		}
-		s += dm[u] + scale*w*(v.rewards[id]-pred[cell])
+		r := &recs[id]
+		s += dm[r.ctx] + scale*r.w*(r.reward-pred[r.cell])
 	}
-	return s / nf
+	return s / float64(len(idx))
+}
+
+// indexDrawer draws indices uniform on [0, n) straight off a PCG
+// stream, yielding exactly the sequence (*mathx.RNG).Intn(n) does on
+// the same stream: math/rand's Int31n (the top 31 bits of each value)
+// for n < 2³¹ and its Int63n (the top 63) above, with the same
+// rejection threshold. A power of two, which those mask instead,
+// never rejects and leaves the same remainder. The 31-bit remainder
+// is Lemire, Kaser & Kurz's fastmod ("Faster Remainder by Direct
+// Computation", 2019), exact for 32-bit operands: the high word of
+// (m·v mod 2⁶⁴)·n with m = ⌈2⁶⁴/n⌉. m overflows to 0 for n = 1, and
+// is 0 for the 63-bit path, which both take a plain remainder.
+type indexDrawer struct {
+	n, max, m uint64
+	shift     uint
+}
+
+func newIndexDrawer(n int) indexDrawer {
+	un := uint64(n)
+	if n <= 1<<31-1 {
+		return indexDrawer{n: un, max: 1<<31 - 1 - (1<<31)%un, m: ^uint64(0)/un + 1, shift: 33}
+	}
+	return indexDrawer{n: un, max: 1<<63 - 1 - (1<<63)%un, shift: 1}
+}
+
+// next draws one index off p.
+func (d indexDrawer) next(p *randv2.PCG) int {
+	v := p.Uint64() >> d.shift
+	for v > d.max {
+		v = p.Uint64() >> d.shift
+	}
+	if d.m == 0 {
+		return int(v % d.n)
+	}
+	hi, _ := bits.Mul64(d.m*v, d.n)
+	return int(hi)
 }
 
 // percentiles is the percentile interval of bootstrap values.

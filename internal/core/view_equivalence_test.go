@@ -319,15 +319,42 @@ func TestBootstrapViewSeededBitIdentical(t *testing.T) {
 func TestBootstrapDRViewSeededMatchesRefitClosure(t *testing.T) {
 	tr, np, _ := quantizedTrace(1000)
 	v := mustView(t, tr)
-	for _, opts := range []DROptions{{Clip: 5}, {Clip: 5, SelfNormalize: true}} {
-		want := refitBootstrap(tr, np, opts, 7, 120, 0.9)
-		for _, w := range workerCounts {
-			withParallelism(t, w, func() {
-				got, err := BootstrapDRViewSeeded(v, np, opts, 7, 120, 0.9)
-				if err != nil || got != want {
-					t.Fatalf("opts=%+v workers=%d: %+v (%v) != textbook %+v", opts, w, got, err, want)
+	// unlogged puts mass on decision 3, which the trace never logs, so
+	// every resample's DM predicts it with the refit's default.
+	unlogged := FuncPolicy[float64, int](func(float64) []Weighted[int] {
+		return []Weighted[int]{{Decision: 1, Prob: 0.6}, {Decision: 3, Prob: 0.4}}
+	})
+	for name, target := range map[string]Policy[float64, int]{"np": np, "unlogged": unlogged} {
+		for _, opts := range []DROptions{{Clip: 5}, {Clip: 5, SelfNormalize: true}} {
+			want := refitBootstrap(tr, target, opts, 7, 120, 0.9)
+			for _, w := range workerCounts {
+				withParallelism(t, w, func() {
+					got, err := BootstrapDRViewSeeded(v, target, opts, 7, 120, 0.9)
+					if err != nil || got != want {
+						t.Fatalf("%s opts=%+v workers=%d: %+v (%v) != textbook %+v", name, opts, w, got, err, want)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestIndexDrawerMatchesIntn pins the bootstrap's index drawer to
+// (*mathx.RNG).Intn on the same shard streams: the power-of-two,
+// threshold-and-fastmod and Int63n paths, plus an n of each width that
+// rejects a quarter of its draws.
+func TestIndexDrawerMatchesIntn(t *testing.T) {
+	const shards, draws = 20, 10000
+	sh := parallel.NewShardedRNG(2024)
+	for _, n := range []int{1, 2, 3, 8, 2000, 8000, 1 << 30, 3 << 29, 1<<31 - 1, 1 << 31, 1<<31 + 1, 1<<40 + 3, 3 << 61} {
+		d := newIndexDrawer(n)
+		for i := 0; i < shards; i++ {
+			want, p := sh.Shard(i), sh.PCG(i)
+			for j := 0; j < draws; j++ {
+				if got, w := d.next(p), want.Intn(n); got != w {
+					t.Fatalf("n=%d shard %d draw %d: %d, Intn gives %d", n, i, j, got, w)
 				}
-			})
+			}
 		}
 	}
 }

@@ -163,34 +163,3 @@ func (r *RNG) Pareto(scale, shape float64) float64 {
 func (r *RNG) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
 }
-
-// Bootstrap fills dst with a resample (with replacement) of xs. dst and
-// xs may be the same length; dst is returned for chaining.
-func (r *RNG) Bootstrap(dst, xs []float64) []float64 {
-	for i := range dst {
-		dst[i] = xs[r.Intn(len(xs))]
-	}
-	return dst
-}
-
-// BootstrapCI estimates a two-sided percentile bootstrap confidence
-// interval for the mean of xs at the given confidence level (e.g. 0.95)
-// using b resamples.
-func (r *RNG) BootstrapCI(xs []float64, level float64, b int) (lo, hi float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	if level <= 0 || level >= 1 {
-		panic("mathx: confidence level must be in (0,1)")
-	}
-	if b <= 0 {
-		b = 1000
-	}
-	means := make([]float64, b)
-	buf := make([]float64, len(xs))
-	for i := 0; i < b; i++ {
-		means[i] = Mean(r.Bootstrap(buf, xs))
-	}
-	alpha := (1 - level) / 2
-	return Quantile(means, alpha), Quantile(means, 1-alpha)
-}

@@ -135,29 +135,6 @@ func TestUniformRange(t *testing.T) {
 	}
 }
 
-func TestBootstrapCI(t *testing.T) {
-	r := NewRNG(11)
-	xs := make([]float64, 500)
-	for i := range xs {
-		xs[i] = r.Normal(10, 1)
-	}
-	lo, hi := r.BootstrapCI(xs, 0.95, 500)
-	if lo >= hi {
-		t.Fatalf("degenerate CI [%g, %g]", lo, hi)
-	}
-	if lo > 10 || hi < 10 {
-		t.Fatalf("CI [%g, %g] excludes the true mean 10", lo, hi)
-	}
-	// Width should be around 2*1.96/sqrt(500) ~ 0.175.
-	if w := hi - lo; w > 0.5 {
-		t.Fatalf("CI too wide: %g", w)
-	}
-	if lo, hi := r.BootstrapCI(nil, 0.95, 10); lo != 0 || hi != 0 {
-		t.Fatal("empty input should give zero CI")
-	}
-	mustPanic(t, func() { r.BootstrapCI(xs, 1.5, 10) })
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(99), NewRNG(99)
 	for i := 0; i < 100; i++ {

@@ -195,8 +195,8 @@ type family struct {
 	name    string
 	help    string
 	kind    kind
-	buckets []float64          // histograms only
-	series  map[string]any     // label string → *Counter | *Gauge | *Histogram
+	buckets []float64      // histograms only
+	series  map[string]any // label string → *Counter | *Gauge | *Histogram
 }
 
 // Registry is a goroutine-safe collection of metric families. Metric

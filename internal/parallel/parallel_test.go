@@ -9,8 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
-
-	"drnet/internal/mathx"
 )
 
 // workerCounts are the worker counts every determinism test sweeps, as
@@ -229,40 +227,6 @@ func TestShardedRNGMeanSane(t *testing.T) {
 	if mean := s / float64(n); math.Abs(mean-0.5) > 0.01 {
 		t.Fatalf("pooled mean %g too far from 0.5", mean)
 	}
-}
-
-func TestBootstrapCIDeterministicAcrossWorkers(t *testing.T) {
-	rng := mathx.NewRNG(3)
-	xs := make([]float64, 300)
-	for i := range xs {
-		xs[i] = rng.Normal(2, 1)
-	}
-	lo1, hi1 := BootstrapCI(xs, 0.95, 400, 9, 1)
-	for _, w := range workerCounts[1:] {
-		lo, hi := BootstrapCI(xs, 0.95, 400, 9, w)
-		if lo != lo1 || hi != hi1 {
-			t.Fatalf("workers=%d: CI [%g,%g] != workers=1 [%g,%g]", w, lo, hi, lo1, hi1)
-		}
-	}
-	if lo1 >= hi1 {
-		t.Fatalf("degenerate CI [%g,%g]", lo1, hi1)
-	}
-	m := mathx.Mean(xs)
-	if m < lo1 || m > hi1 {
-		t.Fatalf("sample mean %g outside 95%% CI [%g,%g]", m, lo1, hi1)
-	}
-}
-
-func TestBootstrapCIEdgeCases(t *testing.T) {
-	if lo, hi := BootstrapCI(nil, 0.95, 10, 1, 2); lo != 0 || hi != 0 {
-		t.Fatalf("empty input: got [%g,%g]", lo, hi)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad level did not panic")
-		}
-	}()
-	BootstrapCI([]float64{1, 2}, 1.5, 10, 1, 2)
 }
 
 // TestStressManyTasks hammers the pool with many tiny tasks from many

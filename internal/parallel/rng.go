@@ -1,6 +1,10 @@
 package parallel
 
-import "drnet/internal/mathx"
+import (
+	randv2 "math/rand/v2"
+
+	"drnet/internal/mathx"
+)
 
 // ShardedRNG derives an independent random stream per shard from one
 // root seed. Shard i's stream is a PCG generator seeded with
@@ -25,6 +29,14 @@ func NewShardedRNG(seed int64) *ShardedRNG {
 // two generators that produce identical sequences.
 func (s *ShardedRNG) Shard(i int) *mathx.RNG {
 	return mathx.NewPCG(s.seed, splitmix64(uint64(i)))
+}
+
+// PCG returns a fresh copy of the generator Shard(i) wraps, for a
+// caller that draws straight off the stream instead of through
+// math/rand's Source interface: PCG(i).Uint64() yields the values
+// Shard(i).Uint64() does.
+func (s *ShardedRNG) PCG(i int) *randv2.PCG {
+	return randv2.NewPCG(s.seed, splitmix64(uint64(i)))
 }
 
 // splitmix64 scatters consecutive shard indices across the stream-id

@@ -90,10 +90,10 @@ func TestClassifyTable(t *testing.T) {
 	drifted := &wideevent.Event{Route: "/evaluate", Status: 200, BiasGrade: biasobs.GradeDrift}
 
 	cases := []struct {
-		name            string
-		obj             Objective
-		ev              *wideevent.Event
-		inScope, good   bool
+		name          string
+		obj           Objective
+		ev            *wideevent.Event
+		inScope, good bool
 	}{
 		{"ok", avail, ev("/evaluate", 200, 1), true, true},
 		{"client4xxGood", avail, ev("/evaluate", 422, 1), true, true},

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"syscall"
@@ -22,30 +21,6 @@ import (
 // degradation, all driven through the real HTTP surface. Every test is
 // named TestChaos* so CI can run the suite alone under -race.
 
-// withEvalLimiter swaps the global admission limiter and restores it.
-func withEvalLimiter(t *testing.T, l *resilience.Limiter) {
-	t.Helper()
-	old := evalLimiter
-	evalLimiter = l
-	t.Cleanup(func() { evalLimiter = old })
-}
-
-// withRequestTimeout swaps the global per-request deadline and restores it.
-func withRequestTimeout(t *testing.T, d time.Duration) {
-	t.Helper()
-	old := requestTimeout
-	requestTimeout = d
-	t.Cleanup(func() { requestTimeout = old })
-}
-
-// withThresholds swaps the global degradation thresholds and restores them.
-func withThresholds(t *testing.T, th resilience.Thresholds) {
-	t.Helper()
-	old := degradeThresholds
-	degradeThresholds = th
-	t.Cleanup(func() { degradeThresholds = old })
-}
-
 // TestChaosCancelMidBootstrap is the acceptance test for end-to-end
 // cancellation: a client abandons a large /evaluate mid-bootstrap; the
 // pool must stop scheduling resample chunks (observed via the pool's
@@ -55,8 +30,7 @@ func withThresholds(t *testing.T, th resilience.Thresholds) {
 func TestChaosCancelMidBootstrap(t *testing.T) {
 	parallel.SetDefaultWorkers(2)
 	defer parallel.SetDefaultWorkers(0)
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	s, srv := startTest(t, nil)
 
 	// A large trace keeps the columnar bootstrap busy for seconds, so
 	// the cancel lands mid-flight rather than after completion.
@@ -71,7 +45,7 @@ func TestChaosCancelMidBootstrap(t *testing.T) {
 
 	cancelled := obs.Default.Counter("obs_pool_cancelled_chunks_total")
 	executed := obs.Default.Counter("obs_pool_tasks_total")
-	inFlight := obs.Default.Gauge("drevald_http_in_flight", obs.L("route", "/evaluate"))
+	inFlight := s.reg.Gauge("drevald_http_in_flight", obs.L("route", "/evaluate"))
 	cancelledBefore := cancelled.Value()
 	executedBefore := executed.Value()
 
@@ -140,9 +114,8 @@ func TestChaosCancelMidBootstrap(t *testing.T) {
 // TestChaosRequestTimeout: with a tiny -request-timeout, a heavy
 // /evaluate answers 503 with the machine-readable timeout flag.
 func TestChaosRequestTimeout(t *testing.T) {
-	withRequestTimeout(t, time.Millisecond)
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	_, srv := startTest(t, func(c *config) { c.requestTimeout = time.Millisecond })
 
 	resp := post(t, srv, "/evaluate", evalRequest{
 		Trace:   testTraceJSON(t, false),
@@ -166,16 +139,15 @@ func TestChaosRequestTimeout(t *testing.T) {
 // concurrent request is shed with 429 + Retry-After and the shed
 // counter ticks; after the slot frees, requests flow again.
 func TestChaosLoadShedding(t *testing.T) {
-	withEvalLimiter(t, resilience.NewLimiter(1, 0))
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	s, srv := startTest(t, func(c *config) { c.maxConcurrent, c.maxQueue = 1, 0 })
 
 	// Occupy the only compute slot directly.
-	release, _, err := evalLimiter.Acquire(context.Background())
+	release, _, err := s.evalLimiter.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	shed := obs.Default.Counter("drevald_load_shed_total", obs.L("route", "/evaluate"))
+	shed := s.reg.Counter("drevald_load_shed_total", obs.L("route", "/evaluate"))
 	shedBefore := shed.Value()
 
 	resp := post(t, srv, "/evaluate", evalRequest{Trace: testTraceJSON(t, false), Policy: "constant:c"})
@@ -201,11 +173,10 @@ func TestChaosLoadShedding(t *testing.T) {
 // TestChaosQueuedRequestProceeds: a request that finds all compute
 // slots busy but queue room waits, then completes once the slot frees.
 func TestChaosQueuedRequestProceeds(t *testing.T) {
-	withEvalLimiter(t, resilience.NewLimiter(1, 1))
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	s, srv := startTest(t, func(c *config) { c.maxConcurrent, c.maxQueue = 1, 1 })
 
-	release, _, err := evalLimiter.Acquire(context.Background())
+	release, _, err := s.evalLimiter.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,10 +206,9 @@ func TestChaosQueuedRequestProceeds(t *testing.T) {
 // TestChaosPanicRecovery: an injected handler panic becomes a 500 and a
 // drevald_panics_total tick; the server keeps serving afterwards.
 func TestChaosPanicRecovery(t *testing.T) {
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	s, srv := startTest(t, nil)
 
-	panicsBefore := panicsTotal.Value()
+	panicsBefore := s.m.panics.Value()
 	resilience.Activate(resilience.NewFaultPlan(11).
 		Add("http/evaluate", resilience.FaultSpec{PanicProb: 1}))
 	resp := post(t, srv, "/evaluate", evalRequest{Trace: testTraceJSON(t, false), Policy: "constant:c"})
@@ -247,8 +217,8 @@ func TestChaosPanicRecovery(t *testing.T) {
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("status %d, want 500", resp.StatusCode)
 	}
-	if panicsTotal.Value() != panicsBefore+1 {
-		t.Fatalf("panics counter %d, want %d", panicsTotal.Value(), panicsBefore+1)
+	if s.m.panics.Value() != panicsBefore+1 {
+		t.Fatalf("panics counter %d, want %d", s.m.panics.Value(), panicsBefore+1)
 	}
 	// The process survived; the service keeps answering.
 	r2, err := http.Get(srv.URL + "/healthz")
@@ -265,8 +235,7 @@ func TestChaosPanicRecovery(t *testing.T) {
 // HTTP boundary surfaces as a 500 with a JSON error, never a torn
 // response.
 func TestChaosInjectedHandlerError(t *testing.T) {
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	_, srv := startTest(t, nil)
 	resilience.Activate(resilience.NewFaultPlan(12).
 		Add("http/evaluate", resilience.FaultSpec{ErrProb: 1}))
 	resp := post(t, srv, "/evaluate", evalRequest{Trace: testTraceJSON(t, false), Policy: "constant:c"})
@@ -288,8 +257,7 @@ func TestChaosInjectedHandlerError(t *testing.T) {
 // task fails the /evaluate with a structured error (422), not a panic
 // or a hang.
 func TestChaosPoolFaultSurfacesAsError(t *testing.T) {
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	_, srv := startTest(t, nil)
 	resilience.Activate(resilience.NewFaultPlan(13).
 		Add(resilience.PointPoolTask, resilience.FaultSpec{ErrProb: 1}))
 	resp := post(t, srv, "/evaluate", evalRequest{
@@ -308,8 +276,7 @@ func TestChaosPoolFaultSurfacesAsError(t *testing.T) {
 // fault plan leaves zero residue — the same request then produces a
 // byte-identical body to one from a never-faulted server.
 func TestChaosFaultsOffByteDeterminism(t *testing.T) {
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	_, srv := startTest(t, nil)
 	reqBody := evalRequest{
 		Trace:   testTraceJSON(t, false),
 		Policy:  "constant:c",
@@ -347,12 +314,7 @@ func TestChaosFaultsOffByteDeterminism(t *testing.T) {
 // fallback — and the whole degraded body is bit-deterministic across
 // worker counts.
 func TestChaosDegradedResponse(t *testing.T) {
-	// A floor of 1.0 means any importance weighting at all (ESS < N)
-	// trips degradation on the standard test trace.
-	withThresholds(t, resilience.Thresholds{ESSRatioFloor: 1.0})
 	defer parallel.SetDefaultWorkers(0)
-
-	degradedBefore := degradedTotal.Value()
 	reqBody := evalRequest{
 		Trace:   testTraceJSON(t, false),
 		Policy:  "constant:c",
@@ -361,7 +323,9 @@ func TestChaosDegradedResponse(t *testing.T) {
 	var want []byte
 	for _, w := range []int{1, 2, 8} {
 		parallel.SetDefaultWorkers(w)
-		srv := httptest.NewServer(newMux())
+		// A floor of 1.0 means any importance weighting at all (ESS < N)
+		// trips degradation on the standard test trace.
+		s, srv := startTest(t, func(c *config) { c.thresholds = resilience.Thresholds{ESSRatioFloor: 1.0} })
 		resp := post(t, srv, "/evaluate", reqBody)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("workers=%d: degraded request must stay 200, got %d", w, resp.StatusCode)
@@ -371,7 +335,9 @@ func TestChaosDegradedResponse(t *testing.T) {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		srv.Close()
+		if s.m.degraded.Value() != 1 {
+			t.Fatalf("workers=%d: degraded counter %d, want 1", w, s.m.degraded.Value())
+		}
 		if want == nil {
 			want = buf.Bytes()
 			continue
@@ -396,9 +362,6 @@ func TestChaosDegradedResponse(t *testing.T) {
 	if out.DR.N != 400 || out.DRInterval == nil {
 		t.Fatal("degraded response dropped the requested estimates")
 	}
-	if degradedTotal.Value() <= degradedBefore {
-		t.Fatal("degraded counter did not advance")
-	}
 }
 
 // TestChaosHealthyNotDegraded: a well-overlapped request must NOT
@@ -409,9 +372,8 @@ func TestChaosDegradedResponse(t *testing.T) {
 // (used by TestChaosDegradedResponse's threshold override) leaves ~89%
 // of records with zero support.
 func TestChaosHealthyNotDegraded(t *testing.T) {
-	withThresholds(t, resilience.DefaultThresholds())
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	_, srv := startTest(t, nil)
 	resp := post(t, srv, "/evaluate", evalRequest{Trace: testTraceJSON(t, false), Policy: "constant:a"})
 	defer resp.Body.Close()
 	var out evalResponse
@@ -428,7 +390,7 @@ func TestChaosHealthyNotDegraded(t *testing.T) {
 // slowing every pool task; all in-flight requests must still drain to
 // 200, and the closed listener must refuse new connections quickly.
 func TestChaosShutdownDrainsUnderFaults(t *testing.T) {
-	url, stop, done := startTestServer(t)
+	s, url, stop, done := startTestServer(t)
 
 	resilience.Activate(resilience.NewFaultPlan(19).
 		Add(resilience.PointPoolTask, resilience.FaultSpec{LatencyProb: 0.25, Latency: time.Millisecond}))
@@ -472,7 +434,7 @@ func TestChaosShutdownDrainsUnderFaults(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run returned %v", err)
 		}
-	case <-time.After(drainTimeout + 5*time.Second):
+	case <-time.After(s.cfg.drainTimeout + 5*time.Second):
 		t.Fatal("server did not shut down under faulted load")
 	}
 	wg.Wait()
@@ -500,9 +462,8 @@ func TestChaosShutdownDrainsUnderFaults(t *testing.T) {
 // the HTTP layer: non-finite numerics and oversized bootstrap counts
 // are 400s with actionable messages, not computation.
 func TestChaosRejectsHostileInputs(t *testing.T) {
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
-	good := testTraceJSON(t, false)
+	t.Parallel()
+	_, srv := startTest(t, nil)
 	cases := []struct {
 		name string
 		body string
@@ -534,14 +495,13 @@ func TestChaosRejectsHostileInputs(t *testing.T) {
 			t.Fatalf("%s: body %q does not explain the rejection (%q)", c.name, buf.String(), c.want)
 		}
 	}
-	_ = good
 }
 
 // TestChaosHealthzSurfacesResilienceConfig: /healthz reports the drain
 // and request timeouts so orchestrators can size grace periods.
 func TestChaosHealthzSurfacesResilienceConfig(t *testing.T) {
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	s, srv := startTest(t, nil)
 	resp, err := http.Get(srv.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -551,10 +511,10 @@ func TestChaosHealthzSurfacesResilienceConfig(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	if out.DrainTimeoutSeconds != drainTimeout.Seconds() || out.DrainTimeoutSeconds <= 0 {
-		t.Fatalf("drainTimeoutSeconds = %g, want %g", out.DrainTimeoutSeconds, drainTimeout.Seconds())
+	if out.DrainTimeoutSeconds != s.cfg.drainTimeout.Seconds() || out.DrainTimeoutSeconds <= 0 {
+		t.Fatalf("drainTimeoutSeconds = %g, want %g", out.DrainTimeoutSeconds, s.cfg.drainTimeout.Seconds())
 	}
-	if out.RequestTimeoutSeconds != requestTimeout.Seconds() {
-		t.Fatalf("requestTimeoutSeconds = %g, want %g", out.RequestTimeoutSeconds, requestTimeout.Seconds())
+	if out.RequestTimeoutSeconds != s.cfg.requestTimeout.Seconds() {
+		t.Fatalf("requestTimeoutSeconds = %g, want %g", out.RequestTimeoutSeconds, s.cfg.requestTimeout.Seconds())
 	}
 }

@@ -36,8 +36,6 @@ type crashChild struct {
 	url string
 }
 
-var listenLine = regexp.MustCompile(`msg="drevald listening" addr=([^ ]+)`)
-
 // startCrashChild boots a drevald subprocess on a kernel-assigned port
 // and scrapes the listen address from its access log.
 func startCrashChild(t *testing.T, dir string, extra ...string) *crashChild {
@@ -69,6 +67,7 @@ func startCrashChild(t *testing.T, dir string, extra ...string) *crashChild {
 		}
 	})
 
+	listenLine := regexp.MustCompile(`msg="drevald listening" addr=([^ ]+)`)
 	addrCh := make(chan string, 1)
 	go func() {
 		sc := bufio.NewScanner(stderr)

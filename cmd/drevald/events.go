@@ -1,9 +1,8 @@
 package main
 
 import (
-	"net/http"
 	"sort"
-	"sync"
+	"time"
 
 	"drnet/internal/obs"
 	"drnet/internal/resilience"
@@ -20,86 +19,76 @@ import (
 // /debug/slo; counters and gauges on /metrics; rollups on /healthz
 // and /debug/vars.
 
-// Event-journal knobs, flag-configured in main. Package variables so
-// the lifecycle tests can swap in journals/engines with fixed clocks
-// and seeds, like the resilience knobs.
-var (
-	// eventJournal retains the tail-biased sample of recent request
-	// events for /debug/events (-events-buffer, -events-sample,
-	// -events-slow-ms, -events-seed; -events-out adds JSONL export).
-	eventJournal = newEventJournal(wideevent.Options{
-		Capacity:   1024,
-		SampleRate: 1,
-		SlowMs:     250,
-		Seed:       1,
+// initEvents builds the journal (-events-buffer, -events-sample,
+// -events-slow-ms, -events-seed) and the SLO engine (-slo-config) on
+// the clock now, nil meaning the wall clock, and feeds every emitted
+// event to the engine. newServer calls it with nil; tests call it
+// again with a fixed clock before serving, for byte-identical events.
+func (s *server) initEvents(now func() time.Time) error {
+	cfg, err := s.cfg.sloObjectives()
+	if err != nil {
+		return err
+	}
+	eng, err := slo.New(cfg, now)
+	if err != nil {
+		return err
+	}
+	eng.SetHook(s.sloTransition)
+	s.slo = eng
+	s.journal = wideevent.NewJournal(wideevent.Options{
+		Capacity:   s.cfg.eventsBuffer,
+		SampleRate: s.cfg.eventsSample,
+		SlowMs:     s.cfg.eventsSlowMs,
+		Seed:       s.cfg.eventsSeed,
+		Now:        now,
 	})
-	// sloEngine evaluates the burn-rate objectives (-slo-config; the
-	// DefaultConfig axes otherwise). Replaced wholesale at startup or
-	// by tests — the journal observer resolves it per event.
-	sloEngine = mustSLOEngine(slo.DefaultConfig())
-	// degradeOnSLOPage, when set, escalates a page-severity budget
-	// burn into degraded /evaluate responses with an slo_burn reason
-	// until the burn clears (-degrade-on-slo-page).
-	degradeOnSLOPage = false
-)
-
-// newEventJournal builds a journal whose observer feeds the CURRENT
-// SLO engine — late bound, so tests that swap sloEngine and main's
-// -slo-config replacement both take effect without rewiring.
-func newEventJournal(opts wideevent.Options) *wideevent.Journal {
-	j := wideevent.NewJournal(opts)
-	j.Observe(func(ev *wideevent.Event) { sloEngine.Observe(ev) })
-	return j
+	s.journal.Observe(eng.Observe)
+	return nil
 }
 
-// mustSLOEngine builds an engine for a config known to be valid (the
-// compiled-in default); main rebuilds from -slo-config with a proper
-// error path.
-func mustSLOEngine(cfg slo.Config) *slo.Engine {
-	e, err := newSLOEngine(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return e
+// registerEventMetrics exports the journal's counters and the SLO
+// engine's per-objective gauges, both refreshed at scrape time. One
+// Eval per scrape also advances the alert state machine, so burn state
+// converges even when nobody polls /debug/slo.
+func (s *server) registerEventMetrics() {
+	s.reg.Help("drevald_slo_state", "Current alert state per objective: 0 ok, 1 warning, 2 page.")
+	s.reg.Help("drevald_slo_budget_remaining", "Unspent error-budget fraction over the longest window, per objective (negative = overspent).")
+	obs.RegisterLossCounter(s.reg, "drevald_events_emitted_total",
+		"Wide events emitted by completed requests (before tail sampling).",
+		func() (uint64, bool) { return s.journal.Stats().Emitted, true })
+	obs.RegisterLossCounter(s.reg, "drevald_events_sampled_out_total",
+		"Healthy wide events dropped by tail-biased sampling (-events-sample).",
+		func() (uint64, bool) { return s.journal.Stats().SampledOut, true })
+	obs.RegisterLossCounter(s.reg, "drevald_events_sink_dropped_total",
+		"Wide-event JSONL lines dropped because the -events-out queue was full.",
+		func() (uint64, bool) { return s.journal.SinkDropped(), true })
+	s.reg.RegisterSampler(func() {
+		for _, o := range s.slo.Eval().Objectives {
+			st, _ := slo.ParseStateName(o.State)
+			s.reg.Gauge("drevald_slo_state", obs.L("objective", o.Name)).Set(float64(st))
+			s.reg.Gauge("drevald_slo_budget_remaining", obs.L("objective", o.Name)).Set(o.BudgetRemaining)
+		}
+	})
 }
-
-// newSLOEngine builds an engine on the wall clock with the transition
-// hook attached.
-func newSLOEngine(cfg slo.Config) (*slo.Engine, error) {
-	e, err := slo.New(cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	e.SetHook(sloTransition)
-	return e, nil
-}
-
-// sloPages tracks the objectives currently burning at page severity,
-// so the degrade-on-slo-page escalation knows when the LAST page
-// clears (several objectives can page at once).
-var (
-	sloPageMu sync.Mutex
-	sloPages  = map[string]resilience.Reason{} // guarded by sloPageMu
-)
 
 // sloTransition is the engine hook: log every state change, count it,
 // and maintain the active-page set that handlers fold into degraded
 // responses when -degrade-on-slo-page is set.
-func sloTransition(tr slo.Transition) {
-	sloTransitionsTotal.Inc()
-	srvLog.Warn("slo transition",
+func (s *server) sloTransition(tr slo.Transition) {
+	s.m.sloTransitions.Inc()
+	s.log.Warn("slo transition",
 		"objective", tr.Objective,
 		"from", tr.From.String(),
 		"to", tr.To.String(),
 		"window", tr.Window,
 		"burn", tr.Burn,
 	)
-	sloPageMu.Lock()
-	defer sloPageMu.Unlock()
+	s.pageMu.Lock()
+	defer s.pageMu.Unlock()
 	if tr.To == slo.StatePage {
-		sloPages[tr.Objective] = resilience.SLOBurnReason(tr.Objective, tr.Burn, tr.Threshold)
+		s.pages[tr.Objective] = resilience.SLOBurnReason(tr.Objective, tr.Burn, tr.Threshold)
 	} else {
-		delete(sloPages, tr.Objective)
+		delete(s.pages, tr.Objective)
 	}
 }
 
@@ -108,23 +97,23 @@ func sloTransition(tr slo.Transition) {
 // is off or nothing is paging. Burn state advances on Eval — scrapes,
 // /debug/slo and /healthz — not per request, so the per-request cost
 // here is one mutex hold over a tiny map.
-func sloDegradeReasons() []resilience.Reason {
-	if !degradeOnSLOPage {
+func (s *server) sloDegradeReasons() []resilience.Reason {
+	if !s.cfg.degradeOnSLOPage {
 		return nil
 	}
-	sloPageMu.Lock()
-	defer sloPageMu.Unlock()
-	if len(sloPages) == 0 {
+	s.pageMu.Lock()
+	defer s.pageMu.Unlock()
+	if len(s.pages) == 0 {
 		return nil
 	}
-	names := make([]string, 0, len(sloPages))
-	for name := range sloPages {
+	names := make([]string, 0, len(s.pages))
+	for name := range s.pages {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	out := make([]resilience.Reason, 0, len(names))
 	for _, name := range names {
-		out = append(out, sloPages[name])
+		out = append(out, s.pages[name])
 	}
 	return out
 }
@@ -137,54 +126,4 @@ func reasonCodes(reasons []resilience.Reason) []string {
 		out[i] = r.Code
 	}
 	return out
-}
-
-var sloTransitionsTotal = obs.Default.Counter("drevald_slo_transitions_total")
-
-func init() {
-	obs.Default.Help("drevald_slo_transitions_total", "SLO alert state changes (ok, warning, page — any direction).")
-	obs.Default.Help("drevald_slo_state", "Current alert state per objective: 0 ok, 1 warning, 2 page.")
-	obs.Default.Help("drevald_slo_budget_remaining", "Unspent error-budget fraction over the longest window, per objective (negative = overspent).")
-	obs.Default.Help("drevald_events_emitted_total", "Wide events emitted by completed requests (before tail sampling).")
-	obs.Default.Help("drevald_events_sampled_out_total", "Healthy wide events dropped by tail-biased sampling (-events-sample).")
-	obs.Default.Help("drevald_events_sink_dropped_total", "Wide-event JSONL lines dropped because the -events-out queue was full.")
-	// Journal counters ride the shared loss-counter shape: eagerly
-	// created, synced at scrape time from the CURRENT journal (the
-	// flag-driven rebuild in main and test swaps are both covered).
-	obs.RegisterLossCounter(obs.Default, "drevald_events_emitted_total",
-		"Wide events emitted by completed requests (before tail sampling).",
-		func() (uint64, bool) { return eventJournal.Stats().Emitted, eventJournal != nil })
-	obs.RegisterLossCounter(obs.Default, "drevald_events_sampled_out_total",
-		"Healthy wide events dropped by tail-biased sampling (-events-sample).",
-		func() (uint64, bool) { return eventJournal.Stats().SampledOut, eventJournal != nil })
-	obs.RegisterLossCounter(obs.Default, "drevald_events_sink_dropped_total",
-		"Wide-event JSONL lines dropped because the -events-out queue was full.",
-		func() (uint64, bool) { return eventJournal.SinkDropped(), eventJournal != nil })
-	// SLO gauges refresh at scrape time: one Eval per scrape also
-	// advances the alert state machine, so burn state converges even
-	// when nobody polls /debug/slo.
-	obs.Default.RegisterSampler(func() {
-		eng := sloEngine
-		if eng == nil {
-			return
-		}
-		rep := eng.Eval()
-		for _, o := range rep.Objectives {
-			st, _ := slo.ParseStateName(o.State)
-			obs.Default.Gauge("drevald_slo_state", obs.L("objective", o.Name)).Set(float64(st))
-			obs.Default.Gauge("drevald_slo_budget_remaining", obs.L("objective", o.Name)).Set(o.BudgetRemaining)
-		}
-	})
-}
-
-// handleEvents serves GET /debug/events: the filter language over the
-// journal's retained ring. Late bound so test swaps take effect.
-func handleEvents(w http.ResponseWriter, r *http.Request) {
-	eventJournal.Handler().ServeHTTP(w, r)
-}
-
-// handleSLO serves GET /debug/slo: burn rates, alert states and
-// budget remaining per objective, plus the rollup /healthz surfaces.
-func handleSLO(w http.ResponseWriter, r *http.Request) {
-	sloEngine.Handler().ServeHTTP(w, r)
 }

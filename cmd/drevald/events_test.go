@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -40,36 +42,13 @@ func (c *eventClock) Advance(d time.Duration) {
 	c.t = c.t.Add(d)
 }
 
-// withEventJournal swaps in a fresh journal (observer wired to the
-// current SLO engine, like production) and restores on cleanup.
-func withEventJournal(t *testing.T, opts wideevent.Options) *wideevent.Journal {
+// withClock rebuilds s's journal and SLO engine on clock, so events
+// and burn rates are byte-deterministic. Call it before serving.
+func withClock(t *testing.T, s *server, clock *eventClock) {
 	t.Helper()
-	old := eventJournal
-	j := newEventJournal(opts)
-	eventJournal = j
-	t.Cleanup(func() { eventJournal = old })
-	return j
-}
-
-// withSLOEngine swaps in an engine on the given clock with the
-// production transition hook, restoring the engine and clearing the
-// active-page set on cleanup.
-func withSLOEngine(t *testing.T, cfg slo.Config, now func() time.Time) *slo.Engine {
-	t.Helper()
-	eng, err := slo.New(cfg, now)
-	if err != nil {
+	if err := s.initEvents(clock.Now); err != nil {
 		t.Fatal(err)
 	}
-	eng.SetHook(sloTransition)
-	old := sloEngine
-	sloEngine = eng
-	t.Cleanup(func() {
-		sloEngine = old
-		sloPageMu.Lock()
-		sloPages = map[string]resilience.Reason{}
-		sloPageMu.Unlock()
-	})
-	return eng
 }
 
 // postRawWithID POSTs raw (possibly malformed) bytes with a pinned
@@ -126,11 +105,9 @@ func findEvent(evs []*wideevent.Event, id string) *wideevent.Event {
 // every /evaluate, /diagnose and /ingest request — success or error —
 // emits exactly one wide event, and untraced routes emit none.
 func TestOneEventPerRequest(t *testing.T) {
-	clock := newEventClock()
-	j := withEventJournal(t, wideevent.Options{Capacity: 64, SampleRate: 1, Seed: 1, Now: clock.Now})
-	withStreamEngine(t, streamConfig{SegmentBytes: 4096})
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	s, srv := startTest(t, func(c *config) { c.eventsBuffer, c.walDir, c.segmentBytes = 64, t.TempDir(), 4096 })
+	j := s.journal
 
 	evalBody := marshal(t, evalRequest{Trace: testTraceJSON(t, false), Policy: "constant:c", Options: evalOptions{Bootstrap: 30, Seed: 3}})
 
@@ -217,11 +194,11 @@ func TestOneEventPerRequest(t *testing.T) {
 // wide event carries stream epoch/staleness and the canonical
 // fallback estimator name when degraded.
 func TestStreamedEventAnnotations(t *testing.T) {
-	clock := newEventClock()
-	j := withEventJournal(t, wideevent.Options{Capacity: 64, SampleRate: 1, Seed: 1, Now: clock.Now})
-	withStreamEngine(t, streamConfig{SegmentBytes: 4096, MaxModelAge: 1})
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	s, srv := startTest(t, func(c *config) {
+		c.eventsBuffer, c.walDir, c.segmentBytes, c.maxModelAge = 64, t.TempDir(), 4096, 1
+	})
+	j := s.journal
 
 	records := testTraceJSON(t, false)
 	resp := postRawWithID(t, srv, "/ingest", "ing-1", marshal(t, ingestRequest{Records: records}))
@@ -251,37 +228,42 @@ func TestStreamedEventAnnotations(t *testing.T) {
 	if !ev.Degraded || ev.FallbackEstimator != "snips-stream" {
 		t.Fatalf("sev-stale degradation fields = degraded %v fallback %q", ev.Degraded, ev.FallbackEstimator)
 	}
+	found := false
 	for _, code := range ev.DegradedReasons {
-		if code == resilience.ReasonStaleAggs {
-			return
-		}
+		found = found || code == resilience.ReasonStaleAggs
 	}
-	t.Fatalf("sev-stale reasons %v missing %s", ev.DegradedReasons, resilience.ReasonStaleAggs)
+	if !found {
+		t.Fatalf("sev-stale reasons %v missing %s", ev.DegradedReasons, resilience.ReasonStaleAggs)
+	}
+	// Streamed /diagnose records the regime, as batch /diagnose does.
+	resp = postRawWithID(t, srv, "/diagnose", "sdg", marshal(t, evalRequest{Policy: "constant:c"}))
+	resp.Body.Close()
+	if ev := findEvent(j.Events(), "sdg"); ev == nil || !ev.Streamed || ev.ESSRatio <= 0 || ev.Policy != "constant:c" {
+		t.Fatalf("streamed /diagnose event = %+v, want stream fields, policy and regime", ev)
+	}
 }
 
 // TestTailRetentionE2E proves the tail bias end to end: at sample
 // rate 0 healthy requests are sampled out but error and degraded
 // requests are always retained and queryable through the filters.
 func TestTailRetentionE2E(t *testing.T) {
-	clock := newEventClock()
-	j := withEventJournal(t, wideevent.Options{Capacity: 64, SampleRate: 0, Seed: 1, Now: clock.Now})
-	// All-zero thresholds disable intrinsic degradation so the three
-	// warm-up requests really are healthy (the test trace's natural
-	// zero-support would otherwise trip the default cap).
-	withThresholds(t, resilience.Thresholds{})
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	// Slow-event retention is off, so only errors and degradation keep
+	// an event.
+	s, srv := startTest(t, func(c *config) { c.eventsBuffer, c.eventsSample, c.eventsSlowMs = 64, 0, 0 })
+	j := s.journal
 
-	evalBody := marshal(t, evalRequest{Trace: testTraceJSON(t, false), Policy: "constant:c"})
+	// Under the default thresholds constant:a, the logging policy's
+	// modal decision, is healthy, while constant:c leaves most records
+	// with zero support and degrades.
+	trace := testTraceJSON(t, false)
 	for i := 0; i < 3; i++ {
-		resp := postRawWithID(t, srv, "/evaluate", "healthy", evalBody)
+		resp := postRawWithID(t, srv, "/evaluate", "healthy", marshal(t, evalRequest{Trace: trace, Policy: "constant:a"}))
 		resp.Body.Close()
 	}
 	resp := postRawWithID(t, srv, "/evaluate", "broken", []byte("{"))
 	resp.Body.Close()
-	// An impossible ESS floor makes the next request degraded.
-	degradeThresholds = resilience.Thresholds{ESSRatioFloor: 2}
-	resp = postRawWithID(t, srv, "/evaluate", "degraded", evalBody)
+	resp = postRawWithID(t, srv, "/evaluate", "degraded", marshal(t, evalRequest{Trace: trace, Policy: "constant:c"}))
 	resp.Body.Close()
 
 	st := j.Stats()
@@ -326,10 +308,9 @@ func TestEventAndSLODeterministicAcrossWorkers(t *testing.T) {
 	var wantEvents, wantSLO string
 	for _, workers := range []int{1, 2, 8} {
 		parallel.SetDefaultWorkers(workers)
-		clock := newEventClock()
-		withEventJournal(t, wideevent.Options{Capacity: 64, SampleRate: 1, Seed: 42, Now: clock.Now})
-		withSLOEngine(t, slo.DefaultConfig(), clock.Now)
-		srv := httptest.NewServer(newMux())
+		s := newTestServer(t, func(c *config) { c.eventsBuffer, c.eventsSeed = 64, 42 })
+		withClock(t, s, newEventClock())
+		srv := httptest.NewServer(s.routes())
 
 		for i, id := range []string{"ev-0", "ev-1", "ev-2"} {
 			resp := postRawWithID(t, srv, "/evaluate", id, evalBody)
@@ -368,21 +349,24 @@ func TestEventAndSLODeterministicAcrossWorkers(t *testing.T) {
 // subsequent /evaluate responses degraded with an slo_burn reason,
 // and recovery clears the tag.
 func TestDegradeOnSLOPageEscalation(t *testing.T) {
-	clock := newEventClock()
-	withEventJournal(t, wideevent.Options{Capacity: 64, SampleRate: 1, Seed: 1, Now: clock.Now})
-	eng := withSLOEngine(t, slo.Config{
+	t.Parallel()
+	sloPath := filepath.Join(t.TempDir(), "slo.json")
+	if err := os.WriteFile(sloPath, marshal(t, slo.Config{
 		Objectives:    []slo.Objective{{Name: "avail", Kind: slo.KindAvailability, Target: 0.9}},
 		Windows:       []slo.Window{{Name: "fast", ShortSeconds: 60, LongSeconds: 300, Burn: 5, Severity: "page"}},
 		BucketSeconds: 10,
-	}, clock.Now)
-	oldDegrade := degradeOnSLOPage
-	degradeOnSLOPage = true
-	t.Cleanup(func() { degradeOnSLOPage = oldDegrade })
-	// Disable intrinsic degradation: the burn must be the only reason.
-	withThresholds(t, resilience.Thresholds{})
-
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	}), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, func(c *config) {
+		c.eventsBuffer, c.sloConfig, c.degradeOnSLOPage = 64, sloPath, true
+		// Disable intrinsic degradation: the burn must be the only reason.
+		c.thresholds = resilience.Thresholds{}
+	})
+	clock := newEventClock()
+	withClock(t, s, clock)
+	eng := s.slo
+	srv := serveTest(t, s)
 
 	// Simulate an outage the engine observed: 60 seconds of 500s.
 	for i := 0; i < 60; i++ {
@@ -436,11 +420,10 @@ func TestDegradeOnSLOPageEscalation(t *testing.T) {
 // /healthz body carries the journal counters and SLO grade, and
 // /debug/vars carries the journal stats block.
 func TestHealthzAndVarsCarryJournal(t *testing.T) {
-	clock := newEventClock()
-	withEventJournal(t, wideevent.Options{Capacity: 16, SampleRate: 1, Seed: 1, Now: clock.Now})
-	withSLOEngine(t, slo.DefaultConfig(), clock.Now)
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	s := newTestServer(t, func(c *config) { c.eventsBuffer = 16 })
+	withClock(t, s, newEventClock())
+	srv := serveTest(t, s)
 
 	resp := postRawWithID(t, srv, "/evaluate", "h-1", marshal(t, evalRequest{Trace: testTraceJSON(t, false), Policy: "constant:c"}))
 	resp.Body.Close()

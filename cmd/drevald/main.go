@@ -61,11 +61,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
+	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -76,288 +79,195 @@ import (
 	"drnet/internal/resilience"
 	"drnet/internal/slo"
 	"drnet/internal/traceio"
-	"drnet/internal/walog"
 	"drnet/internal/wideevent"
 )
 
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", 0, "worker-pool width for per-request bootstrap resampling (0 = GOMAXPROCS)")
-	debugAddr := flag.String("debug-addr", "", "optional second listen address for /debug/pprof, /metrics and /debug/vars (empty = disabled)")
-	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
-	reqTimeout := flag.Duration("request-timeout", requestTimeout, "per-request deadline for /evaluate and /diagnose; the bootstrap stops scheduling work once it expires (0 = no deadline)")
-	drain := flag.Duration("drain-timeout", drainTimeout, "how long shutdown waits for in-flight requests to finish (must be > 0)")
-	maxConcurrent := flag.Int("max-concurrent", 64, "maximum /evaluate and /diagnose requests computing at once (must be >= 1)")
-	maxQueue := flag.Int("max-queue", 256, "requests allowed to wait for a compute slot before the server sheds with 429 (0 = no queue)")
-	essFloor := flag.Float64("ess-ratio-floor", degradeThresholds.ESSRatioFloor, "degrade /evaluate responses when ESS/N falls below this (0 = disabled)")
-	weightCeiling := flag.Float64("max-weight-ceiling", degradeThresholds.MaxWeightCeiling, "degrade /evaluate responses when the largest importance weight exceeds this (0 = disabled)")
-	zeroCap := flag.Float64("zero-support-cap", degradeThresholds.ZeroSupportCap, "degrade /evaluate responses when the zero-support record fraction exceeds this (0 = disabled)")
-	fbClip := flag.Float64("fallback-clip", fallbackClip, "importance-weight clip of the degraded-mode fallback estimator (must be > 0)")
-	bWindows := flag.Int("bias-windows", biasWindows, "windows the bias observatory slices each request's trace into (0 = observatory disabled)")
-	bDrift := flag.Float64("bias-drift-threshold", biasDriftThreshold, "CUSUM decision threshold in sigma units for the observatory's drift alarms (must be > 0)")
-	degradeDrift := flag.Bool("degrade-on-drift", degradeOnDrift, "tag /evaluate responses degraded with a trace_drift reason when a drift alarm fires")
-	traceOut := flag.String("trace-out", "", "append every completed span as one JSON line (JSONL) to this file (empty = disabled)")
-	traceBuffer := flag.Int("trace-buffer", traceRecorder.Capacity(), "completed spans kept in memory for /debug/traces (must be >= 1)")
-	walDir := flag.String("wal-dir", "", "directory for the streaming write-ahead log; enables POST /ingest and aggregate-served /evaluate (empty = streaming disabled)")
-	fsync := flag.String("fsync", "always", "WAL durability point: always (ack == durable), interval, or never")
-	fsyncInterval := flag.Duration("fsync-interval", 100*time.Millisecond, "background sync period under -fsync interval (must be > 0)")
-	segmentBytes := flag.Int64("segment-bytes", 64<<20, "WAL segment rotation threshold in bytes")
-	ingestMax := flag.Int64("ingest-max-bytes", ingestMaxBytes, "maximum /ingest body size in bytes (must be >= 1)")
-	ingestConcurrent := flag.Int("ingest-max-concurrent", 16, "maximum /ingest batches applying at once (must be >= 1)")
-	ingestQueue := flag.Int("ingest-max-queue", 64, "ingest batches allowed to wait before 429 (0 = no queue)")
-	maxModelAge := flag.Uint64("max-model-age", 0, "degrade streamed responses whose reward model is more than this many records behind the live epoch (0 = never)")
-	biasRefresh := flag.Int("bias-refresh", 0, "rerun the bias observatory over the streamed view every this many ingested records (0 = disabled)")
-	eventsBuffer := flag.Int("events-buffer", eventJournal.Capacity(), "wide events retained in memory for /debug/events (must be >= 1)")
-	eventsSample := flag.Float64("events-sample", 1, "fraction of healthy wide events retained; error, degraded and slow events are always kept (must be in [0, 1])")
-	eventsSlowMs := flag.Float64("events-slow-ms", 250, "wide events at least this slow are always retained regardless of -events-sample (0 = disabled)")
-	eventsSeed := flag.Uint64("events-seed", 1, "seed of the deterministic healthy-event sampler")
-	eventsOut := flag.String("events-out", "", "append every retained wide event as one JSON line (JSONL) to this file (empty = disabled)")
-	sloConfig := flag.String("slo-config", "", "JSON file declaring the SLO objectives and burn-rate windows (empty = built-in defaults)")
-	degradeSLOPage := flag.Bool("degrade-on-slo-page", degradeOnSLOPage, "tag /evaluate responses degraded with an slo_burn reason while any objective burns at page severity")
-	flag.Parse()
-	if *drain <= 0 {
-		log.Fatalf("drevald: -drain-timeout must be > 0, got %v", *drain)
-	}
-	if *reqTimeout < 0 {
-		log.Fatalf("drevald: -request-timeout must be >= 0, got %v", *reqTimeout)
-	}
-	if *maxConcurrent < 1 {
-		log.Fatalf("drevald: -max-concurrent must be >= 1, got %d", *maxConcurrent)
-	}
-	if *maxQueue < 0 {
-		log.Fatalf("drevald: -max-queue must be >= 0, got %d", *maxQueue)
-	}
-	if *essFloor < 0 || *weightCeiling < 0 || *zeroCap < 0 {
-		log.Fatalf("drevald: degradation thresholds must be >= 0")
-	}
-	if *fbClip <= 0 {
-		log.Fatalf("drevald: -fallback-clip must be > 0, got %g", *fbClip)
-	}
-	requestTimeout = *reqTimeout
-	drainTimeout = *drain
-	evalLimiter = resilience.NewLimiter(*maxConcurrent, *maxQueue)
-	degradeThresholds = resilience.Thresholds{
-		ESSRatioFloor:    *essFloor,
-		MaxWeightCeiling: *weightCeiling,
-		ZeroSupportCap:   *zeroCap,
-	}
-	fallbackClip = *fbClip
-	if *bWindows < 0 {
-		log.Fatalf("drevald: -bias-windows must be >= 0, got %d", *bWindows)
-	}
-	if *bDrift <= 0 {
-		log.Fatalf("drevald: -bias-drift-threshold must be > 0, got %g", *bDrift)
-	}
-	biasWindows = *bWindows
-	biasDriftThreshold = *bDrift
-	degradeOnDrift = *degradeDrift
-	if *eventsBuffer < 1 {
-		log.Fatalf("drevald: -events-buffer must be >= 1, got %d", *eventsBuffer)
-	}
-	if *eventsSample < 0 || *eventsSample > 1 {
-		log.Fatalf("drevald: -events-sample must be in [0, 1], got %g", *eventsSample)
-	}
-	if *eventsSlowMs < 0 {
-		log.Fatalf("drevald: -events-slow-ms must be >= 0, got %g", *eventsSlowMs)
-	}
-	eventJournal = newEventJournal(wideevent.Options{
-		Capacity:   *eventsBuffer,
-		SampleRate: *eventsSample,
-		SlowMs:     *eventsSlowMs,
-		Seed:       *eventsSeed,
-	})
-	if *eventsOut != "" {
-		f, err := os.OpenFile(*eventsOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			log.Fatalf("drevald: -events-out: %v", err)
-		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				srvLog.Error("events-out close failed", "path", *eventsOut, "err", err)
-			}
-		}()
-		eventJournal.SetSink(func(line []byte) { _, _ = f.Write(line) })
-		// LIFO: flush the sink's drainer before the file closes.
-		defer eventJournal.SetSink(nil)
-	}
-	if *sloConfig != "" {
-		doc, err := os.ReadFile(*sloConfig)
-		if err != nil {
-			log.Fatalf("drevald: -slo-config: %v", err)
-		}
-		cfg, err := slo.Parse(doc)
-		if err != nil {
-			log.Fatalf("drevald: -slo-config: %v", err)
-		}
-		eng, err := newSLOEngine(cfg)
-		if err != nil {
-			log.Fatalf("drevald: -slo-config: %v", err)
-		}
-		sloEngine = eng
-	}
-	degradeOnSLOPage = *degradeSLOPage
-	if *traceBuffer < 1 {
-		log.Fatalf("drevald: -trace-buffer must be >= 1, got %d", *traceBuffer)
-	}
-	if *traceBuffer != traceRecorder.Capacity() {
-		traceRecorder = obs.NewTraceRecorder(*traceBuffer)
-		obs.Default.SetTraceRecorder(traceRecorder)
-	}
-	if *traceOut != "" {
-		f, err := os.OpenFile(*traceOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			log.Fatalf("drevald: -trace-out: %v", err)
-		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				srvLog.Error("trace-out close failed", "path", *traceOut, "err", err)
-			}
-		}()
-		traceRecorder.SetSink(func(line []byte) { _, _ = f.Write(line) })
-		// LIFO: flush the sink's drainer before the file closes.
-		defer traceRecorder.SetSink(nil)
-	}
-	parallel.SetDefaultWorkers(*workers)
-	level, err := obs.ParseLevel(*logLevel)
-	if err != nil {
+	if err := run(os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
 		log.Fatalf("drevald: %v", err)
 	}
-	srvLog.SetLevel(level)
+}
 
-	if *walDir != "" {
-		policy, err := walog.ParseFsyncPolicy(*fsync)
-		if err != nil {
-			log.Fatalf("drevald: -fsync: %v", err)
-		}
-		if *ingestMax < 1 {
-			log.Fatalf("drevald: -ingest-max-bytes must be >= 1, got %d", *ingestMax)
-		}
-		if *ingestConcurrent < 1 {
-			log.Fatalf("drevald: -ingest-max-concurrent must be >= 1, got %d", *ingestConcurrent)
-		}
-		if *ingestQueue < 0 {
-			log.Fatalf("drevald: -ingest-max-queue must be >= 0, got %d", *ingestQueue)
-		}
-		if *biasRefresh < 0 {
-			log.Fatalf("drevald: -bias-refresh must be >= 0, got %d", *biasRefresh)
-		}
-		ingestMaxBytes = *ingestMax
-		ingestLimiter = resilience.NewLimiter(*ingestConcurrent, *ingestQueue)
-		eng, err := newStreamEngine(streamConfig{
-			Dir:           *walDir,
-			Fsync:         policy,
-			FsyncInterval: *fsyncInterval,
-			SegmentBytes:  *segmentBytes,
-			MaxModelAge:   *maxModelAge,
-			BiasRefresh:   *biasRefresh,
-		})
-		if err != nil {
-			log.Fatalf("drevald: %v", err)
-		}
-		streamEng = eng
-		defer func() {
-			if err := eng.close(); err != nil {
-				srvLog.Error("wal close failed", "err", err)
-			}
-		}()
-		srvLog.Info("wal opened", "dir", *walDir, "fsync", policy.String(),
+// run is drevald's whole lifecycle: parse the flags, build the server,
+// recover the WAL in the background, and serve until SIGINT or SIGTERM.
+// It returns once in-flight requests have drained and everything the
+// server opened is flushed and closed.
+func run(args []string) error {
+	cfg, err := parseFlags(args)
+	if err != nil {
+		return err
+	}
+	s, err := newServer(cfg, obs.Default)
+	if err != nil {
+		return err
+	}
+	defer s.close()
+	parallel.SetDefaultWorkers(cfg.workers)
+	if eng := s.stream; eng != nil {
+		s.log.Info("wal opened", "dir", cfg.walDir, "fsync", cfg.fsync,
 			"segments", eng.recovery.Segments, "frames", eng.recovery.Frames,
 			"truncatedBytes", eng.recovery.TruncatedBytes, "manifestOK", eng.recovery.ManifestOK)
 		// Replay runs in the background: the server accepts traffic
 		// immediately and streaming endpoints answer 503 until the
 		// recovered state is complete.
 		go func() {
-			defer recoverGoroutine("wal-replay")
+			defer s.recoverGoroutine("wal-replay")
 			eng.replay()
 		}()
 	}
-
-	srv, err := newServer(*addr)
+	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
-		log.Fatalf("drevald: %v", err)
+		return err
 	}
-	if *debugAddr != "" {
-		ln, err := net.Listen("tcp", *debugAddr)
+	if cfg.debugAddr != "" {
+		dln, err := net.Listen("tcp", cfg.debugAddr)
 		if err != nil {
-			log.Fatalf("drevald: debug listener: %v", err)
+			ln.Close()
+			return fmt.Errorf("debug listener: %v", err)
 		}
 		go func() {
-			defer recoverGoroutine("debug-listener")
-			if err := http.Serve(ln, newDebugMux()); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				srvLog.Error("debug listener failed", "err", err)
+			defer s.recoverGoroutine("debug-listener")
+			if err := http.Serve(dln, s.debugRoutes()); err != nil && !errors.Is(err, http.ErrServerClosed) {
+				s.log.Error("debug listener failed", "err", err)
 			}
 		}()
-		srvLog.Info("debug listener up", "addr", ln.Addr().String())
+		s.log.Info("debug listener up", "addr", dln.Addr().String())
 	}
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	srvLog.Info("drevald listening", "addr", srv.addr(), "version", obs.Version(), "workers", parallel.DefaultWorkers())
-	if err := srv.run(stop); err != nil {
-		log.Fatalf("drevald: %v", err)
-	}
+	s.log.Info("drevald listening", "addr", ln.Addr().String(), "version", obs.Version(), "workers", parallel.DefaultWorkers())
+	return s.serve(ln, stop)
 }
 
-// Resilience knobs, all flag-configurable in main. They are package
-// variables so the lifecycle tests can tighten them; production code
-// sets them once before serving and never mutates them mid-flight.
-var (
-	// drainTimeout bounds how long shutdown waits for in-flight
-	// requests (-drain-timeout, surfaced in /healthz).
-	drainTimeout = 10 * time.Second
-	// requestTimeout is the per-request compute deadline for /evaluate
-	// and /diagnose (-request-timeout, 0 disables). When it expires the
-	// bootstrap stops scheduling new resamples and the handler answers
-	// 503 with {"timeout":true}.
-	requestTimeout = 60 * time.Second
-	// evalLimiter admits /evaluate and /diagnose work: up to
-	// -max-concurrent requests compute while -max-queue more wait;
-	// beyond that the server sheds with 429 + Retry-After.
-	evalLimiter = resilience.NewLimiter(64, 256)
-	// degradeThresholds decide when an /evaluate response is tagged
-	// degraded and carries a fallback estimate.
-	degradeThresholds = resilience.DefaultThresholds()
-	// fallbackClip is the weight clip of the degraded-mode fallback
-	// estimator (clipped self-normalized IPS).
-	fallbackClip = 10.0
-	// maxBootstrapResamples caps options.bootstrap so one request
-	// cannot monopolize the pool indefinitely.
-	maxBootstrapResamples = 10000
-)
-
-// server bundles the HTTP server with its listener so tests can bind
-// to :0 and drive the full serve/shutdown lifecycle in-process.
+// server is one drevald: its configuration and everything its handlers
+// share. Two servers on separate registries share nothing but the
+// worker pool.
 type server struct {
-	srv *http.Server
-	ln  net.Listener
+	cfg   config
+	reg   *obs.Registry
+	log   *obs.Logger
+	start time.Time
+	m     metrics
+
+	// evalLimiter admits /evaluate and /diagnose: up to -max-concurrent
+	// compute while -max-queue more wait, and the rest get 429.
+	// ingestLimiter admits /ingest on its own budget, so writers and
+	// evaluators cannot starve each other.
+	evalLimiter, ingestLimiter *resilience.Limiter
+	traces                     *obs.TraceRecorder
+	journal                    *wideevent.Journal
+	slo                        *slo.Engine
+	// stream serves /ingest and empty-trace requests; nil without
+	// -wal-dir.
+	stream *streamEngine
+
+	// pages holds the objectives burning at page severity, so the
+	// -degrade-on-slo-page escalation knows when the last one clears.
+	pageMu sync.Mutex
+	pages  map[string]resilience.Reason // guarded by pageMu
+
+	lastBias  atomic.Pointer[biasState]
+	lastTrace atomic.Pointer[traceSummary]
+
+	closers []func() // run by close, last first
 }
 
-func newServer(addr string) (*server, error) {
-	ln, err := net.Listen("tcp", addr)
+// newServer builds a server from cfg, creating every metric on reg:
+// obs.Default in production, where internal/parallel registers the
+// pool series, and a fresh registry per test. It opens the JSONL sinks
+// and the WAL but does not replay it: with -wal-dir set, the caller
+// runs stream.replay, and streaming requests get 503 until it returns.
+func newServer(cfg config, reg *obs.Registry) (*server, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	level, err := obs.ParseLevel(cfg.logLevel)
 	if err != nil {
 		return nil, err
 	}
-	return &server{
-		srv: &http.Server{
-			Handler:           newMux(),
-			ReadHeaderTimeout: 5 * time.Second,
-			ReadTimeout:       30 * time.Second,
-			WriteTimeout:      60 * time.Second,
-			IdleTimeout:       2 * time.Minute,
-		},
-		ln: ln,
-	}, nil
+	s := &server{
+		cfg:           cfg,
+		reg:           reg,
+		log:           obs.NewLogger(os.Stderr, level),
+		start:         time.Now(),
+		m:             newMetrics(reg),
+		evalLimiter:   resilience.NewLimiter(cfg.maxConcurrent, cfg.maxQueue),
+		ingestLimiter: resilience.NewLimiter(cfg.ingestMaxConcurrent, cfg.ingestMaxQueue),
+		traces:        obs.NewTraceRecorder(cfg.traceBuffer),
+		pages:         map[string]resilience.Reason{},
+	}
+	reg.SetTraceRecorder(s.traces)
+	obs.RegisterRuntimeMetrics(reg)
+	// The JSONL-export loss counter reads the registry's recorder.
+	obs.RegisterTraceSinkMetrics(reg)
+	if err := s.initEvents(nil); err != nil {
+		return nil, err
+	}
+	s.registerEventMetrics()
+	err = s.openSink("events-out", cfg.eventsOut, s.journal.SetSink)
+	if err == nil {
+		err = s.openSink("trace-out", cfg.traceOut, s.traces.SetSink)
+	}
+	if err == nil && cfg.walDir != "" {
+		s.stream, err = newStreamEngine(s)
+	}
+	if err != nil {
+		s.close()
+		return nil, err
+	}
+	return s, nil
 }
 
-func (s *server) addr() string { return s.ln.Addr().String() }
+// openSink appends every line set's producer emits to path (no-op for
+// an empty path). close flushes the producer's queue, then closes the
+// file.
+func (s *server) openSink(name, path string, set func(func([]byte))) error {
+	if path == "" {
+		return nil
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("-%s: %v", name, err)
+	}
+	set(func(line []byte) { _, _ = f.Write(line) })
+	s.closers = append(s.closers, func() {
+		set(nil)
+		if err := f.Close(); err != nil {
+			s.log.Error(name+" close failed", "path", path, "err", err)
+		}
+	})
+	return nil
+}
 
-// run serves until stop delivers a signal (SIGINT or SIGTERM in
-// production), then shuts down gracefully: the listener closes
-// immediately and in-flight requests get up to drainTimeout to finish.
-func (s *server) run(stop <-chan os.Signal) error {
+// close flushes and closes what newServer opened: the JSONL sinks,
+// then the WAL. Calling it again does nothing.
+func (s *server) close() {
+	for i := len(s.closers) - 1; i >= 0; i-- {
+		s.closers[i]()
+	}
+	s.closers = nil
+	if s.stream != nil {
+		if err := s.stream.wal.Close(); err != nil {
+			s.log.Error("wal close failed", "err", err)
+		}
+	}
+}
+
+// serve answers on ln until stop delivers a signal, then shuts down
+// gracefully: the listener closes immediately and in-flight requests
+// get up to -drain-timeout to finish.
+func (s *server) serve(ln net.Listener, stop <-chan os.Signal) error {
+	srv := &http.Server{
+		Handler:           s.routes(),
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		WriteTimeout:      60 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	serveErr := make(chan error, 1)
 	go func() {
-		defer recoverGoroutine("serve")
-		if err := s.srv.Serve(s.ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+		defer s.recoverGoroutine("serve")
+		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			serveErr <- err
 		}
 	}()
@@ -369,26 +279,25 @@ func (s *server) run(stop <-chan os.Signal) error {
 	// The drain deadline is anchored to process shutdown, not to any
 	// request, so Background is the right parent here.
 	//lint:allow ctxdiscipline shutdown drain has no request context to inherit
-	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.drainTimeout)
 	defer cancel()
-	return s.srv.Shutdown(ctx)
+	return srv.Shutdown(ctx)
 }
 
-// newMux wires the service handlers — each behind the instrument
-// middleware (request IDs, per-route metrics, access logs) — plus the
-// observability endpoints; separated from main for testing.
-func newMux() *http.ServeMux {
+// routes wires the service handlers, each behind the instrument
+// middleware (request IDs, per-route metrics, access logs).
+func (s *server) routes() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.Handle("GET /healthz", instrument("/healthz", handleHealthz))
-	mux.Handle("POST /diagnose", instrument("/diagnose", limited("/diagnose", handleDiagnose)))
-	mux.Handle("POST /evaluate", instrument("/evaluate", limited("/evaluate", handleEvaluate)))
-	mux.Handle("POST /ingest", instrument("/ingest", limitedBy(ingestLimiterFn, "/ingest", handleIngest)))
-	mux.Handle("GET /metrics", instrument("/metrics", handleMetrics))
-	mux.Handle("GET /debug/vars", instrument("/debug/vars", handleVars))
-	mux.Handle("GET /debug/traces", instrument("/debug/traces", handleTraces))
-	mux.Handle("GET /debug/bias", instrument("/debug/bias", handleBias))
-	mux.Handle("GET /debug/events", instrument("/debug/events", handleEvents))
-	mux.Handle("GET /debug/slo", instrument("/debug/slo", handleSLO))
+	mux.Handle("GET /healthz", s.instrument("/healthz", s.handleHealthz))
+	mux.Handle("POST /diagnose", s.instrument("/diagnose", s.limited("/diagnose", s.evalLimiter, s.handleDiagnose)))
+	mux.Handle("POST /evaluate", s.instrument("/evaluate", s.limited("/evaluate", s.evalLimiter, s.handleEvaluate)))
+	mux.Handle("POST /ingest", s.instrument("/ingest", s.limited("/ingest", s.ingestLimiter, s.handleIngest)))
+	mux.Handle("GET /metrics", s.instrument("/metrics", s.reg.MetricsHandler().ServeHTTP))
+	mux.Handle("GET /debug/vars", s.instrument("/debug/vars", s.handleVars))
+	mux.Handle("GET /debug/traces", s.instrument("/debug/traces", s.traces.Handler().ServeHTTP))
+	mux.Handle("GET /debug/bias", s.instrument("/debug/bias", s.handleBias))
+	mux.Handle("GET /debug/events", s.instrument("/debug/events", s.journal.Handler().ServeHTTP))
+	mux.Handle("GET /debug/slo", s.instrument("/debug/slo", s.slo.Handler().ServeHTTP))
 	return mux
 }
 
@@ -419,15 +328,15 @@ type healthJSON struct {
 	SLO string `json:"slo,omitempty"`
 }
 
-func handleHealthz(w http.ResponseWriter, _ *http.Request) {
+func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	h := healthJSON{
 		Status:                "ok",
-		UptimeSeconds:         time.Since(serverStart).Seconds(),
+		UptimeSeconds:         time.Since(s.start).Seconds(),
 		Version:               obs.Version(),
-		DrainTimeoutSeconds:   drainTimeout.Seconds(),
-		RequestTimeoutSeconds: requestTimeout.Seconds(),
+		DrainTimeoutSeconds:   s.cfg.drainTimeout.Seconds(),
+		RequestTimeoutSeconds: s.cfg.requestTimeout.Seconds(),
 	}
-	if ts := lastTraceSummary.Load(); ts != nil {
+	if ts := s.lastTrace.Load(); ts != nil {
 		h.LastTrace = &lastTraceJSON{
 			Records:          ts.records,
 			UniqueContexts:   ts.contexts,
@@ -436,15 +345,15 @@ func handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			AgeSeconds:       time.Since(ts.when).Seconds(),
 		}
 	}
-	if st := lastBias.Load(); st != nil {
+	if st := s.lastBias.Load(); st != nil {
 		h.BiasGrade = st.report.Grade
 	}
-	if eng := streamEng; eng != nil {
-		h.WAL = eng.status()
+	if s.stream != nil {
+		h.WAL = s.stream.status()
 	}
-	st := eventJournal.Stats()
+	st := s.journal.Stats()
 	h.Events = &st
-	h.SLO = sloEngine.Eval().State
+	h.SLO = s.slo.Eval().State
 	writeJSON(w, h)
 }
 
@@ -529,10 +438,6 @@ type fallbackJSON struct {
 	Estimate  estimateJSON `json:"estimate"`
 }
 
-// maxBodyBytes bounds request bodies (64 MiB). A variable so tests can
-// lower it to exercise the 413 path without a 64 MiB payload.
-var maxBodyBytes int64 = 64 << 20
-
 // parseEvalRequest decodes and validates an /evaluate or /diagnose
 // body into the request, its trace's view and the policy derived from
 // that view. It is independent of net/http so the fuzz harness can
@@ -576,12 +481,27 @@ func decodeEvalFast(body []byte) (*evalRequest, *core.TraceView[traceio.FlatCont
 // engine) before batch validation rejects the empty trace.
 func decodeEvalBody(body []byte) (*evalRequest, error) {
 	var req evalRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeStrict(bytes.NewReader(body), &req); err != nil {
 		return nil, fmt.Errorf("invalid request body: %w", err)
 	}
 	return &req, nil
+}
+
+// decodeStrict decodes exactly one JSON value from r into v: unknown
+// fields are errors, and so is anything but whitespace after the value.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		if err == nil {
+			err = errors.New("unexpected data after the JSON value")
+		}
+		return err
+	}
+	return nil
 }
 
 // buildEvalView is the reference path's validation half: it turns a
@@ -626,20 +546,27 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, erro
 	return buf.Bytes(), err
 }
 
-// decodeRequest decodes an /evaluate or /diagnose body. When the trace
-// is empty and streaming is active it dispatches to streamed (the
-// aggregate-serving handler) and reports handled=true; otherwise it
-// validates the batch inputs, writing the error response itself on
-// failure (400, or 413 for an oversized body).
-func decodeRequest(w http.ResponseWriter, r *http.Request, streamed func(http.ResponseWriter, *http.Request, *evalRequest)) (*evalRequest, *core.TraceView[traceio.FlatContext, string], core.Policy[traceio.FlatContext, string], bool) {
-	body, err := readBody(w, r, maxBodyBytes)
+// bodyError answers a request body that could not be read or decoded:
+// 413 when it exceeds the route's limit, 400 otherwise.
+func bodyError(w http.ResponseWriter, err error) {
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, code, "invalid request body: "+err.Error())
+}
+
+// decodeRequest decodes an /evaluate or /diagnose body. An empty trace
+// with streaming enabled goes to streamed (the aggregate-serving
+// handler) once the engine is serving; otherwise it validates the batch
+// inputs. It reports false whenever it has written the response itself:
+// 400, 413 for an oversized body, 503 while the engine cannot serve, or
+// streamed's answer.
+func (s *server) decodeRequest(w http.ResponseWriter, r *http.Request, streamed func(http.ResponseWriter, *http.Request, *evalRequest)) (*evalRequest, *core.TraceView[traceio.FlatContext, string], core.Policy[traceio.FlatContext, string], bool) {
+	body, err := readBody(w, r, s.cfg.maxBodyBytes)
 	if err != nil {
-		code := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		httpError(w, code, "invalid request body: "+err.Error())
+		bodyError(w, err)
 		return nil, nil, nil, false
 	}
 	start := time.Now()
@@ -649,8 +576,10 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, streamed func(http.Re
 			httpError(w, http.StatusBadRequest, err.Error())
 			return nil, nil, nil, false
 		}
-		if len(req.Trace) == 0 && streamEng != nil {
-			streamed(w, r, req)
+		if len(req.Trace) == 0 && s.stream != nil {
+			if s.stream.serving(w) {
+				streamed(w, r, req)
+			}
 			return nil, nil, nil, false
 		}
 	}
@@ -669,7 +598,8 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, streamed func(http.Re
 		httpError(w, http.StatusBadRequest, err.Error())
 		return nil, nil, nil, false
 	}
-	recordTraceSummary(view, time.Since(start))
+	s.recordTraceSummary(view, time.Since(start))
+	wideevent.FromContext(r.Context()).SetPolicy(req.Policy)
 	return req, view, policy, true
 }
 
@@ -677,11 +607,11 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, streamed func(http.Re
 // the request's own context (cancelled when the client disconnects)
 // bounded by -request-timeout. Estimators and the bootstrap stop
 // scheduling work within one chunk boundary once it ends.
-func requestCtx(r *http.Request) (context.Context, context.CancelFunc) {
-	if requestTimeout <= 0 {
+func (s *server) requestCtx(r *http.Request) (context.Context, context.CancelFunc) {
+	if s.cfg.requestTimeout <= 0 {
 		return context.WithCancel(r.Context())
 	}
-	return context.WithTimeout(r.Context(), requestTimeout)
+	return context.WithTimeout(r.Context(), s.cfg.requestTimeout)
 }
 
 // writeEvalError renders a compute-path failure. Context expiry becomes
@@ -689,16 +619,16 @@ func requestCtx(r *http.Request) (context.Context, context.CancelFunc) {
 // {"canceled":true} for client abandonment) so callers and the CI smoke
 // test can distinguish overload from bad input; everything else is the
 // usual 422.
-func writeEvalError(w http.ResponseWriter, err error) {
+func (s *server) writeEvalError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
-		timeoutsTotal.Inc()
+		s.m.timeouts.Inc()
 		writeJSONStatus(w, http.StatusServiceUnavailable, evalErrorJSON{
 			Error:   "request deadline exceeded before evaluation finished",
 			Timeout: true,
 		})
 	case errors.Is(err, context.Canceled):
-		canceledTotal.Inc()
+		s.m.canceled.Inc()
 		writeJSONStatus(w, http.StatusServiceUnavailable, evalErrorJSON{
 			Error:    "request canceled before evaluation finished",
 			Canceled: true,
@@ -736,12 +666,12 @@ func timed[T any](ctx context.Context, parent *obs.Span, name string, fn func() 
 }
 
 // recoverGoroutine is the deferred first statement of every background
-// goroutine this command starts: a panic escaping a goroutine kills the
+// goroutine the server starts: a panic escaping a goroutine kills the
 // whole process, so record it in the panic counter and the log instead.
-func recoverGoroutine(name string) {
+func (s *server) recoverGoroutine(name string) {
 	if v := recover(); v != nil {
-		panicsTotal.Inc()
-		srvLog.Error("goroutine panicked", "goroutine", name, "panic", fmt.Sprint(v))
+		s.m.panics.Inc()
+		s.log.Error("goroutine panicked", "goroutine", name, "panic", fmt.Sprint(v))
 	}
 }
 
@@ -754,71 +684,64 @@ type diagnoseResponse struct {
 	Stream *streamMetaJSON `json:"stream,omitempty"`
 }
 
-func handleDiagnose(w http.ResponseWriter, r *http.Request) {
-	req, view, policy, ok := decodeRequest(w, r, handleStreamDiagnose)
+func (s *server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
+	_, view, policy, ok := s.decodeRequest(w, r, s.handleStreamDiagnose)
 	if !ok {
 		return
 	}
-	ctx, cancel := requestCtx(r)
+	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	root := obs.SpanFromContext(r.Context())
-	diag, err := timed(ctx, root, "diagnose", func() (core.Diagnostics, error) {
-		return core.DiagnoseViewCtx(ctx, view, policy)
-	})
+	diag, health, err := s.diagnose(ctx, r, view, policy)
 	if err != nil {
-		writeEvalError(w, err)
+		s.writeEvalError(w, err)
 		return
 	}
-	health, err := observeBias(ctx, root, requestID(r), view, policy)
-	if err != nil {
-		writeEvalError(w, err)
-		return
-	}
-	evb := wideevent.FromContext(r.Context())
-	evb.SetPolicy(req.Policy)
-	evb.SetRegime(diag.ESS/float64(diag.N), diag.MaxWeight, diag.ZeroSupport)
-	if health != nil {
-		evb.SetBiasGrade(health.Grade)
-	}
-	writeJSON(w, diagnoseResponse{diagnosticsJSON: diagJSON(diag), TraceHealth: health})
+	writeDiagnose(w, r, diagnoseResponse{diagnosticsJSON: diagJSON(diag), TraceHealth: health})
 }
 
-func handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	req, view, policy, ok := decodeRequest(w, r, handleStreamEvaluate)
-	if !ok {
-		return
-	}
-	ctx, cancel := requestCtx(r)
-	defer cancel()
+// writeDiagnose ends batch and streamed /diagnose: it stamps the
+// overlap regime onto the request's wide event and writes the body.
+func writeDiagnose(w http.ResponseWriter, r *http.Request, resp diagnoseResponse) {
+	setRegime(r, resp.diagnosticsJSON)
+	writeJSON(w, resp)
+}
+
+// setRegime stamps a request's overlap diagnostics onto its wide event.
+func setRegime(r *http.Request, d diagnosticsJSON) {
+	wideevent.FromContext(r.Context()).SetRegime(d.ESS/float64(d.N), d.MaxWeight, d.ZeroSupport)
+}
+
+// diagnose runs the overlap diagnostics and the bias observatory over a
+// batch request's view, each as its own phase.
+func (s *server) diagnose(ctx context.Context, r *http.Request, view *core.TraceView[traceio.FlatContext, string], policy core.Policy[traceio.FlatContext, string]) (core.Diagnostics, *biasobs.HealthSummary, error) {
 	root := obs.SpanFromContext(r.Context())
-	evb := wideevent.FromContext(r.Context())
-	evb.SetPolicy(req.Policy)
-	// Columnar hot path: every phase below (diagnostics, model fit,
-	// estimators, bootstrap) reads the view the request decoded into.
 	diag, err := timed(ctx, root, "diagnose", func() (core.Diagnostics, error) {
 		return core.DiagnoseViewCtx(ctx, view, policy)
 	})
 	if err != nil {
-		writeEvalError(w, err)
+		return diag, nil, err
+	}
+	health, err := s.observeBias(ctx, root, requestID(r), view, policy)
+	return diag, health, err
+}
+
+func (s *server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
+	req, view, policy, ok := s.decodeRequest(w, r, s.handleStreamEvaluate)
+	if !ok {
 		return
 	}
-	health, err := observeBias(ctx, root, requestID(r), view, policy)
+	ctx, cancel := s.requestCtx(r)
+	defer cancel()
+	root := obs.SpanFromContext(r.Context())
+	// Columnar hot path: every phase below (diagnostics, model fit,
+	// estimators, bootstrap) reads the view the request decoded into.
+	diag, health, err := s.diagnose(ctx, r, view, policy)
 	if err != nil {
-		writeEvalError(w, err)
+		s.writeEvalError(w, err)
 		return
 	}
-	// Export the request's overlap regime — the continuously watched
-	// version of the diagnostics this response returns once — and stamp
-	// the same numbers onto the request's wide event.
-	evalESSRatio.Observe(diag.ESS / float64(diag.N))
-	evalMaxWeight.Observe(diag.MaxWeight)
-	evalZeroSupport.Observe(float64(diag.ZeroSupport))
-	evb.SetRegime(diag.ESS/float64(diag.N), diag.MaxWeight, diag.ZeroSupport)
-	if health != nil {
-		evb.SetBiasGrade(health.Grade)
-	}
-	if srvLog.Enabled(obs.LevelDebug) {
-		srvLog.Debug("evaluate diagnostics", "id", requestID(r),
+	if s.log.Enabled(obs.LevelDebug) {
+		s.log.Debug("evaluate diagnostics", "id", requestID(r),
 			"n", diag.N, "essRatio", diag.ESS/float64(diag.N),
 			"maxWeight", diag.MaxWeight, "zeroSupport", diag.ZeroSupport)
 	}
@@ -826,68 +749,31 @@ func handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		return core.FitTableViewCtx(ctx, view)
 	})
 	if err != nil {
-		writeEvalError(w, err)
+		s.writeEvalError(w, err)
 		return
 	}
 	dm, err := timed(ctx, root, "direct_method", func() (core.Estimate, error) {
 		return core.DirectMethodViewCtx(ctx, view, policy, model)
 	})
 	if err != nil {
-		writeEvalError(w, err)
+		s.writeEvalError(w, err)
 		return
 	}
 	ips, err := timed(ctx, root, "ips", func() (core.Estimate, error) {
 		return core.IPSViewCtx(ctx, view, policy, core.IPSOptions{Clip: req.Options.Clip, SelfNormalize: req.Options.SelfNormalize})
 	})
 	if err != nil {
-		writeEvalError(w, err)
+		s.writeEvalError(w, err)
 		return
 	}
 	dr, err := timed(ctx, root, "doubly_robust", func() (core.Estimate, error) {
 		return core.DoublyRobustViewCtx(ctx, view, policy, model, core.DROptions{Clip: req.Options.Clip, SelfNormalize: req.Options.SelfNormalize})
 	})
 	if err != nil {
-		writeEvalError(w, err)
+		s.writeEvalError(w, err)
 		return
 	}
 	resp := evalResponse{DM: toJSON(dm), IPS: toJSON(ips), DR: toJSON(dr), Diagnostics: diagJSON(diag), TraceHealth: health}
-	// Graceful degradation: when the overlap diagnostics cross a
-	// configured threshold the response still carries every requested
-	// estimate, but is tagged degraded with machine-readable reasons
-	// and a variance-robust fallback — never a bare error.
-	reasons := degradeThresholds.Check(diag.N, diag.ESS, diag.MaxWeight, diag.ZeroSupport)
-	// Optional drift escalation: a fired windowed-drift alarm means the
-	// trace mixes regimes, so whole-trace estimates are suspect even
-	// when every overlap diagnostic looks fine.
-	if degradeOnDrift && health != nil && health.Alarms > 0 {
-		reasons = append(reasons, resilience.DriftReason(health.Alarms, biasDriftThreshold))
-	}
-	// Optional SLO escalation (-degrade-on-slo-page): a page-severity
-	// budget burn tags every response until it clears.
-	reasons = append(reasons, sloDegradeReasons()...)
-	if len(reasons) > 0 {
-		// The degraded path is an error from the observability side even
-		// though the response is a 200: mark the request's root span so
-		// obs_span_errors_total{span="http/evaluate"} and the timeline
-		// surface it.
-		root.Attr("degraded", "true")
-		root.SetError("degraded: overlap diagnostics crossed thresholds")
-		fb, err := timed(ctx, root, "fallback", func() (core.Estimate, error) {
-			return core.IPSViewCtx(ctx, view, policy, core.IPSOptions{Clip: fallbackClip, SelfNormalize: true})
-		})
-		if err != nil {
-			writeEvalError(w, err)
-			return
-		}
-		resp.Degraded = true
-		resp.DegradedReasons = reasons
-		resp.FallbackEstimator = "snips-clip"
-		resp.Fallback = &fallbackJSON{Estimator: resp.FallbackEstimator, Estimate: toJSON(fb)}
-		evb.SetDegraded(reasonCodes(reasons))
-		evb.SetFallback(resp.FallbackEstimator)
-		degradedTotal.Inc()
-		srvLog.Warn("degraded response", "id", requestID(r), "reasons", len(reasons))
-	}
 	if b := req.Options.Bootstrap; b > 0 {
 		seed := req.Options.Seed
 		if seed == 0 {
@@ -895,6 +781,7 @@ func handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		}
 		// Sharded bootstrap: resamples run on the worker pool, one PCG
 		// stream per resample, so the interval depends only on the seed.
+		evb := wideevent.FromContext(r.Context())
 		ci, stats, err := func() (core.Interval, core.BootstrapStats, error) {
 			defer evb.Phase("drevald_bootstrap")()
 			sp := root.StartChild("drevald_bootstrap").
@@ -902,8 +789,6 @@ func handleEvaluate(w http.ResponseWriter, r *http.Request) {
 			defer sp.End()
 			// Refit-DR bootstrap by index over the view: running
 			// sufficient statistics per resample, no record copies.
-			// Bit-identical to the former FitTable + DoublyRobust
-			// closure (the per-(context, decision) key was injective).
 			ci, stats, err := core.BootstrapDRViewSeededStatsCtx(ctx, view, policy,
 				core.DROptions{Clip: req.Options.Clip, SelfNormalize: req.Options.SelfNormalize}, seed, b, 0.95)
 			if err != nil {
@@ -911,15 +796,81 @@ func handleEvaluate(w http.ResponseWriter, r *http.Request) {
 			}
 			return ci, stats, err
 		}()
-		bootResamples.Add(uint64(stats.Resamples))
-		bootSkipped.Add(uint64(stats.Skipped))
+		s.m.bootResamples.Add(uint64(stats.Resamples))
+		s.m.bootSkipped.Add(uint64(stats.Skipped))
 		evb.SetBootstrap(stats.Resamples, stats.Skipped)
 		if err != nil {
-			writeEvalError(w, err)
+			s.writeEvalError(w, err)
 			return
 		}
 		resp.DRInterval = &intervalJSON{Lo: ci.Lo, Hi: ci.Hi, Level: ci.Level}
 		resp.BootstrapSkipped = &stats.Skipped
+	}
+	s.finishEvaluate(w, r, resp, fallback{"snips-clip", func() (core.Estimate, error) {
+		return timed(ctx, root, "fallback", func() (core.Estimate, error) {
+			return core.IPSViewCtx(ctx, view, policy, core.IPSOptions{Clip: s.cfg.fallbackClip, SelfNormalize: true})
+		})
+	}})
+}
+
+// fallback is the variance-robust estimate a degraded /evaluate
+// response carries beside the requested ones.
+type fallback struct {
+	estimator string // "snips-clip" batch, "snips-stream" streamed
+	estimate  func() (core.Estimate, error)
+}
+
+// finishEvaluate is the step batch and streamed /evaluate both end in.
+// It records the request's overlap regime (histograms and wide event)
+// and gathers every reason not to trust its estimates: the degradation
+// thresholds, a fired drift alarm under -degrade-on-drift (batch), a
+// reward model older than -max-model-age (stream) and SLO pages under
+// -degrade-on-slo-page. With any reason, the response is still a 200
+// with every requested estimate, but tagged degraded, with the reasons
+// and fb attached — never a bare error.
+func (s *server) finishEvaluate(w http.ResponseWriter, r *http.Request, resp evalResponse, fb fallback) {
+	d := resp.Diagnostics
+	s.m.essRatio.Observe(d.ESS / float64(d.N))
+	s.m.maxWeight.Observe(d.MaxWeight)
+	s.m.zeroSupport.Observe(float64(d.ZeroSupport))
+	setRegime(r, d)
+	reasons := s.cfg.thresholds.Check(d.N, d.ESS, d.MaxWeight, d.ZeroSupport)
+	// A fired windowed-drift alarm means the trace mixes regimes, so
+	// whole-trace estimates are suspect even when every overlap
+	// diagnostic looks fine.
+	if h := resp.TraceHealth; h != nil && s.cfg.degradeOnDrift && h.Alarms > 0 {
+		reasons = append(reasons, resilience.DriftReason(h.Alarms, s.cfg.biasDriftThreshold))
+	}
+	if st := resp.Stream; st != nil && s.cfg.maxModelAge > 0 && uint64(st.StalenessRecords) > s.cfg.maxModelAge {
+		reasons = append(reasons, resilience.StaleAggregatesReason(uint64(st.StalenessRecords), s.cfg.maxModelAge))
+	}
+	reasons = append(reasons, s.sloDegradeReasons()...)
+	if len(reasons) > 0 {
+		// The degraded path is an error from the observability side even
+		// though the response is a 200: mark the request's root span so
+		// obs_span_errors_total{span="http/evaluate"} and the timeline
+		// surface it.
+		what, msg := "overlap", "degraded response"
+		if resp.Stream != nil {
+			what, msg = "stream", "degraded stream response"
+		}
+		root := obs.SpanFromContext(r.Context())
+		root.Attr("degraded", "true")
+		root.SetError("degraded: " + what + " diagnostics crossed thresholds")
+		est, err := fb.estimate()
+		if err != nil {
+			s.writeEvalError(w, err)
+			return
+		}
+		resp.Degraded = true
+		resp.DegradedReasons = reasons
+		resp.FallbackEstimator = fb.estimator
+		resp.Fallback = &fallbackJSON{Estimator: fb.estimator, Estimate: toJSON(est)}
+		evb := wideevent.FromContext(r.Context())
+		evb.SetDegraded(reasonCodes(reasons))
+		evb.SetFallback(fb.estimator)
+		s.m.degraded.Inc()
+		s.log.Warn(msg, "id", requestID(r), "reasons", len(reasons))
 	}
 	writeJSON(w, resp)
 }
@@ -931,12 +882,7 @@ func diagJSON(d core.Diagnostics) diagnosticsJSON {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("drevald: encoding response: %v", err)
-	}
-}
+func writeJSON(w http.ResponseWriter, v any) { writeJSONStatus(w, http.StatusOK, v) }
 
 // writeJSONStatus is writeJSON with an explicit status code.
 func writeJSONStatus(w http.ResponseWriter, code int, v any) {
@@ -948,7 +894,5 @@ func writeJSONStatus(w http.ResponseWriter, code int, v any) {
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
+	writeJSONStatus(w, code, map[string]string{"error": msg})
 }

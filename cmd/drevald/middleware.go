@@ -6,91 +6,86 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"os"
 	"runtime"
 	"time"
 
 	"drnet/internal/obs"
+	"drnet/internal/parallel"
 	"drnet/internal/resilience"
 	"drnet/internal/wideevent"
 )
 
-// srvLog is the service's structured logger. Access logs and handler
-// events go through it; tests swap the sink via SetOutput.
-var srvLog = obs.NewLogger(os.Stderr, obs.LevelInfo)
-
-// serverStart anchors the uptime reported by /healthz and /debug/vars.
-var serverStart = time.Now()
-
-// Request metrics, one series per route (pre-created at mux wiring so
-// every series is visible on /metrics from the first scrape).
-var httpRequestBuckets = obs.TimeBuckets
-
-// Estimator-regime metrics exported per /evaluate request: the paper's
-// §4.1 overlap diagnostics as live histograms, so an operator can see
-// a fleet drifting into an untrustworthy regime (ESS/N collapsing,
-// weight tails growing, zero-support counts rising) without inspecting
-// individual responses.
-var (
-	evalESSRatio = obs.Default.Histogram("drevald_eval_ess_ratio",
-		obs.ExpBuckets(1.0/1024, 2, 11)) // 1/1024 … 1
-	evalMaxWeight = obs.Default.Histogram("drevald_eval_max_weight",
-		obs.ExpBuckets(0.5, 2, 14)) // 0.5 … 4096
-	evalZeroSupport = obs.Default.Histogram("drevald_eval_zero_support",
-		obs.ExpBuckets(1, 4, 10)) // 1 … 262144
-	bootResamples = obs.Default.Counter("drevald_bootstrap_resamples_total")
-	bootSkipped   = obs.Default.Counter("drevald_bootstrap_skipped_total")
-)
-
-// Resilience metrics: how often the service degrades, sheds, times out
-// or recovers a panic — the operator's view of every non-happy path.
-var (
-	panicsTotal   = obs.Default.Counter("drevald_panics_total")
-	degradedTotal = obs.Default.Counter("drevald_degraded_total")
-	timeoutsTotal = obs.Default.Counter("drevald_request_timeouts_total")
-	canceledTotal = obs.Default.Counter("drevald_request_canceled_total")
-)
-
-// traceRecorder buffers the most recent completed spans for
-// /debug/traces and the optional -trace-out JSONL export. 512 spans ≈
-// a few hundred requests of history at a handful of spans each; memory
-// is bounded by construction (the ring overwrites). -trace-buffer
-// resizes it at startup.
-var traceRecorder = obs.NewTraceRecorder(512)
-
-// tracedRoutes marks the routes that get a root span per request. Only
-// the compute routes are traced: scrapes of /metrics, /healthz and
-// /debug/vars would otherwise flood the ring with sub-millisecond
-// timelines and evict the requests worth debugging.
-var tracedRoutes = map[string]bool{
-	"/evaluate": true,
-	"/diagnose": true,
-	"/ingest":   true,
+// metrics holds every handle the server updates outside the per-route
+// families, which instrument and limited create as routes are wired.
+type metrics struct {
+	// Estimator-regime metrics exported per /evaluate request: the
+	// paper's §4.1 overlap diagnostics as live histograms, so an
+	// operator can see a fleet drifting into an untrustworthy regime
+	// (ESS/N collapsing, weight tails growing, zero-support counts
+	// rising) without inspecting individual responses.
+	essRatio, maxWeight, zeroSupport *obs.Histogram
+	bootResamples, bootSkipped       *obs.Counter
+	// Resilience metrics: how often the service degrades, sheds, times
+	// out or recovers a panic — the operator's view of every non-happy
+	// path.
+	panics, degraded, timeouts, canceled *obs.Counter
+	sloTransitions                       *obs.Counter
+	// Streaming metrics: ingest volume, durability failures, replay
+	// progress and the live epoch, so the WAL's health is scrapeable.
+	ingestRecords, ingestBatches, walAppendErrors, replayRecords *obs.Counter
+	streamEpoch, streamPolicies, walBytes, walSegments           *obs.Gauge
+	bias                                                         biasMetrics
 }
 
-func init() {
-	obs.Default.SetTraceRecorder(traceRecorder)
-	obs.RegisterRuntimeMetrics(obs.Default)
-	// JSONL-export loss counter: the sampler reads the registry's
-	// current recorder, so the -trace-buffer replacement at startup is
-	// covered.
-	obs.RegisterTraceSinkMetrics(obs.Default)
-	obs.Default.Help("obs_span_seconds", "Span durations by span name; bucket exemplars carry the trace ID.")
-	obs.Default.Help("obs_span_errors_total", "Spans ended in error state, by span name.")
-	obs.Default.Help("drevald_http_requests_total", "HTTP requests served, by route and status class.")
-	obs.Default.Help("drevald_http_request_seconds", "HTTP request latency, by route.")
-	obs.Default.Help("drevald_http_in_flight", "Requests currently being served, by route.")
-	obs.Default.Help("drevald_eval_ess_ratio", "ESS/N of the importance weights per /evaluate request.")
-	obs.Default.Help("drevald_eval_max_weight", "Largest importance weight per /evaluate request.")
-	obs.Default.Help("drevald_eval_zero_support", "Zero-support record count per /evaluate request.")
-	obs.Default.Help("drevald_bootstrap_resamples_total", "Bootstrap resamples attempted by /evaluate.")
-	obs.Default.Help("drevald_bootstrap_skipped_total", "Bootstrap resamples skipped because the estimator failed.")
-	obs.Default.Help("drevald_panics_total", "Handler panics recovered and converted into 500s.")
-	obs.Default.Help("drevald_degraded_total", "Responses tagged degraded because overlap diagnostics crossed a threshold.")
-	obs.Default.Help("drevald_request_timeouts_total", "Requests answered 503 because -request-timeout expired mid-computation.")
-	obs.Default.Help("drevald_request_canceled_total", "Requests answered 503 because the client went away mid-computation.")
-	obs.Default.Help("drevald_load_shed_total", "Requests shed with 429 because the admission queue was full, by route.")
-	obs.Default.Help("drevald_queue_wait_seconds", "Time admitted requests spent waiting for a compute slot, by route.")
+// newMetrics creates the server's metrics on reg, with the help text of
+// every drevald and span family.
+func newMetrics(reg *obs.Registry) metrics {
+	reg.Help("obs_span_seconds", "Span durations by span name; bucket exemplars carry the trace ID.")
+	reg.Help("obs_span_errors_total", "Spans ended in error state, by span name.")
+	reg.Help("drevald_http_requests_total", "HTTP requests served, by route and status class.")
+	reg.Help("drevald_http_request_seconds", "HTTP request latency, by route.")
+	reg.Help("drevald_http_in_flight", "Requests currently being served, by route.")
+	reg.Help("drevald_eval_ess_ratio", "ESS/N of the importance weights per /evaluate request.")
+	reg.Help("drevald_eval_max_weight", "Largest importance weight per /evaluate request.")
+	reg.Help("drevald_eval_zero_support", "Zero-support record count per /evaluate request.")
+	reg.Help("drevald_bootstrap_resamples_total", "Bootstrap resamples attempted by /evaluate.")
+	reg.Help("drevald_bootstrap_skipped_total", "Bootstrap resamples skipped because the estimator failed.")
+	reg.Help("drevald_panics_total", "Handler panics recovered and converted into 500s.")
+	reg.Help("drevald_degraded_total", "Responses tagged degraded because overlap diagnostics crossed a threshold.")
+	reg.Help("drevald_request_timeouts_total", "Requests answered 503 because -request-timeout expired mid-computation.")
+	reg.Help("drevald_request_canceled_total", "Requests answered 503 because the client went away mid-computation.")
+	reg.Help("drevald_load_shed_total", "Requests shed with 429 because the admission queue was full, by route.")
+	reg.Help("drevald_queue_wait_seconds", "Time admitted requests spent waiting for a compute slot, by route.")
+	reg.Help("drevald_slo_transitions_total", "SLO alert state changes (ok, warning, page — any direction).")
+	reg.Help("drevald_ingest_records_total", "Records durably ingested and folded into streaming aggregates.")
+	reg.Help("drevald_ingest_batches_total", "Ingest batches acked (one WAL frame each).")
+	reg.Help("drevald_wal_append_errors_total", "Ingest batches refused because the WAL append or fsync failed.")
+	reg.Help("drevald_wal_replay_records_total", "Records recovered from the WAL during startup replay.")
+	reg.Help("drevald_stream_epoch", "Records in the streaming view (replayed + ingested).")
+	reg.Help("drevald_stream_policies", "Policy fingerprints with live streaming aggregates.")
+	reg.Help("drevald_wal_bytes", "Total valid bytes across all WAL segments.")
+	reg.Help("drevald_wal_segments", "WAL segment files on disk.")
+	return metrics{
+		essRatio:        reg.Histogram("drevald_eval_ess_ratio", obs.ExpBuckets(1.0/1024, 2, 11)), // 1/1024 … 1
+		maxWeight:       reg.Histogram("drevald_eval_max_weight", obs.ExpBuckets(0.5, 2, 14)),     // 0.5 … 4096
+		zeroSupport:     reg.Histogram("drevald_eval_zero_support", obs.ExpBuckets(1, 4, 10)),     // 1 … 262144
+		bootResamples:   reg.Counter("drevald_bootstrap_resamples_total"),
+		bootSkipped:     reg.Counter("drevald_bootstrap_skipped_total"),
+		panics:          reg.Counter("drevald_panics_total"),
+		degraded:        reg.Counter("drevald_degraded_total"),
+		timeouts:        reg.Counter("drevald_request_timeouts_total"),
+		canceled:        reg.Counter("drevald_request_canceled_total"),
+		sloTransitions:  reg.Counter("drevald_slo_transitions_total"),
+		ingestRecords:   reg.Counter("drevald_ingest_records_total"),
+		ingestBatches:   reg.Counter("drevald_ingest_batches_total"),
+		walAppendErrors: reg.Counter("drevald_wal_append_errors_total"),
+		replayRecords:   reg.Counter("drevald_wal_replay_records_total"),
+		streamEpoch:     reg.Gauge("drevald_stream_epoch"),
+		streamPolicies:  reg.Gauge("drevald_stream_policies"),
+		walBytes:        reg.Gauge("drevald_wal_bytes"),
+		walSegments:     reg.Gauge("drevald_wal_segments"),
+		bias:            registerBiasMetrics(reg),
+	}
 }
 
 // reqIDKey carries the request ID through the request context.
@@ -145,14 +140,18 @@ func statusClass(code int) string {
 // generation/propagation (X-Request-Id in and out, plus the request
 // context), per-route request counters by status class, a latency
 // histogram, an in-flight gauge, and a structured access log line.
-func instrument(route string, h http.HandlerFunc) http.Handler {
-	latency := obs.Default.Histogram("drevald_http_request_seconds", httpRequestBuckets, obs.L("route", route))
-	inFlight := obs.Default.Gauge("drevald_http_in_flight", obs.L("route", route))
+func (s *server) instrument(route string, h http.HandlerFunc) http.Handler {
+	latency := s.reg.Histogram("drevald_http_request_seconds", obs.TimeBuckets, obs.L("route", route))
+	inFlight := s.reg.Gauge("drevald_http_in_flight", obs.L("route", route))
 	byClass := map[string]*obs.Counter{}
 	for _, class := range []string{"2xx", "3xx", "4xx", "5xx"} {
-		byClass[class] = obs.Default.Counter("drevald_http_requests_total",
+		byClass[class] = s.reg.Counter("drevald_http_requests_total",
 			obs.L("route", route), obs.L("code", class))
 	}
+	// Only the compute routes are traced: scrapes of /metrics, /healthz
+	// and /debug/vars would otherwise flood the span ring with
+	// sub-millisecond timelines and evict the requests worth debugging.
+	traced := route == "/evaluate" || route == "/diagnose" || route == "/ingest"
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-Id")
 		if id == "" {
@@ -170,9 +169,8 @@ func instrument(route string, h http.HandlerFunc) http.Handler {
 		// span closes via defer so a panic that escapes this middleware
 		// still commits it to metrics and timelines; the extra tail it
 		// measures (metric update + access log) is microseconds.
-		var span *obs.Span
-		if tracedRoutes[route] {
-			span = obs.Default.StartSpanWithID("http"+route, id).
+		if traced {
+			span := s.reg.StartSpanWithID("http"+route, id).
 				Attr("route", route).
 				Attr("method", r.Method)
 			r = r.WithContext(obs.ContextWithSpan(r.Context(), span))
@@ -188,7 +186,7 @@ func instrument(route string, h http.HandlerFunc) http.Handler {
 			// annotate through the request context, and the deferred
 			// Finish commits even when the handler panics (the recovery
 			// below has already rewritten the status to 500 by then).
-			evb := eventJournal.Begin(id, route)
+			evb := s.journal.Begin(id, route)
 			r = r.WithContext(wideevent.ContextWith(r.Context(), evb))
 			defer func() {
 				if rec.status >= 400 {
@@ -209,8 +207,8 @@ func instrument(route string, h http.HandlerFunc) http.Handler {
 			// metrics/logs — the wire bytes are gone.
 			defer func() {
 				if p := recover(); p != nil {
-					panicsTotal.Inc()
-					srvLog.Error("handler panic", "id", id, "route", route, "panic", fmt.Sprint(p))
+					s.m.panics.Inc()
+					s.log.Error("handler panic", "id", id, "route", route, "panic", fmt.Sprint(p))
 					if !rec.wrote {
 						httpError(rec, http.StatusInternalServerError, "internal server error")
 					} else {
@@ -231,7 +229,7 @@ func instrument(route string, h http.HandlerFunc) http.Handler {
 
 		latency.Observe(dur.Seconds())
 		byClass[statusClass(rec.status)].Inc()
-		srvLog.Info("request",
+		s.log.Info("request",
 			"id", id,
 			"method", r.Method,
 			"route", route,
@@ -242,30 +240,18 @@ func instrument(route string, h http.HandlerFunc) http.Handler {
 	})
 }
 
-// limited puts a handler behind the shared evalLimiter: up to
-// -max-concurrent requests compute at once, -max-queue more wait for a
-// slot (the wait is exported as drevald_queue_wait_seconds), and
-// everything beyond that is shed immediately with 429 + Retry-After so
-// overload degrades into fast, explicit rejections instead of a pile of
-// slow timeouts. A client that gives up while queued gets the usual
-// 503 cancellation body.
-func limited(route string, h http.HandlerFunc) http.HandlerFunc {
-	return limitedBy(func() *resilience.Limiter { return evalLimiter }, route, h)
-}
-
-// ingestLimiterFn resolves the ingest admission limiter per request,
-// so tests that swap the package variable take effect immediately.
-func ingestLimiterFn() *resilience.Limiter { return ingestLimiter }
-
-// limitedBy is limited with an explicit limiter source: /ingest admits
-// through its own limiter so writers and evaluators cannot starve each
-// other. The limiter is resolved per request (late bound) because the
-// lifecycle tests swap the package variables.
-func limitedBy(limiter func() *resilience.Limiter, route string, h http.HandlerFunc) http.HandlerFunc {
-	shed := obs.Default.Counter("drevald_load_shed_total", obs.L("route", route))
-	queueWait := obs.Default.Histogram("drevald_queue_wait_seconds", httpRequestBuckets, obs.L("route", route))
+// limited puts a handler behind lim: up to its concurrency limit of
+// requests run at once, its queue limit more wait for a slot (the wait
+// is exported as drevald_queue_wait_seconds), and everything beyond
+// that is shed immediately with 429 + Retry-After, so overload degrades
+// into fast, explicit rejections instead of a pile of slow timeouts. A
+// client that gives up while queued gets the usual 503 cancellation
+// body.
+func (s *server) limited(route string, lim *resilience.Limiter, h http.HandlerFunc) http.HandlerFunc {
+	shed := s.reg.Counter("drevald_load_shed_total", obs.L("route", route))
+	queueWait := s.reg.Histogram("drevald_queue_wait_seconds", obs.TimeBuckets, obs.L("route", route))
 	return func(w http.ResponseWriter, r *http.Request) {
-		release, waited, err := limiter().Acquire(r.Context())
+		release, waited, err := lim.Acquire(r.Context())
 		if err != nil {
 			if errors.Is(err, resilience.ErrSaturated) {
 				shed.Inc()
@@ -273,7 +259,7 @@ func limitedBy(limiter func() *resilience.Limiter, route string, h http.HandlerF
 				httpError(w, http.StatusTooManyRequests, "server saturated: concurrency and queue limits reached, retry later")
 				return
 			}
-			writeEvalError(w, err)
+			s.writeEvalError(w, err)
 			return
 		}
 		defer release()
@@ -282,51 +268,36 @@ func limitedBy(limiter func() *resilience.Limiter, route string, h http.HandlerF
 	}
 }
 
-// handleMetrics serves the process-wide registry in Prometheus text
-// format — drevald's own request/eval metrics plus the parallel pool
-// gauges, which register on the same default registry.
-func handleMetrics(w http.ResponseWriter, r *http.Request) {
-	obs.Default.MetricsHandler().ServeHTTP(w, r)
-}
-
 // handleVars is the JSON twin of /metrics: a full metric snapshot plus
 // process vitals, in the spirit of expvar.
-func handleVars(w http.ResponseWriter, _ *http.Request) {
+func (s *server) handleVars(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, map[string]any{
 		"version":       obs.Version(),
-		"uptimeSeconds": time.Since(serverStart).Seconds(),
+		"uptimeSeconds": time.Since(s.start).Seconds(),
 		"goroutines":    runtime.NumGoroutine(),
-		"workers":       runtime.GOMAXPROCS(0),
-		"events":        eventJournal.Stats(),
-		"metrics":       obs.Default.Snapshot(),
+		"workers":       parallel.DefaultWorkers(),
+		"events":        s.journal.Stats(),
+		"metrics":       s.reg.Snapshot(),
 	})
 }
 
-// handleTraces serves the slowest recently-completed request timelines
-// as JSON: GET /debug/traces?n=10 returns the n slowest traces in the
-// ring, each a parent→child span tree with offsets, durations,
-// attributes and error state.
-func handleTraces(w http.ResponseWriter, r *http.Request) {
-	traceRecorder.Handler().ServeHTTP(w, r)
-}
-
-// newDebugMux builds the opt-in debug listener's mux: pprof, plus
-// /metrics, /debug/vars and /debug/traces so a scraper pointed at the
-// debug port sees everything. Served on a separate address
-// (-debug-addr) so profiling endpoints are never exposed on the
-// service port.
-func newDebugMux() *http.ServeMux {
+// debugRoutes builds the opt-in debug listener's mux: pprof, plus
+// /metrics, /debug/vars, /debug/traces and the other read-only
+// observability endpoints so a scraper pointed at the debug port sees
+// everything. Served on a separate address (-debug-addr) so profiling
+// endpoints are never exposed on the service port.
+func (s *server) debugRoutes() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("GET /metrics", handleMetrics)
-	mux.HandleFunc("GET /debug/vars", handleVars)
-	mux.HandleFunc("GET /debug/traces", handleTraces)
-	mux.HandleFunc("GET /debug/bias", handleBias)
-	mux.HandleFunc("GET /debug/events", handleEvents)
-	mux.HandleFunc("GET /debug/slo", handleSLO)
+	mux.Handle("GET /metrics", s.reg.MetricsHandler())
+	mux.HandleFunc("GET /debug/vars", s.handleVars)
+	mux.Handle("GET /debug/traces", s.traces.Handler())
+	mux.HandleFunc("GET /debug/bias", s.handleBias)
+	mux.Handle("GET /debug/events", s.journal.Handler())
+	mux.Handle("GET /debug/slo", s.slo.Handler())
 	return mux
 }

@@ -3,18 +3,20 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+
+	"drnet/internal/obs"
+	"drnet/internal/parallel"
 )
 
-// TestMain silences access logs during tests unless -v is set, so
-// failures stay readable. When re-executed with DREVALD_CRASH_CHILD=1
+// TestMain runs the tests. When re-executed with DREVALD_CRASH_CHILD=1
 // the binary becomes a real drevald server instead (the crash-replay
 // chaos suite SIGKILLs it mid-batch and replays its WAL).
 func TestMain(m *testing.M) {
@@ -22,16 +24,12 @@ func TestMain(m *testing.M) {
 		main()
 		return
 	}
-	flag.Parse()
-	if !testing.Verbose() {
-		srvLog.SetOutput(io.Discard)
-	}
 	os.Exit(m.Run())
 }
 
 func TestHealthzFields(t *testing.T) {
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	_, srv := startTest(t, nil)
 	resp, err := http.Get(srv.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -56,8 +54,8 @@ func TestHealthzFields(t *testing.T) {
 }
 
 func TestUnknownRoute(t *testing.T) {
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	_, srv := startTest(t, nil)
 	resp, err := http.Get(srv.URL + "/nope")
 	if err != nil {
 		t.Fatal(err)
@@ -69,8 +67,8 @@ func TestUnknownRoute(t *testing.T) {
 }
 
 func TestWrongMethod(t *testing.T) {
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	_, srv := startTest(t, nil)
 	for path, method := range map[string]string{
 		"/healthz":  http.MethodPost,
 		"/diagnose": http.MethodGet,
@@ -92,11 +90,9 @@ func TestWrongMethod(t *testing.T) {
 }
 
 func TestOversizedBody(t *testing.T) {
-	old := maxBodyBytes
-	maxBodyBytes = 1024
-	defer func() { maxBodyBytes = old }()
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	const maxBodyBytes = 1024
+	_, srv := startTest(t, func(c *config) { c.maxBodyBytes = maxBodyBytes })
 	// Valid JSON well past the limit, so the decoder reads through the
 	// MaxBytesReader cap instead of bailing on a syntax error first.
 	big, err := json.Marshal(evalRequest{Trace: testTraceJSON(t, false), Policy: "constant:c"})
@@ -124,8 +120,8 @@ func TestOversizedBody(t *testing.T) {
 }
 
 func TestRequestIDPropagation(t *testing.T) {
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	_, srv := startTest(t, nil)
 	// Client-supplied ID is echoed back.
 	req, err := http.NewRequest(http.MethodGet, srv.URL+"/healthz", nil)
 	if err != nil {
@@ -191,10 +187,10 @@ func scrapeMetrics(t *testing.T, url string) map[string]float64 {
 // TestMetricsEndpoint asserts the exposition parses, includes the
 // acceptance-criteria families from every layer (HTTP middleware,
 // estimator regime, worker pool), and increases monotonically across
-// requests.
+// requests. The server is on obs.Default, as in production, because
+// internal/parallel registers the pool series there.
 func TestMetricsEndpoint(t *testing.T) {
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	srv := serveTest(t, newTestServerOn(t, obs.Default, nil))
 
 	// One successful evaluation populates the eval + bootstrap series.
 	resp := post(t, srv, "/evaluate", evalRequest{
@@ -254,9 +250,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestDebugVars checks /debug/vars, whose workers field is the pool
+// width -workers sets, not GOMAXPROCS.
 func TestDebugVars(t *testing.T) {
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	workers := runtime.GOMAXPROCS(0) + 1
+	parallel.SetDefaultWorkers(workers)
+	defer parallel.SetDefaultWorkers(0)
+	_, srv := startTest(t, nil)
 	resp, err := http.Get(srv.URL + "/debug/vars")
 	if err != nil {
 		t.Fatal(err)
@@ -269,6 +269,7 @@ func TestDebugVars(t *testing.T) {
 		Version       string         `json:"version"`
 		UptimeSeconds float64        `json:"uptimeSeconds"`
 		Goroutines    int            `json:"goroutines"`
+		Workers       int            `json:"workers"`
 		Metrics       map[string]any `json:"metrics"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
@@ -277,12 +278,16 @@ func TestDebugVars(t *testing.T) {
 	if out.Version == "" || out.Goroutines < 1 || len(out.Metrics) == 0 {
 		t.Fatalf("thin /debug/vars: %+v", out)
 	}
+	if out.Workers != workers {
+		t.Fatalf("workers = %d, want the pool width %d", out.Workers, workers)
+	}
 }
 
 // TestDebugMux exercises the opt-in -debug-addr surface: pprof index,
 // plus the metrics twins.
 func TestDebugMux(t *testing.T) {
-	srv := httptest.NewServer(newDebugMux())
+	t.Parallel()
+	srv := httptest.NewServer(newTestServer(t, nil).debugRoutes())
 	defer srv.Close()
 	for _, path := range []string{"/debug/pprof/", "/metrics", "/debug/vars"} {
 		resp, err := http.Get(srv.URL + path)
@@ -300,8 +305,8 @@ func TestDebugMux(t *testing.T) {
 // skipped-resample count (0 on a healthy trace), and responses without
 // a bootstrap omit it.
 func TestBootstrapSkippedField(t *testing.T) {
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	_, srv := startTest(t, nil)
 	resp := post(t, srv, "/evaluate", evalRequest{
 		Trace:   testTraceJSON(t, false),
 		Policy:  "constant:c",
@@ -336,8 +341,8 @@ func TestBootstrapSkippedField(t *testing.T) {
 // TestIntervalJSONCamelCase pins the satellite fix: drInterval must
 // serialize as lo/hi/level, not Lo/Hi/Level.
 func TestIntervalJSONCamelCase(t *testing.T) {
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	_, srv := startTest(t, nil)
 	resp := post(t, srv, "/evaluate", evalRequest{
 		Trace:   testTraceJSON(t, false),
 		Policy:  "constant:c",

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"sync"
@@ -11,33 +12,24 @@ import (
 	"testing"
 	"time"
 
+	"drnet/internal/obs"
 	"drnet/internal/parallel"
 )
 
 // startTestServer boots the real serve/shutdown lifecycle (not
-// httptest) on a loopback port and returns its base URL, the stop
-// channel and a channel carrying run's exit error.
-func startTestServer(t *testing.T) (url string, stop chan os.Signal, done chan error) {
+// httptest) on a loopback port and returns the server, its base URL,
+// the stop channel and a channel carrying serve's exit error.
+func startTestServer(t *testing.T) (s *server, url string, stop chan os.Signal, done chan error) {
 	t.Helper()
-	srv, err := newServer("127.0.0.1:0")
+	s = newTestServer(t, nil)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	stop = make(chan os.Signal, 1)
 	done = make(chan error, 1)
-	go func() { done <- srv.run(stop) }()
-	url = "http://" + srv.addr()
-	// Wait for the listener to accept.
-	for i := 0; i < 100; i++ {
-		resp, err := http.Get(url + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			return url, stop, done
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatal("server did not come up")
-	return "", nil, nil
+	go func() { done <- s.serve(ln, stop) }()
+	return s, "http://" + ln.Addr().String(), stop, done
 }
 
 // TestGracefulShutdownDrainsInFlight is the SIGTERM regression test:
@@ -45,7 +37,8 @@ func startTestServer(t *testing.T) (url string, stop chan os.Signal, done chan e
 // arrives; the server must finish that request with 200 before run
 // returns, and must refuse new connections afterwards.
 func TestGracefulShutdownDrainsInFlight(t *testing.T) {
-	url, stop, done := startTestServer(t)
+	t.Parallel()
+	s, url, stop, done := startTestServer(t)
 
 	body, err := json.Marshal(evalRequest{
 		Trace:   testTraceJSON(t, false),
@@ -76,19 +69,23 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 		}
 	}()
 
-	// Give the request time to reach the handler, then deliver SIGTERM —
-	// the signal main registers alongside os.Interrupt. The bootstrap is
-	// sized to outlast this sleep by a wide margin yet drain well inside
-	// drainTimeout even under -race.
-	time.Sleep(50 * time.Millisecond)
+	// Wait until the request is in the handler, then deliver SIGTERM —
+	// the signal run registers alongside os.Interrupt. The bootstrap is
+	// sized to drain well inside -drain-timeout even under -race.
+	serving := s.reg.Gauge("drevald_http_in_flight", obs.L("route", "/evaluate"))
+	for deadline := time.Now().Add(10 * time.Second); serving.Value() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("request never reached the handler")
+		}
+	}
 	stop <- syscall.SIGTERM
 
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("run returned %v", err)
+			t.Fatalf("serve returned %v", err)
 		}
-	case <-time.After(drainTimeout + 5*time.Second):
+	case <-time.After(s.cfg.drainTimeout + 5*time.Second):
 		t.Fatal("server did not shut down")
 	}
 	select {
@@ -115,7 +112,8 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 // data-race canary, and it doubles as a determinism check: every client
 // sends the same request and must get byte-identical bodies back.
 func TestEvaluateConcurrentStress(t *testing.T) {
-	url, stop, done := startTestServer(t)
+	t.Parallel()
+	_, url, stop, done := startTestServer(t)
 	defer func() {
 		stop <- syscall.SIGTERM
 		<-done
@@ -191,7 +189,7 @@ func TestEvaluateDeterministicAcrossWorkerCounts(t *testing.T) {
 	var want []byte
 	for _, w := range []int{1, 2, 8} {
 		parallel.SetDefaultWorkers(w)
-		url, stop, done := startTestServer(t)
+		_, url, stop, done := startTestServer(t)
 		resp, err := http.Post(url+"/evaluate", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

@@ -1,19 +1,16 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"drnet/internal/biasobs"
 	"drnet/internal/core"
 	"drnet/internal/obs"
-	"drnet/internal/resilience"
 	"drnet/internal/traceio"
 	"drnet/internal/walog"
 	"drnet/internal/wideevent"
@@ -27,59 +24,6 @@ import (
 // — with epoch/staleness metadata in every streamed response. On
 // restart the WAL is replayed into the same in-memory state; ingest
 // and streamed evaluation answer 503 until replay finishes.
-
-// Streaming knobs, flag-configured in main. Package variables so the
-// lifecycle tests can tighten them, like the resilience knobs.
-var (
-	// streamEng is the process-wide streaming engine; nil when -wal-dir
-	// is unset (streaming endpoints answer 404).
-	streamEng *streamEngine
-	// ingestLimiter admits /ingest work independently of the compute
-	// limiter, so a burst of writers cannot starve evaluation (or vice
-	// versa). Shed requests get 429 + Retry-After.
-	ingestLimiter = resilience.NewLimiter(16, 64)
-	// ingestMaxBytes bounds one /ingest body (-ingest-max-bytes);
-	// larger bodies get 413.
-	ingestMaxBytes int64 = 16 << 20
-)
-
-// Streaming metrics: ingest volume, durability failures, replay
-// progress and the live epoch, so the WAL's health is scrapeable.
-var (
-	ingestRecordsTotal   = obs.Default.Counter("drevald_ingest_records_total")
-	ingestBatchesTotal   = obs.Default.Counter("drevald_ingest_batches_total")
-	walAppendErrorsTotal = obs.Default.Counter("drevald_wal_append_errors_total")
-	replayRecordsTotal   = obs.Default.Counter("drevald_wal_replay_records_total")
-	streamEpochGauge     = obs.Default.Gauge("drevald_stream_epoch")
-	streamPoliciesGauge  = obs.Default.Gauge("drevald_stream_policies")
-	walBytesGauge        = obs.Default.Gauge("drevald_wal_bytes")
-	walSegmentsGauge     = obs.Default.Gauge("drevald_wal_segments")
-)
-
-func init() {
-	obs.Default.Help("drevald_ingest_records_total", "Records durably ingested and folded into streaming aggregates.")
-	obs.Default.Help("drevald_ingest_batches_total", "Ingest batches acked (one WAL frame each).")
-	obs.Default.Help("drevald_wal_append_errors_total", "Ingest batches refused because the WAL append or fsync failed.")
-	obs.Default.Help("drevald_wal_replay_records_total", "Records recovered from the WAL during startup replay.")
-	obs.Default.Help("drevald_stream_epoch", "Records in the streaming view (replayed + ingested).")
-	obs.Default.Help("drevald_stream_policies", "Policy fingerprints with live streaming aggregates.")
-	obs.Default.Help("drevald_wal_bytes", "Total valid bytes across all WAL segments.")
-	obs.Default.Help("drevald_wal_segments", "WAL segment files on disk.")
-}
-
-// streamConfig is everything main resolves from flags for the engine.
-type streamConfig struct {
-	Dir           string
-	Fsync         walog.FsyncPolicy
-	FsyncInterval time.Duration
-	SegmentBytes  int64
-	// MaxModelAge degrades streamed responses whose frozen reward model
-	// is more than this many records behind the live epoch (0 = never).
-	MaxModelAge uint64
-	// BiasRefresh reruns the bias observatory over the streamed view
-	// every this many ingested records (0 = disabled).
-	BiasRefresh int
-}
 
 // streamPolicy is one registered (policy, clip) fingerprint: a frozen
 // reward model plus the running sufficient statistics that answer
@@ -100,9 +44,9 @@ type streamPolicy struct {
 // so WAL order, fold order and replay order are the same total order —
 // the property that makes crash replay bit-exact.
 type streamEngine struct {
+	srv      *server // whose config, metrics, log and bias report it uses
 	wal      *walog.Log
 	recovery walog.Recovery
-	cfg      streamConfig
 
 	replaying atomic.Bool
 	replayed  atomic.Uint64
@@ -116,22 +60,26 @@ type streamEngine struct {
 	biasBusy      atomic.Bool
 }
 
-// newStreamEngine opens (and recovers) the WAL. Call replay next —
-// until it finishes, ingest and streamed evaluation answer 503.
-func newStreamEngine(cfg streamConfig) (*streamEngine, error) {
+// newStreamEngine opens (and recovers) the WAL in -wal-dir. Call replay
+// next — until it finishes, ingest and streamed evaluation answer 503.
+func newStreamEngine(srv *server) (*streamEngine, error) {
+	fsync, err := walog.ParseFsyncPolicy(srv.cfg.fsync)
+	if err != nil {
+		return nil, err
+	}
 	l, rec, err := walog.Open(walog.Options{
-		Dir:           cfg.Dir,
-		SegmentBytes:  cfg.SegmentBytes,
-		Fsync:         cfg.Fsync,
-		FsyncInterval: cfg.FsyncInterval,
+		Dir:           srv.cfg.walDir,
+		SegmentBytes:  srv.cfg.segmentBytes,
+		Fsync:         fsync,
+		FsyncInterval: srv.cfg.fsyncInterval,
 	})
 	if err != nil {
 		return nil, err
 	}
 	e := &streamEngine{
+		srv:      srv,
 		wal:      l,
 		recovery: rec,
-		cfg:      cfg,
 		builder:  core.NewViewBuilderKeyed[traceio.FlatContext, string](traceio.FlatContext.Key),
 		evals:    make(map[string]*streamPolicy),
 	}
@@ -160,20 +108,18 @@ func (e *streamEngine) replay() {
 		}
 		e.records = append(e.records, trace...)
 		e.replayed.Add(uint64(len(trace)))
-		replayRecordsTotal.Add(uint64(len(trace)))
+		e.srv.m.replayRecords.Add(uint64(len(trace)))
 		return nil
 	})
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.replayErr = err
-	streamEpochGauge.Set(float64(e.builder.Len()))
-	walBytesGauge.Set(float64(e.wal.Bytes()))
-	walSegmentsGauge.Set(float64(e.wal.Segments()))
+	e.publishLocked()
 	if err != nil {
-		srvLog.Error("wal replay failed", "err", err)
+		e.srv.log.Error("wal replay failed", "err", err)
 		return
 	}
-	srvLog.Info("wal replay complete",
+	e.srv.log.Info("wal replay complete",
 		"records", e.builder.Len(),
 		"frames", e.wal.Seq(),
 		"segments", e.wal.Segments(),
@@ -181,34 +127,37 @@ func (e *streamEngine) replay() {
 	)
 }
 
-// ready returns the 503 body to serve when the engine cannot accept
-// stream traffic yet (replay in progress) or ever (replay failed), nil
-// when it is serving.
-func (e *streamEngine) ready() *streamUnavailableJSON {
-	if e.replaying.Load() {
-		return &streamUnavailableJSON{Error: "wal replay in progress, retry shortly", Replaying: true}
+// publishLocked sets the epoch and WAL footprint gauges.
+func (e *streamEngine) publishLocked() {
+	m := &e.srv.m
+	m.streamEpoch.Set(float64(e.builder.Len()))
+	m.walBytes.Set(float64(e.wal.Bytes()))
+	m.walSegments.Set(float64(e.wal.Segments()))
+}
+
+// serving reports whether the engine accepts stream traffic. When it
+// cannot yet (replay in progress) or ever (replay failed) it answers
+// 503 with Retry-After itself.
+func (e *streamEngine) serving(w http.ResponseWriter) bool {
+	un := &streamUnavailableJSON{Error: "wal replay in progress, retry shortly", Replaying: true}
+	if !e.replaying.Load() {
+		e.mu.Lock()
+		err := e.replayErr
+		e.mu.Unlock()
+		if err == nil {
+			return true
+		}
+		un = &streamUnavailableJSON{Error: "wal replay failed: " + err.Error()}
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.replayErr != nil {
-		return &streamUnavailableJSON{Error: "wal replay failed: " + e.replayErr.Error()}
-	}
-	return nil
+	w.Header().Set("Retry-After", "1")
+	writeJSONStatus(w, http.StatusServiceUnavailable, un)
+	return false
 }
 
 // streamUnavailableJSON is the 503 body of streaming endpoints.
 type streamUnavailableJSON struct {
 	Error     string `json:"error"`
 	Replaying bool   `json:"replaying,omitempty"`
-}
-
-// ingestResult describes one acked batch.
-type ingestResult struct {
-	acked   int
-	seq     uint64
-	segment string
-	durable bool
-	epoch   int
 }
 
 // errNotDurable wraps WAL failures so the handler can answer 503 (the
@@ -221,56 +170,55 @@ var errNotDurable = errors.New("drevald: batch not durable")
 // Trace.Validate — ViewBuilder.Append applies the identical checks, so
 // post-WAL validation failures are impossible and the WAL never holds
 // a batch replay would reject.
-func (e *streamEngine) ingest(flat []traceio.FlatRecord, trace core.Trace[traceio.FlatContext, string]) (ingestResult, error) {
+func (e *streamEngine) ingest(flat []traceio.FlatRecord, trace core.Trace[traceio.FlatContext, string]) (ingestResponse, error) {
 	payload := traceio.EncodeBatch(nil, flat)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	res, err := e.wal.Append(payload)
 	if err != nil {
-		walAppendErrorsTotal.Inc()
-		return ingestResult{}, fmt.Errorf("%w: %v", errNotDurable, err)
+		e.srv.m.walAppendErrors.Inc()
+		return ingestResponse{}, fmt.Errorf("%w: %v", errNotDurable, err)
 	}
 	from := e.builder.Len()
 	for _, rec := range trace {
 		if err := e.builder.Append(rec); err != nil {
 			// Unreachable after Trace.Validate; if it ever fires the
 			// in-memory state no longer matches the WAL, so fail loudly.
-			return ingestResult{}, fmt.Errorf("drevald: durable batch rejected by view (state diverged, restart to replay): %v", err)
+			return ingestResponse{}, fmt.Errorf("drevald: durable batch rejected by view (state diverged, restart to replay): %v", err)
 		}
 	}
 	e.records = append(e.records, trace...)
 	snap := e.builder.Snapshot()
 	for _, sp := range e.evals {
 		if err := sp.eval.Apply(snap, from); err != nil {
-			return ingestResult{}, fmt.Errorf("drevald: folding batch into %s: %v", sp.fingerprint, err)
+			return ingestResponse{}, fmt.Errorf("drevald: folding batch into %s: %v", sp.fingerprint, err)
 		}
 	}
 	epoch := e.builder.Len()
-	ingestBatchesTotal.Inc()
-	ingestRecordsTotal.Add(uint64(len(trace)))
-	streamEpochGauge.Set(float64(epoch))
-	walBytesGauge.Set(float64(e.wal.Bytes()))
-	walSegmentsGauge.Set(float64(e.wal.Segments()))
+	e.srv.m.ingestBatches.Inc()
+	e.srv.m.ingestRecords.Add(uint64(len(trace)))
+	e.publishLocked()
 	e.maybeRefreshBiasLocked(snap, epoch)
-	return ingestResult{
-		acked:   len(trace),
-		seq:     res.Seq,
-		segment: res.Segment,
-		durable: res.Synced,
-		epoch:   epoch,
+	return ingestResponse{
+		Acked:   len(trace),
+		Seq:     res.Seq,
+		Segment: res.Segment,
+		Durable: res.Synced,
+		Epoch:   epoch,
 	}, nil
 }
 
 // maybeRefreshBiasLocked reruns the bias observatory over the streamed
-// view every cfg.BiasRefresh ingested records, publishing to the same
-// lastBias/metrics surface the request path uses — live bias windows
-// over the stream instead of per-request traces. The O(n) compute runs
-// off the ingest path; at most one refresh is in flight.
+// view every -bias-refresh ingested records, publishing to the same
+// report and metrics the request path uses — live bias windows over
+// the stream instead of per-request traces. The O(n) compute runs off
+// the ingest path; at most one refresh is in flight.
 func (e *streamEngine) maybeRefreshBiasLocked(snap *core.TraceView[traceio.FlatContext, string], epoch int) {
-	if e.cfg.BiasRefresh <= 0 || biasWindows <= 0 || len(e.evals) == 0 {
+	cfg := &e.srv.cfg
+	if cfg.biasRefresh <= 0 || cfg.biasWindows <= 0 || len(e.evals) == 0 {
 		return
 	}
-	if epoch-e.lastBiasEpoch < e.cfg.BiasRefresh {
+	if epoch-e.lastBiasEpoch < cfg.biasRefresh {
 		return
 	}
 	sp := e.oldestPolicyLocked()
@@ -279,7 +227,7 @@ func (e *streamEngine) maybeRefreshBiasLocked(snap *core.TraceView[traceio.FlatC
 	}
 	e.lastBiasEpoch = epoch
 	go func() {
-		defer recoverGoroutine("bias-refresh")
+		defer e.srv.recoverGoroutine("bias-refresh")
 		defer e.biasBusy.Store(false)
 		e.refreshBias(snap, sp, epoch)
 	}()
@@ -301,36 +249,25 @@ func (e *streamEngine) oldestPolicyLocked() *streamPolicy {
 }
 
 // refreshBias computes the windowed observatory report over one
-// snapshot and publishes it (/debug/bias, /healthz biasGrade and the
-// drevald_bias_* gauges), stamped with the epoch instead of a request.
+// snapshot and publishes it, stamped with the epoch instead of a
+// request.
 func (e *streamEngine) refreshBias(snap *core.TraceView[traceio.FlatContext, string], sp *streamPolicy, epoch int) {
-	report, err := biasobs.Compute(snap, sp.policy, biasobs.Config{
-		Windows:        biasWindows,
-		DriftThreshold: biasDriftThreshold,
-	})
+	report, err := biasobs.Compute(snap, sp.policy, e.srv.biasConfig())
 	if err != nil {
-		srvLog.Warn("stream bias refresh failed", "epoch", epoch, "err", err)
+		e.srv.log.Warn("stream bias refresh failed", "epoch", epoch, "err", err)
 		return
 	}
-	lastBias.Store(&biasState{report: report, requestID: fmt.Sprintf("ingest@epoch=%d", epoch), when: time.Now()})
-	s := report.Summary()
-	biasM.reports.Inc()
-	biasM.alarms.Add(uint64(s.Alarms))
-	biasM.grade.Set(gradeValue(s.Grade))
-	biasM.minESS.Set(s.MinESSRatio)
-	biasM.maxZero.Set(s.MaxZeroSupportFrac)
-	biasM.windows.Set(float64(s.Windows))
-	if s.Grade != biasobs.GradeHealthy {
-		srvLog.Warn("stream bias observatory", "epoch", epoch, "grade", s.Grade, "alarms", s.Alarms)
+	sum := e.srv.publishBias(report, fmt.Sprintf("ingest@epoch=%d", epoch))
+	if sum.Grade != biasobs.GradeHealthy {
+		e.srv.log.Warn("stream bias observatory", "epoch", epoch, "grade", sum.Grade, "alarms", sum.Alarms)
 	}
 }
 
-// streamResult is one O(1) read of a fingerprint's aggregates.
+// streamResult is one O(1) read of a fingerprint's aggregates, with the
+// metadata block saying which aggregate answered.
 type streamResult struct {
-	est         core.StreamEstimates
-	epoch       int
-	modelEpoch  int
-	fingerprint string
+	est  core.StreamEstimates
+	meta *streamMetaJSON
 }
 
 // evaluate serves one streamed query: it registers the (policy, clip)
@@ -367,19 +304,21 @@ func (e *streamEngine) evaluate(spec string, clip float64, refresh bool) (stream
 			modelEpoch:  snap.Len(),
 		}
 		e.evals[key] = sp
-		streamPoliciesGauge.Set(float64(len(e.evals)))
-		srvLog.Info("stream policy registered", "fingerprint", sp.fingerprint, "records", snap.Len())
+		e.srv.m.streamPolicies.Set(float64(len(e.evals)))
+		e.srv.log.Info("stream policy registered", "fingerprint", sp.fingerprint, "records", snap.Len())
 	}
 	est, err := sp.eval.Estimates()
 	if err != nil {
 		return streamResult{}, err
 	}
-	return streamResult{
-		est:         est,
-		epoch:       e.builder.Len(),
-		modelEpoch:  sp.modelEpoch,
-		fingerprint: sp.fingerprint,
-	}, nil
+	epoch := e.builder.Len()
+	meta := &streamMetaJSON{
+		Fingerprint:      sp.fingerprint,
+		Epoch:            epoch,
+		ModelEpoch:       sp.modelEpoch,
+		StalenessRecords: epoch - sp.modelEpoch,
+	}
+	return streamResult{est: est, meta: meta}, nil
 }
 
 // walJSON is the /healthz wal block.
@@ -410,18 +349,13 @@ func (e *streamEngine) status() *walJSON {
 		Segments:        e.wal.Segments(),
 		Bytes:           e.wal.Bytes(),
 		TruncatedBytes:  e.recovery.TruncatedBytes,
-		Fsync:           e.cfg.Fsync.String(),
+		Fsync:           e.srv.cfg.fsync,
 		Policies:        len(e.evals),
 	}
 	if e.replayErr != nil {
 		out.ReplayError = e.replayErr.Error()
 	}
 	return out
-}
-
-// close flushes and closes the WAL (shutdown path).
-func (e *streamEngine) close() error {
-	return e.wal.Close()
 }
 
 // ingestRequest is the POST /ingest body.
@@ -445,27 +379,18 @@ type ingestResponse struct {
 // error surface: 404 streaming disabled, 503 replaying/not-durable,
 // 413 oversized body, 400 malformed, 422 invalid records, 429 via the
 // ingest limiter in the middleware.
-func handleIngest(w http.ResponseWriter, r *http.Request) {
-	eng := streamEng
+func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
+	eng := s.stream
 	if eng == nil {
 		httpError(w, http.StatusNotFound, "streaming ingestion disabled (-wal-dir not set)")
 		return
 	}
-	if un := eng.ready(); un != nil {
-		w.Header().Set("Retry-After", "1")
-		writeJSONStatus(w, http.StatusServiceUnavailable, un)
+	if !eng.serving(w) {
 		return
 	}
 	var req ingestRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, ingestMaxBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		code := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		httpError(w, code, "invalid request body: "+err.Error())
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, s.cfg.ingestMaxBytes), &req); err != nil {
+		bodyError(w, err)
 		return
 	}
 	if len(req.Records) == 0 {
@@ -482,7 +407,7 @@ func handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	root := obs.SpanFromContext(r.Context())
-	res, err := timed(r.Context(), root, "durable_ingest", func() (ingestResult, error) {
+	ack, err := timed(r.Context(), root, "durable_ingest", func() (ingestResponse, error) {
 		return eng.ingest(req.Records, trace)
 	})
 	if err != nil {
@@ -494,17 +419,11 @@ func handleIngest(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	if srvLog.Enabled(obs.LevelDebug) {
-		srvLog.Debug("ingest", "id", requestID(r), "acked", res.acked, "seq", res.seq, "epoch", res.epoch)
+	if s.log.Enabled(obs.LevelDebug) {
+		s.log.Debug("ingest", "id", requestID(r), "acked", ack.Acked, "seq", ack.Seq, "epoch", ack.Epoch)
 	}
-	wideevent.FromContext(r.Context()).SetWALAck(res.seq, res.epoch, res.segment, res.durable)
-	writeJSON(w, ingestResponse{
-		Acked:   res.acked,
-		Seq:     res.seq,
-		Segment: res.segment,
-		Durable: res.durable,
-		Epoch:   res.epoch,
-	})
+	wideevent.FromContext(r.Context()).SetWALAck(ack.Seq, ack.Epoch, ack.Segment, ack.Durable)
+	writeJSON(w, ack)
 }
 
 // streamMetaJSON is the metadata block every streamed response
@@ -520,18 +439,32 @@ type streamMetaJSON struct {
 	StalenessRecords int `json:"stalenessRecords"`
 }
 
+// streamRead is where streamed /evaluate and /diagnose share their
+// work: one O(1) read of the request's (policy, clip) aggregates as the
+// named phase, with the policy and stream position stamped onto the
+// wide event. It answers the request itself when the read fails.
+func (s *server) streamRead(w http.ResponseWriter, r *http.Request, req *evalRequest, phase string) (streamResult, bool) {
+	sr, err := timed(r.Context(), obs.SpanFromContext(r.Context()), phase, func() (streamResult, error) {
+		return s.stream.evaluate(req.Policy, req.Options.Clip, req.Options.RefreshModel)
+	})
+	if err != nil {
+		s.writeEvalError(w, err)
+		return sr, false
+	}
+	evb := wideevent.FromContext(r.Context())
+	evb.SetPolicy(req.Policy)
+	evb.SetStream(sr.meta.Epoch, sr.meta.ModelEpoch, sr.meta.StalenessRecords)
+	return sr, true
+}
+
 // handleStreamEvaluate serves /evaluate with an empty trace from the
 // streaming aggregates: O(1) per request after the fingerprint's first
 // use. SelfNormalize selects the SNIPS/SN-DR variants exactly as it
 // does for the batch path; bootstrap and propensity estimation need
-// the raw records and are rejected.
-func handleStreamEvaluate(w http.ResponseWriter, r *http.Request, req *evalRequest) {
-	eng := streamEng
-	if un := eng.ready(); un != nil {
-		w.Header().Set("Retry-After", "1")
-		writeJSONStatus(w, http.StatusServiceUnavailable, un)
-		return
-	}
+// the raw records and are rejected. Degraded responses fall back to
+// the SNIPS aggregate, which needs no reward model and so cannot go
+// stale.
+func (s *server) handleStreamEvaluate(w http.ResponseWriter, r *http.Request, req *evalRequest) {
 	if req.Options.Bootstrap != 0 {
 		httpError(w, http.StatusBadRequest, "options.bootstrap is unavailable for streamed evaluation (send the trace inline to bootstrap)")
 		return
@@ -540,12 +473,8 @@ func handleStreamEvaluate(w http.ResponseWriter, r *http.Request, req *evalReque
 		httpError(w, http.StatusBadRequest, "options.estimatePropensities is unavailable for streamed evaluation (propensities must be logged at ingest)")
 		return
 	}
-	root := obs.SpanFromContext(r.Context())
-	sr, err := timed(r.Context(), root, "stream_evaluate", func() (streamResult, error) {
-		return eng.evaluate(req.Policy, req.Options.Clip, req.Options.RefreshModel)
-	})
-	if err != nil {
-		writeEvalError(w, err)
+	sr, ok := s.streamRead(w, r, req, "stream_evaluate")
+	if !ok {
 		return
 	}
 	est := sr.est
@@ -553,76 +482,14 @@ func handleStreamEvaluate(w http.ResponseWriter, r *http.Request, req *evalReque
 	if req.Options.SelfNormalize {
 		ips, dr = est.SNIPS, est.SNDR
 	}
-	diag := est.Diagnostics
-	staleness := sr.epoch - sr.modelEpoch
-	evb := wideevent.FromContext(r.Context())
-	evb.SetPolicy(req.Policy)
-	evb.SetStream(sr.epoch, sr.modelEpoch, staleness)
-	resp := evalResponse{
-		DM:          toJSON(est.DM),
-		IPS:         toJSON(ips),
-		DR:          toJSON(dr),
-		Diagnostics: diagJSON(diag),
-		Stream: &streamMetaJSON{
-			Fingerprint:      sr.fingerprint,
-			Epoch:            sr.epoch,
-			ModelEpoch:       sr.modelEpoch,
-			StalenessRecords: staleness,
-		},
-	}
-	evalESSRatio.Observe(diag.ESS / float64(diag.N))
-	evalMaxWeight.Observe(diag.MaxWeight)
-	evalZeroSupport.Observe(float64(diag.ZeroSupport))
-	evb.SetRegime(diag.ESS/float64(diag.N), diag.MaxWeight, diag.ZeroSupport)
-	reasons := degradeThresholds.Check(diag.N, diag.ESS, diag.MaxWeight, diag.ZeroSupport)
-	if age := uint64(staleness); streamEng.cfg.MaxModelAge > 0 && age > streamEng.cfg.MaxModelAge {
-		reasons = append(reasons, resilience.StaleAggregatesReason(age, streamEng.cfg.MaxModelAge))
-	}
-	reasons = append(reasons, sloDegradeReasons()...)
-	if len(reasons) > 0 {
-		root.Attr("degraded", "true")
-		root.SetError("degraded: stream diagnostics crossed thresholds")
-		// The O(1) fallback: the self-normalized IPS aggregate, which
-		// needs no reward model and so cannot go stale.
-		resp.Degraded = true
-		resp.DegradedReasons = reasons
-		resp.FallbackEstimator = "snips-stream"
-		resp.Fallback = &fallbackJSON{Estimator: resp.FallbackEstimator, Estimate: toJSON(est.SNIPS)}
-		evb.SetDegraded(reasonCodes(reasons))
-		evb.SetFallback(resp.FallbackEstimator)
-		degradedTotal.Inc()
-		srvLog.Warn("degraded stream response", "id", requestID(r), "reasons", len(reasons))
-	}
-	writeJSON(w, resp)
+	resp := evalResponse{DM: toJSON(est.DM), IPS: toJSON(ips), DR: toJSON(dr), Diagnostics: diagJSON(est.Diagnostics), Stream: sr.meta}
+	s.finishEvaluate(w, r, resp, fallback{"snips-stream", func() (core.Estimate, error) { return est.SNIPS, nil }})
 }
 
 // handleStreamDiagnose serves /diagnose with an empty trace from the
 // same aggregates (the Diagnose block is part of the running state).
-func handleStreamDiagnose(w http.ResponseWriter, r *http.Request, req *evalRequest) {
-	eng := streamEng
-	if un := eng.ready(); un != nil {
-		w.Header().Set("Retry-After", "1")
-		writeJSONStatus(w, http.StatusServiceUnavailable, un)
-		return
+func (s *server) handleStreamDiagnose(w http.ResponseWriter, r *http.Request, req *evalRequest) {
+	if sr, ok := s.streamRead(w, r, req, "stream_diagnose"); ok {
+		writeDiagnose(w, r, diagnoseResponse{diagnosticsJSON: diagJSON(sr.est.Diagnostics), Stream: sr.meta})
 	}
-	root := obs.SpanFromContext(r.Context())
-	sr, err := timed(r.Context(), root, "stream_diagnose", func() (streamResult, error) {
-		return eng.evaluate(req.Policy, req.Options.Clip, req.Options.RefreshModel)
-	})
-	if err != nil {
-		writeEvalError(w, err)
-		return
-	}
-	evb := wideevent.FromContext(r.Context())
-	evb.SetPolicy(req.Policy)
-	evb.SetStream(sr.epoch, sr.modelEpoch, sr.epoch-sr.modelEpoch)
-	writeJSON(w, diagnoseResponse{
-		diagnosticsJSON: diagJSON(sr.est.Diagnostics),
-		Stream: &streamMetaJSON{
-			Fingerprint:      sr.fingerprint,
-			Epoch:            sr.epoch,
-			ModelEpoch:       sr.modelEpoch,
-			StalenessRecords: sr.epoch - sr.modelEpoch,
-		},
-	})
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -14,30 +15,6 @@ import (
 	"drnet/internal/traceio"
 	"drnet/internal/walog"
 )
-
-// withStreamEngine installs a fresh streaming engine over a temp WAL
-// dir, replays synchronously (empty log on first call) and restores the
-// disabled state on cleanup. Returns the engine for direct inspection.
-func withStreamEngine(t *testing.T, cfg streamConfig) *streamEngine {
-	t.Helper()
-	if cfg.Dir == "" {
-		cfg.Dir = t.TempDir()
-	}
-	eng, err := newStreamEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.replay()
-	old := streamEng
-	streamEng = eng
-	t.Cleanup(func() {
-		streamEng = old
-		if err := eng.close(); err != nil {
-			t.Errorf("wal close: %v", err)
-		}
-	})
-	return eng
-}
 
 // ingestBatch POSTs one batch and decodes the ack.
 func ingestBatch(t *testing.T, srv *httptest.Server, records []traceio.FlatRecord) ingestResponse {
@@ -86,9 +63,8 @@ func streamEvaluate(t *testing.T, srv *httptest.Server, policy string, opts eval
 // bit-identical Values for DM/IPS/DR (the core suite's guarantee,
 // carried through the full HTTP surface).
 func TestStreamEvaluateMatchesBatch(t *testing.T) {
-	withStreamEngine(t, streamConfig{})
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	_, srv := startTest(t, withWAL(t))
 
 	records := testTraceJSON(t, false)
 	var epoch int
@@ -177,6 +153,7 @@ const mixedFeaturesRecords = `[
 // the HTTP surface: close the engine, reopen the same WAL dir, replay,
 // and the streamed /evaluate body must be byte-identical.
 func TestStreamRestartByteIdentical(t *testing.T) {
+	t.Parallel()
 	records := testTraceJSON(t, false)
 	var batches [][]byte
 	for i := 0; i < len(records); i += 50 {
@@ -192,6 +169,7 @@ func TestStreamRestartByteIdentical(t *testing.T) {
 		{"mixed empty and omitted features", [][]byte{mixed}, 5},
 	} {
 		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
 			dir := t.TempDir()
 			want := streamedAcrossRestart(t, dir, c.batches, func(eng *streamEngine) {
 				if got := eng.builder.Len(); got != c.records {
@@ -208,14 +186,12 @@ func TestStreamRestartByteIdentical(t *testing.T) {
 	}
 }
 
-// streamedAcrossRestart ingests batches into a fresh engine over dir,
-// reads a streamed best-observed /evaluate, restarts the engine on the
+// streamedAcrossRestart ingests batches into a fresh server over dir,
+// reads a streamed best-observed /evaluate, restarts the server on the
 // same WAL and reads again. check inspects the replayed engine.
 func streamedAcrossRestart(t *testing.T, dir string, batches [][]byte, check func(*streamEngine)) [2][]byte {
 	t.Helper()
-	read := func() []byte {
-		srv := httptest.NewServer(newMux())
-		defer srv.Close()
+	read := func(srv *httptest.Server) []byte {
 		resp := post(t, srv, "/evaluate", evalRequest{Policy: "best-observed", Options: evalOptions{Clip: 10}})
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
@@ -229,26 +205,18 @@ func streamedAcrossRestart(t *testing.T, dir string, batches [][]byte, check fun
 	}
 	var out [2][]byte
 	for run := range out {
-		eng, err := newStreamEngine(streamConfig{Dir: dir, SegmentBytes: 4096})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.replay()
-		streamEng = eng
+		s := newTestServer(t, func(c *config) { c.walDir, c.segmentBytes = dir, 4096 })
+		srv := httptest.NewServer(s.routes())
 		if run == 0 {
-			srv := httptest.NewServer(newMux())
 			for _, b := range batches {
 				ingestBody(t, srv, b)
 			}
-			srv.Close()
 		} else {
-			check(eng)
+			check(s.stream)
 		}
-		out[run] = read()
-		streamEng = nil
-		if err := eng.close(); err != nil {
-			t.Fatal(err)
-		}
+		out[run] = read(srv)
+		srv.Close()
+		s.close()
 	}
 	return out
 }
@@ -257,8 +225,8 @@ func streamedAcrossRestart(t *testing.T, dir string, batches [][]byte, check fun
 // omitted features give the batch /evaluate's estimates when streamed,
 // before and after a restart.
 func TestStreamMatchesBatchEmptyFeatures(t *testing.T) {
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	_, srv := startTest(t, nil)
 	resp := postRawWithID(t, srv, "/evaluate", "", []byte(`{"trace":`+mixedFeaturesRecords+`,"policy":"best-observed","options":{"clip":10}}`))
 	var batch evalResponse
 	if err := json.NewDecoder(resp.Body).Decode(&batch); err != nil || resp.StatusCode != http.StatusOK {
@@ -282,10 +250,12 @@ func TestStreamMatchesBatchEmptyFeatures(t *testing.T) {
 // stale_aggregates reason and an O(1) SNIPS fallback; refreshModel
 // refits and clears it.
 func TestStreamStalenessDegrades(t *testing.T) {
-	withStreamEngine(t, streamConfig{MaxModelAge: 100})
-	withThresholds(t, resilience.Thresholds{}) // isolate the staleness reason
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	_, srv := startTest(t, func(c *config) {
+		c.walDir = t.TempDir()
+		c.maxModelAge = 100
+		c.thresholds = resilience.Thresholds{} // isolate the staleness reason
+	})
 
 	records := testTraceJSON(t, false)
 	ingestBatch(t, srv, records[:100])
@@ -322,14 +292,14 @@ func TestStreamStalenessDegrades(t *testing.T) {
 }
 
 // TestIngestErrorSurface walks the /ingest status ladder: 404 disabled,
-// 400 malformed/empty, 413 oversized, 422 invalid records, 429 shed
-// with Retry-After, 503 while replaying.
+// 400 malformed/empty/trailing data, 413 oversized, 422 invalid
+// records, 429 shed with Retry-After, 503 while replaying.
 func TestIngestErrorSurface(t *testing.T) {
+	t.Parallel()
 	records := testTraceJSON(t, false)
 
 	t.Run("disabled 404", func(t *testing.T) {
-		srv := httptest.NewServer(newMux())
-		defer srv.Close()
+		_, srv := startTest(t, nil)
 		resp := post(t, srv, "/ingest", ingestRequest{Records: records[:10]})
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
@@ -337,9 +307,7 @@ func TestIngestErrorSurface(t *testing.T) {
 		}
 	})
 
-	withStreamEngine(t, streamConfig{})
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	s, srv := startTest(t, withWAL(t))
 
 	t.Run("empty batch 400", func(t *testing.T) {
 		resp := post(t, srv, "/ingest", ingestRequest{})
@@ -360,10 +328,20 @@ func TestIngestErrorSurface(t *testing.T) {
 		}
 	})
 
+	t.Run("two batches in one body 400", func(t *testing.T) {
+		batch := string(marshal(t, ingestRequest{Records: records[:10]}))
+		code, body := postRaw(t, srv, "/ingest", batch+batch)
+		if code != http.StatusBadRequest || !strings.Contains(body, "invalid request body") {
+			t.Fatalf("status %d %s, want 400 invalid request body", code, body)
+		}
+		// Rejected before the WAL append: the epoch did not move.
+		if s.stream.wal.Seq() != 0 || s.stream.builder.Len() != 0 {
+			t.Fatalf("rejected body left state: seq=%d len=%d", s.stream.wal.Seq(), s.stream.builder.Len())
+		}
+	})
+
 	t.Run("oversized 413", func(t *testing.T) {
-		old := ingestMaxBytes
-		ingestMaxBytes = 64
-		defer func() { ingestMaxBytes = old }()
+		_, srv := startTest(t, func(c *config) { c.walDir, c.ingestMaxBytes = t.TempDir(), 64 })
 		resp := post(t, srv, "/ingest", ingestRequest{Records: records[:10]})
 		var buf bytes.Buffer
 		_, _ = buf.ReadFrom(resp.Body)
@@ -386,16 +364,16 @@ func TestIngestErrorSurface(t *testing.T) {
 			t.Fatalf("error not record-addressed: %s", buf.String())
 		}
 		// Nothing invalid reached the WAL or the view.
-		if streamEng.wal.Seq() != 0 || streamEng.builder.Len() != 0 {
-			t.Fatalf("invalid batch left state: seq=%d len=%d", streamEng.wal.Seq(), streamEng.builder.Len())
+		if s.stream.wal.Seq() != 0 || s.stream.builder.Len() != 0 {
+			t.Fatalf("invalid batch left state: seq=%d len=%d", s.stream.wal.Seq(), s.stream.builder.Len())
 		}
 	})
 
 	t.Run("shed 429 with Retry-After", func(t *testing.T) {
-		old := ingestLimiter
-		ingestLimiter = resilience.NewLimiter(1, 0)
-		defer func() { ingestLimiter = old }()
-		release, _, err := ingestLimiter.Acquire(t.Context())
+		s, srv := startTest(t, func(c *config) {
+			c.walDir, c.ingestMaxConcurrent, c.ingestMaxQueue = t.TempDir(), 1, 0
+		})
+		release, _, err := s.ingestLimiter.Acquire(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -411,8 +389,8 @@ func TestIngestErrorSurface(t *testing.T) {
 	})
 
 	t.Run("replaying 503", func(t *testing.T) {
-		streamEng.replaying.Store(true)
-		defer streamEng.replaying.Store(false)
+		s.stream.replaying.Store(true)
+		defer s.stream.replaying.Store(false)
 		for _, path := range []string{"/ingest", "/evaluate", "/diagnose"} {
 			body := any(ingestRequest{Records: records[:10]})
 			if path != "/ingest" {
@@ -462,12 +440,10 @@ func TestIngestErrorSurface(t *testing.T) {
 // ticks, and after the fault clears the same batch ingests cleanly —
 // the retry contract a durable queue owes its producers.
 func TestChaosIngestWALFault(t *testing.T) {
-	withStreamEngine(t, streamConfig{})
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	s, srv := startTest(t, withWAL(t))
 	records := testTraceJSON(t, false)
 
-	errsBefore := walAppendErrorsTotal.Value()
+	errsBefore := s.m.walAppendErrors.Value()
 	resilience.Activate(resilience.NewFaultPlan(23).
 		Add(resilience.PointWALSync, resilience.FaultSpec{ErrProb: 1}))
 	resp := post(t, srv, "/ingest", ingestRequest{Records: records[:50]})
@@ -478,11 +454,11 @@ func TestChaosIngestWALFault(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503 (%s)", resp.StatusCode, buf.String())
 	}
-	if walAppendErrorsTotal.Value() != errsBefore+1 {
+	if s.m.walAppendErrors.Value() != errsBefore+1 {
 		t.Fatal("wal append error counter did not tick")
 	}
-	if streamEng.builder.Len() != 0 {
-		t.Fatalf("un-durable batch folded into the view: %d records", streamEng.builder.Len())
+	if s.stream.builder.Len() != 0 {
+		t.Fatalf("un-durable batch folded into the view: %d records", s.stream.builder.Len())
 	}
 
 	// Retry after the fault clears: clean ack, state consistent.
@@ -495,9 +471,8 @@ func TestChaosIngestWALFault(t *testing.T) {
 // TestStreamHealthzWALBlock: /healthz surfaces the WAL state (epoch,
 // fsync policy, replay progress) once streaming is enabled.
 func TestStreamHealthzWALBlock(t *testing.T) {
-	withStreamEngine(t, streamConfig{})
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	_, srv := startTest(t, withWAL(t))
 	ingestBatch(t, srv, testTraceJSON(t, false)[:100])
 
 	resp, err := http.Get(srv.URL + "/healthz")
@@ -521,19 +496,17 @@ func TestStreamHealthzWALBlock(t *testing.T) {
 // TestStreamBiasRefresh: with BiasRefresh set, ingest republishes the
 // observatory report over the streamed view, stamped with the epoch.
 func TestStreamBiasRefresh(t *testing.T) {
-	eng := withStreamEngine(t, streamConfig{BiasRefresh: 100})
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	s, srv := startTest(t, func(c *config) { c.walDir, c.biasRefresh = t.TempDir(), 100 })
 	records := testTraceJSON(t, false)
 
 	ingestBatch(t, srv, records[:150])
 	streamEvaluate(t, srv, "constant:a", evalOptions{}) // register a policy
-	lastBias.Store(nil)
 	ingestBatch(t, srv, records[150:300])
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if st := lastBias.Load(); st != nil {
+		if st := s.lastBias.Load(); st != nil {
 			if !strings.HasPrefix(st.requestID, "ingest@epoch=") {
 				t.Fatalf("bias report stamped %q, want ingest@epoch=...", st.requestID)
 			}
@@ -547,33 +520,25 @@ func TestStreamBiasRefresh(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	_ = eng
 }
 
 // TestStreamSegmentRotationManifest: small segments force rotation
 // mid-stream; the manifest matches the scan on reopen and recovery
 // reports every frame.
 func TestStreamSegmentRotationManifest(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
-	func() {
-		eng, err := newStreamEngine(streamConfig{Dir: dir, SegmentBytes: 2048})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.replay()
-		streamEng = eng
-		defer func() { streamEng = nil }()
-		defer eng.close()
-		srv := httptest.NewServer(newMux())
-		defer srv.Close()
-		records := testTraceJSON(t, false)
-		for i := 0; i < 300; i += 20 {
-			ingestBatch(t, srv, records[i:i+20])
-		}
-		if eng.wal.Segments() < 3 {
-			t.Fatalf("no rotation at 2 KiB segments: %d segment(s)", eng.wal.Segments())
-		}
-	}()
+	s := newTestServer(t, func(c *config) { c.walDir, c.segmentBytes = dir, 2048 })
+	srv := httptest.NewServer(s.routes())
+	records := testTraceJSON(t, false)
+	for i := 0; i < 300; i += 20 {
+		ingestBatch(t, srv, records[i:i+20])
+	}
+	if s.stream.wal.Segments() < 3 {
+		t.Fatalf("no rotation at 2 KiB segments: %d segment(s)", s.stream.wal.Segments())
+	}
+	srv.Close()
+	s.close()
 
 	l, rec, err := walog.Open(walog.Options{Dir: dir, SegmentBytes: 2048})
 	if err != nil {
@@ -595,12 +560,11 @@ func TestStreamSegmentRotationManifest(t *testing.T) {
 // bound is deliberately loose — it is a complexity tripwire, not a
 // latency SLO.
 func TestIngestLegEvalFlatness(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("latency measurement skipped in -short mode")
 	}
-	withStreamEngine(t, streamConfig{Fsync: walog.FsyncNever})
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	_, srv := startTest(t, func(c *config) { c.walDir, c.fsync = t.TempDir(), "never" })
 
 	res, err := benchkit.RunIngest(benchkit.IngestConfig{
 		URL: srv.URL, Records: 5000, BatchSize: 250, EvalSamples: 40, Seed: 7,

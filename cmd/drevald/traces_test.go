@@ -5,8 +5,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 
 	"drnet/internal/obs"
@@ -79,11 +80,10 @@ func postWithID(t *testing.T, srv *httptest.Server, path, id string, body any) *
 // root is the HTTP request and whose children are the evaluation
 // phases, bootstrap included.
 func TestEvaluateTimelineEndToEnd(t *testing.T) {
+	t.Parallel()
 	// All-zero thresholds disable degradation: this test wants the
 	// healthy timeline shape.
-	withThresholds(t, resilience.Thresholds{})
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	_, srv := startTest(t, func(c *config) { c.thresholds = resilience.Thresholds{} })
 
 	id := "e2e-trace-" + obs.NewID()
 	resp := postWithID(t, srv, "/evaluate", id, evalRequest{
@@ -162,11 +162,10 @@ func childNames(cs []spanNode) []string {
 // degraded attribute, an error message, and a tick of
 // obs_span_errors_total{span="http/evaluate"}.
 func TestDegradedRequestMarksSpanError(t *testing.T) {
-	withThresholds(t, resilience.Thresholds{ESSRatioFloor: 1.0})
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	s, srv := startTest(t, func(c *config) { c.thresholds = resilience.Thresholds{ESSRatioFloor: 1.0} })
 
-	errsBefore := obs.Default.Counter("obs_span_errors_total", obs.L("span", "http/evaluate")).Value()
+	errsBefore := s.reg.Counter("obs_span_errors_total", obs.L("span", "http/evaluate")).Value()
 	id := "degraded-trace-" + obs.NewID()
 	resp := postWithID(t, srv, "/evaluate", id, evalRequest{
 		Trace:  testTraceJSON(t, false),
@@ -203,7 +202,7 @@ func TestDegradedRequestMarksSpanError(t *testing.T) {
 	if !has {
 		t.Fatalf("fallback phase missing from degraded timeline: %v", childNames(found.Children))
 	}
-	if after := obs.Default.Counter("obs_span_errors_total", obs.L("span", "http/evaluate")).Value(); after != errsBefore+1 {
+	if after := s.reg.Counter("obs_span_errors_total", obs.L("span", "http/evaluate")).Value(); after != errsBefore+1 {
 		t.Fatalf("span error counter went %d → %d, want +1", errsBefore, after)
 	}
 }
@@ -211,10 +210,10 @@ func TestDegradedRequestMarksSpanError(t *testing.T) {
 // TestScrapeRoutesNotTraced: /metrics and /healthz must not consume
 // ring slots — only compute routes are traced.
 func TestScrapeRoutesNotTraced(t *testing.T) {
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	s, srv := startTest(t, nil)
 
-	before := traceRecorder.Recorded()
+	before := s.traces.Recorded()
 	for _, path := range []string{"/healthz", "/metrics", "/debug/vars", "/debug/traces"} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
@@ -222,27 +221,20 @@ func TestScrapeRoutesNotTraced(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	if after := traceRecorder.Recorded(); after != before {
+	if after := s.traces.Recorded(); after != before {
 		t.Fatalf("scrape routes recorded %d spans", after-before)
 	}
 }
 
-// TestTraceSinkStreamsJSONL: a sink installed on the recorder (the
-// -trace-out path) receives every completed span of a request as
-// parseable JSON lines sharing the request's trace ID.
+// TestTraceSinkStreamsJSONL: -trace-out receives every completed span
+// of a request as parseable JSON lines sharing the request's trace ID.
 func TestTraceSinkStreamsJSONL(t *testing.T) {
-	withThresholds(t, resilience.Thresholds{})
-	var mu sync.Mutex
-	var lines [][]byte
-	traceRecorder.SetSink(func(line []byte) {
-		mu.Lock()
-		defer mu.Unlock()
-		lines = append(lines, append([]byte(nil), line...))
+	t.Parallel()
+	out := filepath.Join(t.TempDir(), "spans.jsonl")
+	s, srv := startTest(t, func(c *config) {
+		c.thresholds = resilience.Thresholds{}
+		c.traceOut = out
 	})
-	defer traceRecorder.SetSink(nil)
-
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
 	id := "sink-trace-" + obs.NewID()
 	resp := postWithID(t, srv, "/evaluate", id, evalRequest{
 		Trace:   testTraceJSON(t, false),
@@ -253,17 +245,18 @@ func TestTraceSinkStreamsJSONL(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/evaluate returned %d", resp.StatusCode)
 	}
-	// The sink is drained by a background goroutine; removing it
-	// flushes every queued line before we inspect them.
-	traceRecorder.SetSink(nil)
-
-	mu.Lock()
-	defer mu.Unlock()
+	// The sink is drained by a background goroutine; closing the server
+	// flushes every queued line to the file before we inspect it.
+	s.close()
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasSuffix(data, []byte("\n")) {
+		t.Fatalf("-trace-out does not end in a newline: %q", data)
+	}
 	names := map[string]bool{}
-	for _, line := range lines {
-		if !bytes.HasSuffix(line, []byte("\n")) {
-			t.Fatalf("sink line not newline-terminated: %q", line)
-		}
+	for _, line := range bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n")) {
 		var rec obs.SpanRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
 			t.Fatalf("sink line is not valid JSON: %v\n%s", err, line)
@@ -282,7 +275,9 @@ func TestTraceSinkStreamsJSONL(t *testing.T) {
 // TestDebugTracesOnBothMuxes: the endpoint is served on the service
 // port and the debug port, and rejects a malformed n.
 func TestDebugTracesOnBothMuxes(t *testing.T) {
-	for name, mux := range map[string]http.Handler{"service": newMux(), "debug": newDebugMux()} {
+	t.Parallel()
+	s := newTestServer(t, nil)
+	for name, mux := range map[string]http.Handler{"service": s.routes(), "debug": s.debugRoutes()} {
 		srv := httptest.NewServer(mux)
 		resp, err := http.Get(srv.URL + "/debug/traces")
 		if err != nil {

@@ -3,22 +3,20 @@
 // the repo's perf trajectory: a versioned BENCH_<timestamp>.json with
 // per-estimator throughput, p50/p95/p99 latency, allocations and peak
 // heap at every (trace size × worker count) combination, optionally
-// followed by an HTTP loadgen leg against a live drevald and a diff
-// against the checked-in baseline.
+// followed by a diff against the checked-in baseline. It measures the
+// estimator kernels in process; the drevald daemon is measured end to
+// end, with every answer checked, by `bash e2ebench/run.sh --workload <w>`.
 //
 // Usage:
 //
 //	drevalbench [-quick] [-sizes 1000,10000,50000] [-workers 1,2,8]
 //	            [-iters 20] [-bootstrap 100] [-seed 1]
 //	            [-out .] [-baseline bench/baseline.json] [-strict]
-//	            [-server http://127.0.0.1:8080] [-http-requests 100]
-//	            [-http-concurrency 8] [-http-trace-size 2000]
 //	            [-cpuprofile cpu.pprof] [-memprofile heap.pprof]
 //
 // Exit status: 0 on success (regressions against the baseline are
 // warnings unless -strict), 1 on build/measure errors or, with
-// -strict, on threshold violations. The HTTP leg runs only when
-// -server is set and fails the run if any request errors.
+// -strict, on threshold violations.
 //
 // Comparing two machines' absolute numbers is meaningless; the
 // trajectory works because CI and developers diff against a baseline
@@ -51,28 +49,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("drevalbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		quick       = fs.Bool("quick", false, "CI smoke mode: small sizes and iteration counts, finishes in seconds")
-		sizes       = fs.String("sizes", "", "comma-separated trace sizes (default from -quick or the full config)")
-		workers     = fs.String("workers", "", "comma-separated worker-pool widths")
-		iters       = fs.Int("iters", 0, "measured iterations per cell (0 = config default)")
-		bootstrap   = fs.Int("bootstrap", 0, "bootstrap resamples in the bootstrap workload (0 = config default)")
-		seed        = fs.Int64("seed", 1, "synthetic workload seed")
-		outDir      = fs.String("out", ".", "directory the BENCH_<timestamp>.json report is written to")
-		baseline    = fs.String("baseline", "bench/baseline.json", "baseline report to diff against (\"\" or a missing file skips the diff)")
-		strict      = fs.Bool("strict", false, "exit non-zero when the diff crosses a regression threshold (default: warn only, for noisy CI runners)")
-		thDrop      = fs.Float64("max-throughput-drop", benchkit.DefaultThresholds().MaxThroughputDrop, "regression threshold: fractional ops/s drop vs baseline")
-		thLat       = fs.Float64("max-latency-growth", benchkit.DefaultThresholds().MaxLatencyGrowth, "regression threshold: fractional p95 growth vs baseline")
-		thAlloc     = fs.Float64("max-alloc-growth", benchkit.DefaultThresholds().MaxAllocGrowth, "regression threshold: fractional allocs/op growth vs baseline")
-		thMinP50    = fs.Float64("min-reliable-p50-ms", benchkit.DefaultThresholds().MinReliableP50Ms, "skip throughput/latency checks for cells whose p50 is below this on both sides (allocs always checked); 0 disables")
-		server      = fs.String("server", "", "base URL of a live drevald for the HTTP loadgen leg (\"\" skips it)")
-		httpReqs    = fs.Int("http-requests", 100, "loadgen request count")
-		httpConc    = fs.Int("http-concurrency", 8, "loadgen concurrent clients")
-		httpSize    = fs.Int("http-trace-size", 2000, "records per loadgen request")
-		httpBoot    = fs.Int("http-bootstrap", 50, "options.bootstrap in loadgen requests")
-		ingestRecs  = fs.Int("ingest-records", 0, "streaming-ingestion leg: total records POSTed to /ingest against -server (0 skips it; needs a drevald running with -wal-dir)")
-		ingestBatch = fs.Int("ingest-batch", 100, "streaming-ingestion leg: records per /ingest batch")
-		cpuProf     = fs.String("cpuprofile", "", "write a CPU pprof profile of the workload run to this file")
-		memProf     = fs.String("memprofile", "", "write a heap pprof profile (taken after the run) to this file")
+		quick     = fs.Bool("quick", false, "CI smoke mode: small sizes and iteration counts, finishes in seconds")
+		sizes     = fs.String("sizes", "", "comma-separated trace sizes (default from -quick or the full config)")
+		workers   = fs.String("workers", "", "comma-separated worker-pool widths")
+		iters     = fs.Int("iters", 0, "measured iterations per cell (0 = config default)")
+		bootstrap = fs.Int("bootstrap", 0, "bootstrap resamples in the bootstrap workload (0 = config default)")
+		seed      = fs.Int64("seed", 1, "synthetic workload seed")
+		outDir    = fs.String("out", ".", "directory the BENCH_<timestamp>.json report is written to")
+		baseline  = fs.String("baseline", "bench/baseline.json", "baseline report to diff against (\"\" or a missing file skips the diff)")
+		strict    = fs.Bool("strict", false, "exit non-zero when the diff crosses a regression threshold (default: warn only, for noisy CI runners)")
+		thDrop    = fs.Float64("max-throughput-drop", benchkit.DefaultThresholds().MaxThroughputDrop, "regression threshold: fractional ops/s drop vs baseline")
+		thLat     = fs.Float64("max-latency-growth", benchkit.DefaultThresholds().MaxLatencyGrowth, "regression threshold: fractional p95 growth vs baseline")
+		thAlloc   = fs.Float64("max-alloc-growth", benchkit.DefaultThresholds().MaxAllocGrowth, "regression threshold: fractional allocs/op growth vs baseline")
+		thMinP50  = fs.Float64("min-reliable-p50-ms", benchkit.DefaultThresholds().MinReliableP50Ms, "skip throughput/latency checks for cells whose p50 is below this on both sides (allocs always checked); 0 disables")
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU pprof profile of the workload run to this file")
+		memProf   = fs.String("memprofile", "", "write a heap pprof profile (taken after the run) to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 1
@@ -134,53 +125,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	rep.Timestamp = time.Now().UTC().Format(time.RFC3339)
-
-	if *server != "" {
-		logf("drevalbench: http leg against %s (%d requests, %d clients)", *server, *httpReqs, *httpConc)
-		httpRes, err := benchkit.RunHTTP(benchkit.HTTPConfig{
-			URL:         *server,
-			Requests:    *httpReqs,
-			Concurrency: *httpConc,
-			TraceSize:   *httpSize,
-			Bootstrap:   *httpBoot,
-			Seed:        *seed,
-		})
-		if err != nil {
-			fmt.Fprintf(stderr, "drevalbench: http leg: %v\n", err)
-			return 1
-		}
-		rep.HTTP = httpRes
-		if httpRes.Errors > 0 {
-			fmt.Fprintf(stderr, "drevalbench: http leg: %d of %d requests failed (%v)\n",
-				httpRes.Errors, httpRes.Requests, httpRes.StatusCount)
-			return 1
-		}
-		logf("drevalbench: http ops/s=%.1f p50=%.1fms p95=%.1fms p99=%.1fms",
-			httpRes.OpsPerSec, httpRes.P50Ms, httpRes.P95Ms, httpRes.P99Ms)
-	}
-
-	if *server != "" && *ingestRecs > 0 {
-		logf("drevalbench: ingest leg against %s (%d records, batches of %d)", *server, *ingestRecs, *ingestBatch)
-		ingRes, err := benchkit.RunIngest(benchkit.IngestConfig{
-			URL:       *server,
-			Records:   *ingestRecs,
-			BatchSize: *ingestBatch,
-			Seed:      *seed,
-		})
-		if err != nil {
-			fmt.Fprintf(stderr, "drevalbench: ingest leg: %v\n", err)
-			return 1
-		}
-		rep.Ingest = ingRes
-		if ingRes.Errors > 0 {
-			fmt.Fprintf(stderr, "drevalbench: ingest leg: %d of %d batches failed (%v)\n",
-				ingRes.Errors, ingRes.Batches, ingRes.StatusCount)
-			return 1
-		}
-		logf("drevalbench: ingest records/s=%.1f ack p50=%.2fms p95=%.2fms eval-flatness=%.2fx over %d→%d records",
-			ingRes.RecordsPerSec, ingRes.AckP50Ms, ingRes.AckP95Ms,
-			ingRes.EvalLatencyRatio, ingRes.Checkpoints[0].Epoch, ingRes.Checkpoints[len(ingRes.Checkpoints)-1].Epoch)
-	}
 
 	if *memProf != "" {
 		runtime.GC()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -53,9 +54,13 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 		ci     bool
 		err    error
 	}
+	// The body's last byte is held back until the request is seen in the
+	// handler, so it cannot finish between two polls of the gauge.
+	pr, pw := io.Pipe()
+	defer pw.Close()
 	inFlight := make(chan result, 1)
 	go func() {
-		resp, err := http.Post(url+"/evaluate", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(url+"/evaluate", "application/json", pr)
 		if err != nil {
 			inFlight <- result{err: err}
 			return
@@ -72,6 +77,9 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 	// Wait until the request is in the handler, then deliver SIGTERM —
 	// the signal run registers alongside os.Interrupt. The bootstrap is
 	// sized to drain well inside -drain-timeout even under -race.
+	if _, err := pw.Write(body[:len(body)-1]); err != nil {
+		t.Fatal(err)
+	}
 	serving := s.reg.Gauge("drevald_http_in_flight", obs.L("route", "/evaluate"))
 	for deadline := time.Now().Add(10 * time.Second); serving.Value() == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
@@ -79,6 +87,10 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 		}
 	}
 	stop <- syscall.SIGTERM
+	if _, err := pw.Write(body[len(body)-1:]); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
 
 	select {
 	case err := <-done:

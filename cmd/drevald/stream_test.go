@@ -553,12 +553,11 @@ func TestStreamSegmentRotationManifest(t *testing.T) {
 	}
 }
 
-// TestIngestLegEvalFlatness runs benchkit's ingest leg against the
-// real engine and checks the O(1) contract end to end: streamed
-// /evaluate latency at a 10x-larger epoch stays within a small factor
-// of the first checkpoint (an O(n) evaluator would scale ~10x). The
-// bound is deliberately loose — it is a complexity tripwire, not a
-// latency SLO.
+// TestIngestLegEvalFlatness ingests a growing stream into the real
+// engine and checks the O(1) contract end to end: streamed /evaluate
+// latency at a 10x-larger epoch stays within a small factor of the
+// first checkpoint (an O(n) evaluator would scale ~10x). The bound is
+// deliberately loose — it is a complexity tripwire, not a latency SLO.
 func TestIngestLegEvalFlatness(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
@@ -566,23 +565,36 @@ func TestIngestLegEvalFlatness(t *testing.T) {
 	}
 	_, srv := startTest(t, func(c *config) { c.walDir, c.fsync = t.TempDir(), "never" })
 
-	res, err := benchkit.RunIngest(benchkit.IngestConfig{
-		URL: srv.URL, Records: 5000, BatchSize: 250, EvalSamples: 40, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
+	const records, batch, samples = 5000, 250, 40
+	all := benchkit.SyntheticTrace(records, 7)
+	// evalP50 is the median streamed /evaluate latency, in ms, at the
+	// current epoch.
+	evalP50 := func() float64 {
+		lat := make([]float64, samples)
+		for i := range lat {
+			t0 := time.Now()
+			streamEvaluate(t, srv, "best-observed", evalOptions{Clip: 10})
+			lat[i] = time.Since(t0).Seconds()
+		}
+		return benchkit.Percentile(lat, 0.5) * 1000
 	}
-	if res.Errors != 0 || res.Records != 5000 {
-		t.Fatalf("ingest leg: %+v", res)
+	// Probe at 10 evenly spaced epochs, so first to last spans 10x.
+	var epochs []int
+	var p50 []float64
+	for off := 0; off < records; off += batch {
+		ack := ingestBatch(t, srv, all[off:off+batch])
+		if ack.Epoch%(records/10) == 0 {
+			epochs = append(epochs, ack.Epoch)
+			p50 = append(p50, evalP50())
+		}
 	}
-	first, last := res.Checkpoints[0], res.Checkpoints[len(res.Checkpoints)-1]
-	if last.Epoch != 10*first.Epoch {
-		t.Fatalf("checkpoints do not span 10x: %d -> %d", first.Epoch, last.Epoch)
+	last := len(epochs) - 1
+	if epochs[last] != 10*epochs[0] {
+		t.Fatalf("checkpoints do not span 10x: %v", epochs)
 	}
-	if res.EvalLatencyRatio > 8 {
+	if ratio := p50[last] / p50[0]; ratio > 8 {
 		t.Fatalf("streamed /evaluate latency grew %.1fx over a 10x stream (p50 %.3fms -> %.3fms): evaluation is no longer O(1)",
-			res.EvalLatencyRatio, first.EvalP50Ms, last.EvalP50Ms)
+			ratio, p50[0], p50[last])
 	}
-	t.Logf("10x growth: eval p50 %.3fms -> %.3fms (%.2fx), ingest %.0f records/s",
-		first.EvalP50Ms, last.EvalP50Ms, res.EvalLatencyRatio, res.RecordsPerSec)
+	t.Logf("10x growth: eval p50 %.3fms -> %.3fms (%.2fx)", p50[0], p50[last], p50[last]/p50[0])
 }

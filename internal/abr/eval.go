@@ -165,17 +165,6 @@ func (d *Data) ModelReward(c Chunk, level int) float64 {
 	return d.chunkReward(c, level, c.PredictedKbps)
 }
 
-// ReplayReward is the trace-replay evaluator used by FastMPC-era ABR
-// comparisons ([31, 37, 42] replay a new ABR algorithm against the
-// throughput trace observed by real clients): chunk k is assumed to
-// download at exactly the throughput observed for chunk k in the trace,
-// whatever bitrate the new policy picks. Because that observation was
-// generated at the OLD policy's bitrate (b·p(d_old)), this model carries
-// Figure 2's bias on every chunk where the policies diverge.
-func (d *Data) ReplayReward(c Chunk, level int) float64 {
-	return d.chunkReward(c, level, c.ObservedKbps)
-}
-
 // NewPolicy returns the target policy of Figure 7b: a deterministic
 // MPC-style controller driven by the predicted throughput in the chunk
 // context scaled by an optimism factor. Optimism > 1 models a designer

@@ -103,7 +103,7 @@ func checkGoroutineFloatAccum(pass *analysis.Pass, lit *ast.FuncLit) {
 			return true
 		}
 		if declaredOutside(pass.Info, lhs, lo, hi) {
-			pass.Reportf(asg.Pos(), "float accumulated into captured %s inside a goroutine: cross-goroutine summation order is scheduler-dependent; return per-worker partials and reduce them in deterministic order (internal/parallel.MapReduce)", exprText(lhs))
+			pass.Reportf(asg.Pos(), "float accumulated into captured %s inside a goroutine: cross-goroutine summation order is scheduler-dependent; return per-item partials from internal/parallel.Times or TimesCtx and reduce them in index order", exprText(lhs))
 		}
 		return true
 	})

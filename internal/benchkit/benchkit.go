@@ -154,13 +154,6 @@ type Report struct {
 	// WallSeconds is the harness's total measurement wall time.
 	WallSeconds float64      `json:"wallSeconds"`
 	Cells       []CellResult `json:"cells"`
-	// HTTP is the loadgen leg against a live drevald, present when one
-	// was requested.
-	HTTP *HTTPResult `json:"http,omitempty"`
-	// Ingest is the streaming-ingestion leg (durable-ack throughput and
-	// the O(1) evaluation flatness probe), present when one was
-	// requested. Consumers must nil-guard: most runs have no WAL server.
-	Ingest *IngestResult `json:"ingest,omitempty"`
 }
 
 // FindCell returns the result for a cell key, or nil.

@@ -1,16 +1,10 @@
 package benchkit
 
 import (
-	"encoding/json"
-	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"path/filepath"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
-	"drnet/internal/slo"
 	"drnet/internal/traceio"
 )
 
@@ -235,77 +229,6 @@ func TestReportRoundTripAndSchemaGuard(t *testing.T) {
 	}
 }
 
-func TestRunHTTPAgainstStubServer(t *testing.T) {
-	var requests atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/evaluate" || r.Method != http.MethodPost {
-			t.Errorf("unexpected %s %s", r.Method, r.URL.Path)
-		}
-		var body struct {
-			Trace  []json.RawMessage `json:"trace"`
-			Policy string            `json:"policy"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			t.Errorf("decoding loadgen body: %v", err)
-		}
-		if len(body.Trace) != 50 || body.Policy != "best-observed" {
-			t.Errorf("loadgen body: %d records, policy %q", len(body.Trace), body.Policy)
-		}
-		requests.Add(1)
-		fmt.Fprint(w, `{}`)
-	}))
-	defer srv.Close()
-
-	res, err := RunHTTP(HTTPConfig{
-		URL: srv.URL, Requests: 8, Concurrency: 2, TraceSize: 50, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Requests != 8 || res.Errors != 0 || requests.Load() != 8 {
-		t.Fatalf("requests=%d errors=%d served=%d", res.Requests, res.Errors, requests.Load())
-	}
-	if res.StatusCount["200"] != 8 {
-		t.Fatalf("status census = %v", res.StatusCount)
-	}
-	if res.OpsPerSec <= 0 || res.P50Ms < 0 || res.P50Ms > res.P99Ms {
-		t.Fatalf("implausible loadgen metrics: %+v", res)
-	}
-	avail := complianceByName(res.SLO, "availability")
-	if avail == nil || avail.Total != 8 || avail.Good != 8 || !avail.Met {
-		t.Fatalf("availability compliance = %+v", avail)
-	}
-
-	// A failing server is counted, not fatal.
-	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		http.Error(w, "boom", http.StatusInternalServerError)
-	}))
-	defer bad.Close()
-	res, err = RunHTTP(HTTPConfig{URL: bad.URL, Requests: 3, Concurrency: 1, TraceSize: 50, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Errors != 3 || res.StatusCount["500"] != 3 {
-		t.Fatalf("error census = %+v", res)
-	}
-	if avail := complianceByName(res.SLO, "availability"); avail == nil || avail.Good != 0 || avail.Met {
-		t.Fatalf("availability compliance of all-500 run = %+v", avail)
-	}
-
-	if _, err := RunHTTP(HTTPConfig{}); err == nil {
-		t.Fatal("empty config accepted")
-	}
-}
-
-func complianceByName(cs []slo.Compliance, name string) *slo.Compliance {
-	for i := range cs {
-		if cs[i].Name == name {
-			return &cs[i]
-		}
-	}
-	return nil
-}
-
 // TestEventsOverheadCells checks the dr_events_on/off pair runs and
 // that the on-cell really commits an event per iteration (the off
 // cell's nil journal commits none, by construction).
@@ -326,71 +249,5 @@ func TestEventsOverheadCells(t *testing.T) {
 		if cell == nil || cell.OpsPerSec <= 0 {
 			t.Fatalf("cell %s missing or unmeasured: %+v", key, cell)
 		}
-	}
-}
-
-func TestRunIngestAgainstStubServer(t *testing.T) {
-	var ingested atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/ingest":
-			var body struct {
-				Records []json.RawMessage `json:"records"`
-			}
-			if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-				t.Errorf("decoding ingest body: %v", err)
-			}
-			epoch := ingested.Add(int64(len(body.Records)))
-			fmt.Fprintf(w, `{"acked":%d,"durable":true,"epoch":%d}`, len(body.Records), epoch)
-		case "/evaluate":
-			fmt.Fprint(w, `{}`)
-		default:
-			t.Errorf("unexpected %s %s", r.Method, r.URL.Path)
-		}
-	}))
-	defer srv.Close()
-
-	res, err := RunIngest(IngestConfig{URL: srv.URL, Records: 1000, BatchSize: 50, EvalSamples: 3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Records != 1000 || res.Batches != 20 || res.Errors != 0 || ingested.Load() != 1000 {
-		t.Fatalf("ingest census: %+v (server saw %d)", res, ingested.Load())
-	}
-	if res.StatusCount["200"] != 20 {
-		t.Fatalf("status census = %v", res.StatusCount)
-	}
-	// 10 evenly spaced checkpoints spanning the 10x growth, first at
-	// records/10 and last at the full stream.
-	if len(res.Checkpoints) != 10 ||
-		res.Checkpoints[0].Epoch != 100 || res.Checkpoints[9].Epoch != 1000 {
-		t.Fatalf("checkpoints = %+v", res.Checkpoints)
-	}
-	if res.EvalLatencyRatio <= 0 {
-		t.Fatalf("flatness ratio not computed: %+v", res)
-	}
-	if res.RecordsPerSec <= 0 || res.AckP50Ms < 0 || res.AckP50Ms > res.AckP99Ms {
-		t.Fatalf("implausible ingest metrics: %+v", res)
-	}
-
-	// Config validation.
-	if _, err := RunIngest(IngestConfig{}); err == nil {
-		t.Fatal("empty config accepted")
-	}
-	if _, err := RunIngest(IngestConfig{URL: srv.URL, Records: 50, BatchSize: 10}); err == nil {
-		t.Fatal("undersized leg accepted")
-	}
-
-	// A non-200 ingest is an error, not a crash.
-	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		http.Error(w, `{"error":"no wal"}`, http.StatusNotFound)
-	}))
-	defer bad.Close()
-	res, err = RunIngest(IngestConfig{URL: bad.URL, Records: 100, BatchSize: 100, EvalSamples: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Errors != 1 || res.StatusCount["404"] != 1 || res.Records != 0 {
-		t.Fatalf("error census = %+v", res)
 	}
 }

@@ -35,11 +35,6 @@ type Config struct {
 	BE int // 0 = BE-1, 1 = BE-2
 }
 
-// AllConfigs enumerates the four (FE, BE) decisions.
-func AllConfigs() []Config {
-	return []Config{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
-}
-
 // Request is the client-context: the requesting ISP.
 type Request struct {
 	ISP ISP

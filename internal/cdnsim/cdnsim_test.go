@@ -178,12 +178,6 @@ func TestDRBeatsWISE(t *testing.T) {
 	}
 }
 
-func TestAllConfigs(t *testing.T) {
-	if len(AllConfigs()) != 4 {
-		t.Fatal("expected 4 configurations")
-	}
-}
-
 func TestWISEModelValidationAndFallbacks(t *testing.T) {
 	w := DefaultWorld()
 	rng := mathx.NewRNG(9)
@@ -202,7 +196,7 @@ func TestWISEModelValidationAndFallbacks(t *testing.T) {
 	// Predictions are finite and within the response-time range for all
 	// (request, config) combinations, including never-logged ones.
 	for _, isp := range []ISP{ISP1, ISP2} {
-		for _, cfg := range AllConfigs() {
+		for _, cfg := range []Config{{0, 0}, {0, 1}, {1, 0}, {1, 1}} {
 			p := model.Predict(Request{ISP: isp}, cfg)
 			if p < w.ShortMs-1 || p > w.LongMs+1 {
 				t.Fatalf("prediction %g outside [%g, %g]", p, w.ShortMs, w.LongMs)

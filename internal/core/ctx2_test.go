@@ -40,22 +40,6 @@ func TestSequentialCtxVariantsMatchPlain(t *testing.T) {
 		t.Fatalf("ReplayDRCtx diverged: %+v/%v vs %+v/%v", rp1, err1, rp2, err2)
 	}
 
-	oldPol := EpsilonGreedyPolicy[float64, int]{
-		Base:      func(float64) int { return 0 },
-		Decisions: []int{0, 1, 2},
-		Epsilon:   0.3,
-	}
-	a1, a2 := cloneTrace(tr), cloneTrace(tr)
-	if err := AttachPropensities(a1, oldPol); err != nil {
-		t.Fatalf("AttachPropensities: %v", err)
-	}
-	if err := AttachPropensitiesCtx(ctx, a2, oldPol); err != nil {
-		t.Fatalf("AttachPropensitiesCtx: %v", err)
-	}
-	if !reflect.DeepEqual(a1, a2) {
-		t.Fatal("AttachPropensitiesCtx diverged from AttachPropensities")
-	}
-
 	ckey := func(c float64) string { return fmt.Sprintf("%g", c) }
 	e1, e2 := cloneTrace(tr), cloneTrace(tr)
 	if err := EstimatePropensities(e1, ckey, 5, 1e-4); err != nil {
@@ -96,14 +80,6 @@ func TestSequentialCtxVariantsCancelled(t *testing.T) {
 	}
 	if _, err := ReplayDRCtx(ctx, tr, Stationary[float64, int]{Policy: pol}, model, mathx.NewRNG(11)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ReplayDRCtx: %v", err)
-	}
-	oldPol := EpsilonGreedyPolicy[float64, int]{
-		Base:      func(float64) int { return 0 },
-		Decisions: []int{0, 1, 2},
-		Epsilon:   0.3,
-	}
-	if err := AttachPropensitiesCtx(ctx, cloneTrace(tr), oldPol); !errors.Is(err, context.Canceled) {
-		t.Fatalf("AttachPropensitiesCtx: %v", err)
 	}
 	if err := EstimatePropensitiesCtx(ctx, cloneTrace(tr), func(c float64) string { return "g" }, 1, 1e-4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("EstimatePropensitiesCtx: %v", err)

@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"drnet/internal/mathx"
 )
 
 // memorizingModel predicts the logged reward exactly for every
@@ -176,7 +174,7 @@ func TestIPSHandExample(t *testing.T) {
 	if math.Abs(got.MaxWeight-3) > 1e-12 {
 		t.Fatalf("MaxWeight = %g, want 3", got.MaxWeight)
 	}
-	if want := mathx.EffectiveSampleSize([]float64{1, 3}); got.ESS != want {
+	if want := kishESS([]float64{1, 3}); got.ESS != want {
 		t.Fatalf("ESS = %g, want %g", got.ESS, want)
 	}
 }

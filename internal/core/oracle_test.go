@@ -17,9 +17,35 @@ func meanSE(c []float64) Estimate {
 	return Estimate{Value: mathx.Mean(c), StdErr: mathx.StdDev(c) / math.Sqrt(float64(len(c))), N: len(c), ESS: float64(len(c))}
 }
 
+// kishESS is Kish's effective sample size (Σw)² / Σw², 0 for no weight.
+func kishESS(ws []float64) float64 {
+	sum, sumSq := 0.0, 0.0
+	for _, w := range ws {
+		sum += w
+		sumSq += w * w
+	}
+	if sumSq == 0 {
+		return 0
+	}
+	return sum * sum / sumSq
+}
+
+// weightedMean is Σ wᵢxᵢ / Σ wᵢ, 0 for no weight.
+func weightedMean(xs, ws []float64) float64 {
+	num, den := 0.0, 0.0
+	for i := range xs {
+		num += ws[i] * xs[i]
+		den += ws[i]
+	}
+	if den == 0 {
+		return 0
+	}
+	return num / den
+}
+
 func weighted(c, w []float64) Estimate {
 	e := meanSE(c)
-	e.ESS = mathx.EffectiveSampleSize(w)
+	e.ESS = kishESS(w)
 	for _, x := range w {
 		e.MaxWeight = math.Max(e.MaxWeight, x)
 	}
@@ -60,7 +86,7 @@ func oracle[C any, D comparable](t Trace[C, D], p Policy[C, D], m RewardModel[C,
 		o.Diag.MaxWeight, o.Diag.MinPropensity = math.Max(o.Diag.MaxWeight, dw[len(dw)-1]), math.Min(o.Diag.MinPropensity, rec.Propensity)
 	}
 	o.DM, o.IPS, o.SNIPS, o.Matched = meanSE(dm), weighted(wr, w), weighted(wr, w), meanSE(matched)
-	o.SNIPS.Value, o.SNIPS.StdErr = mathx.WeightedMean(rs, w), 0
+	o.SNIPS.Value, o.SNIPS.StdErr = weightedMean(rs, w), 0
 	infl, dr, sndr := make([]float64, len(t)), make([]float64, len(t)), make([]float64, len(t))
 	norm, wbar := n, sumW/n
 	if sumW > 0 {
@@ -73,6 +99,6 @@ func oracle[C any, D comparable](t Trace[C, D], p Policy[C, D], m RewardModel[C,
 		o.SNIPS.StdErr = meanSE(infl).StdErr
 	}
 	o.DR, o.SNDR = weighted(dr, w), weighted(sndr, w)
-	o.Diag.ESS, o.Diag.MatchRate, o.Diag.MeanWeight = mathx.EffectiveSampleSize(dw), float64(len(matched))/n, mathx.Mean(dw)
+	o.Diag.ESS, o.Diag.MatchRate, o.Diag.MeanWeight = kishESS(dw), float64(len(matched))/n, mathx.Mean(dw)
 	return o
 }

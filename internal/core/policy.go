@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"drnet/internal/mathx"
-)
+import "fmt"
 
 // Weighted pairs a decision with its probability under some policy.
 type Weighted[D comparable] struct {
@@ -29,16 +25,6 @@ func Prob[C any, D comparable](p Policy[C, D], c C, d D) float64 {
 		}
 	}
 	return 0
-}
-
-// Sample draws a decision from p's distribution at context c.
-func Sample[C any, D comparable](p Policy[C, D], c C, rng *mathx.RNG) D {
-	dist := p.Distribution(c)
-	weights := make([]float64, len(dist))
-	for i, w := range dist {
-		weights[i] = w.Prob
-	}
-	return dist[rng.Categorical(weights)].Decision
 }
 
 // ValidateDistribution checks that a distribution is a proper

@@ -3,8 +3,6 @@ package core
 import (
 	"math"
 	"testing"
-
-	"drnet/internal/mathx"
 )
 
 func TestDeterministicPolicy(t *testing.T) {
@@ -100,23 +98,62 @@ func TestMixturePolicyOverlappingSupport(t *testing.T) {
 	}
 }
 
-func TestSampleRespectsDistribution(t *testing.T) {
-	rng := mathx.NewRNG(13)
-	p := EpsilonGreedyPolicy[int, int]{
-		Base:      func(int) int { return 0 },
-		Decisions: []int{0, 1},
-		Epsilon:   0.5,
+// TestPoliciesArePure is the contract the view tables and StreamEval
+// rely on when they cache one Distribution per context: a policy
+// answers a context the same way every time it is asked, bit for bit
+// and in the same order, with a valid distribution.
+func TestPoliciesArePure(t *testing.T) {
+	decisions := []int{0, 1, 2}
+	base := func(c float64) int { return int(c) % 3 }
+	model := RewardFunc[float64, int](func(c float64, d int) float64 { return c * float64(d%2) })
+	greedy := EpsilonGreedyPolicy[float64, int]{Base: base, Decisions: decisions, Epsilon: 0.3}
+	uniform := UniformPolicy[float64, int]{Decisions: decisions}
+	cases := []struct {
+		name string
+		p    Policy[float64, int]
+	}{
+		{"deterministic", DeterministicPolicy[float64, int]{Choose: base}},
+		{"uniform", uniform},
+		{"epsilon-greedy", greedy},
+		{"mixture", MixturePolicy[float64, int]{A: greedy, B: uniform, Alpha: 0.7}},
+		{"safe-exploration", SafeExplorationPolicy[float64, int]{Base: base, Decisions: decisions, Model: model, Epsilon: 0.2, MaxRegret: 0.5}},
 	}
-	count := 0
-	const n = 20000
-	for i := 0; i < n; i++ {
-		if Sample[int, int](p, 0, rng) == 0 {
-			count++
+	// Nine contexts, each logged about 22 times.
+	var tr Trace[float64, int]
+	for i := 0; i < 200; i++ {
+		tr = append(tr, Record[float64, int]{Context: float64(i%9) / 4, Decision: i % 3, Reward: float64(i % 5), Propensity: 1.0 / 3})
+	}
+	for _, tc := range cases {
+		first := make(map[float64][]Weighted[int])
+		for i, rec := range tr {
+			a, b := tc.p.Distribution(rec.Context), tc.p.Distribution(rec.Context)
+			if err := ValidateDistribution(a); err != nil {
+				t.Fatalf("%s: record %d: %v", tc.name, i, err)
+			}
+			want, seen := first[rec.Context]
+			if !seen {
+				want = append([]Weighted[int](nil), a...)
+				first[rec.Context] = want
+			}
+			if !sameWeights(a, want) || !sameWeights(b, want) {
+				t.Fatalf("%s: record %d, context %g: answers %v and %v, first answer %v", tc.name, i, rec.Context, a, b, want)
+			}
 		}
 	}
-	if got := float64(count) / n; math.Abs(got-0.75) > 0.02 {
-		t.Fatalf("sampled frequency %g, want ~0.75", got)
+}
+
+// sameWeights reports whether two distributions list the same
+// decisions in the same order with bit-identical probabilities.
+func sameWeights[D comparable](a, b []Weighted[D]) bool {
+	if len(a) != len(b) {
+		return false
 	}
+	for i := range a {
+		if a[i].Decision != b[i].Decision || math.Float64bits(a[i].Prob) != math.Float64bits(b[i].Prob) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestValidateDistribution(t *testing.T) {

@@ -1,37 +1,6 @@
 package core
 
-import (
-	"context"
-	"fmt"
-)
-
-// AttachPropensities fills each record's Propensity from a known old
-// policy. It returns an error if the old policy assigns zero probability
-// to a logged decision, which would make the trace inconsistent with the
-// claimed logging policy.
-func AttachPropensities[C any, D comparable](t Trace[C, D], oldPolicy Policy[C, D]) error {
-	return AttachPropensitiesCtx(context.Background(), t, oldPolicy)
-}
-
-// AttachPropensitiesCtx is AttachPropensities with cooperative
-// cancellation: ctx is checked once per chunk of records, so a
-// cancelled ctx stops the fill within one chunk boundary (already
-// filled records keep their propensities) and returns ctx's error.
-func AttachPropensitiesCtx[C any, D comparable](ctx context.Context, t Trace[C, D], oldPolicy Policy[C, D]) error {
-	for i := range t {
-		if i%estimatorGrain == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		p := Prob(oldPolicy, t[i].Context, t[i].Decision)
-		if p <= 0 {
-			return fmt.Errorf("core: record %d: old policy assigns probability 0 to logged decision %v", i, t[i].Decision)
-		}
-		t[i].Propensity = p
-	}
-	return nil
-}
+import "context"
 
 // EstimatePropensities estimates µ_old(d|c) from the trace itself by
 // empirical frequencies within groups of contexts that share key(c).

@@ -8,32 +8,6 @@ import (
 	"drnet/internal/mathx"
 )
 
-func TestAttachPropensities(t *testing.T) {
-	old := EpsilonGreedyPolicy[float64, int]{
-		Base:      func(float64) int { return 0 },
-		Decisions: []int{0, 1, 2},
-		Epsilon:   0.3,
-	}
-	tr := Trace[float64, int]{
-		{Context: 0.5, Decision: 0},
-		{Context: 0.5, Decision: 1},
-	}
-	if err := AttachPropensities(tr, old); err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(tr[0].Propensity, 0.8, 1e-12) {
-		t.Fatalf("greedy propensity %g, want 0.8", tr[0].Propensity)
-	}
-	if !almostEqual(tr[1].Propensity, 0.1, 1e-12) {
-		t.Fatalf("explore propensity %g, want 0.1", tr[1].Propensity)
-	}
-	// Decision impossible under the old policy.
-	bad := Trace[float64, int]{{Context: 0.5, Decision: 9}}
-	if err := AttachPropensities(bad, old); err == nil {
-		t.Fatal("expected error for zero-probability logged decision")
-	}
-}
-
 func TestEstimatePropensitiesRecoversTruth(t *testing.T) {
 	// Log from a known stochastic policy, estimate propensities from the
 	// trace alone, and compare with truth.

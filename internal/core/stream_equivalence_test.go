@@ -446,3 +446,32 @@ func TestViewBuilderKeyedMatchesKeyedView(t *testing.T) {
 		t.Fatalf("keyed Diagnose: %+v != %+v", got.Diagnostics, wantDiag)
 	}
 }
+
+// TestStreamEvalEstimatesAllocatesNothing pins the streamed read's O(1)
+// claim: Estimates reads only the fold's running scalars, so it
+// allocates nothing, after 500 records and after 50,000 alike.
+func TestStreamEvalEstimatesAllocatesNothing(t *testing.T) {
+	const n = 50000
+	tr, np, model := growingTrace(n)
+	b := NewViewBuilder[float64, int]()
+	se := NewStreamEval(np, model, StreamOptions{Clip: 3})
+	for _, upto := range []int{500, n} {
+		from := se.N()
+		for _, rec := range tr[from:upto] {
+			if err := b.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := se.Apply(b.Snapshot(), from); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		allocs := testing.AllocsPerRun(100, func() { _, err = se.Estimates() })
+		if err != nil {
+			t.Fatalf("n=%d: %v", upto, err)
+		}
+		if allocs != 0 {
+			t.Errorf("n=%d: Estimates allocates %.0f times per read, want 0", upto, allocs)
+		}
+	}
+}

@@ -15,8 +15,9 @@ type Record[C any, D comparable] struct {
 	Reward   float64
 	// Propensity is µ_old(Decision | Context): the probability with
 	// which the logging policy chose this decision. It must be in
-	// (0, 1]. When it is unknown, use AttachPropensities or
-	// EstimatePropensities before running IPS/DR.
+	// (0, 1]. CollectTrace records it from the logging policy; when it
+	// is unknown, use EstimatePropensities or FitPropensityModel before
+	// running IPS/DR.
 	Propensity float64
 }
 

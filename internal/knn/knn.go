@@ -29,15 +29,6 @@ func Euclidean(a, b []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// Manhattan is the L1 distance.
-func Manhattan(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		s += math.Abs(a[i] - b[i])
-	}
-	return s
-}
-
 // Hamming counts coordinates that differ; it is the natural metric for
 // categorical features encoded as small integers.
 func Hamming(a, b []float64) float64 {
@@ -194,9 +185,8 @@ func (r *Regressor) Neighbors(x []float64, k int) ([]neighbour, error) {
 	}
 	q := r.transform(x)
 	// The kd-tree prune test assumes a coordinate-difference lower
-	// bound, valid for Euclidean and Manhattan. For other metrics use
-	// brute force.
-	useTree := isStdMetric(r.opts.Metric)
+	// bound, valid for Euclidean. For other metrics use brute force.
+	useTree := isEuclidean(r.opts.Metric)
 	var h nbrHeap
 	if useTree {
 		h = make(nbrHeap, 0, k+1)
@@ -213,14 +203,13 @@ func (r *Regressor) Neighbors(x []float64, k int) ([]neighbour, error) {
 	return out, nil
 }
 
-func isStdMetric(m Metric) bool {
+func isEuclidean(m Metric) bool {
 	// Function pointers cannot be compared portably except against nil;
 	// compare behaviourally on probe points.
 	probeA := []float64{0, 0}
 	probeB := []float64{3, 4}
-	d := m(probeA, probeB)
-	//lint:allow floathygiene probe distances 5 (3-4-5 triangle) and 7 (3+4) are exactly representable
-	return d == 5 || d == 7 // Euclidean or Manhattan signature
+	//lint:allow floathygiene the probe distance 5 (3-4-5 triangle) is exactly representable
+	return m(probeA, probeB) == 5
 }
 
 // nbrHeap is a bounded max-heap on distance (the root is the farthest
@@ -314,8 +303,8 @@ func (r *Regressor) search(node *kdNode, q []float64, k int, h *nbrHeap) {
 		near, far = far, near
 	}
 	r.search(near, q, k, h)
-	// The axis-distance is a lower bound on the metric distance for
-	// Euclidean/Manhattan; prune the far side when it cannot improve.
+	// The axis-distance is a lower bound on the Euclidean distance;
+	// prune the far side when it cannot improve.
 	if len(*h) < k || math.Abs(diff) < h.maxDist() {
 		r.search(far, q, k, h)
 	}

@@ -14,9 +14,6 @@ func TestMetrics(t *testing.T) {
 	if Euclidean(a, b) != 5 {
 		t.Fatal("Euclidean(3-4-5) != 5")
 	}
-	if Manhattan(a, b) != 7 {
-		t.Fatal("Manhattan != 7")
-	}
 	if Hamming([]float64{1, 2, 3}, []float64{1, 0, 3}) != 1 {
 		t.Fatal("Hamming != 1")
 	}

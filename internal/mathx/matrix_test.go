@@ -10,10 +10,47 @@ func almostEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol
 }
 
+// fromRows builds a matrix from equal-length rows.
+func fromRows(rows [][]float64) *Matrix {
+	m := NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		for j, v := range r {
+			m.Set(i, j, v)
+		}
+	}
+	return m
+}
+
+// mulVec returns the matrix-vector product a·x.
+func mulVec(a *Matrix, x []float64) []float64 {
+	out := make([]float64, a.rows)
+	for i := range out {
+		for j, v := range x {
+			out[i] += a.At(i, j) * v
+		}
+	}
+	return out
+}
+
+// gram returns b·bᵀ, which is symmetric positive semi-definite.
+func gram(b *Matrix) *Matrix {
+	out := NewMatrix(b.rows, b.rows)
+	for i := 0; i < b.rows; i++ {
+		for j := 0; j < b.rows; j++ {
+			s := 0.0
+			for k := 0; k < b.cols; k++ {
+				s += b.At(i, k) * b.At(j, k)
+			}
+			out.Set(i, j, s)
+		}
+	}
+	return out
+}
+
 func TestMatrixBasics(t *testing.T) {
 	m := NewMatrix(2, 3)
-	if m.Rows() != 2 || m.Cols() != 3 {
-		t.Fatalf("shape = %dx%d, want 2x3", m.Rows(), m.Cols())
+	if m.rows != 2 || m.cols != 3 {
+		t.Fatalf("shape = %dx%d, want 2x3", m.rows, m.cols)
 	}
 	m.Set(1, 2, 7)
 	if got := m.At(1, 2); got != 7 {
@@ -26,80 +63,8 @@ func TestMatrixBasics(t *testing.T) {
 	}
 }
 
-func TestMatrixFromRows(t *testing.T) {
-	m, err := MatrixFromRows([][]float64{{1, 2}, {3, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.At(1, 0) != 3 {
-		t.Fatalf("At(1,0) = %g, want 3", m.At(1, 0))
-	}
-	if _, err := MatrixFromRows([][]float64{{1, 2}, {3}}); err == nil {
-		t.Fatal("expected error for ragged rows")
-	}
-	if _, err := MatrixFromRows(nil); err == nil {
-		t.Fatal("expected error for empty input")
-	}
-}
-
-func TestMatrixMul(t *testing.T) {
-	a, _ := MatrixFromRows([][]float64{{1, 2}, {3, 4}})
-	b, _ := MatrixFromRows([][]float64{{5, 6}, {7, 8}})
-	p, err := a.Mul(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]float64{{19, 22}, {43, 50}}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if p.At(i, j) != want[i][j] {
-				t.Fatalf("product[%d][%d] = %g, want %g", i, j, p.At(i, j), want[i][j])
-			}
-		}
-	}
-	if _, err := a.Mul(NewMatrix(3, 3)); err == nil {
-		t.Fatal("expected shape mismatch error")
-	}
-}
-
-func TestMatrixMulVec(t *testing.T) {
-	a, _ := MatrixFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	got, err := a.MulVec([]float64{1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 6 || got[1] != 15 {
-		t.Fatalf("MulVec = %v, want [6 15]", got)
-	}
-	if _, err := a.MulVec([]float64{1}); err == nil {
-		t.Fatal("expected length mismatch error")
-	}
-}
-
-func TestMatrixTransposeAddScale(t *testing.T) {
-	a, _ := MatrixFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	tr := a.Transpose()
-	if tr.Rows() != 3 || tr.Cols() != 2 || tr.At(2, 1) != 6 {
-		t.Fatalf("bad transpose: %v", tr)
-	}
-	sum, err := a.Add(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.At(1, 2) != 12 {
-		t.Fatalf("Add: got %g, want 12", sum.At(1, 2))
-	}
-	sc := a.Scale(2)
-	if sc.At(0, 1) != 4 {
-		t.Fatalf("Scale: got %g, want 4", sc.At(0, 1))
-	}
-	if _, err := a.Add(NewMatrix(1, 1)); err == nil {
-		t.Fatal("expected shape mismatch error")
-	}
-}
-
 func TestSolveLinearKnownSystem(t *testing.T) {
-	a, _ := MatrixFromRows([][]float64{
+	a := fromRows([][]float64{
 		{2, 1, -1},
 		{-3, -1, 2},
 		{-2, 1, 2},
@@ -117,7 +82,7 @@ func TestSolveLinearKnownSystem(t *testing.T) {
 }
 
 func TestSolveLinearSingular(t *testing.T) {
-	a, _ := MatrixFromRows([][]float64{{1, 2}, {2, 4}})
+	a := fromRows([][]float64{{1, 2}, {2, 4}})
 	if _, err := SolveLinear(a, []float64{1, 2}); err == nil {
 		t.Fatal("expected singular-matrix error")
 	}
@@ -146,8 +111,7 @@ func TestSolveLinearRoundTripProperty(t *testing.T) {
 				b.Set(i, j, r.Normal(0, 1))
 			}
 		}
-		bt := b.Transpose()
-		a, _ := b.Mul(bt)
+		a := gram(b)
 		for i := 0; i < n; i++ {
 			a.Set(i, i, a.At(i, i)+float64(n))
 		}
@@ -159,7 +123,7 @@ func TestSolveLinearRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		back, _ := a.MulVec(x)
+		back := mulVec(a, x)
 		for i := range rhs {
 			if !almostEqual(back[i], rhs[i], 1e-6) {
 				return false
@@ -173,7 +137,7 @@ func TestSolveLinearRoundTripProperty(t *testing.T) {
 }
 
 func TestCholeskyAndSolve(t *testing.T) {
-	a, _ := MatrixFromRows([][]float64{
+	a := fromRows([][]float64{
 		{4, 12, -16},
 		{12, 37, -43},
 		{-16, -43, 98},
@@ -195,7 +159,7 @@ func TestCholeskyAndSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, _ := a.MulVec(x)
+	back := mulVec(a, x)
 	for i, b := range []float64{1, 2, 3} {
 		if !almostEqual(back[i], b, 1e-8) {
 			t.Fatalf("round trip failed: A·x = %v", back)
@@ -204,7 +168,7 @@ func TestCholeskyAndSolve(t *testing.T) {
 }
 
 func TestCholeskyNotPositiveDefinite(t *testing.T) {
-	a, _ := MatrixFromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
+	a := fromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
 	if _, err := Cholesky(a); err == nil {
 		t.Fatal("expected ErrSingular for indefinite matrix")
 	}
@@ -221,7 +185,7 @@ func TestCholeskyFactorizationProperty(t *testing.T) {
 				b.Set(i, j, r.Normal(0, 1))
 			}
 		}
-		a, _ := b.Mul(b.Transpose())
+		a := gram(b)
 		for i := 0; i < n; i++ {
 			a.Set(i, i, a.At(i, i)+1)
 		}
@@ -229,7 +193,7 @@ func TestCholeskyFactorizationProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		llt, _ := l.Mul(l.Transpose())
+		llt := gram(l)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if !almostEqual(llt.At(i, j), a.At(i, j), 1e-8) {
@@ -241,25 +205,5 @@ func TestCholeskyFactorizationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestIdentity(t *testing.T) {
-	id := Identity(3)
-	a, _ := MatrixFromRows([][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
-	p, _ := a.Mul(id)
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			if p.At(i, j) != a.At(i, j) {
-				t.Fatal("A·I != A")
-			}
-		}
-	}
-}
-
-func TestMatrixString(t *testing.T) {
-	m, _ := MatrixFromRows([][]float64{{1, 2}})
-	if got := m.String(); got != "[1 2]\n" {
-		t.Fatalf("String() = %q", got)
 	}
 }

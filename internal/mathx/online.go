@@ -67,39 +67,3 @@ func (w *Welford) Max() float64 { return w.max }
 func (w *Welford) Summary() Summary {
 	return Summary{N: w.n, Mean: w.mean, Min: w.min, Max: w.max, Std: w.StdDev()}
 }
-
-// Reservoir maintains a uniform random sample of fixed size k over a
-// stream of unknown length (Vitter's algorithm R). Useful for keeping a
-// bounded, unbiased subsample of a long trace for diagnostics.
-type Reservoir struct {
-	k      int
-	seen   int
-	sample []float64
-	rng    *RNG
-}
-
-// NewReservoir creates a reservoir of capacity k (k >= 1 is enforced).
-func NewReservoir(k int, rng *RNG) *Reservoir {
-	if k < 1 {
-		k = 1
-	}
-	return &Reservoir{k: k, sample: make([]float64, 0, k), rng: rng}
-}
-
-// Add offers one stream element.
-func (r *Reservoir) Add(x float64) {
-	r.seen++
-	if len(r.sample) < r.k {
-		r.sample = append(r.sample, x)
-		return
-	}
-	if j := r.rng.Intn(r.seen); j < r.k {
-		r.sample[j] = x
-	}
-}
-
-// Sample returns the current sample (do not mutate).
-func (r *Reservoir) Sample() []float64 { return r.sample }
-
-// Seen returns the number of elements offered.
-func (r *Reservoir) Seen() int { return r.seen }

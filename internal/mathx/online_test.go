@@ -65,46 +65,3 @@ func TestWelfordAgreementProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestReservoirSmallStream(t *testing.T) {
-	rng := NewRNG(2)
-	r := NewReservoir(10, rng)
-	for i := 0; i < 5; i++ {
-		r.Add(float64(i))
-	}
-	if len(r.Sample()) != 5 || r.Seen() != 5 {
-		t.Fatalf("sample %v seen %d", r.Sample(), r.Seen())
-	}
-}
-
-func TestReservoirUniformity(t *testing.T) {
-	// Each of 100 stream elements should land in a k=10 reservoir with
-	// probability 1/10.
-	rng := NewRNG(3)
-	counts := make([]int, 100)
-	const trials = 20000
-	for trial := 0; trial < trials; trial++ {
-		r := NewReservoir(10, rng)
-		for i := 0; i < 100; i++ {
-			r.Add(float64(i))
-		}
-		for _, v := range r.Sample() {
-			counts[int(v)]++
-		}
-	}
-	for i, c := range counts {
-		p := float64(c) / trials
-		if math.Abs(p-0.1) > 0.015 {
-			t.Fatalf("element %d selected with frequency %g, want ~0.1", i, p)
-		}
-	}
-}
-
-func TestReservoirMinimumCapacity(t *testing.T) {
-	r := NewReservoir(0, NewRNG(4))
-	r.Add(1)
-	r.Add(2)
-	if len(r.Sample()) != 1 {
-		t.Fatalf("capacity should clamp to 1, got %d", len(r.Sample()))
-	}
-}

@@ -92,73 +92,6 @@ func (r *RNG) Categorical(weights []float64) int {
 	return len(weights) - 1 // floating-point slack
 }
 
-// Gamma samples a Gamma(shape, 1) variate using the Marsaglia–Tsang
-// method. shape must be positive.
-func (r *RNG) Gamma(shape float64) float64 {
-	if shape <= 0 {
-		panic("mathx: Gamma needs shape > 0")
-	}
-	if shape < 1 {
-		// Boost: Gamma(a) = Gamma(a+1) * U^(1/a).
-		u := r.Float64()
-		for u == 0 {
-			u = r.Float64()
-		}
-		return r.Gamma(shape+1) * math.Pow(u, 1/shape)
-	}
-	d := shape - 1.0/3.0
-	c := 1 / math.Sqrt(9*d)
-	for {
-		x := r.NormFloat64()
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := r.Float64()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v
-		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v
-		}
-	}
-}
-
-// Dirichlet samples a probability vector from Dirichlet(alpha).
-func (r *RNG) Dirichlet(alpha []float64) []float64 {
-	out := make([]float64, len(alpha))
-	total := 0.0
-	for i, a := range alpha {
-		out[i] = r.Gamma(a)
-		total += out[i]
-	}
-	if total == 0 {
-		// Degenerate draw; fall back to uniform.
-		for i := range out {
-			out[i] = 1 / float64(len(out))
-		}
-		return out
-	}
-	for i := range out {
-		out[i] /= total
-	}
-	return out
-}
-
-// Pareto samples a Pareto variate with the given scale (minimum) and
-// shape (tail index).
-func (r *RNG) Pareto(scale, shape float64) float64 {
-	if scale <= 0 || shape <= 0 {
-		panic("mathx: Pareto needs positive scale and shape")
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return scale / math.Pow(u, 1/shape)
-}
-
 // Uniform samples uniformly from [lo, hi).
 func (r *RNG) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()

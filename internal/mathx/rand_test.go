@@ -1,7 +1,6 @@
 package mathx
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -81,48 +80,6 @@ func TestCategoricalDegenerateWeight(t *testing.T) {
 			t.Fatalf("one-hot weights chose %d", got)
 		}
 	}
-}
-
-func TestGammaMoments(t *testing.T) {
-	r := NewRNG(7)
-	for _, shape := range []float64{0.5, 1, 2.5, 9} {
-		xs := make([]float64, 40000)
-		for i := range xs {
-			xs[i] = r.Gamma(shape)
-		}
-		if m := Mean(xs); !almostEqual(m, shape, 0.05*math.Max(1, shape)) {
-			t.Fatalf("Gamma(%g) mean = %g", shape, m)
-		}
-	}
-	mustPanic(t, func() { r.Gamma(0) })
-}
-
-func TestDirichletSimplex(t *testing.T) {
-	r := NewRNG(8)
-	alpha := []float64{1, 2, 3}
-	for i := 0; i < 200; i++ {
-		p := r.Dirichlet(alpha)
-		sum := 0.0
-		for _, v := range p {
-			if v < 0 {
-				t.Fatalf("negative component %g", v)
-			}
-			sum += v
-		}
-		if !almostEqual(sum, 1, 1e-9) {
-			t.Fatalf("components sum to %g", sum)
-		}
-	}
-}
-
-func TestParetoTail(t *testing.T) {
-	r := NewRNG(9)
-	for i := 0; i < 1000; i++ {
-		if v := r.Pareto(2, 1.5); v < 2 {
-			t.Fatalf("Pareto below scale: %g", v)
-		}
-	}
-	mustPanic(t, func() { r.Pareto(0, 1) })
 }
 
 func TestUniformRange(t *testing.T) {

@@ -114,63 +114,6 @@ func RelativeError(truth, estimate float64) float64 {
 	return math.Abs(truth-estimate) / math.Abs(truth)
 }
 
-// WeightedMean returns Σ wᵢxᵢ / Σ wᵢ. It returns 0 when the total weight
-// is zero.
-func WeightedMean(xs, ws []float64) float64 {
-	if len(xs) != len(ws) {
-		panic("mathx: WeightedMean length mismatch")
-	}
-	num, den := 0.0, 0.0
-	for i := range xs {
-		num += ws[i] * xs[i]
-		den += ws[i]
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
-// EffectiveSampleSize returns Kish's effective sample size
-// (Σw)² / Σw² for a vector of importance weights. It is a standard
-// diagnostic for IPS-style estimators: values much smaller than len(ws)
-// signal poor overlap between logging and target policies.
-func EffectiveSampleSize(ws []float64) float64 {
-	sum, sumSq := 0.0, 0.0
-	for _, w := range ws {
-		sum += w
-		sumSq += w * w
-	}
-	if sumSq == 0 {
-		return 0
-	}
-	return sum * sum / sumSq
-}
-
-// Histogram counts xs into nbins equal-width bins spanning [lo, hi].
-// Values outside the range are clamped into the terminal bins.
-func Histogram(xs []float64, lo, hi float64, nbins int) []int {
-	if nbins <= 0 {
-		panic("mathx: Histogram needs at least one bin")
-	}
-	if hi <= lo {
-		panic("mathx: Histogram needs hi > lo")
-	}
-	counts := make([]int, nbins)
-	w := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		b := int((x - lo) / w)
-		if b < 0 {
-			b = 0
-		}
-		if b >= nbins {
-			b = nbins - 1
-		}
-		counts[b]++
-	}
-	return counts
-}
-
 // Correlation returns the Pearson correlation coefficient of xs and ys,
 // or 0 when either series is constant.
 func Correlation(xs, ys []float64) float64 {

@@ -3,7 +3,6 @@ package mathx
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestMeanVarianceStd(t *testing.T) {
@@ -82,60 +81,6 @@ func TestRelativeError(t *testing.T) {
 	if got := RelativeError(-4, -5); !almostEqual(got, 0.25, 1e-12) {
 		t.Fatalf("negative truth: %g, want 0.25", got)
 	}
-}
-
-func TestWeightedMean(t *testing.T) {
-	if got := WeightedMean([]float64{1, 3}, []float64{1, 1}); got != 2 {
-		t.Fatalf("uniform weights: %g", got)
-	}
-	if got := WeightedMean([]float64{1, 3}, []float64{0, 1}); got != 3 {
-		t.Fatalf("one-hot weights: %g", got)
-	}
-	if got := WeightedMean([]float64{1, 3}, []float64{0, 0}); got != 0 {
-		t.Fatalf("zero weights should give 0, got %g", got)
-	}
-	mustPanic(t, func() { WeightedMean([]float64{1}, []float64{1, 2}) })
-}
-
-func TestEffectiveSampleSize(t *testing.T) {
-	// Uniform weights: ESS = n.
-	ws := []float64{1, 1, 1, 1}
-	if got := EffectiveSampleSize(ws); !almostEqual(got, 4, 1e-12) {
-		t.Fatalf("uniform ESS = %g, want 4", got)
-	}
-	// One dominant weight: ESS ~ 1.
-	if got := EffectiveSampleSize([]float64{100, 0.01, 0.01}); got > 1.1 {
-		t.Fatalf("dominant-weight ESS = %g, want ~1", got)
-	}
-	if got := EffectiveSampleSize([]float64{0, 0}); got != 0 {
-		t.Fatalf("zero-weight ESS = %g", got)
-	}
-}
-
-// Property: ESS is always in (0, n] for positive weights.
-func TestEffectiveSampleSizeBoundsProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := NewRNG(seed)
-		n := 1 + r.Intn(50)
-		ws := make([]float64, n)
-		for i := range ws {
-			ws[i] = r.Exponential(1) + 1e-9
-		}
-		ess := EffectiveSampleSize(ws)
-		return ess > 0 && ess <= float64(n)+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	counts := Histogram([]float64{0.1, 0.2, 0.9, -5, 7}, 0, 1, 2)
-	if counts[0] != 3 || counts[1] != 2 {
-		t.Fatalf("Histogram = %v", counts)
-	}
-	mustPanic(t, func() { Histogram(nil, 0, 1, 0) })
-	mustPanic(t, func() { Histogram(nil, 1, 0, 3) })
 }
 
 func TestCorrelation(t *testing.T) {

@@ -9,7 +9,7 @@ import (
 )
 
 // Pool instrumentation on the process-wide obs registry. A "task" is
-// one chunk claimed from a ForEach dispatch (every Map/Times/MapReduce
+// one chunk claimed from a ForEachCtx dispatch (every Times/TimesCtx
 // call and every estimator or bootstrap fan-out lands here). All
 // updates are atomics on cached pointers, so instrumentation cannot
 // reorder work or touch the sharded RNG streams — determinism is

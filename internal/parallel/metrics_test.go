@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
@@ -13,11 +14,11 @@ func TestPoolMetricsCountTasks(t *testing.T) {
 	histBefore := poolTaskSeconds.Count()
 
 	// Serial path: workers=1, grain=1 → 10 chunks.
-	if err := ForEach(10, 1, 1, func(lo, hi int) error { return nil }); err != nil {
+	if err := ForEachCtx(context.Background(), 10, 1, 1, func(lo, hi int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	// Parallel path: 4 workers, grain=1 → 20 chunks.
-	if err := ForEach(20, 4, 1, func(lo, hi int) error { return nil }); err != nil {
+	if err := ForEachCtx(context.Background(), 20, 4, 1, func(lo, hi int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -34,7 +35,7 @@ func TestPoolMetricsCountTasks(t *testing.T) {
 // unclaimed chunks.
 func TestPoolQueueGaugeSettles(t *testing.T) {
 	before := poolQueue.Value()
-	if err := ForEach(64, 4, 1, func(lo, hi int) error { return nil }); err != nil {
+	if err := ForEachCtx(context.Background(), 64, 4, 1, func(lo, hi int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if got := poolQueue.Value(); got != before {
@@ -42,7 +43,7 @@ func TestPoolQueueGaugeSettles(t *testing.T) {
 	}
 
 	boom := errors.New("boom")
-	err := ForEach(64, 4, 1, func(lo, hi int) error {
+	err := ForEachCtx(context.Background(), 64, 4, 1, func(lo, hi int) error {
 		if lo == 0 {
 			return boom
 		}

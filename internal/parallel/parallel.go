@@ -56,7 +56,7 @@ func resolve(workers int) int {
 	return workers
 }
 
-// ForEach partitions [0, n) into consecutive chunks of at most grain
+// ForEachCtx partitions [0, n) into consecutive chunks of at most grain
 // indices and runs fn(lo, hi) once per chunk on up to workers
 // goroutines (workers <= 0 means DefaultWorkers; grain <= 0 means one
 // chunk per worker share, minimum 1).
@@ -66,26 +66,19 @@ func resolve(workers int) int {
 // worker executes it. Under that contract the output is bit-identical
 // for every worker count, including 1.
 //
-// When any chunk fails, ForEach returns the error of the lowest-indexed
-// failing chunk. Because fn scans its chunk in order, that is exactly
-// the error a sequential loop would have returned first. Chunks not yet
-// claimed when a failure is observed are skipped.
-func ForEach(n, workers, grain int, fn func(lo, hi int) error) error {
-	return ForEachCtx(context.Background(), n, workers, grain, fn)
-}
-
-// ForEachCtx is ForEach with cooperative cancellation: once ctx ends,
-// no new chunk is claimed — already-running chunks finish (fn is never
-// interrupted mid-chunk), so cancellation takes effect within one task
-// boundary. Chunks skipped because of cancellation are counted in the
-// obs_pool_cancelled_chunks_total metric.
+// When any chunk fails, ForEachCtx returns the error of the
+// lowest-indexed failing chunk. Because fn scans its chunk in order,
+// that is exactly the error a sequential loop would have returned
+// first. Chunks not yet claimed when a failure is observed are skipped.
 //
-// When chunks were skipped due to cancellation and no chunk failed,
-// ForEachCtx returns ctx.Err(). A dispatch whose chunks all completed
-// before the cancellation was observed returns nil: the work is done.
-// Chunk errors take precedence (lowest index first, as in ForEach).
-// A context that is never cancelled leaves results and scheduling
-// bit-identical to ForEach.
+// Cancellation is cooperative: once ctx ends, no new chunk is claimed —
+// already-running chunks finish (fn is never interrupted mid-chunk), so
+// cancellation takes effect within one task boundary. Chunks skipped
+// because of cancellation are counted in the
+// obs_pool_cancelled_chunks_total metric. When chunks were skipped and
+// no chunk failed, ForEachCtx returns ctx.Err(); a dispatch whose
+// chunks all completed before the cancellation was observed returns
+// nil: the work is done.
 func ForEachCtx(ctx context.Context, n, workers, grain int, fn func(lo, hi int) error) error {
 	if n <= 0 {
 		return nil
@@ -190,41 +183,15 @@ func ForEachCtx(ctx context.Context, n, workers, grain int, fn func(lo, hi int) 
 	return nil
 }
 
-// Map applies fn to every element of items on up to workers goroutines
-// and returns the results in input order. Each item is its own chunk
-// (grain 1), which suits the coarse-grained tasks this repository maps
-// over: Monte Carlo runs, bootstrap resamples, whole experiments.
-//
-// On failure Map returns the error of the lowest-indexed failing item,
-// matching a sequential loop.
-func Map[T, R any](items []T, workers int, fn func(i int, item T) (R, error)) ([]R, error) {
-	return MapCtx(context.Background(), items, workers, fn)
-}
-
-// MapCtx is Map with cooperative cancellation via ForEachCtx: once ctx
-// ends no new item is started, and the call returns ctx.Err() (unless
-// an item error takes precedence).
-func MapCtx[T, R any](ctx context.Context, items []T, workers int, fn func(i int, item T) (R, error)) ([]R, error) {
-	out := make([]R, len(items))
-	err := ForEachCtx(ctx, len(items), workers, 1, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			r, err := fn(i, items[i])
-			if err != nil {
-				return err
-			}
-			out[i] = r
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Times runs fn(i) for i in [0, n) on up to workers goroutines and
-// returns the n results in index order. It is Map without a materialized
-// input slice — the natural shape for "repeat this replication n times".
+// returns the n results in index order. Each index is its own chunk
+// (grain 1), which suits the coarse-grained tasks this repository runs
+// through it: Monte Carlo runs, bootstrap shards, whole experiments.
+//
+// On failure Times returns the error of the lowest-indexed failing
+// call, matching a sequential loop. A caller that needs a reduction
+// returns per-index partials and folds them in index order, so no
+// floating-point sum is reassociated.
 func Times[R any](n, workers int, fn func(i int) (R, error)) ([]R, error) {
 	return TimesCtx(context.Background(), n, workers, fn)
 }
@@ -246,29 +213,4 @@ func TimesCtx[R any](ctx context.Context, n, workers int, fn func(i int) (R, err
 		return nil, err
 	}
 	return out, nil
-}
-
-// MapReduce maps items in parallel, then folds the mapped values
-// sequentially in input order: acc = reduce(acc, r_0), reduce(acc, r_1),
-// and so on starting from init. Because the fold order is fixed,
-// floating-point accumulation is never reassociated and the result is
-// bit-identical at every worker count.
-func MapReduce[T, R any](items []T, workers int, mapFn func(i int, item T) (R, error), init R, reduce func(acc, next R) R) (R, error) {
-	return MapReduceCtx(context.Background(), items, workers, mapFn, init, reduce)
-}
-
-// MapReduceCtx is MapReduce with cooperative cancellation via MapCtx:
-// once ctx ends no new item is mapped and the zero value is returned
-// with ctx.Err(); the fold only runs over a fully mapped slice.
-func MapReduceCtx[T, R any](ctx context.Context, items []T, workers int, mapFn func(i int, item T) (R, error), init R, reduce func(acc, next R) R) (R, error) {
-	mapped, err := MapCtx(ctx, items, workers, mapFn)
-	if err != nil {
-		var zero R
-		return zero, err
-	}
-	acc := init
-	for _, r := range mapped {
-		acc = reduce(acc, r)
-	}
-	return acc, nil
 }

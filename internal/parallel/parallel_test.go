@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -20,7 +21,7 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 		for _, grain := range []int{1, 3, 64, 5000} {
 			for _, w := range workerCounts {
 				hits := make([]int32, n)
-				err := ForEach(n, w, grain, func(lo, hi int) error {
+				err := ForEachCtx(context.Background(), n, w, grain, func(lo, hi int) error {
 					for i := lo; i < hi; i++ {
 						atomic.AddInt32(&hits[i], 1)
 					}
@@ -41,7 +42,7 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 
 func TestForEachDefaultGrain(t *testing.T) {
 	var visited atomic.Int64
-	if err := ForEach(100, 4, 0, func(lo, hi int) error {
+	if err := ForEachCtx(context.Background(), 100, 4, 0, func(lo, hi int) error {
 		visited.Add(int64(hi - lo))
 		return nil
 	}); err != nil {
@@ -58,7 +59,7 @@ func TestForEachFirstError(t *testing.T) {
 	// Indices 41, 43 and 97 fail; the sequential loop dies at 41.
 	bad := map[int]bool{41: true, 43: true, 97: true}
 	for _, w := range workerCounts {
-		err := ForEach(200, w, 4, func(lo, hi int) error {
+		err := ForEachCtx(context.Background(), 200, w, 4, func(lo, hi int) error {
 			for i := lo; i < hi; i++ {
 				if bad[i] {
 					return fmt.Errorf("index %d", i)
@@ -78,7 +79,7 @@ func TestMapPreservesOrder(t *testing.T) {
 		in[i] = i
 	}
 	for _, w := range workerCounts {
-		out, err := Map(in, w, func(i, x int) (int, error) { return x * x, nil })
+		out, err := Times(len(in), w, func(i int) (int, error) { return in[i] * in[i], nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +95,7 @@ func TestMapFirstError(t *testing.T) {
 	in := make([]int, 100)
 	sentinel := errors.New("boom")
 	for _, w := range workerCounts {
-		_, err := Map(in, w, func(i, _ int) (int, error) {
+		_, err := Times(len(in), w, func(i int) (int, error) {
 			if i >= 30 {
 				return 0, fmt.Errorf("item %d: %w", i, sentinel)
 			}
@@ -131,30 +132,13 @@ func TestTimesDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestMapReduceFoldsInOrder(t *testing.T) {
-	// A non-commutative reduction (string concat) exposes any ordering
-	// violation immediately.
-	in := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	for _, w := range workerCounts {
-		got, err := MapReduce(in, w,
-			func(i, x int) (string, error) { return fmt.Sprint(x), nil },
-			"", func(acc, next string) string { return acc + next })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != "0123456789" {
-			t.Fatalf("workers=%d: %q", w, got)
-		}
-	}
-}
-
-// TestMapMatchesSequentialProperty checks, for random inputs, that a
-// parallel Map of a pure function equals the plain loop.
+// TestMapMatchesSequentialProperty checks, for random inputs, that
+// mapping a pure function over them with Times equals the plain loop.
 func TestMapMatchesSequentialProperty(t *testing.T) {
 	f := func(xs []float64, workers uint8) bool {
 		w := int(workers%8) + 1
 		fn := func(x float64) float64 { return math.Sin(x) * 3.7 }
-		got, err := Map(xs, w, func(i int, x float64) (float64, error) { return fn(x), nil })
+		got, err := Times(len(xs), w, func(i int) (float64, error) { return fn(xs[i]), nil })
 		if err != nil {
 			return false
 		}
@@ -239,7 +223,7 @@ func TestStressManyTasks(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			var total atomic.Int64
-			if err := ForEach(10000, 16, 7, func(lo, hi int) error {
+			if err := ForEachCtx(context.Background(), 10000, 16, 7, func(lo, hi int) error {
 				for i := lo; i < hi; i++ {
 					total.Add(int64(i))
 				}

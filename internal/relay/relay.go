@@ -166,18 +166,6 @@ func (w *World) NewPolicy() core.Policy[Call, Path] {
 	}}
 }
 
-// CongestedOnlyPolicy relays only calls whose AS pair is congested; its
-// evaluation mixes relay and direct cells, so the two cells' opposite
-// NAT contaminations partially cancel — a useful contrast to NewPolicy.
-func (w *World) CongestedOnlyPolicy() core.Policy[Call, Path] {
-	return core.DeterministicPolicy[Call, Path]{Choose: func(c Call) Path {
-		if w.Congested(c.SrcAS, c.DstAS) {
-			return Relayed
-		}
-		return Direct
-	}}
-}
-
 // SampleCalls draws n calls with uniform AS pairs and the configured NAT
 // fraction.
 func (w *World) SampleCalls(n int, rng *mathx.RNG) []Call {

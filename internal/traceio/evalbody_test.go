@@ -44,6 +44,9 @@ func TestDecodeEvalViewAllocsPerContext(t *testing.T) {
 	}
 	small, large := allocs(8000), allocs(16000)
 	t.Logf("allocations: %.0f for 8000 records, %.0f for 16000", small, large)
+	if raceEnabled {
+		t.Skip("FlatContext.Key runs json.Marshal once per distinct context, and under the race detector its encoder-state sync.Pool drops a random quarter of what is put back, so the counts swing by up to 2%")
+	}
 	if large > small*1.01 {
 		t.Fatalf("16000 records allocate %.0f times, 8000 records %.0f: more than 1%% growth", large, small)
 	}

@@ -1,6 +1,7 @@
 package traceio
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -169,4 +170,62 @@ func TestBestObservedTieFollowsContextOrder(t *testing.T) {
 	if got := oracleBestObserved(tr)(FlatContext{Features: []float64{1}}); got != "y" {
 		t.Fatalf("oracle chose %q for context 1, want y", got)
 	}
+}
+
+// TestParsedPoliciesArePure: the policies ParsePolicyView builds answer
+// a context the same way every time it is asked, bit for bit and in the
+// same order, with a valid distribution, as the view tables and
+// StreamEval assume when they cache one answer per context.
+func TestParsedPoliciesArePure(t *testing.T) {
+	// Fourteen contexts, each logged eight or nine times.
+	labels := []string{"a", "b", "c"}
+	var tr core.Trace[FlatContext, string]
+	for i := 0; i < 120; i++ {
+		tr = append(tr, core.Record[FlatContext, string]{
+			Context:    FlatContext{Features: []float64{float64(i % 7), float64(i % 2)}},
+			Decision:   labels[i%3],
+			Reward:     float64(i%5) / 4,
+			Propensity: 1.0 / 3,
+		})
+	}
+	view, err := core.NewTraceViewKeyed(tr, FlatContext.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []string{"constant:b", "best-observed"} {
+		p, err := ParsePolicyView(spec, view)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := make(map[string][]core.Weighted[string])
+		for i, rec := range tr {
+			a, b := p.Distribution(rec.Context), p.Distribution(rec.Context)
+			if err := core.ValidateDistribution(a); err != nil {
+				t.Fatalf("%s: record %d: %v", spec, i, err)
+			}
+			key := rec.Context.Key()
+			want, seen := first[key]
+			if !seen {
+				want = append([]core.Weighted[string](nil), a...)
+				first[key] = want
+			}
+			if !sameWeights(a, want) || !sameWeights(b, want) {
+				t.Fatalf("%s: record %d, context %v: answers %v and %v, first answer %v", spec, i, rec.Context.Features, a, b, want)
+			}
+		}
+	}
+}
+
+// sameWeights reports whether two distributions list the same
+// decisions in the same order with bit-identical probabilities.
+func sameWeights(a, b []core.Weighted[string]) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Decision != b[i].Decision || math.Float64bits(a[i].Prob) != math.Float64bits(b[i].Prob) {
+			return false
+		}
+	}
+	return true
 }

@@ -2,19 +2,18 @@
 // challenge (§4.1, §4.3): a trace collected under one network state
 // (e.g. early-morning load) is used to evaluate a policy intended for a
 // different state (e.g. peak hours). The package provides transition
-// functions between states — fixed degradation factors ("degrade the
-// performance in the trace by 20%", as the paper sketches) and affine
-// maps fitted from a few calibration samples per state — plus trace
-// transformation so the DR estimator can run on state-corrected rewards.
+// functions between states — affine reward maps, of which the paper's
+// "degrade the performance in the trace by 20%" is Transition{Slope:
+// 0.8}, and per-group offsets fitted from a few calibration samples per
+// state — plus trace transformation so the DR estimator can run on
+// state-corrected rewards.
 package worldstate
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"drnet/internal/core"
-	"drnet/internal/mathx"
 )
 
 // Transition is an affine reward map between two network states:
@@ -28,67 +27,13 @@ func (t Transition) Apply(r float64) float64 {
 	return t.Slope*r + t.Intercept
 }
 
-// Degrade returns the paper's simple rule of thumb as a Transition:
-// "degrade the performance in the trace by X%" (frac = 0.2 for 20%).
-func Degrade(frac float64) Transition {
-	return Transition{Slope: 1 - frac}
-}
-
 // Sample is one calibration observation: a reward measured in some
 // state, labeled with the group it belongs to (typically the decision,
-// e.g. the server used). Group means are the regression points for
-// FitAffine.
+// e.g. the server used). FitPerGroup compares group means across
+// states.
 type Sample struct {
 	Group  string
 	Reward float64
-}
-
-// FitAffine estimates the affine transition between a source state and a
-// target state from calibration samples in both. Rewards are averaged
-// within groups appearing in both states, and target group means are
-// regressed on source group means by least squares. At least two common
-// groups are required; with exactly two the fit is exact.
-//
-// This implements the paper's conjecture that the state transition
-// function "can be automated by collecting a few samples from various
-// network states" (§4.3).
-func FitAffine(source, target []Sample) (Transition, error) {
-	srcMeans, err := groupMeans(source)
-	if err != nil {
-		return Transition{}, fmt.Errorf("worldstate: source: %w", err)
-	}
-	tgtMeans, err := groupMeans(target)
-	if err != nil {
-		return Transition{}, fmt.Errorf("worldstate: target: %w", err)
-	}
-	// Iterate groups in sorted order: map order is randomized per run,
-	// and the float accumulations inside Ridge are order-sensitive, so
-	// an unsorted walk would make the fitted transition differ at the
-	// bit level between runs.
-	groups := make([]string, 0, len(srcMeans))
-	for g := range srcMeans {
-		groups = append(groups, g)
-	}
-	sort.Strings(groups)
-	var xs, ys []float64
-	for _, g := range groups {
-		if tm, ok := tgtMeans[g]; ok {
-			xs = append(xs, srcMeans[g])
-			ys = append(ys, tm)
-		}
-	}
-	if len(xs) < 2 {
-		return Transition{}, errors.New("worldstate: need at least two groups common to both states")
-	}
-	rows := make([][]float64, len(xs))
-	for i, x := range xs {
-		rows[i] = []float64{x}
-	}
-	model, err := mathx.Ridge(rows, ys, mathx.RidgeOptions{FitIntercept: true})
-	if err != nil {
-		return Transition{}, err
-	}
-	return Transition{Slope: model.Weights[0], Intercept: model.Intercept}, nil
 }
 
 func groupMeans(samples []Sample) (map[string]float64, error) {

@@ -13,50 +13,10 @@ func TestTransitionApplyAndDegrade(t *testing.T) {
 	if got := tr.Apply(3); got != 7 {
 		t.Fatalf("Apply = %g, want 7", got)
 	}
-	d := Degrade(0.2)
+	// The paper's "degrade the performance in the trace by 20%".
+	d := Transition{Slope: 0.8}
 	if got := d.Apply(10); math.Abs(got-8) > 1e-12 {
-		t.Fatalf("Degrade(0.2).Apply(10) = %g, want 8", got)
-	}
-}
-
-func TestFitAffineExactRecovery(t *testing.T) {
-	// Target = 0.5*source + 2 exactly, over several groups.
-	var src, tgt []Sample
-	for g, v := range map[string]float64{"a": 1, "b": 3, "c": 5, "d": 9} {
-		src = append(src, Sample{Group: g, Reward: v})
-		tgt = append(tgt, Sample{Group: g, Reward: 0.5*v + 2})
-	}
-	tr, err := FitAffine(src, tgt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(tr.Slope-0.5) > 1e-6 || math.Abs(tr.Intercept-2) > 1e-6 {
-		t.Fatalf("fit = %+v, want slope 0.5 intercept 2", tr)
-	}
-}
-
-func TestFitAffineAveragesWithinGroups(t *testing.T) {
-	src := []Sample{{"a", 1}, {"a", 3}, {"b", 4}, {"b", 6}} // means 2, 5
-	tgt := []Sample{{"a", 4}, {"b", 10}}                    // 2x
-	tr, err := FitAffine(src, tgt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(tr.Slope-2) > 1e-6 || math.Abs(tr.Intercept) > 1e-6 {
-		t.Fatalf("fit = %+v, want slope 2 intercept 0", tr)
-	}
-}
-
-func TestFitAffineErrors(t *testing.T) {
-	if _, err := FitAffine(nil, []Sample{{"a", 1}}); err == nil {
-		t.Fatal("empty source should fail")
-	}
-	if _, err := FitAffine([]Sample{{"a", 1}}, nil); err == nil {
-		t.Fatal("empty target should fail")
-	}
-	// Only one common group.
-	if _, err := FitAffine([]Sample{{"a", 1}, {"b", 2}}, []Sample{{"a", 1}, {"c", 2}}); err == nil {
-		t.Fatal("one common group should fail")
+		t.Fatalf("20%% degradation of 10 = %g, want 8", got)
 	}
 }
 
@@ -65,7 +25,7 @@ func TestTransformTrace(t *testing.T) {
 		{Context: 1, Decision: 0, Reward: 10, Propensity: 0.5},
 		{Context: 2, Decision: 1, Reward: 20, Propensity: 0.5},
 	}
-	out := TransformTrace(tr, Degrade(0.5))
+	out := TransformTrace(tr, Transition{Slope: 0.5})
 	if out[0].Reward != 5 || out[1].Reward != 10 {
 		t.Fatalf("transformed rewards %g, %g", out[0].Reward, out[1].Reward)
 	}

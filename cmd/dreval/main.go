@@ -27,6 +27,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -158,12 +159,16 @@ func run(tracePath, format, policySpec string, estProp bool, clip float64, selfN
 	if err != nil {
 		return err
 	}
-	endDiag := evb.Phase("diagnose")
-	diag, err := core.DiagnoseView(view, newPolicy)
-	endDiag()
+	model := core.FitTableView(view)
+	ev := core.NewEvaluation(view, newPolicy, model)
+	defer ev.Release()
+	endEst := evb.Phase("estimate")
+	est, err := ev.Estimates(context.Background(), clip)
+	endEst()
 	if err != nil {
 		return err
 	}
+	diag := est.Diagnostics
 	evb.SetRegime(diag.ESS/float64(diag.N), diag.MaxWeight, diag.ZeroSupport)
 	fmt.Printf("trace: %d records, %d distinct decisions\n", view.Len(), view.NumDecisions())
 	fmt.Printf("old policy on-policy value: %.4f\n", view.MeanReward())
@@ -171,7 +176,7 @@ func run(tracePath, format, policySpec string, estProp bool, clip float64, selfN
 
 	if windows > 0 {
 		endBias := evb.Phase("bias_observatory")
-		report, err := biasobs.Compute(view, newPolicy, biasobs.Config{Windows: windows})
+		report, err := biasobs.ComputeEval(context.Background(), ev, biasobs.Config{Windows: windows})
 		endBias()
 		if err != nil {
 			return err
@@ -183,21 +188,11 @@ func run(tracePath, format, policySpec string, estProp bool, clip float64, selfN
 		return nil
 	}
 
-	model := core.FitTableView(view)
-	dm, err := core.DirectMethodView(view, newPolicy, model)
-	if err != nil {
-		return err
+	ips, dr := est.IPS, est.DR
+	if selfNorm {
+		ips, dr = est.SNIPS, est.SNDR
 	}
-	ips, err := core.IPSView(view, newPolicy, core.IPSOptions{Clip: clip, SelfNormalize: selfNorm})
-	if err != nil {
-		return err
-	}
-	drOpts := core.DROptions{Clip: clip, SelfNormalize: selfNorm}
-	dr, err := core.DoublyRobustView(view, newPolicy, model, drOpts)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("DM  (table model):  %s\n", dm)
+	fmt.Printf("DM  (table model):  %s\n", est.DM)
 	fmt.Printf("IPS:                %s\n", ips)
 	fmt.Printf("DR:                 %s\n", dr)
 
@@ -205,12 +200,12 @@ func run(tracePath, format, policySpec string, estProp bool, clip float64, selfN
 		// The refit-DR bootstrap drevald's /evaluate serves: the same
 		// trace, policy, options and seed give drevald's drInterval.
 		endBoot := evb.Phase("bootstrap")
-		ci, err := core.BootstrapDRViewSeeded(view, newPolicy, drOpts, seed, bootstrapB, 0.95)
+		ci, stats, err := ev.BootstrapDR(context.Background(), core.DROptions{Clip: clip, SelfNormalize: selfNorm}, seed, bootstrapB, 0.95)
 		endBoot()
 		if err != nil {
 			return err
 		}
-		evb.SetBootstrap(bootstrapB, 0)
+		evb.SetBootstrap(stats.Resamples, stats.Skipped)
 		fmt.Printf("DR 95%% bootstrap CI: [%.4f, %.4f]\n", ci.Lo, ci.Hi)
 	}
 	return nil

@@ -255,7 +255,7 @@ func TestRunEmitsWideEvent(t *testing.T) {
 	if ok.ESSRatio <= 0 || ok.BiasGrade == "" || ok.BootstrapResamples != 25 {
 		t.Fatalf("success event missing regime fields: %+v", ok)
 	}
-	for _, phase := range []string{"read_trace", "diagnose", "bias_observatory", "bootstrap"} {
+	for _, phase := range []string{"read_trace", "estimate", "bias_observatory", "bootstrap"} {
 		if _, present := ok.PhaseMs[phase]; !present {
 			t.Fatalf("success event phaseMs missing %q: %v", phase, ok.PhaseMs)
 		}

@@ -171,7 +171,7 @@ func TestOneEventPerRequest(t *testing.T) {
 	if ok.BootstrapResamples != 30 {
 		t.Fatalf("ev-ok bootstrapResamples = %d, want 30", ok.BootstrapResamples)
 	}
-	for _, phase := range []string{"build_view", "diagnose", "ips", "drevald_bootstrap"} {
+	for _, phase := range []string{"build_view", "estimate", "drevald_bootstrap"} {
 		if _, present := ok.PhaseMs[phase]; !present {
 			t.Fatalf("ev-ok phaseMs missing %q: %v", phase, ok.PhaseMs)
 		}

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 
@@ -11,10 +14,12 @@ import (
 	"drnet/internal/traceio"
 )
 
-// FuzzParseEvalRequest throws arbitrary bytes at the /evaluate request
-// decoder. The contract under fuzzing: malformed input yields an error,
-// never a panic, and accepted input yields a non-empty view and a
-// policy.
+// FuzzParseEvalRequest throws arbitrary bytes at /evaluate through the
+// server's routes, so a mutation reaches everything a body can: the
+// decode, the one fold, the bias observatory, the bootstrap and the
+// degraded fallback. The contract under fuzzing: never a 500 (the
+// middleware answers a panic with one), every 200 is an evalResponse
+// over a non-empty trace, and every other answer is a 400 or a 422.
 func FuzzParseEvalRequest(f *testing.F) {
 	// A well-formed request as the seed the mutator grows from.
 	valid, err := json.Marshal(evalRequest{
@@ -38,19 +43,22 @@ func FuzzParseEvalRequest(f *testing.F) {
 	f.Add([]byte(`[1,2,3]`))
 	f.Add([]byte(`{"trace":[{"features":[1e309],"decision":"a","reward":1,"propensity":0.5}],"policy":"constant:a"}`))
 	f.Add([]byte(``))
+	h := newTestServer(f, nil).routes()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, view, policy, err := parseEvalRequest(data)
-		if err != nil {
-			if req != nil || view != nil || policy != nil {
-				t.Fatal("non-nil results alongside an error")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/evaluate", bytes.NewReader(data)))
+		switch rec.Code {
+		case http.StatusOK:
+			var resp evalResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("200 body is not an evalResponse: %v\n%s", err, rec.Body)
 			}
-			return
-		}
-		if req == nil || view == nil || policy == nil {
-			t.Fatal("nil results without an error")
-		}
-		if view.Len() == 0 {
-			t.Fatal("accepted an empty trace")
+			if resp.Diagnostics.N <= 0 {
+				t.Fatalf("200 over an empty trace: %s", rec.Body)
+			}
+		case http.StatusBadRequest, http.StatusUnprocessableEntity:
+		default:
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
 		}
 	})
 }
@@ -91,8 +99,8 @@ func FuzzDecodeEvalView(f *testing.F) {
 			return
 		}
 		probe := []traceio.FlatContext{{Features: []float64{math.MaxFloat64}}}
-		for u := 0; u < view.NumContexts(); u++ {
-			probe = append(probe, view.ContextValue(u))
+		for i := 0; i < view.Len(); i++ {
+			probe = append(probe, view.At(i).Context)
 		}
 		for _, c := range probe {
 			if got, want := policy.Distribution(c), refPolicy.Distribution(c); !reflect.DeepEqual(got, want) {
@@ -104,7 +112,8 @@ func FuzzDecodeEvalView(f *testing.F) {
 
 // sameView compares two views column by column and entry by entry,
 // floats by their bits. Equal context-code columns also make the
-// first-occurrence indexes equal.
+// first-occurrence indexes equal, so each record's context is its
+// code's dictionary entry on both sides.
 func sameView(a, b *core.TraceView[traceio.FlatContext, string]) error {
 	if a.Len() != b.Len() || a.NumContexts() != b.NumContexts() || a.NumDecisions() != b.NumDecisions() {
 		return fmt.Errorf("view shape %d/%d/%d, reference %d/%d/%d",
@@ -117,14 +126,14 @@ func sameView(a, b *core.TraceView[traceio.FlatContext, string]) error {
 			return fmt.Errorf("record %d: %+v, reference %+v", i, a.At(i), b.At(i))
 		}
 	}
-	for u := 0; u < a.NumContexts(); u++ {
-		fa, fb := a.ContextValue(u).Features, b.ContextValue(u).Features
+	for i := 0; i < a.Len(); i++ {
+		fa, fb := a.At(i).Context.Features, b.At(i).Context.Features
 		same := len(fa) == len(fb) && (fa == nil) == (fb == nil)
 		for j := 0; same && j < len(fa); j++ {
 			same = bits(fa[j]) == bits(fb[j])
 		}
 		if !same {
-			return fmt.Errorf("context %d: features %v, reference %v", u, fa, fb)
+			return fmt.Errorf("context %d: features %v, reference %v", a.ContextCode(i), fa, fb)
 		}
 	}
 	for k := 0; k < a.NumDecisions(); k++ {

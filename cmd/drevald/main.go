@@ -41,8 +41,8 @@
 //
 // Compute requests (/evaluate, /diagnose) are traced: the root span's
 // trace ID is the request's X-Request-Id and each evaluation phase
-// (diagnose, model fit, DM/IPS/DR, bootstrap) is a child span. The
-// most recent -trace-buffer completed spans are queryable via
+// (model fit, estimate, bias observatory, bootstrap) is a child span.
+// The most recent -trace-buffer completed spans are queryable via
 // /debug/traces; -trace-out additionally appends every completed span
 // to a JSONL file.
 //
@@ -438,29 +438,6 @@ type fallbackJSON struct {
 	Estimate  estimateJSON `json:"estimate"`
 }
 
-// parseEvalRequest decodes and validates an /evaluate or /diagnose
-// body into the request, its trace's view and the policy derived from
-// that view. It is independent of net/http so the fuzz harness can
-// drive it with arbitrary bytes: malformed input must produce an error,
-// never a panic.
-func parseEvalRequest(body []byte) (*evalRequest, *core.TraceView[traceio.FlatContext, string], core.Policy[traceio.FlatContext, string], error) {
-	req, view, fast := decodeEvalFast(body)
-	if !fast {
-		var err error
-		if req, err = decodeEvalBody(body); err != nil {
-			return nil, nil, nil, err
-		}
-		if view, err = buildEvalView(req); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	policy, err := traceio.ParsePolicyView(req.Policy, view)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return req, view, policy, nil
-}
-
 // decodeEvalFast is the fast path: traceio.DecodeEvalView decodes a
 // canonical body straight into the view. It reports false, never an
 // error, for a body the decoder hands back and for options that the
@@ -691,12 +668,14 @@ func (s *server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	diag, health, err := s.diagnose(ctx, r, view, policy)
+	ev := core.NewEvaluation(view, policy, nil)
+	defer ev.Release()
+	est, health, err := s.estimate(ctx, r, ev, 0)
 	if err != nil {
 		s.writeEvalError(w, err)
 		return
 	}
-	writeDiagnose(w, r, diagnoseResponse{diagnosticsJSON: diagJSON(diag), TraceHealth: health})
+	writeDiagnose(w, r, diagnoseResponse{diagnosticsJSON: diagJSON(est.Diagnostics), TraceHealth: health})
 }
 
 // writeDiagnose ends batch and streamed /diagnose: it stamps the
@@ -711,18 +690,18 @@ func setRegime(r *http.Request, d diagnosticsJSON) {
 	wideevent.FromContext(r.Context()).SetRegime(d.ESS/float64(d.N), d.MaxWeight, d.ZeroSupport)
 }
 
-// diagnose runs the overlap diagnostics and the bias observatory over a
-// batch request's view, each as its own phase.
-func (s *server) diagnose(ctx context.Context, r *http.Request, view *core.TraceView[traceio.FlatContext, string], policy core.Policy[traceio.FlatContext, string]) (core.Diagnostics, *biasobs.HealthSummary, error) {
+// estimate runs the one fold of every estimator family and the bias
+// observatory over a batch request's evaluation, each as its own phase.
+func (s *server) estimate(ctx context.Context, r *http.Request, ev *core.Evaluation[traceio.FlatContext, string], clip float64) (core.StreamEstimates, *biasobs.HealthSummary, error) {
 	root := obs.SpanFromContext(r.Context())
-	diag, err := timed(ctx, root, "diagnose", func() (core.Diagnostics, error) {
-		return core.DiagnoseViewCtx(ctx, view, policy)
+	est, err := timed(ctx, root, "estimate", func() (core.StreamEstimates, error) {
+		return ev.Estimates(ctx, clip)
 	})
 	if err != nil {
-		return diag, nil, err
+		return est, nil, err
 	}
-	health, err := s.observeBias(ctx, root, requestID(r), view, policy)
-	return diag, health, err
+	health, err := s.observeBias(ctx, root, requestID(r), ev)
+	return est, health, err
 }
 
 func (s *server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
@@ -733,18 +712,6 @@ func (s *server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 	root := obs.SpanFromContext(r.Context())
-	// Columnar hot path: every phase below (diagnostics, model fit,
-	// estimators, bootstrap) reads the view the request decoded into.
-	diag, health, err := s.diagnose(ctx, r, view, policy)
-	if err != nil {
-		s.writeEvalError(w, err)
-		return
-	}
-	if s.log.Enabled(obs.LevelDebug) {
-		s.log.Debug("evaluate diagnostics", "id", requestID(r),
-			"n", diag.N, "essRatio", diag.ESS/float64(diag.N),
-			"maxWeight", diag.MaxWeight, "zeroSupport", diag.ZeroSupport)
-	}
 	model, err := timed(ctx, root, "fit_model", func() (*core.ViewTableModel[traceio.FlatContext, string], error) {
 		return core.FitTableViewCtx(ctx, view)
 	})
@@ -752,28 +719,23 @@ func (s *server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		s.writeEvalError(w, err)
 		return
 	}
-	dm, err := timed(ctx, root, "direct_method", func() (core.Estimate, error) {
-		return core.DirectMethodViewCtx(ctx, view, policy, model)
-	})
+	// One table serves every phase below: the fold, the observatory,
+	// the bootstrap and the fallback.
+	ev := core.NewEvaluation(view, policy, model)
+	defer ev.Release()
+	est, health, err := s.estimate(ctx, r, ev, req.Options.Clip)
 	if err != nil {
 		s.writeEvalError(w, err)
 		return
 	}
-	ips, err := timed(ctx, root, "ips", func() (core.Estimate, error) {
-		return core.IPSViewCtx(ctx, view, policy, core.IPSOptions{Clip: req.Options.Clip, SelfNormalize: req.Options.SelfNormalize})
-	})
-	if err != nil {
-		s.writeEvalError(w, err)
-		return
+	diag := est.Diagnostics
+	if s.log.Enabled(obs.LevelDebug) {
+		s.log.Debug("evaluate diagnostics", "id", requestID(r),
+			"n", diag.N, "essRatio", diag.ESS/float64(diag.N),
+			"maxWeight", diag.MaxWeight, "zeroSupport", diag.ZeroSupport)
 	}
-	dr, err := timed(ctx, root, "doubly_robust", func() (core.Estimate, error) {
-		return core.DoublyRobustViewCtx(ctx, view, policy, model, core.DROptions{Clip: req.Options.Clip, SelfNormalize: req.Options.SelfNormalize})
-	})
-	if err != nil {
-		s.writeEvalError(w, err)
-		return
-	}
-	resp := evalResponse{DM: toJSON(dm), IPS: toJSON(ips), DR: toJSON(dr), Diagnostics: diagJSON(diag), TraceHealth: health}
+	resp := estimatesResponse(est, req.Options.SelfNormalize)
+	resp.TraceHealth = health
 	if b := req.Options.Bootstrap; b > 0 {
 		seed := req.Options.Seed
 		if seed == 0 {
@@ -789,7 +751,7 @@ func (s *server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 			defer sp.End()
 			// Refit-DR bootstrap by index over the view: running
 			// sufficient statistics per resample, no record copies.
-			ci, stats, err := core.BootstrapDRViewSeededStatsCtx(ctx, view, policy,
+			ci, stats, err := ev.BootstrapDR(ctx,
 				core.DROptions{Clip: req.Options.Clip, SelfNormalize: req.Options.SelfNormalize}, seed, b, 0.95)
 			if err != nil {
 				sp.SetError(err.Error())
@@ -808,9 +770,21 @@ func (s *server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	}
 	s.finishEvaluate(w, r, resp, fallback{"snips-clip", func() (core.Estimate, error) {
 		return timed(ctx, root, "fallback", func() (core.Estimate, error) {
-			return core.IPSViewCtx(ctx, view, policy, core.IPSOptions{Clip: s.cfg.fallbackClip, SelfNormalize: true})
+			est, err := ev.Estimates(ctx, s.cfg.fallbackClip)
+			return est.SNIPS, err
 		})
 	}})
+}
+
+// estimatesResponse maps one read of every estimator family onto the
+// /evaluate body, for batch and streamed requests alike: selfNormalize
+// serves SNIPS and SN-DR as IPS and DR.
+func estimatesResponse(est core.StreamEstimates, selfNormalize bool) evalResponse {
+	ips, dr := est.IPS, est.DR
+	if selfNormalize {
+		ips, dr = est.SNIPS, est.SNDR
+	}
+	return evalResponse{DM: toJSON(est.DM), IPS: toJSON(ips), DR: toJSON(dr), Diagnostics: diagJSON(est.Diagnostics)}
 }
 
 // fallback is the variance-robust estimate a degraded /evaluate

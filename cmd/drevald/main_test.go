@@ -56,7 +56,7 @@ func testTraceJSONSized(t *testing.T, blankPropensities bool, n int) []traceio.F
 // newTestServerOn builds a server on reg from the flag defaults with
 // edit applied, its access log silenced unless -v. A configured WAL is
 // replayed before it returns; the server is closed at cleanup.
-func newTestServerOn(t *testing.T, reg *obs.Registry, edit func(*config)) *server {
+func newTestServerOn(t testing.TB, reg *obs.Registry, edit func(*config)) *server {
 	t.Helper()
 	cfg, err := parseFlags(nil)
 	if err != nil {
@@ -80,7 +80,7 @@ func newTestServerOn(t *testing.T, reg *obs.Registry, edit func(*config)) *serve
 }
 
 // newTestServer is newTestServerOn a registry of the server's own.
-func newTestServer(t *testing.T, edit func(*config)) *server {
+func newTestServer(t testing.TB, edit func(*config)) *server {
 	t.Helper()
 	return newTestServerOn(t, obs.NewRegistry(), edit)
 }

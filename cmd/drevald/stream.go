@@ -30,9 +30,7 @@ import (
 // evaluation queries in O(1). Guarded by streamEngine.mu.
 type streamPolicy struct {
 	fingerprint string
-	spec        string
 	policy      core.Policy[traceio.FlatContext, string]
-	model       *core.ViewTableModel[traceio.FlatContext, string]
 	eval        *core.StreamEval[traceio.FlatContext, string]
 	// modelEpoch is the record count the reward model was fit at; the
 	// gap to the live epoch is the staleness every response reports.
@@ -297,9 +295,7 @@ func (e *streamEngine) evaluate(spec string, clip float64, refresh bool) (stream
 		}
 		sp = &streamPolicy{
 			fingerprint: fmt.Sprintf("%s@%d", key, snap.Len()),
-			spec:        spec,
 			policy:      policy,
-			model:       model,
 			eval:        eval,
 			modelEpoch:  snap.Len(),
 		}
@@ -477,13 +473,9 @@ func (s *server) handleStreamEvaluate(w http.ResponseWriter, r *http.Request, re
 	if !ok {
 		return
 	}
-	est := sr.est
-	ips, dr := est.IPS, est.DR
-	if req.Options.SelfNormalize {
-		ips, dr = est.SNIPS, est.SNDR
-	}
-	resp := evalResponse{DM: toJSON(est.DM), IPS: toJSON(ips), DR: toJSON(dr), Diagnostics: diagJSON(est.Diagnostics), Stream: sr.meta}
-	s.finishEvaluate(w, r, resp, fallback{"snips-stream", func() (core.Estimate, error) { return est.SNIPS, nil }})
+	resp := estimatesResponse(sr.est, req.Options.SelfNormalize)
+	resp.Stream = sr.meta
+	s.finishEvaluate(w, r, resp, fallback{"snips-stream", func() (core.Estimate, error) { return sr.est.SNIPS, nil }})
 }
 
 // handleStreamDiagnose serves /diagnose with an empty trace from the

@@ -60,8 +60,9 @@ func streamEvaluate(t *testing.T, srv *httptest.Server, policy string, opts eval
 // TestStreamEvaluateMatchesBatch is the end-to-end equivalence check:
 // records ingested in batches and evaluated from aggregates must
 // produce the same estimates as the same records POSTed inline —
-// bit-identical Values for DM/IPS/DR (the core suite's guarantee,
-// carried through the full HTTP surface).
+// bit-identical dm, ips, dr and diagnostics blocks, with and without
+// selfNormalize (the core suite's guarantee, carried through the full
+// HTTP surface).
 func TestStreamEvaluateMatchesBatch(t *testing.T) {
 	t.Parallel()
 	_, srv := startTest(t, withWAL(t))
@@ -98,21 +99,11 @@ func TestStreamEvaluateMatchesBatch(t *testing.T) {
 		if batch.Stream != nil {
 			t.Fatal("batch response unexpectedly carries stream metadata")
 		}
-		// The model registers at the full epoch, so DM/IPS Values (and
-		// plain DR) must be bit-identical to the batch fit on the same
-		// records; SN-DR matches within the documented tolerance.
-		if streamed.DM.Value != batch.DM.Value {
-			t.Fatalf("selfNorm=%v: DM %v != %v", selfNorm, streamed.DM.Value, batch.DM.Value)
-		}
-		if streamed.IPS.Value != batch.IPS.Value || streamed.IPS.ESS != batch.IPS.ESS {
-			t.Fatalf("selfNorm=%v: IPS %+v != %+v", selfNorm, streamed.IPS, batch.IPS)
-		}
-		drTol := 0.0
-		if selfNorm {
-			drTol = 1e-9 * (1 + abs(batch.DR.Value))
-		}
-		if d := abs(streamed.DR.Value - batch.DR.Value); d > drTol {
-			t.Fatalf("selfNorm=%v: DR %v != %v (|Δ|=%g)", selfNorm, streamed.DR.Value, batch.DR.Value, d)
+		// The model registers at the full epoch, so every block is the
+		// batch fit's on the same records, bit for bit.
+		if streamed.DM != batch.DM || streamed.IPS != batch.IPS || streamed.DR != batch.DR {
+			t.Fatalf("selfNorm=%v: streamed dm/ips/dr %+v %+v %+v, batch %+v %+v %+v",
+				selfNorm, streamed.DM, streamed.IPS, streamed.DR, batch.DM, batch.IPS, batch.DR)
 		}
 		if streamed.Diagnostics != batch.Diagnostics {
 			t.Fatalf("selfNorm=%v: diagnostics %+v != %+v", selfNorm, streamed.Diagnostics, batch.Diagnostics)
@@ -129,13 +120,6 @@ func TestStreamEvaluateMatchesBatch(t *testing.T) {
 	if diag.N != len(records) || diag.Stream == nil || diag.Stream.Epoch != len(records) {
 		t.Fatalf("stream diagnose %+v / %+v", diag.diagnosticsJSON, diag.Stream)
 	}
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // mixedFeaturesRecords mixes records with "features": [] and records

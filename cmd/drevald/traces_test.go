@@ -126,7 +126,7 @@ func TestEvaluateTimelineEndToEnd(t *testing.T) {
 	for _, c := range found.Children {
 		children[c.Name] = c
 	}
-	for _, phase := range []string{"diagnose", "fit_model", "direct_method", "ips", "doubly_robust", "drevald_bootstrap"} {
+	for _, phase := range []string{"fit_model", "estimate", "drevald_bootstrap"} {
 		c, ok := children[phase]
 		if !ok {
 			t.Fatalf("phase %q missing from timeline; children: %v", phase, childNames(found.Children))
@@ -141,11 +141,11 @@ func TestEvaluateTimelineEndToEnd(t *testing.T) {
 	if got := children["drevald_bootstrap"].Attrs["resamples"]; got != "30" {
 		t.Fatalf("bootstrap resamples attr = %q, want 30", got)
 	}
-	// Children arrive in execution order: diagnose starts no later than
+	// Children arrive in execution order: estimate starts no later than
 	// the bootstrap.
-	if children["diagnose"].StartOffsetMs > children["drevald_bootstrap"].StartOffsetMs {
-		t.Fatalf("diagnose (%.3fms) starts after bootstrap (%.3fms)",
-			children["diagnose"].StartOffsetMs, children["drevald_bootstrap"].StartOffsetMs)
+	if children["estimate"].StartOffsetMs > children["drevald_bootstrap"].StartOffsetMs {
+		t.Fatalf("estimate (%.3fms) starts after bootstrap (%.3fms)",
+			children["estimate"].StartOffsetMs, children["drevald_bootstrap"].StartOffsetMs)
 	}
 }
 
@@ -265,7 +265,7 @@ func TestTraceSinkStreamsJSONL(t *testing.T) {
 			names[rec.Name] = true
 		}
 	}
-	for _, want := range []string{"http/evaluate", "diagnose", "drevald_bootstrap"} {
+	for _, want := range []string{"http/evaluate", "estimate", "drevald_bootstrap"} {
 		if !names[want] {
 			t.Fatalf("span %q missing from JSONL export; got %v", want, names)
 		}

@@ -20,8 +20,10 @@
 //
 // Allocation contract: steady-state cost is O(1) per record. The
 // compute pass allocates per window (one context-occurrence counter
-// slice) and per report (the policy table, the series, the calibration
-// counters), never per record.
+// slice) and per report (the series, the calibration counters), never
+// per record. The policy's probability rows are a core.Evaluation's
+// pooled table, read by context code: the caller's under ComputeEval,
+// one of its own under ComputeCtx.
 package biasobs
 
 import (
@@ -273,30 +275,28 @@ func Compute[C any, D comparable](v *core.TraceView[C, D], newPolicy core.Policy
 // Weight semantics mirror core.DiagnoseViewCtx: when a distribution lists
 // the same decision more than once, the last entry wins.
 func ComputeCtx[C any, D comparable](ctx context.Context, v *core.TraceView[C, D], newPolicy core.Policy[C, D], cfg Config) (*Report, error) {
+	e := core.NewEvaluation(v, newPolicy, nil)
+	defer e.Release()
+	return ComputeEval(ctx, e, cfg)
+}
+
+// ComputeEval is ComputeCtx over an evaluation's view, reading the
+// policy's probabilities off the evaluation's table instead of asking
+// the policy again; the window pass is then pure array arithmetic. A
+// context with an invalid distribution fails the report with DM's
+// error.
+func ComputeEval[C any, D comparable](ctx context.Context, e *core.Evaluation[C, D], cfg Config) (*Report, error) {
+	v := e.View()
 	n := v.Len()
 	if n == 0 {
 		return nil, core.ErrEmptyTrace
 	}
+	probLast, err := e.Probs()
+	if err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults(n)
 	numCtx, k := v.NumContexts(), v.NumDecisions()
-
-	// Flatten the policy over the context dictionary once: probLast[u*k+kc]
-	// is π_new(decision kc | context u) with last-match semantics. One
-	// Distribution call per unique context; the window pass is then pure
-	// array arithmetic.
-	probLast := make([]float64, numCtx*k)
-	for u := 0; u < numCtx; u++ {
-		dist := newPolicy.Distribution(v.ContextValue(u))
-		if err := core.ValidateDistribution(dist); err != nil {
-			return nil, fmt.Errorf("biasobs: context %d: %w", u, err)
-		}
-		row := u * k
-		for _, w := range dist {
-			if kc, ok := v.DecisionIndex(w.Decision); ok {
-				probLast[row+kc] = w.Prob
-			}
-		}
-	}
 
 	windows, err := parallel.TimesCtx(ctx, cfg.Windows, cfg.Workers, func(wi int) (WindowStats, error) {
 		lo := wi * n / cfg.Windows
@@ -307,7 +307,7 @@ func ComputeCtx[C any, D comparable](ctx context.Context, v *core.TraceView[C, D
 		return nil, err
 	}
 
-	calibration, err := calibrate(ctx, v, probLast, k, cfg.Buckets)
+	calibration, err := calibrate(ctx, v, k, cfg.Buckets)
 	if err != nil {
 		return nil, err
 	}
@@ -411,7 +411,7 @@ func normEntropy(counts []int32, n, numCtx int) float64 {
 // logged propensity per bucket against the empirical conditional
 // frequency of the logged decision given its context
 // (count(context, decision)/count(context), from the trace itself).
-func calibrate[C any, D comparable](ctx context.Context, v *core.TraceView[C, D], probLast []float64, k, buckets int) ([]CalibrationBucket, error) {
+func calibrate[C any, D comparable](ctx context.Context, v *core.TraceView[C, D], k, buckets int) ([]CalibrationBucket, error) {
 	n := v.Len()
 	numCtx := v.NumContexts()
 	cellCount := make([]int32, numCtx*k)

@@ -11,7 +11,8 @@ import (
 // (Dudík, Langford & Li write DR this way), so all of them are one fold
 // of a record sequence into running sums, read out at the end:
 //
-//   - the batch *View calls fold every record of a view;
+//   - the batch *View calls and an Evaluation fold every record of a
+//     view;
 //   - StreamEval folds each new batch into the same state, so a stream
 //     equals the batch over the same prefix bit for bit;
 //   - CrossFitDRView folds each fold's index list.
@@ -108,8 +109,9 @@ func (d Diagnostics) String() string {
 // agrees with the logged decision on zero records.
 var ErrNoMatches = fmt.Errorf("core: no records match the new policy's decisions")
 
-// What a fold accumulates. Batch calls fold only the family they
-// answer; a StreamEval folds all of them.
+// What a fold accumulates. The per-family calls fold only the family
+// they answer; an Evaluation's Estimates folds every family but
+// matched rewards, and a StreamEval folds all of them.
 const (
 	foldDM    uint8 = 1 << iota // per-context DM value (needs a model)
 	foldW                       // clipped first-match weights: ESS, max weight
@@ -319,6 +321,31 @@ func (a *acc) drEstimate(selfNormalize bool) Estimate {
 	}
 	est.StdErr = stdErrOf(a.n, a.dm.d+c*a.e.d, a.dm.dd+2*c*a.sxy+c*c*a.e.dd)
 	return est
+}
+
+// estimates is the one read-out of an all-family fold over t, shared
+// by StreamEval and Evaluation: IPS, SNIPS and Diagnostics always, and
+// DM, DR and SN-DR when the fold had a model and t no invalid
+// distribution. On that refusal the error comes with the rest.
+func (a *acc) estimates(t *tables) (StreamEstimates, error) {
+	if a.n == 0 {
+		return StreamEstimates{}, ErrEmptyTrace
+	}
+	out := StreamEstimates{
+		IPS:         a.ipsEstimate(false),
+		SNIPS:       a.ipsEstimate(true),
+		Diagnostics: a.diagnostics(),
+	}
+	if a.want&foldDM == 0 {
+		return out, nil
+	}
+	if err := t.invalidErr(); err != nil {
+		return out, err
+	}
+	out.DM = a.dmEstimate()
+	out.DR = a.drEstimate(false)
+	out.SNDR = a.drEstimate(true)
+	return out, nil
 }
 
 func (a *acc) matchedEstimate() (Estimate, error) {

@@ -101,8 +101,8 @@ func SelectBest[C any, D comparable](v *TraceView[C, D], model RewardModel[C, D]
 // from rng in turn. DoublyRobustView has already accepted every
 // context's distribution, so no resample can fail.
 func bootstrapDR[C any, D comparable](v *TraceView[C, D], policy Policy[C, D], model RewardModel[C, D], rng *mathx.RNG, opts SelectOptions) Interval {
-	tb := newTable(v, policy, model)
-	defer tb.release()
+	tb := NewEvaluation(v, policy, model)
+	defer tb.Release()
 	recs := drRecords(v, tb.tables, opts.DR)
 	idx := make([]int, v.Len())
 	values := make([]float64, opts.Bootstrap)

@@ -224,7 +224,7 @@ type StreamEstimates struct {
 // owner serializes Apply calls (drevald holds its ingest lock), which
 // also fixes the fold order that makes replay bit-exact.
 type StreamEval[C any, D comparable] struct {
-	tb  ctxTable[C, D]
+	tb  Evaluation[C, D]
 	acc acc
 }
 
@@ -234,7 +234,7 @@ type StreamEval[C any, D comparable] struct {
 // new StreamEval (drevald re-registers the policy fingerprint).
 func NewStreamEval[C any, D comparable](policy Policy[C, D], model RewardModel[C, D], opts StreamOptions) *StreamEval[C, D] {
 	s := &StreamEval[C, D]{
-		tb:  ctxTable[C, D]{tables: new(tables), policy: policy, model: model},
+		tb:  Evaluation[C, D]{tables: new(tables), policy: policy, model: model},
 		acc: acc{want: foldAll, clip: opts.Clip},
 	}
 	s.tb.reset()
@@ -263,20 +263,4 @@ func (s *StreamEval[C, D]) Apply(v *TraceView[C, D], from int) error {
 // estimators' invalid-distribution error when one was seen; IPS,
 // SNIPS and Diagnostics are always available, exactly as in the batch
 // path (which never validates distributions for them).
-func (s *StreamEval[C, D]) Estimates() (StreamEstimates, error) {
-	if s.acc.n == 0 {
-		return StreamEstimates{}, ErrEmptyTrace
-	}
-	out := StreamEstimates{
-		IPS:         s.acc.ipsEstimate(false),
-		SNIPS:       s.acc.ipsEstimate(true),
-		Diagnostics: s.acc.diagnostics(),
-	}
-	if err := s.tb.invalidErr(); err != nil {
-		return out, err
-	}
-	out.DM = s.acc.dmEstimate()
-	out.DR = s.acc.drEstimate(false)
-	out.SNDR = s.acc.drEstimate(true)
-	return out, nil
-}
+func (s *StreamEval[C, D]) Estimates() (StreamEstimates, error) { return s.acc.estimates(s.tb.tables) }

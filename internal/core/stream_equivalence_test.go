@@ -202,7 +202,7 @@ func TestViewBuilderSnapshotEqualsBatchView(t *testing.T) {
 	}
 	// The lookup closure must resolve every interned context.
 	for u := 0; u < snap.NumContexts(); u++ {
-		c := snap.ContextValue(u)
+		c := snap.contexts[u]
 		if code, ok := snap.lookup(c); !ok || int(code) != u {
 			t.Fatalf("lookup(%v) = (%d,%v), want (%d,true)", c, code, ok, u)
 		}

@@ -181,19 +181,8 @@ func (v *TraceView[C, D]) ContextCode(i int) int { return int(v.ctxCodes[i]) }
 // [0, NumDecisions).
 func (v *TraceView[C, D]) DecisionCode(i int) int { return int(v.decCodes[i]) }
 
-// ContextValue returns the dictionary representative of context code u
-// (the context of the first record that interned to u).
-func (v *TraceView[C, D]) ContextValue(u int) C { return v.contexts[u] }
-
 // DecisionValue returns the decision for dictionary code k.
 func (v *TraceView[C, D]) DecisionValue(k int) D { return v.decisions[k] }
-
-// DecisionIndex resolves a decision value to its dictionary code,
-// reporting false for decisions never logged in the trace.
-func (v *TraceView[C, D]) DecisionIndex(d D) (int, bool) {
-	k, ok := v.decIndex[d]
-	return int(k), ok
-}
 
 // Rewards returns a copy of the reward column.
 func (v *TraceView[C, D]) Rewards() []float64 {

@@ -81,10 +81,18 @@ func BootstrapDRViewSeeded[C any, D comparable](v *TraceView[C, D], newPolicy Po
 
 // BootstrapDRViewSeededStatsCtx is BootstrapDRViewSeeded plus resample
 // bookkeeping and cooperative cancellation: once ctx ends no new
-// resample starts and ctx's error is returned. The policy is flattened
-// and the records packed once; each resample then touches only pooled
-// arrays.
+// resample starts and ctx's error is returned.
 func BootstrapDRViewSeededStatsCtx[C any, D comparable](ctx context.Context, v *TraceView[C, D], newPolicy Policy[C, D], opts DROptions, seed int64, b int, level float64) (Interval, BootstrapStats, error) {
+	e := NewEvaluation(v, newPolicy, nil)
+	defer e.Release()
+	return e.BootstrapDR(ctx, opts, seed, b, level)
+}
+
+// BootstrapDR is BootstrapDRViewSeededStatsCtx over tb's view and
+// policy. It packs the records once off tb's table; each resample then
+// touches only pooled arrays.
+func (tb *Evaluation[C, D]) BootstrapDR(ctx context.Context, opts DROptions, seed int64, b int, level float64) (Interval, BootstrapStats, error) {
+	v := tb.v
 	n := v.Len()
 	if n == 0 {
 		return Interval{}, BootstrapStats{}, ErrEmptyTrace
@@ -95,8 +103,6 @@ func BootstrapDRViewSeededStatsCtx[C any, D comparable](ctx context.Context, v *
 	if level <= 0 || level >= 1 {
 		return Interval{}, BootstrapStats{}, fmt.Errorf("core: confidence level %g out of (0,1)", level)
 	}
-	tb := newTable(v, newPolicy, nil)
-	defer tb.release()
 	recs := drRecords(v, tb.tables, opts)
 	drawer := newIndexDrawer(n)
 	sh := parallel.NewShardedRNG(seed)

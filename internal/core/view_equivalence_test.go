@@ -118,6 +118,66 @@ func TestViewDiagnoseBitIdentical(t *testing.T) {
 	}
 }
 
+// countingPolicy counts its Distribution calls per context.
+type countingPolicy struct {
+	Policy[float64, int]
+	calls map[float64]int
+}
+
+func (p *countingPolicy) Distribution(c float64) []Weighted[int] {
+	p.calls[c]++
+	return p.Policy.Distribution(c)
+}
+
+// TestEvaluationAsksPolicyOncePerContext: one Evaluation serves two
+// all-family folds at different clips, the bootstrap and the bias
+// observatory's rows, asking the policy about each distinct context
+// exactly once, and every read equals its one-shot call bit for bit.
+func TestEvaluationAsksPolicyOncePerContext(t *testing.T) {
+	ctx := context.Background()
+	tr, np, model := quantizedTrace(3000)
+	v := mustView(t, tr)
+	cp := &countingPolicy{Policy: np, calls: map[float64]int{}}
+	e := NewEvaluation[float64, int](v, cp, model)
+	defer e.Release()
+	for _, clip := range []float64{0, 3} {
+		got, err := e.Estimates(ctx, clip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want StreamEstimates
+		want.DM, _ = DirectMethodView(v, np, model)
+		want.IPS, _ = IPSView(v, np, IPSOptions{Clip: clip})
+		want.SNIPS, _ = IPSView(v, np, IPSOptions{Clip: clip, SelfNormalize: true})
+		want.DR, _ = DoublyRobustView(v, np, model, DROptions{Clip: clip})
+		want.SNDR, _ = DoublyRobustView(v, np, model, DROptions{Clip: clip, SelfNormalize: true})
+		want.Diagnostics, _ = DiagnoseView(v, np)
+		if got != want {
+			t.Fatalf("clip %g: Estimates %+v, one-shot calls %+v", clip, got, want)
+		}
+	}
+	opts := DROptions{Clip: 3, SelfNormalize: true}
+	ci, stats, err := e.BootstrapDR(ctx, opts, 5, 40, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCI, wantStats, err := BootstrapDRViewSeededStatsCtx(ctx, v, np, opts, 5, 40, 0.9)
+	if err != nil || ci != wantCI || stats != wantStats {
+		t.Fatalf("BootstrapDR %+v %+v, one-shot %+v %+v (%v)", ci, stats, wantCI, wantStats, err)
+	}
+	if probs, err := e.Probs(); err != nil || len(probs) != v.NumContexts()*v.NumDecisions() {
+		t.Fatalf("Probs: %d rows, %v", len(probs), err)
+	}
+	if len(cp.calls) != v.NumContexts() {
+		t.Fatalf("policy asked about %d contexts, the view has %d", len(cp.calls), v.NumContexts())
+	}
+	for c, n := range cp.calls {
+		if n != 1 {
+			t.Fatalf("policy asked about context %g %d times", c, n)
+		}
+	}
+}
+
 // TestFitTableViewMatchesFitTable asserts the columnar table model is
 // the map-based table model: same predictions on every logged pair,
 // same default, and the same DM/DR estimates when plugged in.

@@ -9,6 +9,21 @@ import (
 	"drnet/internal/mathx"
 )
 
+// Estimates folds every record once for IPS, SNIPS and Diagnose, and
+// for DM, DR and SN-DR when tb has a model, clipping weights at clip
+// (0 disables). It reads the fold out as StreamEval.Estimates does,
+// refusals included.
+func (tb *Evaluation[C, D]) Estimates(ctx context.Context, clip float64) (StreamEstimates, error) {
+	a := acc{want: foldW | foldIPS | foldDiag, clip: clip}
+	if tb.model != nil {
+		a.want |= foldDM | foldDR
+	}
+	if err := foldView(ctx, &a, tb.tables, tb.v, 0, tb.v.Len(), nil); err != nil {
+		return StreamEstimates{}, err
+	}
+	return a.estimates(tb.tables)
+}
+
 // evalView folds every record of v for the estimator families in want.
 // A model makes the fold refuse traces whose contexts include an
 // invalid distribution, as DM and DR do; IPS, SNIPS, matched rewards
@@ -17,15 +32,15 @@ func evalView[C any, D comparable](ctx context.Context, v *TraceView[C, D], poli
 	if v.Len() == 0 {
 		return acc{}, ErrEmptyTrace
 	}
-	tb := newTable(v, policy, model)
-	defer tb.release()
+	e := NewEvaluation(v, policy, model)
+	defer e.Release()
 	if model != nil {
-		if err := tb.invalidErr(); err != nil {
+		if err := e.invalidErr(); err != nil {
 			return acc{}, err
 		}
 	}
 	a := acc{want: want, clip: clip}
-	if err := foldView(ctx, &a, tb.tables, v, 0, v.Len(), nil); err != nil {
+	if err := foldView(ctx, &a, e.tables, v, 0, v.Len(), nil); err != nil {
 		return acc{}, err
 	}
 	return a, nil
@@ -152,8 +167,8 @@ func SwitchDRView[C any, D comparable](v *TraceView[C, D], newPolicy Policy[C, D
 	if n == 0 {
 		return Estimate{}, ErrEmptyTrace
 	}
-	tb := newTable(v, newPolicy, model)
-	defer tb.release()
+	tb := NewEvaluation(v, newPolicy, model)
+	defer tb.Release()
 	if tb.bad >= 0 {
 		return Estimate{}, tb.badErr
 	}
@@ -240,12 +255,12 @@ func CrossFitDRView[C any, D comparable](v *TraceView[C, D], newPolicy Policy[C,
 		if err != nil {
 			return Estimate{}, fmt.Errorf("core: fold %d model fit: %w", f, err)
 		}
-		tb := newTable(v, newPolicy, model)
+		tb := NewEvaluation(v, newPolicy, model)
 		a := acc{want: foldDM | foldW | foldDR, clip: opts.Clip}
 		if err = tb.invalidIn(v.ctxCodes, evalIdx); err == nil {
 			err = foldView(context.Background(), &a, tb.tables, v, 0, len(evalIdx), evalIdx)
 		}
-		tb.release()
+		tb.Release()
 		if err != nil {
 			return Estimate{}, fmt.Errorf("core: fold %d: %w", f, err)
 		}

@@ -41,8 +41,8 @@ type tables struct {
 	badErr error
 }
 
-// tablePool recycles the batch calls' tables; a StreamEval owns one
-// for its lifetime.
+// tablePool recycles an Evaluation's tables; a StreamEval owns one for
+// its lifetime.
 var tablePool = sync.Pool{New: func() any { return new(tables) }}
 
 // reset empties t, keeping its capacity.
@@ -109,8 +109,12 @@ func restride(s []float64, rows, old, k int) []float64 {
 	return s
 }
 
-// ctxTable is tables plus the generic values that fill it.
-type ctxTable[C any, D comparable] struct {
+// Evaluation is one view's per-context table for one policy, and
+// optionally one reward model: tables plus the generic values that
+// fill it. Every estimator family, the bootstrap's packed records and
+// the bias observatory's probability rows read it, so a caller that
+// needs all of them asks the policy and the model once per context.
+type Evaluation[C any, D comparable] struct {
 	*tables
 	policy Policy[C, D]
 	model  RewardModel[C, D] // nil for policy-only tables
@@ -118,28 +122,40 @@ type ctxTable[C any, D comparable] struct {
 	// fast is the model when it is a ViewTableModel fit on the view
 	// being extended: its dense cells are read directly.
 	fast *ViewTableModel[C, D]
+	v    *TraceView[C, D] // NewEvaluation's view; nil in a StreamEval's table
 }
 
-// newTable flattens policy, and model when non-nil, over v on pooled
-// buffers. Release it once no result depends on it.
-func newTable[C any, D comparable](v *TraceView[C, D], policy Policy[C, D], model RewardModel[C, D]) *ctxTable[C, D] {
+// NewEvaluation flattens policy, and model when non-nil, over v on
+// pooled buffers. Release it once no result depends on it.
+func NewEvaluation[C any, D comparable](v *TraceView[C, D], policy Policy[C, D], model RewardModel[C, D]) *Evaluation[C, D] {
 	t := tablePool.Get().(*tables)
 	t.reset()
 	u, k := len(v.contexts), len(v.decisions)
 	t.reserve(u, k)
 	//lint:allow hotalloc one table header per evaluation; its buffers are pooled
-	tb := &ctxTable[C, D]{tables: t, policy: policy, model: model, entDec: make([]D, 0, u*k)}
+	tb := &Evaluation[C, D]{tables: t, policy: policy, model: model, entDec: make([]D, 0, u*k), v: v}
 	tb.extend(v)
 	return tb
 }
 
-func (tb *ctxTable[C, D]) release() { tablePool.Put(tb.tables) }
+// Release returns the table's buffers to the pool.
+func (tb *Evaluation[C, D]) Release() { tablePool.Put(tb.tables) }
+
+// View returns the view tb was built over.
+func (tb *Evaluation[C, D]) View() *TraceView[C, D] { return tb.v }
+
+// Probs returns the policy's rows, Probs()[u*v.NumDecisions()+kc] =
+// µ(d_kc|c_u), with Diagnose's weights: the last entry wins when a
+// distribution lists a decision twice, and a decision off the support
+// is 0. It fails, as DM does, when some context's distribution is
+// invalid. The rows are tb's; they are valid until Release.
+func (tb *Evaluation[C, D]) Probs() ([]float64, error) { return tb.probLast, tb.invalidErr() }
 
 // extend brings the table up to v's dictionaries: columns for new
 // decisions, then rows for contexts first seen since the last call. v
 // must extend the view the table was last extended with (a later
 // ViewBuilder snapshot), as it does for a StreamEval.
-func (tb *ctxTable[C, D]) extend(v *TraceView[C, D]) {
+func (tb *Evaluation[C, D]) extend(v *TraceView[C, D]) {
 	tb.fast, _ = tb.model.(*ViewTableModel[C, D])
 	if tb.fast != nil && tb.fast.view != v {
 		tb.fast = nil
@@ -244,7 +260,7 @@ func (t *tables) fillProbs(u, k0 int) {
 // and its DM value when the row is new (k0 == 0). The DM sum runs over
 // the distribution's nonzero entries in order, as a per-record loop
 // does.
-func (tb *ctxTable[C, D]) fillModel(v *TraceView[C, D], u, k0 int) {
+func (tb *Evaluation[C, D]) fillModel(v *TraceView[C, D], u, k0 int) {
 	row, c, m := u*tb.k, v.contexts[u], tb.fast
 	for kc := k0; kc < tb.k; kc++ {
 		if m != nil {

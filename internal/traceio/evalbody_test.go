@@ -1,10 +1,13 @@
 package traceio
 
 import (
+	"context"
 	"encoding/json"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"drnet/internal/biasobs"
 )
 
 // evalBody marshals an n-record request over a fixed population of
@@ -49,6 +52,34 @@ func TestDecodeEvalViewAllocsPerContext(t *testing.T) {
 	}
 	if large > small*1.01 {
 		t.Fatalf("16000 records allocate %.0f times, 8000 records %.0f: more than 1%% growth", large, small)
+	}
+}
+
+// TestBiasObservatoryAllocsPerContext: the bias observatory reads
+// best-observed off core's table by context code, so a view with 1,000
+// distinct contexts costs it no more allocations than one with 100,
+// beyond a small constant. Asking the policy by context value would
+// re-key every context through FlatContext.Key.
+func TestBiasObservatoryAllocsPerContext(t *testing.T) {
+	allocs := func(contexts int) float64 {
+		_, view, ok := DecodeEvalView(evalBody(t, 8000, contexts))
+		if !ok {
+			t.Fatal("fast path refused a canonical body")
+		}
+		policy, err := ParsePolicyView("best-observed", view)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := biasobs.ComputeCtx(context.Background(), view, policy, biasobs.Config{Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(100), allocs(1000)
+	t.Logf("allocations: %.0f at 100 contexts, %.0f at 1000", small, large)
+	if large > small+64 {
+		t.Fatalf("1000 contexts allocate %.0f times, 100 contexts %.0f: the observatory allocates per context", large, small)
 	}
 }
 

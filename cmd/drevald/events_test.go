@@ -188,6 +188,13 @@ func TestOneEventPerRequest(t *testing.T) {
 	if ing.WALEpoch != 400 || ing.WALSegment == "" || !ing.WALDurable {
 		t.Fatalf("ing-ok WAL ack = epoch %d segment %q durable %v", ing.WALEpoch, ing.WALSegment, ing.WALDurable)
 	}
+	// The decode is timed under the ledger's layer name, apart from the
+	// durable append and fold.
+	for _, phase := range []string{"ingest_decode", "durable_ingest"} {
+		if _, present := ing.PhaseMs[phase]; !present {
+			t.Fatalf("ing-ok phaseMs missing %q: %v", phase, ing.PhaseMs)
+		}
+	}
 }
 
 // TestStreamedEventAnnotations covers the aggregate-served path: the

@@ -136,9 +136,87 @@ func sameView(a, b *core.TraceView[traceio.FlatContext, string]) error {
 			return fmt.Errorf("context %d: features %v, reference %v", a.ContextCode(i), fa, fb)
 		}
 	}
-	for k := 0; k < a.NumDecisions(); k++ {
-		if a.DecisionValue(k) != b.DecisionValue(k) {
-			return fmt.Errorf("decision %d: %q, reference %q", k, a.DecisionValue(k), b.DecisionValue(k))
+	// Every decision code occurs in some record, so comparing each
+	// record's decision compares the dictionaries.
+	for i := 0; i < a.Len(); i++ {
+		if da, db := a.At(i).Decision, b.At(i).Decision; da != db {
+			return fmt.Errorf("record %d: decision %q, reference %q", i, da, db)
+		}
+	}
+	return nil
+}
+
+// seededIngestBuilder is a stream builder that already holds the
+// contexts [], [0], [-0], [1,2] and [0.25,0.5,1], so bodies naming them
+// take DecodeIngest's known-text path.
+func seededIngestBuilder(t *testing.T) *core.ViewBuilder[traceio.FlatContext, string] {
+	t.Helper()
+	vb := core.NewViewBuilderKeyed[traceio.FlatContext, string](traceio.FlatContext.Key)
+	for _, f := range [][]float64{{}, {0}, {math.Copysign(0, -1)}, {1, 2}, {0.25, 0.5, 1}} {
+		rec := core.Record[traceio.FlatContext, string]{Context: traceio.FlatContext{Features: f}, Decision: "a", Reward: 1, Propensity: 0.5}
+		if err := vb.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return vb
+}
+
+// FuzzDecodeIngest is the /ingest fast path's differential check.
+// Whenever traceio.DecodeIngest accepts a body against a seeded
+// builder, the reference path (decodeIngestBody) must accept the same
+// bytes with the same records, floats compared by their bits and a nil
+// and an empty feature vector alike; both batches must encode to
+// byte-identical WAL frames; and appending each to its own copy of the
+// builder must leave equal views. The checked-in corpus covers each
+// class of body the fast path hands back, and the spellings that miss
+// the known-text lookup and are parsed instead.
+func FuzzDecodeIngest(f *testing.F) {
+	f.Add([]byte(`{"records":[{"features":[0.25,0.5,1],"decision":"cdn-a","reward":0.75,"propensity":0.7}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		vb := seededIngestBuilder(t)
+		batch, ok := traceio.DecodeIngest(data, vb)
+		if !ok {
+			return
+		}
+		ref, _, err := decodeIngestBody(data, nil)
+		if err != nil {
+			t.Fatalf("fast path accepted a body the reference path rejects: %v", err)
+		}
+		if err := sameRecords(batch.Records, ref.Records); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := traceio.EncodeBatch(nil, batch.Records), traceio.EncodeBatch(nil, ref.Records); !bytes.Equal(got, want) {
+			t.Fatalf("WAL frame %x, reference %x", got, want)
+		}
+		refVB := seededIngestBuilder(t)
+		if err := batch.AppendTo(vb); err != nil {
+			t.Fatalf("staged batch refused by its builder: %v", err)
+		}
+		if err := ref.AppendTo(refVB); err != nil {
+			t.Fatalf("reference batch refused: %v", err)
+		}
+		if err := sameView(vb.Snapshot(), refVB.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// sameRecords compares two decoded batches field by field, floats by
+// their bits, with a nil and an empty feature vector alike.
+func sameRecords(a, b []traceio.FlatRecord) error {
+	if len(a) != len(b) {
+		return fmt.Errorf("%d records, reference %d", len(a), len(b))
+	}
+	bits := math.Float64bits
+	for i := range a {
+		ra, rb := a[i], b[i]
+		same := ra.Decision == rb.Decision && len(ra.Features) == len(rb.Features) &&
+			bits(ra.Reward) == bits(rb.Reward) && bits(ra.Propensity) == bits(rb.Propensity)
+		for j := 0; same && j < len(ra.Features); j++ {
+			same = bits(ra.Features[j]) == bits(rb.Features[j])
+		}
+		if !same {
+			return fmt.Errorf("record %d: %+v, reference %+v", i, ra, rb)
 		}
 	}
 	return nil

@@ -523,15 +523,19 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, erro
 	return buf.Bytes(), err
 }
 
-// bodyError answers a request body that could not be read or decoded:
-// 413 when it exceeds the route's limit, 400 otherwise.
+// bodyError answers a request body that could not be read or decoded.
 func bodyError(w http.ResponseWriter, err error) {
-	code := http.StatusBadRequest
+	httpError(w, bodyStatus(err), "invalid request body: "+err.Error())
+}
+
+// bodyStatus is the status of a body that could not be read or
+// decoded: 413 when it exceeds the route's limit, 400 otherwise.
+func bodyStatus(err error) int {
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
-		code = http.StatusRequestEntityTooLarge
+		return http.StatusRequestEntityTooLarge
 	}
-	httpError(w, code, "invalid request body: "+err.Error())
+	return http.StatusBadRequest
 }
 
 // decodeRequest decodes an /evaluate or /diagnose body. An empty trace

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -162,14 +164,15 @@ type streamUnavailableJSON struct {
 // data is not safe; the client must retry) instead of 422.
 var errNotDurable = errors.New("drevald: batch not durable")
 
-// ingest makes one validated batch durable and folds it into the view
+// ingest makes one staged batch durable and folds it into the view
 // and every registered aggregate, all under one lock hold so the WAL
-// order equals the fold order. The records MUST already have passed
-// Trace.Validate — ViewBuilder.Append applies the identical checks, so
-// post-WAL validation failures are impossible and the WAL never holds
-// a batch replay would reject.
-func (e *streamEngine) ingest(flat []traceio.FlatRecord, trace core.Trace[traceio.FlatContext, string]) (ingestResponse, error) {
-	payload := traceio.EncodeBatch(nil, flat)
+// order equals the fold order. The batch comes from decodeIngest, so
+// its records passed Trace.Validate — the view applies the identical
+// checks, so post-WAL validation failures are impossible and the WAL
+// never holds a batch replay would reject.
+func (e *streamEngine) ingest(batch *traceio.IngestBatch) (ingestResponse, error) {
+	payload := traceio.EncodeBatch(nil, batch.Records)
+	trace := traceio.ToCore(traceio.FlatTrace{Records: batch.Records})
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	res, err := e.wal.Append(payload)
@@ -178,12 +181,10 @@ func (e *streamEngine) ingest(flat []traceio.FlatRecord, trace core.Trace[tracei
 		return ingestResponse{}, fmt.Errorf("%w: %v", errNotDurable, err)
 	}
 	from := e.builder.Len()
-	for _, rec := range trace {
-		if err := e.builder.Append(rec); err != nil {
-			// Unreachable after Trace.Validate; if it ever fires the
-			// in-memory state no longer matches the WAL, so fail loudly.
-			return ingestResponse{}, fmt.Errorf("drevald: durable batch rejected by view (state diverged, restart to replay): %v", err)
-		}
+	if err := batch.AppendTo(e.builder); err != nil {
+		// Unreachable after Trace.Validate; if it ever fires the
+		// in-memory state no longer matches the WAL, so fail loudly.
+		return ingestResponse{}, fmt.Errorf("drevald: durable batch rejected by view (state diverged, restart to replay): %v", err)
 	}
 	e.records = append(e.records, trace...)
 	snap := e.builder.Snapshot()
@@ -384,27 +385,23 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !eng.serving(w) {
 		return
 	}
-	var req ingestRequest
-	if err := decodeStrict(http.MaxBytesReader(w, r.Body, s.cfg.ingestMaxBytes), &req); err != nil {
-		bodyError(w, err)
-		return
-	}
-	if len(req.Records) == 0 {
-		httpError(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	if err := traceio.ValidateFinite(req.Records); err != nil {
-		httpError(w, http.StatusUnprocessableEntity, err.Error())
-		return
-	}
-	trace := traceio.ToCore(traceio.FlatTrace{Records: req.Records})
-	if err := trace.Validate(); err != nil {
-		httpError(w, http.StatusUnprocessableEntity, err.Error())
-		return
-	}
+	body, readErr := readBody(w, r, s.cfg.ingestMaxBytes)
 	root := obs.SpanFromContext(r.Context())
+	var status int
+	batch, err := timed(r.Context(), root, "ingest_decode", func() (batch *traceio.IngestBatch, err error) {
+		// Decoding stays off the engine lock. The builder field is set
+		// once; its Known takes the builder's own lock, and a code it
+		// reports stays valid because the builder only grows.
+		//lint:allow lockguard the builder pointer never changes and the builder locks itself
+		batch, status, err = decodeIngest(body, readErr, eng.builder)
+		return batch, err
+	})
+	if err != nil {
+		httpError(w, status, err.Error())
+		return
+	}
 	ack, err := timed(r.Context(), root, "durable_ingest", func() (ingestResponse, error) {
-		return eng.ingest(req.Records, trace)
+		return eng.ingest(batch)
 	})
 	if err != nil {
 		if errors.Is(err, errNotDurable) {
@@ -421,6 +418,53 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	wideevent.FromContext(r.Context()).SetWALAck(ack.Seq, ack.Epoch, ack.Segment, ack.Durable)
 	writeJSON(w, ack)
 }
+
+// decodeIngest turns an /ingest body into a staged batch, or into the
+// status and error to refuse it with. A whole body goes to
+// traceio.DecodeIngest first, resolving known contexts against vb.
+// Any body it hands back, and any body readBody could not read whole
+// (readErr), takes the reference path, decodeIngestBody.
+func decodeIngest(body []byte, readErr error, vb *core.ViewBuilder[traceio.FlatContext, string]) (*traceio.IngestBatch, int, error) {
+	if readErr == nil {
+		if batch, ok := traceio.DecodeIngest(body, vb); ok {
+			return batch, http.StatusOK, nil
+		}
+	}
+	return decodeIngestBody(body, readErr)
+}
+
+// decodeIngestBody is the reference path: encoding/json, then
+// ValidateFinite and Trace.Validate. It reads the buffered bytes
+// followed by readErr, which is how it would have met them reading the
+// request itself, so its codes and texts are the ones /ingest has
+// always answered: 400 malformed, 413 oversized, 400 empty, 422
+// invalid with the record index.
+func decodeIngestBody(body []byte, readErr error) (*traceio.IngestBatch, int, error) {
+	var src io.Reader = bytes.NewReader(body)
+	if readErr != nil {
+		src = io.MultiReader(src, failedRead{readErr})
+	}
+	var req ingestRequest
+	if err := decodeStrict(src, &req); err != nil {
+		return nil, bodyStatus(err), fmt.Errorf("invalid request body: %w", err)
+	}
+	if len(req.Records) == 0 {
+		return nil, http.StatusBadRequest, errors.New("empty batch")
+	}
+	if err := traceio.ValidateFinite(req.Records); err != nil {
+		return nil, http.StatusUnprocessableEntity, err
+	}
+	if err := traceio.ToCore(traceio.FlatTrace{Records: req.Records}).Validate(); err != nil {
+		return nil, http.StatusUnprocessableEntity, err
+	}
+	return &traceio.IngestBatch{Records: req.Records}, http.StatusOK, nil
+}
+
+// failedRead is a reader that fails with err: after a body's buffered
+// bytes, it replays the read that failed there.
+type failedRead struct{ err error }
+
+func (f failedRead) Read([]byte) (int, error) { return 0, f.err }
 
 // streamMetaJSON is the metadata block every streamed response
 // carries: which aggregate answered, how many records it covers and

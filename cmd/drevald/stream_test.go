@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -135,27 +136,40 @@ const mixedFeaturesRecords = `[
 
 // TestStreamRestartByteIdentical pins crash-replay equivalence through
 // the HTTP surface: close the engine, reopen the same WAL dir, replay,
-// and the streamed /evaluate body must be byte-identical.
+// and the streamed /evaluate body must be byte-identical. With several
+// writers, batches decode at once against a builder the others are
+// still growing, and replay must still rebuild the acked view.
 func TestStreamRestartByteIdentical(t *testing.T) {
 	t.Parallel()
 	records := testTraceJSON(t, false)
-	var batches [][]byte
+	var batches, spread [][]byte
 	for i := 0; i < len(records); i += 50 {
 		batches = append(batches, marshal(t, ingestRequest{Records: records[i : i+50]}))
+	}
+	// New contexts keep arriving: 61 per feature value, so most batches
+	// hold both contexts the stream knows and first sightings.
+	for i := 0; i < len(records); i += 20 {
+		recs := append([]traceio.FlatRecord(nil), records[i:i+20]...)
+		for j := range recs {
+			recs[j].Features = []float64{float64((i + j) % 61), recs[j].Features[0]}
+		}
+		spread = append(spread, marshal(t, ingestRequest{Records: recs}))
 	}
 	mixed := []byte(`{"records":` + mixedFeaturesRecords + `}`)
 	for _, c := range []struct {
 		name    string
 		batches [][]byte
 		records int
+		writers int
 	}{
-		{"trace", batches, len(records)},
-		{"mixed empty and omitted features", [][]byte{mixed}, 5},
+		{"trace", batches, len(records), 1},
+		{"mixed empty and omitted features", [][]byte{mixed}, 5, 1},
+		{"concurrent writers", spread, len(records), 4},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
-			want := streamedAcrossRestart(t, dir, c.batches, func(eng *streamEngine) {
+			want := streamedAcrossRestart(t, dir, c.batches, c.writers, func(eng *streamEngine) {
 				if got := eng.builder.Len(); got != c.records {
 					t.Fatalf("replayed %d records, want %d", got, c.records)
 				}
@@ -171,9 +185,10 @@ func TestStreamRestartByteIdentical(t *testing.T) {
 }
 
 // streamedAcrossRestart ingests batches into a fresh server over dir,
-// reads a streamed best-observed /evaluate, restarts the server on the
-// same WAL and reads again. check inspects the replayed engine.
-func streamedAcrossRestart(t *testing.T, dir string, batches [][]byte, check func(*streamEngine)) [2][]byte {
+// from writers goroutines that each send every writers-th batch in
+// order, reads a streamed best-observed /evaluate, restarts the server
+// on the same WAL and reads again. check inspects the replayed engine.
+func streamedAcrossRestart(t *testing.T, dir string, batches [][]byte, writers int, check func(*streamEngine)) [2][]byte {
 	t.Helper()
 	read := func(srv *httptest.Server) []byte {
 		resp := post(t, srv, "/evaluate", evalRequest{Policy: "best-observed", Options: evalOptions{Clip: 10}})
@@ -192,9 +207,26 @@ func streamedAcrossRestart(t *testing.T, dir string, batches [][]byte, check fun
 		s := newTestServer(t, func(c *config) { c.walDir, c.segmentBytes = dir, 4096 })
 		srv := httptest.NewServer(s.routes())
 		if run == 0 {
-			for _, b := range batches {
-				ingestBody(t, srv, b)
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := w; i < len(batches); i += writers {
+						resp, err := http.Post(srv.URL+"/ingest", "application/json", bytes.NewReader(batches[i]))
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						resp.Body.Close()
+						if resp.StatusCode != http.StatusOK {
+							t.Errorf("batch %d: ingest status %d", i, resp.StatusCode)
+							return
+						}
+					}
+				}(w)
 			}
+			wg.Wait()
 		} else {
 			check(s.stream)
 		}
@@ -217,7 +249,7 @@ func TestStreamMatchesBatchEmptyFeatures(t *testing.T) {
 		t.Fatalf("batch status %d: %v", resp.StatusCode, err)
 	}
 	resp.Body.Close()
-	streamed := streamedAcrossRestart(t, t.TempDir(), [][]byte{[]byte(`{"records":` + mixedFeaturesRecords + `}`)}, func(*streamEngine) {})
+	streamed := streamedAcrossRestart(t, t.TempDir(), [][]byte{[]byte(`{"records":` + mixedFeaturesRecords + `}`)}, 1, func(*streamEngine) {})
 	for run, body := range streamed {
 		var got evalResponse
 		if err := json.Unmarshal(body, &got); err != nil {
@@ -581,4 +613,36 @@ func TestIngestLegEvalFlatness(t *testing.T) {
 			ratio, p50[0], p50[last])
 	}
 	t.Logf("10x growth: eval p50 %.3fms -> %.3fms (%.2fx)", p50[0], p50[last], p50[last]/p50[0])
+}
+
+// TestIngestAckAllocsIndependentOfBatchSize: over contexts the stream
+// already holds, an ack allocates within a small constant whatever its
+// size. Each record's feature text is a key of the stream's builder,
+// so it takes its context's code without parsing, keying or
+// allocating, and the snapshot each batch folds no longer clones the
+// context index.
+func TestIngestAckAllocsIndependentOfBatchSize(t *testing.T) {
+	s := newTestServer(t, func(c *config) { c.walDir, c.fsync = t.TempDir(), "never" })
+	h := s.routes()
+	records := testTraceJSONSized(t, false, 1000)
+	ack := func(body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("ingest status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	ack(marshal(t, ingestRequest{Records: records}))
+	allocs := func(n int) float64 {
+		body := marshal(t, ingestRequest{Records: records[:n]})
+		return testing.AllocsPerRun(20, func() { ack(body) })
+	}
+	small, large := allocs(100), allocs(1000)
+	t.Logf("allocations per ack: %.0f for 100 records, %.0f for 1000", small, large)
+	if raceEnabled {
+		t.Skip("the ack is encoded through encoding/json, whose encoder-state sync.Pool the race detector drains at random")
+	}
+	if large > small+40 {
+		t.Fatalf("a 1000-record ack allocates %.0f times, a 100-record ack %.0f: more than 40 apart", large, small)
+	}
 }

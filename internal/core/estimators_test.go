@@ -201,7 +201,7 @@ func TestSNIPSWithinRewardRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	min, max := mathx.MinMax(tr.Rewards())
+	min, max := mathx.MinMax(rewardsOf(tr))
 	if est.Value < min-1e-9 || est.Value > max+1e-9 {
 		t.Fatalf("SNIPS %g outside reward range [%g, %g]", est.Value, min, max)
 	}
@@ -369,4 +369,13 @@ func TestDMDistributionValidation(t *testing.T) {
 	if _, err := DoublyRobustView(mustView(t, tr), bad, ConstantModel[float64, int]{}, DROptions{}); err == nil {
 		t.Fatal("DR should reject an improper distribution")
 	}
+}
+
+// rewardsOf returns the trace's rewards in record order.
+func rewardsOf[C any, D comparable](tr Trace[C, D]) []float64 {
+	out := make([]float64, len(tr))
+	for i, rec := range tr {
+		out[i] = rec.Reward
+	}
+	return out
 }

@@ -155,7 +155,7 @@ func TestMatchedRewardsRangeProperty(t *testing.T) {
 			// No matches is acceptable for a property run.
 			return err == ErrNoMatches
 		}
-		min, max := mathx.MinMax(tr.Rewards())
+		min, max := mathx.MinMax(rewardsOf(tr))
 		return est.Value >= min-1e-12 && est.Value <= max+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -69,23 +70,13 @@ func SelectBest[C any, D comparable](v *TraceView[C, D], model RewardModel[C, D]
 	}
 	var out []Ranked[C, D]
 	for _, cand := range candidates {
-		diag, err := DiagnoseView(v, cand.Policy)
+		r, ok, err := rankCandidate(v, model, cand, rng, opts)
 		if err != nil {
 			return nil, fmt.Errorf("core: candidate %q: %w", cand.Name, err)
 		}
-		est, err := DoublyRobustView(v, cand.Policy, model, opts.DR)
-		if err != nil {
-			return nil, fmt.Errorf("core: candidate %q: %w", cand.Name, err)
+		if ok {
+			out = append(out, r)
 		}
-		if est.ESS < opts.MinESS {
-			continue // unsupported by this trace
-		}
-		out = append(out, Ranked[C, D]{
-			Candidate:   cand,
-			Estimate:    est,
-			Interval:    bootstrapDR(v, cand.Policy, model, rng, opts),
-			Diagnostics: diag,
-		})
 	}
 	if len(out) == 0 {
 		return nil, ErrNoSupportedCandidates
@@ -96,13 +87,38 @@ func SelectBest[C any, D comparable](v *TraceView[C, D], model RewardModel[C, D]
 	return out, nil
 }
 
+// rankCandidate estimates one candidate off one table: its
+// diagnostics and DR (or SN-DR) from one fold, and its interval from
+// records packed off the same table. ok is false when the trace does
+// not support the candidate (ESS below opts.MinESS).
+func rankCandidate[C any, D comparable](v *TraceView[C, D], model RewardModel[C, D], cand Candidate[C, D], rng *mathx.RNG, opts SelectOptions) (Ranked[C, D], bool, error) {
+	tb := NewEvaluation(v, cand.Policy, model)
+	defer tb.Release()
+	all, err := tb.Estimates(context.Background(), opts.DR.Clip)
+	if err != nil {
+		return Ranked[C, D]{}, false, err
+	}
+	est := all.DR
+	if opts.DR.SelfNormalize {
+		est = all.SNDR
+	}
+	if est.ESS < opts.MinESS {
+		return Ranked[C, D]{}, false, nil
+	}
+	return Ranked[C, D]{
+		Candidate:   cand,
+		Estimate:    est,
+		Interval:    bootstrapDR(tb, rng, opts),
+		Diagnostics: all.Diagnostics,
+	}, true, nil
+}
+
 // bootstrapDR is SelectBest's percentile interval: opts.Bootstrap
 // resamples of DR with the fixed model, each drawing n record indices
-// from rng in turn. DoublyRobustView has already accepted every
-// context's distribution, so no resample can fail.
-func bootstrapDR[C any, D comparable](v *TraceView[C, D], policy Policy[C, D], model RewardModel[C, D], rng *mathx.RNG, opts SelectOptions) Interval {
-	tb := NewEvaluation(v, policy, model)
-	defer tb.Release()
+// from rng in turn. The fold has already accepted every context's
+// distribution, so no resample can fail.
+func bootstrapDR[C any, D comparable](tb *Evaluation[C, D], rng *mathx.RNG, opts SelectOptions) Interval {
+	v := tb.v
 	recs := drRecords(v, tb.tables, opts.DR)
 	idx := make([]int, v.Len())
 	values := make([]float64, opts.Bootstrap)

@@ -233,3 +233,38 @@ func TestSafeExplorationPolicy(t *testing.T) {
 		t.Fatalf("epsilon 0 should be deterministic, got %g", got)
 	}
 }
+
+// TestSelectBestAsksPolicyOncePerContext: SelectBest builds one table
+// per candidate, so its diagnostics, DR estimate and bootstrap ask each
+// candidate about each distinct context once, and the estimate and
+// diagnostics equal the one-shot calls bit for bit.
+func TestSelectBestAsksPolicyOncePerContext(t *testing.T) {
+	tr, np, model := quantizedTrace(3000)
+	v := mustView(t, tr)
+	for _, dr := range []DROptions{{}, {Clip: 3, SelfNormalize: true}} {
+		cp := &countingPolicy{Policy: np, calls: map[float64]int{}}
+		ranked, err := SelectBest(v, model, []Candidate[float64, int]{{Name: "np", Policy: cp}}, mathx.NewRNG(9), SelectOptions{DR: dr, Bootstrap: 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cp.calls) != v.NumContexts() {
+			t.Fatalf("policy asked about %d contexts, the view has %d", len(cp.calls), v.NumContexts())
+		}
+		for c, n := range cp.calls {
+			if n != 1 {
+				t.Fatalf("policy asked about context %g %d times, want once", c, n)
+			}
+		}
+		wantEst, err := DoublyRobustView(v, np, model, dr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantDiag, err := DiagnoseView(v, np)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ranked[0]; got.Estimate != wantEst || got.Diagnostics != wantDiag {
+			t.Fatalf("%+v: SelectBest %+v %+v, one-shot %+v %+v", dr, got.Estimate, got.Diagnostics, wantEst, wantDiag)
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"sync"
 )
@@ -20,9 +19,10 @@ import (
 // ViewBuilder is an appendable TraceView: records stream in via
 // Append with exactly buildView's validation (same error text, same
 // record indexing), and Snapshot exposes the current prefix as a
-// read-only TraceView in O(U+K) — the backing columns are shared
-// (append-only, so the snapshotted prefix is immutable) and only the
-// small interning indexes are copied.
+// read-only TraceView in O(K) — the backing columns are shared
+// (append-only, so the snapshotted prefix is immutable), only the
+// decision index is copied, and a snapshot resolves other contexts
+// through the builder's own context index.
 //
 // Append and Snapshot are safe for concurrent use with each other; the
 // returned views are immutable and safe to share across goroutines.
@@ -40,10 +40,11 @@ type ViewBuilder[C any, D comparable] struct {
 	// interns by value.
 	keys   map[string]int32 // guarded by mu
 	intern func(C) (int32, bool)
-	// copyLookup clones the context-interning index under the lock and
-	// returns a lookup closure over the clone, so snapshots never read
-	// a map a concurrent Append is writing.
-	copyLookup func() func(C) (int32, bool)
+	// lookup resolves a context to the code the builder interned it
+	// under, reporting false unless that code is below n. It takes mu
+	// itself, so a snapshot, which holds only codes below its context
+	// count, reads the index a concurrent Append is writing safely.
+	lookup func(c C, n int32) (int32, bool)
 }
 
 // NewViewBuilder returns an empty builder interning contexts by value
@@ -59,15 +60,11 @@ func NewViewBuilder[C comparable, D comparable]() *ViewBuilder[C, D] {
 		index[c] = u
 		return u, true
 	}
-	b.copyLookup = func() func(C) (int32, bool) {
-		cp := make(map[C]int32, len(index))
-		for k, v := range index {
-			cp[k] = v
-		}
-		return func(c C) (int32, bool) {
-			u, ok := cp[c]
-			return u, ok
-		}
+	b.lookup = func(c C, n int32) (int32, bool) {
+		b.mu.Lock()
+		u, ok := index[c]
+		b.mu.Unlock()
+		return u, ok && u < n
 	}
 	return b
 }
@@ -79,12 +76,12 @@ func NewViewBuilderKeyed[C any, D comparable](key func(C) string) *ViewBuilder[C
 	keys := make(map[string]int32)
 	b := newViewBuilder[C, D](keys)
 	b.intern = func(c C) (int32, bool) { return internKey(keys, key(c)) }
-	b.copyLookup = func() func(C) (int32, bool) {
-		cp := maps.Clone(keys)
-		return func(c C) (int32, bool) {
-			u, ok := cp[key(c)]
-			return u, ok
-		}
+	b.lookup = func(c C, n int32) (int32, bool) {
+		k := key(c)
+		b.mu.Lock()
+		u, ok := keys[k]
+		b.mu.Unlock()
+		return u, ok && u < n
 	}
 	return b
 }
@@ -135,6 +132,37 @@ func (b *ViewBuilder[C, D]) AppendKeyed(key string, rec Record[C, D]) error {
 	return nil
 }
 
+// AppendCode is Append for a record whose context the builder has
+// already interned as code u, as Known reports it; rec.Context is not
+// read. A code the builder has not assigned is an error, and on any
+// error nothing is appended.
+func (b *ViewBuilder[C, D]) AppendCode(u int32, rec Record[C, D]) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if u < 0 || int(u) >= len(b.contexts) {
+		return fmt.Errorf("core: context code %d not interned (%d contexts)", u, len(b.contexts))
+	}
+	if err := b.checkLocked(rec); err != nil {
+		return err
+	}
+	b.pushLocked(rec, u, false)
+	return nil
+}
+
+// Known returns the code and context a keyed builder interned under
+// key, without allocating. It reports false for a key the builder has
+// not interned, and always on a builder that interns by value.
+func (b *ViewBuilder[C, D]) Known(key []byte) (int32, C, bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	u, ok := b.keys[string(key)]
+	if !ok {
+		var zero C
+		return 0, zero, false
+	}
+	return u, b.contexts[u], true
+}
+
 // checkLocked is Append's validation: buildView's checks, with the
 // record's stream index.
 func (b *ViewBuilder[C, D]) checkLocked(rec Record[C, D]) error {
@@ -172,10 +200,12 @@ func (b *ViewBuilder[C, D]) Len() int {
 }
 
 // Snapshot returns the current prefix as an immutable TraceView. Cost
-// is O(unique contexts + unique decisions): the record columns are
-// shared with the builder (their [0, Len) prefix never changes; the
-// three-index slices pin capacity so neither side can grow into the
-// other's view) and only the dictionaries' index maps are copied.
+// is O(unique decisions), whatever the number of contexts: the record
+// columns and dictionaries are shared with the builder (their
+// prefixes never change; the three-index slices pin capacity so
+// neither side can grow into the other's view), only the decision
+// index is copied, and the view resolves a context value through the
+// builder's index, answering absent for contexts interned after it.
 func (b *ViewBuilder[C, D]) Snapshot() *TraceView[C, D] {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -195,7 +225,7 @@ func (b *ViewBuilder[C, D]) Snapshot() *TraceView[C, D] {
 		ctxFirst:     b.ctxFirst[:u:u],
 		decisions:    b.decisions[:k:k],
 		decIndex:     decIndex,
-		lookup:       b.copyLookup(),
+		lookup:       func(c C) (int32, bool) { return b.lookup(c, int32(u)) },
 	}
 }
 

@@ -475,3 +475,115 @@ func TestStreamEvalEstimatesAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// snapshotBuilders are the two ViewBuilder constructors, one interning
+// contexts by value and one by key.
+var snapshotBuilders = []struct {
+	name string
+	new  func() *ViewBuilder[float64, int]
+}{
+	{"by value", NewViewBuilder[float64, int]},
+	{"keyed", func() *ViewBuilder[float64, int] {
+		return NewViewBuilderKeyed[float64, int](func(c float64) string { return fmt.Sprint(c) })
+	}},
+}
+
+// TestViewBuilderSnapshotAllocsIndependentOfContexts pins the snapshot
+// at O(decisions): it resolves contexts through the builder's own index
+// instead of cloning it, so a snapshot allocates the same over 100
+// distinct contexts as over 10,000.
+func TestViewBuilderSnapshotAllocsIndependentOfContexts(t *testing.T) {
+	for _, bc := range snapshotBuilders {
+		allocs := func(contexts int) float64 {
+			b := bc.new()
+			for i := 0; i < contexts; i++ {
+				if err := b.Append(Record[float64, int]{Context: float64(i), Decision: i % 3, Reward: 1, Propensity: 0.5}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return testing.AllocsPerRun(20, func() { _ = b.Snapshot() })
+		}
+		if small, large := allocs(100), allocs(10000); large != small {
+			t.Errorf("%s: a snapshot allocates %.0f times over 10,000 contexts, %.0f over 100", bc.name, large, small)
+		}
+	}
+}
+
+// TestViewBuilderSnapshotLookupStopsAtItsContexts: a snapshot reads the
+// builder's live index, but resolves only the codes it holds, so a
+// context interned after it was taken stays absent to it, and a model
+// fit on it predicts that context at its default.
+func TestViewBuilderSnapshotLookupStopsAtItsContexts(t *testing.T) {
+	for _, bc := range snapshotBuilders {
+		b := bc.new()
+		add := func(c float64) {
+			if err := b.Append(Record[float64, int]{Context: c, Decision: 0, Reward: c, Propensity: 0.5}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		add(1)
+		add(2)
+		snap := b.Snapshot()
+		add(3)
+		add(1)
+		if u, ok := snap.lookup(2); !ok || u != 1 {
+			t.Errorf("%s: snapshot lookup(2) = (%d, %v), want (1, true)", bc.name, u, ok)
+		}
+		if u, ok := snap.lookup(3); ok {
+			t.Errorf("%s: snapshot resolves context 3, interned after it, to code %d", bc.name, u)
+		}
+		if u, ok := b.Snapshot().lookup(3); !ok || u != 2 {
+			t.Errorf("%s: later snapshot lookup(3) = (%d, %v), want (2, true)", bc.name, u, ok)
+		}
+		model := FitTableView(snap)
+		if got := model.Predict(3, 0); got != model.Default() {
+			t.Errorf("%s: model fit on the snapshot predicts %g for a later context, want its default %g", bc.name, got, model.Default())
+		}
+	}
+}
+
+// TestViewBuilderKeyedLookupsDuringAppend: Known and a snapshot's
+// lookup read the builder's live key index from other goroutines while
+// Append grows it. Each sees a context only once it is interned, a
+// snapshot only below its own context count, and every code matches
+// the one the builder finally assigns.
+func TestViewBuilderKeyedLookupsDuringAppend(t *testing.T) {
+	const n = 3000
+	key := func(c float64) string { return fmt.Sprint(c) }
+	b := NewViewBuilderKeyed[float64, int](key)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			if err := b.Append(Record[float64, int]{Context: float64(i % 1000), Decision: i % 3, Reward: 1, Propensity: 0.5}); err != nil {
+				t.Errorf("Append: %v", err)
+				return
+			}
+		}
+	}()
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 200; j++ {
+				c := float64(j * 5 % 1000)
+				if u, got, ok := b.Known([]byte(key(c))); ok && (got != c || int(u) != int(c)) {
+					t.Errorf("Known(%v) = (%d, %v)", c, u, got)
+					return
+				}
+				snap := b.Snapshot()
+				if u, ok := snap.lookup(c); ok && (int(u) >= snap.NumContexts() || int(u) != int(c)) {
+					t.Errorf("snapshot of %d contexts resolves %v to %d", snap.NumContexts(), c, u)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for c := 0; c < 1000; c++ {
+		if u, got, ok := b.Known([]byte(key(float64(c)))); !ok || int(u) != c || got != float64(c) {
+			t.Fatalf("Known(%d) = (%d, %v, %v) after the appends", c, u, got, ok)
+		}
+	}
+}

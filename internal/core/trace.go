@@ -29,15 +29,6 @@ type Trace[C any, D comparable] []Record[C, D]
 // records.
 var ErrEmptyTrace = errors.New("core: empty trace")
 
-// Rewards returns the logged rewards in order.
-func (t Trace[C, D]) Rewards() []float64 {
-	out := make([]float64, len(t))
-	for i, rec := range t {
-		out[i] = rec.Reward
-	}
-	return out
-}
-
 // MeanReward returns the average logged reward (the on-policy value of
 // the old policy).
 func (t Trace[C, D]) MeanReward() float64 {

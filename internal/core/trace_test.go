@@ -14,9 +14,9 @@ func sampleTrace() Trace[string, int] {
 
 func TestTraceRewardsAndMean(t *testing.T) {
 	tr := sampleTrace()
-	rs := tr.Rewards()
-	if len(rs) != 3 || rs[0] != 2 || rs[2] != 6 {
-		t.Fatalf("Rewards = %v", rs)
+	v := mustView(t, tr)
+	if v.Len() != 3 || v.RewardAt(0) != 2 || v.RewardAt(2) != 6 {
+		t.Fatalf("view rewards %g, %g over %d records", v.RewardAt(0), v.RewardAt(2), v.Len())
 	}
 	if got := tr.MeanReward(); got != 4 {
 		t.Fatalf("MeanReward = %g, want 4", got)

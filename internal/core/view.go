@@ -181,16 +181,6 @@ func (v *TraceView[C, D]) ContextCode(i int) int { return int(v.ctxCodes[i]) }
 // [0, NumDecisions).
 func (v *TraceView[C, D]) DecisionCode(i int) int { return int(v.decCodes[i]) }
 
-// DecisionValue returns the decision for dictionary code k.
-func (v *TraceView[C, D]) DecisionValue(k int) D { return v.decisions[k] }
-
-// Rewards returns a copy of the reward column.
-func (v *TraceView[C, D]) Rewards() []float64 {
-	out := make([]float64, len(v.rewards))
-	copy(out, v.rewards)
-	return out
-}
-
 // MeanReward returns the average logged reward, bit-identical to
 // Trace.MeanReward (same in-order summation).
 func (v *TraceView[C, D]) MeanReward() float64 {
@@ -202,20 +192,4 @@ func (v *TraceView[C, D]) MeanReward() float64 {
 		s += r
 	}
 	return s / float64(len(v.rewards))
-}
-
-// UniqueContexts returns a copy of the context dictionary in
-// first-occurrence order.
-func (v *TraceView[C, D]) UniqueContexts() []C {
-	out := make([]C, len(v.contexts))
-	copy(out, v.contexts)
-	return out
-}
-
-// UniqueDecisions returns a copy of the decision dictionary in
-// first-occurrence order.
-func (v *TraceView[C, D]) UniqueDecisions() []D {
-	out := make([]D, len(v.decisions))
-	copy(out, v.decisions)
-	return out
 }

@@ -86,8 +86,8 @@ func FuzzNewTraceView(f *testing.F) {
 				wantDecs = append(wantDecs, rec.Decision)
 			}
 		}
-		gotCtxs := v.UniqueContexts()
-		if len(gotCtxs) != len(wantCtxs) {
+		gotCtxs := v.contexts
+		if v.NumContexts() != len(wantCtxs) {
 			t.Fatalf("context dictionary size %d != %d", len(gotCtxs), len(wantCtxs))
 		}
 		for i := range wantCtxs {
@@ -95,8 +95,8 @@ func FuzzNewTraceView(f *testing.F) {
 				t.Fatalf("context dictionary[%d] = %v, want %v (first-occurrence order)", i, gotCtxs[i], wantCtxs[i])
 			}
 		}
-		gotDecs := v.UniqueDecisions()
-		if len(gotDecs) != len(wantDecs) {
+		gotDecs := v.decisions
+		if v.NumDecisions() != len(wantDecs) {
 			t.Fatalf("decision dictionary size %d != %d", len(gotDecs), len(wantDecs))
 		}
 		for i := range wantDecs {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Binary batch codec: the WAL payload format for streaming ingestion.
@@ -37,8 +38,18 @@ const batchVersion = 1
 const maxBatchRecords = 1 << 24
 
 // EncodeBatch appends the binary encoding of records to dst and
-// returns the extended slice (pass nil to allocate fresh).
+// returns the extended slice (pass nil to allocate fresh). It grows
+// dst at most once, to the encoding's exact size.
 func EncodeBatch(dst []byte, records []FlatRecord) []byte {
+	size := uvarintLen(batchVersion) + uvarintLen(uint64(len(records)))
+	for i := range records {
+		r := &records[i]
+		size += uvarintLen(uint64(len(r.Features))) + 8*len(r.Features) +
+			uvarintLen(uint64(len(r.Decision))) + len(r.Decision) + 16
+	}
+	if cap(dst)-len(dst) < size {
+		dst = append(make([]byte, 0, len(dst)+size), dst...)
+	}
 	dst = binary.AppendUvarint(dst, batchVersion)
 	dst = binary.AppendUvarint(dst, uint64(len(records)))
 	for i := range records {
@@ -54,6 +65,9 @@ func EncodeBatch(dst []byte, records []FlatRecord) []byte {
 	}
 	return dst
 }
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // DecodeBatch parses one EncodeBatch payload. Any structural problem —
 // truncation, a length field larger than the remaining bytes, trailing

@@ -65,6 +65,25 @@ func TestBatchAppendsToDst(t *testing.T) {
 	}
 }
 
+// TestEncodeBatchGrowsOnce: EncodeBatch sizes its output exactly, so
+// encoding into nil allocates once, a long batch with varints of
+// several bytes included, and fills what it asked for.
+func TestEncodeBatchGrowsOnce(t *testing.T) {
+	long := make([]FlatRecord, 300)
+	for i := range long {
+		long[i] = FlatRecord{Features: make([]float64, i%130), Decision: string(make([]byte, i)), Propensity: 1}
+	}
+	for _, in := range [][]FlatRecord{nil, sampleBatch(), long} {
+		if allocs := testing.AllocsPerRun(10, func() { _ = EncodeBatch(nil, in) }); allocs != 1 {
+			t.Fatalf("%d records: EncodeBatch allocates %.0f times, want 1", len(in), allocs)
+		}
+		enc := EncodeBatch(make([]byte, 0, 1), in)
+		if out, err := DecodeBatch(enc); err != nil || len(out) != len(in) {
+			t.Fatalf("%d records: round trip gave %d records, %v", len(in), len(out), err)
+		}
+	}
+}
+
 func TestBatchNaNSurvivesEncoding(t *testing.T) {
 	// The codec is transport, not validation: NaN must round-trip so
 	// the view-append layer is the single place that rejects it.

@@ -62,10 +62,18 @@ func DecodeEvalView(body []byte) (*EvalRequest, *core.TraceView[FlatContext, str
 	return &req, s.vb.Snapshot(), true
 }
 
-// keyedContext is one distinct feature text's context and its key.
+// keyedContext is one feature text's context and where it interns.
 type keyedContext struct {
-	key string
+	place
 	ctx FlatContext
+}
+
+// place is where a context interns in a builder: by key, or, when key
+// is empty (Key never returns ""), as the code an ingest builder
+// already gave it.
+type place struct {
+	key  string
+	code int32
 }
 
 // evalScanner is a cursor over one body. Every method returns false
@@ -74,7 +82,11 @@ type keyedContext struct {
 type evalScanner struct {
 	buf []byte
 	off int
-	vb  *core.ViewBuilder[FlatContext, string]
+	// vb is the builder records join: DecodeEvalView's own, or the
+	// stream's that DecodeIngest resolves known feature text against.
+	vb *core.ViewBuilder[FlatContext, string]
+	// ingest makes features consult vb's keys before parsing.
+	ingest bool
 	// contexts memoises raw feature-array text; labels memoises raw
 	// decision bytes to one string each.
 	contexts map[string]keyedContext
@@ -89,11 +101,30 @@ const (
 )
 
 func (s *evalScanner) request(req *EvalRequest) bool {
+	var seen uint
+	return s.document(func(key []byte) bool {
+		switch string(key) {
+		case "trace":
+			return once(&seen, seenTrace) && s.trace()
+		case "policy":
+			raw, ok := s.str()
+			req.Policy = string(raw)
+			return ok && once(&seen, seenPolicy)
+		case "options":
+			return once(&seen, seenOptions) && s.options(&req.Options)
+		}
+		return false
+	})
+}
+
+// document scans the body as one object, each member's value scanned
+// by member (false rejects the body), with nothing but whitespace
+// around it.
+func (s *evalScanner) document(member func(key []byte) bool) bool {
 	s.ws()
 	if !s.byte('{') {
 		return false
 	}
-	var seen uint
 	for first := true; ; first = false {
 		more, ok := s.next('}', first)
 		if !more {
@@ -101,23 +132,7 @@ func (s *evalScanner) request(req *EvalRequest) bool {
 			return ok && s.off == len(s.buf)
 		}
 		key, ok := s.key()
-		if !ok {
-			return false
-		}
-		switch string(key) {
-		case "trace":
-			ok = once(&seen, seenTrace) && s.trace()
-		case "policy":
-			var raw []byte
-			raw, ok = s.str()
-			req.Policy = string(raw)
-			ok = ok && once(&seen, seenPolicy)
-		case "options":
-			ok = once(&seen, seenOptions) && s.options(&req.Options)
-		default:
-			ok = false
-		}
-		if !ok {
+		if !ok || !member(key) {
 			return false
 		}
 	}
@@ -170,7 +185,8 @@ func (s *evalScanner) trace() bool {
 		if more, ok := s.next(']', first); !more {
 			return ok
 		}
-		if !s.record() {
+		kc, rec, ok := s.record()
+		if !ok || s.vb.AppendKeyed(kc.key, rec) != nil {
 			return false
 		}
 	}
@@ -184,28 +200,29 @@ const (
 	seenPropensity
 )
 
-// record scans one trace record and appends it to the view. A field
-// the record omits keeps its zero value, as under encoding/json.
+// record scans one trace record, returning its context's placement
+// and the record. A field the record omits keeps its zero value, as
+// under encoding/json.
 //
 //lint:hot perrecord
-func (s *evalScanner) record() bool {
-	if !s.byte('{') {
-		return false
-	}
+func (s *evalScanner) record() (keyedContext, core.Record[FlatContext, string], bool) {
 	var seen uint
 	var rec core.Record[FlatContext, string]
-	kc := keyedContext{key: "[]"}
+	kc := keyedContext{place: place{key: "[]"}}
+	if !s.byte('{') {
+		return kc, rec, false
+	}
 	for first := true; ; first = false {
 		more, ok := s.next('}', first)
 		if !more {
 			if !ok {
-				return false
+				return kc, rec, false
 			}
 			break
 		}
 		key, ok := s.key()
 		if !ok {
-			return false
+			return kc, rec, false
 		}
 		switch string(key) {
 		case "features":
@@ -224,16 +241,18 @@ func (s *evalScanner) record() bool {
 			ok = false
 		}
 		if !ok {
-			return false
+			return kc, rec, false
 		}
 	}
 	rec.Context = kc.ctx
-	return s.vb.AppendKeyed(kc.key, rec) == nil
+	return kc, rec, true
 }
 
 // features scans a feature array. Text seen before is a memo hit: the
-// first sighting validated it, so only its end is found. New text is
-// parsed, keyed with FlatContext.Key and memoised.
+// first sighting validated it, so only its end is found. On an ingest
+// scan, text that is already one of the builder's keys takes that
+// context's code and vector (knownContext). Other text is parsed,
+// keyed with FlatContext.Key and memoised.
 func (s *evalScanner) features() (keyedContext, bool) {
 	if s.off >= len(s.buf) || s.buf[s.off] != '[' {
 		return keyedContext{}, false
@@ -246,6 +265,12 @@ func (s *evalScanner) features() (keyedContext, bool) {
 	if kc, ok := s.contexts[string(raw)]; ok {
 		s.off += len(raw)
 		return kc, true
+	}
+	if s.ingest {
+		if code, ctx, ok := knownContext(s.vb, raw); ok {
+			s.off += len(raw)
+			return keyedContext{place: place{code: code}, ctx: ctx}, true
+		}
 	}
 	s.off++ // '['
 	size := 1
@@ -272,7 +297,7 @@ func (s *evalScanner) features() (keyedContext, bool) {
 		feats = append(feats, f)
 	}
 	ctx := FlatContext{Features: feats}
-	kc := keyedContext{key: ctx.Key(), ctx: ctx}
+	kc := keyedContext{place: place{key: ctx.Key()}, ctx: ctx}
 	// Keyed by its own copy of the text: once per distinct feature text.
 	s.contexts[string(raw)] = kc
 	return kc, true

@@ -6,7 +6,9 @@
 // string decision label, the observed reward and the logging propensity.
 // Generic traces are converted with Flatten. drevald's request bodies
 // are read by DecodeEvalView (evalbody.go), which decodes the canonical
-// /evaluate body straight into a TraceView.
+// /evaluate body straight into a TraceView, and DecodeIngest
+// (ingestbody.go), which stages a canonical /ingest body for the WAL
+// and the stream's view.
 package traceio
 
 import (
@@ -255,6 +257,20 @@ func (c FlatContext) Key() string {
 	//lint:allow hotalloc once per distinct context: decoders memoise the key and views intern by it
 	b, _ := json.Marshal(c.Features)
 	return string(b)
+}
+
+// knownContext resolves raw feature-array text from a request body to
+// the context vb interned under it, when that text is one of vb's
+// keys; vb must key by FlatContext.Key. It parses no number: Key is
+// the encoding/json text of the features, and Go formats a float64 so
+// that it parses back to the same bits, so a raw text equal to a key
+// decodes to exactly that key's features. Any other spelling ([1.0],
+// [ 1 ], [1e0]) misses, is parsed and keyed, and so interns with [1]
+// as the reference path's does; -0 and 0 keep distinct keys, and []
+// is one key however a record spells no features. A change of Key's
+// format must revisit this.
+func knownContext(vb *core.ViewBuilder[FlatContext, string], raw []byte) (int32, FlatContext, bool) {
+	return vb.Known(raw)
 }
 
 // ValidateFinite rejects non-finite numerics with a record-addressed

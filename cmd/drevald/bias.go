@@ -74,15 +74,15 @@ func gradeValue(grade string) float64 {
 }
 
 // observeBias runs the windowed observatory over the request's
-// evaluation as its own traced phase, publishes the report, stamps its
-// grade onto the request's wide event and returns the compact summary
+// evaluation as its own phase, publishes the report, stamps its grade
+// onto the request's wide event and returns the compact summary
 // embedded in the response body. Returns (nil, nil) when the
 // observatory is disabled.
-func (s *server) observeBias(ctx context.Context, root *obs.Span, id string, ev *core.Evaluation[traceio.FlatContext, string]) (*biasobs.HealthSummary, error) {
+func (s *server) observeBias(ctx context.Context, id string, ev *core.Evaluation[traceio.FlatContext, string]) (*biasobs.HealthSummary, error) {
 	if s.cfg.biasWindows <= 0 {
 		return nil, nil
 	}
-	report, err := timed(ctx, root, "bias_observatory", func() (*biasobs.Report, error) {
+	report, err := timed(ctx, "bias_observatory", func() (*biasobs.Report, error) {
 		return biasobs.ComputeEval(ctx, ev, s.biasConfig())
 	})
 	if err != nil {

@@ -256,7 +256,7 @@ func TestMetricsExposeBiasAndSinkFamilies(t *testing.T) {
 		"drevald_bias_last_min_ess_ratio",
 		"drevald_bias_last_max_zero_support",
 		"drevald_bias_last_windows",
-		"obs_trace_sink_dropped_total",
+		"drevald_events_sink_dropped_total",
 	} {
 		if !strings.Contains(string(body), name) {
 			t.Errorf("/metrics missing %s", name)

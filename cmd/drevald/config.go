@@ -34,9 +34,6 @@ type config struct {
 	biasDriftThreshold float64
 	degradeOnDrift     bool
 
-	traceOut    string
-	traceBuffer int
-
 	walDir, fsync                       string
 	fsyncInterval                       time.Duration
 	segmentBytes, ingestMaxBytes        int64
@@ -76,8 +73,6 @@ func parseFlags(args []string) (config, error) {
 	fs.IntVar(&c.biasWindows, "bias-windows", biasobs.DefaultWindows, "windows the bias observatory slices each request's trace into (0 = observatory disabled)")
 	fs.Float64Var(&c.biasDriftThreshold, "bias-drift-threshold", changepoint.DefaultThreshold, "CUSUM decision threshold in sigma units for the observatory's drift alarms (must be > 0)")
 	fs.BoolVar(&c.degradeOnDrift, "degrade-on-drift", false, "tag /evaluate responses degraded with a trace_drift reason when a drift alarm fires")
-	fs.StringVar(&c.traceOut, "trace-out", "", "append every completed span as one JSON line (JSONL) to this file (empty = disabled)")
-	fs.IntVar(&c.traceBuffer, "trace-buffer", 512, "completed spans kept in memory for /debug/traces (must be >= 1)")
 	fs.StringVar(&c.walDir, "wal-dir", "", "directory for the streaming write-ahead log; enables POST /ingest and aggregate-served /evaluate (empty = streaming disabled)")
 	fs.StringVar(&c.fsync, "fsync", "always", "WAL durability point: always (ack == durable), interval, or never")
 	fs.DurationVar(&c.fsyncInterval, "fsync-interval", 100*time.Millisecond, "background sync period under -fsync interval (must be > 0)")
@@ -124,8 +119,6 @@ func (c config) validate() error {
 		return fmt.Errorf("-events-sample must be in [0, 1], got %g", c.eventsSample)
 	case c.eventsSlowMs < 0:
 		return fmt.Errorf("-events-slow-ms must be >= 0, got %g", c.eventsSlowMs)
-	case c.traceBuffer < 1:
-		return fmt.Errorf("-trace-buffer must be >= 1, got %d", c.traceBuffer)
 	case c.ingestMaxBytes < 1:
 		return fmt.Errorf("-ingest-max-bytes must be >= 1, got %d", c.ingestMaxBytes)
 	case c.ingestMaxConcurrent < 1:

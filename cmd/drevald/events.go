@@ -12,18 +12,21 @@ import (
 
 // Wide-event journal + SLO engine wiring: every instrumented compute
 // request (/evaluate, /diagnose, /ingest) emits exactly one flat
-// canonical event into the journal; the SLO engine observes the full
-// (pre-sampling) stream and turns it into multi-window burn rates and
-// an ok → warning → page state machine. Queryable on the service and
-// debug muxes as GET /debug/events (filter language) and GET
-// /debug/slo; counters and gauges on /metrics; rollups on /healthz
+// canonical event into the journal, the request's only record. Two
+// observers see the full (pre-sampling) stream: the SLO engine turns
+// it into multi-window burn rates and an ok → warning → page state
+// machine, and observeSpans into the obs_span_* metrics. Queryable on
+// the service and debug muxes as GET /debug/events (filter language),
+// GET /debug/traces (the slowest retained events as timelines) and
+// GET /debug/slo; counters and gauges on /metrics; rollups on /healthz
 // and /debug/vars.
 
 // initEvents builds the journal (-events-buffer, -events-sample,
 // -events-slow-ms, -events-seed) and the SLO engine (-slo-config) on
 // the clock now, nil meaning the wall clock, and feeds every emitted
-// event to the engine. newServer calls it with nil; tests call it
-// again with a fixed clock before serving, for byte-identical events.
+// event to the engine and to observeSpans. newServer calls it with
+// nil; tests call it again with a fixed clock before serving, for
+// byte-identical events.
 func (s *server) initEvents(now func() time.Time) error {
 	cfg, err := s.cfg.sloObjectives()
 	if err != nil {
@@ -43,7 +46,27 @@ func (s *server) initEvents(now func() time.Time) error {
 		Now:        now,
 	})
 	s.journal.Observe(eng.Observe)
+	s.journal.Observe(s.observeSpans)
 	return nil
+}
+
+// observeSpans reads one finished request's timings off its event into
+// obs_span_seconds{span}: the request as a whole under http/<route>,
+// then each phase, with the request ID as the bucket exemplar.
+// obs_span_errors_total{span} counts the root when the answer was a
+// 5xx or degraded, and the phase that failed.
+func (s *server) observeSpans(ev *wideevent.Event) {
+	root := "http" + ev.Route
+	s.reg.Histogram("obs_span_seconds", obs.TimeBuckets, obs.L("span", root)).ObserveExemplar(ev.DurationMs/1000, ev.RequestID)
+	for name, ms := range ev.PhaseMs {
+		s.reg.Histogram("obs_span_seconds", obs.TimeBuckets, obs.L("span", name)).ObserveExemplar(ms/1000, ev.RequestID)
+	}
+	if ev.Status >= 500 || ev.Degraded {
+		s.reg.Counter("obs_span_errors_total", obs.L("span", root)).Inc()
+	}
+	if ev.FailedPhase != "" {
+		s.reg.Counter("obs_span_errors_total", obs.L("span", ev.FailedPhase)).Inc()
+	}
 }
 
 // registerEventMetrics exports the journal's counters and the SLO

@@ -8,11 +8,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"drnet/internal/obs"
 	"drnet/internal/parallel"
 	"drnet/internal/resilience"
 	"drnet/internal/slo"
@@ -103,7 +105,8 @@ func findEvent(evs []*wideevent.Event, id string) *wideevent.Event {
 
 // TestOneEventPerRequest is the exactly-one invariant, end to end:
 // every /evaluate, /diagnose and /ingest request — success or error —
-// emits exactly one wide event, and untraced routes emit none.
+// emits exactly one wide event, and untraced routes emit none. A
+// request whose phase failed carries that phase's name and message.
 func TestOneEventPerRequest(t *testing.T) {
 	t.Parallel()
 	s, srv := startTest(t, func(c *config) { c.eventsBuffer, c.walDir, c.segmentBytes = 64, t.TempDir(), 4096 })
@@ -132,6 +135,17 @@ func TestOneEventPerRequest(t *testing.T) {
 		t.Fatalf("bad-body status %d, want 400", resp.StatusCode)
 	}
 
+	buildViewErrs := s.reg.Counter("obs_span_errors_total", obs.L("span", "build_view"))
+	errsBefore := buildViewErrs.Value()
+	resp = postRawWithID(t, srv, "/evaluate", "ev-wat", marshal(t, evalRequest{Trace: testTraceJSON(t, false), Policy: "wat"}))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown-policy status %d, want 400", resp.StatusCode)
+	}
+	if got := buildViewErrs.Value(); got != errsBefore+1 {
+		t.Fatalf(`obs_span_errors_total{span="build_view"} went %d → %d, want +1`, errsBefore, got)
+	}
+
 	ingBody := marshal(t, ingestRequest{Records: testTraceJSON(t, false)})
 	resp = postRawWithID(t, srv, "/ingest", "ing-ok", ingBody)
 	resp.Body.Close()
@@ -139,8 +153,8 @@ func TestOneEventPerRequest(t *testing.T) {
 		t.Fatalf("ingest status %d", resp.StatusCode)
 	}
 
-	if got := j.Stats().Emitted; got != 4 {
-		t.Fatalf("emitted = %d after four traced requests, want 4", got)
+	if got := j.Stats().Emitted; got != 5 {
+		t.Fatalf("emitted = %d after five traced requests, want 5", got)
 	}
 
 	// Untraced routes emit nothing.
@@ -150,8 +164,8 @@ func TestOneEventPerRequest(t *testing.T) {
 	if code, _ := getBody(t, srv, "/debug/events"); code != http.StatusOK {
 		t.Fatalf("debug/events status %d", code)
 	}
-	if got := j.Stats().Emitted; got != 4 {
-		t.Fatalf("emitted = %d after untraced requests, want still 4", got)
+	if got := j.Stats().Emitted; got != 5 {
+		t.Fatalf("emitted = %d after untraced requests, want still 5", got)
 	}
 
 	evs := j.Events()
@@ -177,8 +191,13 @@ func TestOneEventPerRequest(t *testing.T) {
 		}
 	}
 	bad := findEvent(evs, "ev-bad")
-	if bad == nil || bad.Status != 400 || bad.Error == "" {
-		t.Fatalf("ev-bad = %+v, want status 400 with error", bad)
+	if bad == nil || bad.Status != 400 || bad.Error != "status 400" || bad.FailedPhase != "" {
+		t.Fatalf("ev-bad = %+v, want status 400 with the middleware's error and no failed phase", bad)
+	}
+	wat := findEvent(evs, "ev-wat")
+	const watErr = `traceio: unknown policy "wat" (want constant:<decision> or best-observed)`
+	if wat == nil || wat.Status != 400 || wat.Error != watErr || wat.FailedPhase != "build_view" {
+		t.Fatalf("ev-wat = %+v, want status 400, error %q and failed phase build_view", wat, watErr)
 	}
 	ing := findEvent(evs, "ing-ok")
 	if ing == nil {
@@ -298,6 +317,17 @@ func TestTailRetentionE2E(t *testing.T) {
 	code, body = getBody(t, srv, "/debug/events?status=400")
 	if code != http.StatusOK || !strings.Contains(body, `"broken"`) {
 		t.Fatalf("status=400 filter: code %d body %s", code, body)
+	}
+
+	// /debug/traces reads the same journal, so it shows the same two
+	// requests and never a sampled-out healthy one.
+	var ids []string
+	for _, tl := range getTraces(t, srv, "?n=100").Traces {
+		ids = append(ids, tl.Trace)
+	}
+	sort.Strings(ids)
+	if strings.Join(ids, ",") != "broken,degraded" {
+		t.Fatalf("/debug/traces lists %v, want exactly [broken degraded]", ids)
 	}
 }
 

@@ -12,8 +12,8 @@
 //	GET  /metrics     Prometheus text exposition (request, estimator
 //	                  regime, Go runtime and worker-pool metrics)
 //	GET  /debug/vars  JSON metric snapshot + process vitals
-//	GET  /debug/traces?n=10  the n slowest recent requests as
-//	                  parent→child span timelines (JSON)
+//	GET  /debug/traces?n=10  the n slowest retained requests as
+//	                  root→phase timelines (JSON)
 //
 // With -debug-addr set, a second listener additionally serves
 // net/http/pprof under /debug/pprof/ (plus /metrics and /debug/vars),
@@ -37,14 +37,14 @@
 // Usage:
 //
 //	drevald [-addr :8080] [-workers 0] [-debug-addr ""] [-log-level info]
-//	        [-trace-out spans.jsonl] [-trace-buffer 512]
+//	        [-events-buffer 1024] [-events-out events.jsonl]
 //
-// Compute requests (/evaluate, /diagnose) are traced: the root span's
-// trace ID is the request's X-Request-Id and each evaluation phase
-// (model fit, estimate, bias observatory, bootstrap) is a child span.
-// The most recent -trace-buffer completed spans are queryable via
-// /debug/traces; -trace-out additionally appends every completed span
-// to a JSONL file.
+// Compute requests (/evaluate, /diagnose, /ingest) each leave one wide
+// event keyed by the request's X-Request-Id, with every phase's start
+// offset and duration (model fit, estimate, bias observatory,
+// bootstrap, …). The most recent -events-buffer events are queryable
+// via /debug/events and, as timelines, via /debug/traces; -events-out
+// additionally appends every retained event to a JSONL file.
 //
 // Requests are served concurrently by net/http; within each request the
 // bootstrap resamples run on a shared worker pool -workers wide (0 =
@@ -154,7 +154,6 @@ type server struct {
 	// ingestLimiter admits /ingest on its own budget, so writers and
 	// evaluators cannot starve each other.
 	evalLimiter, ingestLimiter *resilience.Limiter
-	traces                     *obs.TraceRecorder
 	journal                    *wideevent.Journal
 	slo                        *slo.Engine
 	// stream serves /ingest and empty-trace requests; nil without
@@ -174,9 +173,10 @@ type server struct {
 
 // newServer builds a server from cfg, creating every metric on reg:
 // obs.Default in production, where internal/parallel registers the
-// pool series, and a fresh registry per test. It opens the JSONL sinks
-// and the WAL but does not replay it: with -wal-dir set, the caller
-// runs stream.replay, and streaming requests get 503 until it returns.
+// pool series, and a fresh registry per test. It opens the -events-out
+// sink and the WAL but does not replay it: with -wal-dir set, the
+// caller runs stream.replay, and streaming requests get 503 until it
+// returns.
 func newServer(cfg config, reg *obs.Registry) (*server, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -193,21 +193,14 @@ func newServer(cfg config, reg *obs.Registry) (*server, error) {
 		m:             newMetrics(reg),
 		evalLimiter:   resilience.NewLimiter(cfg.maxConcurrent, cfg.maxQueue),
 		ingestLimiter: resilience.NewLimiter(cfg.ingestMaxConcurrent, cfg.ingestMaxQueue),
-		traces:        obs.NewTraceRecorder(cfg.traceBuffer),
 		pages:         map[string]resilience.Reason{},
 	}
-	reg.SetTraceRecorder(s.traces)
 	obs.RegisterRuntimeMetrics(reg)
-	// The JSONL-export loss counter reads the registry's recorder.
-	obs.RegisterTraceSinkMetrics(reg)
 	if err := s.initEvents(nil); err != nil {
 		return nil, err
 	}
 	s.registerEventMetrics()
-	err = s.openSink("events-out", cfg.eventsOut, s.journal.SetSink)
-	if err == nil {
-		err = s.openSink("trace-out", cfg.traceOut, s.traces.SetSink)
-	}
+	err = s.openEventsOut()
 	if err == nil && cfg.walDir != "" {
 		s.stream, err = newStreamEngine(s)
 	}
@@ -218,29 +211,31 @@ func newServer(cfg config, reg *obs.Registry) (*server, error) {
 	return s, nil
 }
 
-// openSink appends every line set's producer emits to path (no-op for
-// an empty path). close flushes the producer's queue, then closes the
-// file.
-func (s *server) openSink(name, path string, set func(func([]byte))) error {
+// openEventsOut appends every event the journal retains to -events-out
+// (no-op when unset). close flushes the journal's queue, then closes
+// the file.
+func (s *server) openEventsOut() error {
+	path := s.cfg.eventsOut
 	if path == "" {
 		return nil
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return fmt.Errorf("-%s: %v", name, err)
+		return fmt.Errorf("-events-out: %v", err)
 	}
-	set(func(line []byte) { _, _ = f.Write(line) })
+	j := s.journal
+	j.SetSink(func(line []byte) { _, _ = f.Write(line) })
 	s.closers = append(s.closers, func() {
-		set(nil)
+		j.SetSink(nil)
 		if err := f.Close(); err != nil {
-			s.log.Error(name+" close failed", "path", path, "err", err)
+			s.log.Error("events-out close failed", "path", path, "err", err)
 		}
 	})
 	return nil
 }
 
-// close flushes and closes what newServer opened: the JSONL sinks,
-// then the WAL. Calling it again does nothing.
+// close flushes and closes what newServer opened: the -events-out
+// sink, then the WAL. Calling it again does nothing.
 func (s *server) close() {
 	for i := len(s.closers) - 1; i >= 0; i-- {
 		s.closers[i]()
@@ -294,7 +289,7 @@ func (s *server) routes() *http.ServeMux {
 	mux.Handle("POST /ingest", s.instrument("/ingest", s.limited("/ingest", s.ingestLimiter, s.handleIngest)))
 	mux.Handle("GET /metrics", s.instrument("/metrics", s.reg.MetricsHandler().ServeHTTP))
 	mux.Handle("GET /debug/vars", s.instrument("/debug/vars", s.handleVars))
-	mux.Handle("GET /debug/traces", s.instrument("/debug/traces", s.traces.Handler().ServeHTTP))
+	mux.Handle("GET /debug/traces", s.instrument("/debug/traces", s.journal.TracesHandler().ServeHTTP))
 	mux.Handle("GET /debug/bias", s.instrument("/debug/bias", s.handleBias))
 	mux.Handle("GET /debug/events", s.instrument("/debug/events", s.journal.Handler().ServeHTTP))
 	mux.Handle("GET /debug/slo", s.instrument("/debug/slo", s.slo.Handler().ServeHTTP))
@@ -566,7 +561,7 @@ func (s *server) decodeRequest(w http.ResponseWriter, r *http.Request, streamed 
 	}
 	// The fast path built the view as it decoded, so on that path
 	// build_view times only deriving the policy from it.
-	policy, err := timed(r.Context(), obs.SpanFromContext(r.Context()), "build_view", func() (core.Policy[traceio.FlatContext, string], error) {
+	policy, err := timed(r.Context(), "build_view", func() (core.Policy[traceio.FlatContext, string], error) {
 		if !fast {
 			var err error
 			if view, err = buildEvalView(req); err != nil {
@@ -626,22 +621,18 @@ type evalErrorJSON struct {
 	Canceled bool   `json:"canceled,omitempty"`
 }
 
-// timed runs one evaluation phase as a named child span of the
-// request's root span (started by the instrument middleware), marking
-// the span failed when the phase errors. The same name accumulates
-// into the request's wide event as a phaseMs entry, read from ctx —
-// one instrumentation point feeds both the span tree and the journal.
-// With no root span in the context, StartChild degrades to a fresh
-// root, so the phase is still measured; with no wide-event builder,
-// the phase hook is a no-op.
-func timed[T any](ctx context.Context, parent *obs.Span, name string, fn func() (T, error)) (T, error) {
-	endPhase := wideevent.FromContext(ctx).Phase(name)
-	defer endPhase()
-	sp := parent.StartChild(name)
-	defer sp.End()
+// timed runs one evaluation phase as a named phase of the request's
+// wide event, read from ctx: the event records the phase's start
+// offset and duration, and a failing phase leaves its name and message
+// there. The event is the only record of the phase; /debug/traces and
+// the obs_span_* metrics are read off it. With no event in ctx, timed
+// only runs fn.
+func timed[T any](ctx context.Context, name string, fn func() (T, error)) (T, error) {
+	evb := wideevent.FromContext(ctx)
+	defer evb.Phase(name)()
 	v, err := fn()
 	if err != nil {
-		sp.SetError(err.Error())
+		evb.FailPhase(name, err.Error())
 	}
 	return v, err
 }
@@ -697,14 +688,13 @@ func setRegime(r *http.Request, d diagnosticsJSON) {
 // estimate runs the one fold of every estimator family and the bias
 // observatory over a batch request's evaluation, each as its own phase.
 func (s *server) estimate(ctx context.Context, r *http.Request, ev *core.Evaluation[traceio.FlatContext, string], clip float64) (core.StreamEstimates, *biasobs.HealthSummary, error) {
-	root := obs.SpanFromContext(r.Context())
-	est, err := timed(ctx, root, "estimate", func() (core.StreamEstimates, error) {
+	est, err := timed(ctx, "estimate", func() (core.StreamEstimates, error) {
 		return ev.Estimates(ctx, clip)
 	})
 	if err != nil {
 		return est, nil, err
 	}
-	health, err := s.observeBias(ctx, root, requestID(r), ev)
+	health, err := s.observeBias(ctx, requestID(r), ev)
 	return est, health, err
 }
 
@@ -715,8 +705,7 @@ func (s *server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	root := obs.SpanFromContext(r.Context())
-	model, err := timed(ctx, root, "fit_model", func() (*core.ViewTableModel[traceio.FlatContext, string], error) {
+	model, err := timed(ctx, "fit_model", func() (*core.ViewTableModel[traceio.FlatContext, string], error) {
 		return core.FitTableViewCtx(ctx, view)
 	})
 	if err != nil {
@@ -747,24 +736,17 @@ func (s *server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		}
 		// Sharded bootstrap: resamples run on the worker pool, one PCG
 		// stream per resample, so the interval depends only on the seed.
-		evb := wideevent.FromContext(r.Context())
-		ci, stats, err := func() (core.Interval, core.BootstrapStats, error) {
-			defer evb.Phase("drevald_bootstrap")()
-			sp := root.StartChild("drevald_bootstrap").
-				Attr("resamples", fmt.Sprint(b))
-			defer sp.End()
-			// Refit-DR bootstrap by index over the view: running
-			// sufficient statistics per resample, no record copies.
-			ci, stats, err := ev.BootstrapDR(ctx,
+		// Refit-DR bootstrap by index over the view: running sufficient
+		// statistics per resample, no record copies.
+		var stats core.BootstrapStats
+		ci, err := timed(ctx, "drevald_bootstrap", func() (ci core.Interval, err error) {
+			ci, stats, err = ev.BootstrapDR(ctx,
 				core.DROptions{Clip: req.Options.Clip, SelfNormalize: req.Options.SelfNormalize}, seed, b, 0.95)
-			if err != nil {
-				sp.SetError(err.Error())
-			}
-			return ci, stats, err
-		}()
+			return ci, err
+		})
 		s.m.bootResamples.Add(uint64(stats.Resamples))
 		s.m.bootSkipped.Add(uint64(stats.Skipped))
-		evb.SetBootstrap(stats.Resamples, stats.Skipped)
+		wideevent.FromContext(ctx).SetBootstrap(stats.Resamples, stats.Skipped)
 		if err != nil {
 			s.writeEvalError(w, err)
 			return
@@ -773,7 +755,7 @@ func (s *server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		resp.BootstrapSkipped = &stats.Skipped
 	}
 	s.finishEvaluate(w, r, resp, fallback{"snips-clip", func() (core.Estimate, error) {
-		return timed(ctx, root, "fallback", func() (core.Estimate, error) {
+		return timed(ctx, "fallback", func() (core.Estimate, error) {
 			est, err := ev.Estimates(ctx, s.cfg.fallbackClip)
 			return est.SNIPS, err
 		})
@@ -824,17 +806,10 @@ func (s *server) finishEvaluate(w http.ResponseWriter, r *http.Request, resp eva
 	}
 	reasons = append(reasons, s.sloDegradeReasons()...)
 	if len(reasons) > 0 {
-		// The degraded path is an error from the observability side even
-		// though the response is a 200: mark the request's root span so
-		// obs_span_errors_total{span="http/evaluate"} and the timeline
-		// surface it.
-		what, msg := "overlap", "degraded response"
+		msg := "degraded response"
 		if resp.Stream != nil {
-			what, msg = "stream", "degraded stream response"
+			msg = "degraded stream response"
 		}
-		root := obs.SpanFromContext(r.Context())
-		root.Attr("degraded", "true")
-		root.SetError("degraded: " + what + " diagnostics crossed thresholds")
 		est, err := fb.estimate()
 		if err != nil {
 			s.writeEvalError(w, err)

@@ -319,7 +319,6 @@ func TestConfig(t *testing.T) {
 		fallbackClip:        10,
 		biasWindows:         8,
 		biasDriftThreshold:  5,
-		traceBuffer:         512,
 		fsync:               "always",
 		fsyncInterval:       100 * time.Millisecond,
 		segmentBytes:        64 << 20,
@@ -362,7 +361,6 @@ func TestConfig(t *testing.T) {
 		{[]string{"-events-sample", "-0.1"}, "-events-sample must be in [0, 1]"},
 		{[]string{"-events-sample", "1.5"}, "-events-sample must be in [0, 1]"},
 		{[]string{"-events-slow-ms", "-1"}, "-events-slow-ms must be >= 0"},
-		{[]string{"-trace-buffer", "0"}, "-trace-buffer must be >= 1"},
 		{[]string{"-log-level", "loud"}, "loud"},
 		{[]string{"-fsync", "sometimes"}, "-fsync: "},
 		{[]string{"-ingest-max-bytes", "0"}, "-ingest-max-bytes must be >= 1"},

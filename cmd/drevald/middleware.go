@@ -38,10 +38,11 @@ type metrics struct {
 }
 
 // newMetrics creates the server's metrics on reg, with the help text of
-// every drevald and span family.
+// every drevald and span family. The span families are read off each
+// wide event (observeSpans).
 func newMetrics(reg *obs.Registry) metrics {
-	reg.Help("obs_span_seconds", "Span durations by span name; bucket exemplars carry the trace ID.")
-	reg.Help("obs_span_errors_total", "Spans ended in error state, by span name.")
+	reg.Help("obs_span_seconds", "Request (http/<route>) and phase durations by span name; bucket exemplars carry the request ID.")
+	reg.Help("obs_span_errors_total", "Requests answered 5xx or degraded (http/<route>) and failed phases, by span name.")
 	reg.Help("drevald_http_requests_total", "HTTP requests served, by route and status class.")
 	reg.Help("drevald_http_request_seconds", "HTTP request latency, by route.")
 	reg.Help("drevald_http_in_flight", "Requests currently being served, by route.")
@@ -149,8 +150,8 @@ func (s *server) instrument(route string, h http.HandlerFunc) http.Handler {
 			obs.L("route", route), obs.L("code", class))
 	}
 	// Only the compute routes are traced: scrapes of /metrics, /healthz
-	// and /debug/vars would otherwise flood the span ring with
-	// sub-millisecond timelines and evict the requests worth debugging.
+	// and /debug/vars would otherwise flood the journal with
+	// sub-millisecond events and evict the requests worth debugging.
 	traced := route == "/evaluate" || route == "/diagnose" || route == "/ingest"
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-Id")
@@ -162,30 +163,15 @@ func (s *server) instrument(route string, h http.HandlerFunc) http.Handler {
 
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 
-		// Compute routes get a root span whose trace ID is the request
-		// ID, so /debug/traces timelines, histogram exemplars and access
-		// logs all correlate on the same key. Handlers reach it through
-		// the request context to hang child spans off each phase. The
-		// span closes via defer so a panic that escapes this middleware
-		// still commits it to metrics and timelines; the extra tail it
+		// Compute routes emit exactly one wide event per request, keyed
+		// by the request ID, so /debug/events, /debug/traces, histogram
+		// exemplars and access logs all correlate on the same key. The
+		// middleware owns begin and finish, handlers only annotate
+		// through the request context, and the deferred Finish commits
+		// even when the handler panics (the recovery below has already
+		// rewritten the status to 500 by then); the extra tail it
 		// measures (metric update + access log) is microseconds.
 		if traced {
-			span := s.reg.StartSpanWithID("http"+route, id).
-				Attr("route", route).
-				Attr("method", r.Method)
-			r = r.WithContext(obs.ContextWithSpan(r.Context(), span))
-			defer func() {
-				span.Attr("status", fmt.Sprint(rec.status))
-				if rec.status >= 500 {
-					span.SetError(fmt.Sprintf("status %d", rec.status))
-				}
-				span.End()
-			}()
-			// The same routes emit exactly one wide event per request:
-			// the middleware owns begin and finish, handlers only
-			// annotate through the request context, and the deferred
-			// Finish commits even when the handler panics (the recovery
-			// below has already rewritten the status to 500 by then).
 			evb := s.journal.Begin(id, route)
 			r = r.WithContext(wideevent.ContextWith(r.Context(), evb))
 			defer func() {
@@ -295,7 +281,7 @@ func (s *server) debugRoutes() *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("GET /metrics", s.reg.MetricsHandler())
 	mux.HandleFunc("GET /debug/vars", s.handleVars)
-	mux.Handle("GET /debug/traces", s.traces.Handler())
+	mux.Handle("GET /debug/traces", s.journal.TracesHandler())
 	mux.HandleFunc("GET /debug/bias", s.handleBias)
 	mux.Handle("GET /debug/events", s.journal.Handler())
 	mux.Handle("GET /debug/slo", s.slo.Handler())

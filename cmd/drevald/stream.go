@@ -386,9 +386,8 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body, readErr := readBody(w, r, s.cfg.ingestMaxBytes)
-	root := obs.SpanFromContext(r.Context())
 	var status int
-	batch, err := timed(r.Context(), root, "ingest_decode", func() (batch *traceio.IngestBatch, err error) {
+	batch, err := timed(r.Context(), "ingest_decode", func() (batch *traceio.IngestBatch, err error) {
 		// Decoding stays off the engine lock. The builder field is set
 		// once; its Known takes the builder's own lock, and a code it
 		// reports stays valid because the builder only grows.
@@ -400,7 +399,7 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		httpError(w, status, err.Error())
 		return
 	}
-	ack, err := timed(r.Context(), root, "durable_ingest", func() (ingestResponse, error) {
+	ack, err := timed(r.Context(), "durable_ingest", func() (ingestResponse, error) {
 		return eng.ingest(batch)
 	})
 	if err != nil {
@@ -484,7 +483,7 @@ type streamMetaJSON struct {
 // named phase, with the policy and stream position stamped onto the
 // wide event. It answers the request itself when the read fails.
 func (s *server) streamRead(w http.ResponseWriter, r *http.Request, req *evalRequest, phase string) (streamResult, bool) {
-	sr, err := timed(r.Context(), obs.SpanFromContext(r.Context()), phase, func() (streamResult, error) {
+	sr, err := timed(r.Context(), phase, func() (streamResult, error) {
 		return s.stream.evaluate(req.Policy, req.Options.Clip, req.Options.RefreshModel)
 	})
 	if err != nil {

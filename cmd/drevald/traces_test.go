@@ -12,29 +12,32 @@ import (
 
 	"drnet/internal/obs"
 	"drnet/internal/resilience"
+	"drnet/internal/wideevent"
 )
 
 // tracesBody mirrors the /debug/traces response shape.
 type tracesBody struct {
-	Buffered int    `json:"buffered"`
-	Recorded uint64 `json:"recorded"`
-	Traces   []struct {
-		Trace      string   `json:"trace"`
-		Root       string   `json:"root"`
-		DurationMs float64  `json:"durationMs"`
-		Error      string   `json:"error"`
-		Spans      spanNode `json:"spans"`
-	} `json:"traces"`
+	Stats  wideevent.Stats `json:"stats"`
+	Traces []timelineJSON  `json:"traces"`
 }
 
-type spanNode struct {
-	Name          string            `json:"name"`
-	Span          string            `json:"span"`
-	StartOffsetMs float64           `json:"startOffsetMs"`
-	DurationMs    float64           `json:"durationMs"`
-	Attrs         map[string]string `json:"attrs"`
-	Error         string            `json:"error"`
-	Children      []spanNode        `json:"children"`
+// timelineJSON is one /debug/traces timeline.
+type timelineJSON struct {
+	Trace      string      `json:"trace"`
+	Root       string      `json:"root"`
+	DurationMs float64     `json:"durationMs"`
+	Status     int         `json:"status"`
+	Degraded   bool        `json:"degraded"`
+	Error      string      `json:"error"`
+	Phases     []phaseJSON `json:"phases"`
+}
+
+// phaseJSON is one phase of a timelineJSON.
+type phaseJSON struct {
+	Name          string  `json:"name"`
+	StartOffsetMs float64 `json:"startOffsetMs"`
+	DurationMs    float64 `json:"durationMs"`
+	Error         string  `json:"error"`
 }
 
 func getTraces(t *testing.T, srv *httptest.Server, query string) tracesBody {
@@ -52,6 +55,16 @@ func getTraces(t *testing.T, srv *httptest.Server, query string) tracesBody {
 		t.Fatal(err)
 	}
 	return body
+}
+
+// findTimeline returns the timeline of request id, or nil.
+func findTimeline(body tracesBody, id string) *timelineJSON {
+	for i := range body.Traces {
+		if body.Traces[i].Trace == id {
+			return &body.Traces[i]
+		}
+	}
+	return nil
 }
 
 // postWithID is post with an explicit X-Request-Id header.
@@ -76,9 +89,9 @@ func postWithID(t *testing.T, srv *httptest.Server, path, id string, body any) *
 
 // TestEvaluateTimelineEndToEnd is the tentpole acceptance test: a real
 // /evaluate with a bootstrap, identified by the client's X-Request-Id,
-// must come back from /debug/traces as a parent→child timeline whose
-// root is the HTTP request and whose children are the evaluation
-// phases, bootstrap included.
+// must come back from /debug/traces as a root→phase timeline whose
+// root is the HTTP request and whose phases are the evaluation phases,
+// bootstrap included, in start order.
 func TestEvaluateTimelineEndToEnd(t *testing.T) {
 	t.Parallel()
 	// All-zero thresholds disable degradation: this test wants the
@@ -97,69 +110,40 @@ func TestEvaluateTimelineEndToEnd(t *testing.T) {
 	}
 
 	body := getTraces(t, srv, "?n=100")
-	if body.Recorded == 0 || body.Buffered == 0 {
-		t.Fatalf("recorder empty after a traced request: %+v", body)
+	if body.Stats.Recorded == 0 || body.Stats.Buffered == 0 {
+		t.Fatalf("journal empty after a traced request: %+v", body.Stats)
 	}
-	var found *spanNode
-	var rootDur float64
-	for i := range body.Traces {
-		if body.Traces[i].Trace == id {
-			found = &body.Traces[i].Spans
-			rootDur = body.Traces[i].DurationMs
-			break
-		}
-	}
-	if found == nil {
+	tl := findTimeline(body, id)
+	if tl == nil {
 		t.Fatalf("trace %s not in /debug/traces (got %d traces)", id, len(body.Traces))
 	}
-	if found.Name != "http/evaluate" {
-		t.Fatalf("root span name = %q, want http/evaluate", found.Name)
+	if tl.Root != "http/evaluate" || tl.Status != http.StatusOK {
+		t.Fatalf("root = %q status %d, want http/evaluate 200", tl.Root, tl.Status)
 	}
-	if found.Attrs["route"] != "/evaluate" || found.Attrs["method"] != "POST" || found.Attrs["status"] != "200" {
-		t.Fatalf("root attrs = %v", found.Attrs)
-	}
-	if found.Error != "" {
-		t.Fatalf("healthy request recorded root error %q", found.Error)
+	if tl.Error != "" || tl.Degraded {
+		t.Fatalf("healthy request recorded error %q degraded %v", tl.Error, tl.Degraded)
 	}
 
-	children := map[string]spanNode{}
-	for _, c := range found.Children {
-		children[c.Name] = c
-	}
-	for _, phase := range []string{"fit_model", "estimate", "drevald_bootstrap"} {
-		c, ok := children[phase]
-		if !ok {
-			t.Fatalf("phase %q missing from timeline; children: %v", phase, childNames(found.Children))
+	// The timeline lists the phases by start offset, which must be the
+	// order the handler ran them in.
+	var names []string
+	for _, p := range tl.Phases {
+		names = append(names, p.Name)
+		if p.StartOffsetMs < 0 || p.DurationMs < 0 {
+			t.Fatalf("phase %q has negative offset/duration: %+v", p.Name, p)
 		}
-		if c.StartOffsetMs < 0 || c.DurationMs < 0 {
-			t.Fatalf("phase %q has negative offset/duration: %+v", phase, c)
-		}
-		if c.DurationMs > rootDur+1 {
-			t.Fatalf("phase %q (%.3fms) longer than its request (%.3fms)", phase, c.DurationMs, rootDur)
+		if p.StartOffsetMs+p.DurationMs > tl.DurationMs+1 {
+			t.Fatalf("phase %q (%+v) ends after its request (%.3fms)", p.Name, p, tl.DurationMs)
 		}
 	}
-	if got := children["drevald_bootstrap"].Attrs["resamples"]; got != "30" {
-		t.Fatalf("bootstrap resamples attr = %q, want 30", got)
+	if got, want := strings.Join(names, " "), "build_view fit_model estimate bias_observatory drevald_bootstrap"; got != want {
+		t.Fatalf("timeline phases = %s, want %s", got, want)
 	}
-	// Children arrive in execution order: estimate starts no later than
-	// the bootstrap.
-	if children["estimate"].StartOffsetMs > children["drevald_bootstrap"].StartOffsetMs {
-		t.Fatalf("estimate (%.3fms) starts after bootstrap (%.3fms)",
-			children["estimate"].StartOffsetMs, children["drevald_bootstrap"].StartOffsetMs)
-	}
-}
-
-func childNames(cs []spanNode) []string {
-	var out []string
-	for _, c := range cs {
-		out = append(out, c.Name)
-	}
-	return out
 }
 
 // TestDegradedRequestMarksSpanError: the degraded path is a 200 on the
-// wire but an error in the trace — the root span must carry the
-// degraded attribute, an error message, and a tick of
+// wire but an error in the request's record — its timeline must be
+// marked degraded, carry the fallback phase, and tick
 // obs_span_errors_total{span="http/evaluate"}.
 func TestDegradedRequestMarksSpanError(t *testing.T) {
 	t.Parallel()
@@ -176,44 +160,29 @@ func TestDegradedRequestMarksSpanError(t *testing.T) {
 		t.Fatalf("degraded request must stay 200, got %d", resp.StatusCode)
 	}
 
-	body := getTraces(t, srv, "?n=100")
-	var found *spanNode
-	for i := range body.Traces {
-		if body.Traces[i].Trace == id {
-			found = &body.Traces[i].Spans
-			break
-		}
-	}
-	if found == nil {
+	tl := findTimeline(getTraces(t, srv, "?n=100"), id)
+	if tl == nil {
 		t.Fatalf("degraded trace %s not recorded", id)
 	}
-	if found.Attrs["degraded"] != "true" {
-		t.Fatalf("root attrs missing degraded=true: %v", found.Attrs)
+	if !tl.Degraded || tl.Status != http.StatusOK {
+		t.Fatalf("timeline = degraded %v status %d, want a degraded 200", tl.Degraded, tl.Status)
 	}
-	if !strings.Contains(found.Error, "degraded") {
-		t.Fatalf("root error = %q, want a degraded message", found.Error)
-	}
-	has := false
-	for _, c := range found.Children {
-		if c.Name == "fallback" {
-			has = true
-		}
-	}
-	if !has {
-		t.Fatalf("fallback phase missing from degraded timeline: %v", childNames(found.Children))
+	if n := len(tl.Phases); n == 0 || tl.Phases[n-1].Name != "fallback" {
+		t.Fatalf("degraded timeline does not end in the fallback phase: %+v", tl.Phases)
 	}
 	if after := s.reg.Counter("obs_span_errors_total", obs.L("span", "http/evaluate")).Value(); after != errsBefore+1 {
 		t.Fatalf("span error counter went %d → %d, want +1", errsBefore, after)
 	}
 }
 
-// TestScrapeRoutesNotTraced: /metrics and /healthz must not consume
-// ring slots — only compute routes are traced.
+// TestScrapeRoutesNotTraced: /metrics, /healthz and the debug reads
+// must leave no event and no span series — only compute routes are
+// traced.
 func TestScrapeRoutesNotTraced(t *testing.T) {
 	t.Parallel()
 	s, srv := startTest(t, nil)
 
-	before := s.traces.Recorded()
+	before := s.journal.Stats().Emitted
 	for _, path := range []string{"/healthz", "/metrics", "/debug/vars", "/debug/traces"} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
@@ -221,19 +190,25 @@ func TestScrapeRoutesNotTraced(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	if after := s.traces.Recorded(); after != before {
-		t.Fatalf("scrape routes recorded %d spans", after-before)
+	if after := s.journal.Stats().Emitted; after != before {
+		t.Fatalf("scrape routes emitted %d events", after-before)
+	}
+	for key := range scrapeMetrics(t, srv.URL) {
+		if strings.Contains(key, `span="http/`) {
+			t.Fatalf("scrape routes recorded span series %s", key)
+		}
 	}
 }
 
-// TestTraceSinkStreamsJSONL: -trace-out receives every completed span
-// of a request as parseable JSON lines sharing the request's trace ID.
+// TestTraceSinkStreamsJSONL: -events-out receives the request's event
+// as one parseable JSON line, carrying every phase with its start
+// offset and duration.
 func TestTraceSinkStreamsJSONL(t *testing.T) {
 	t.Parallel()
-	out := filepath.Join(t.TempDir(), "spans.jsonl")
+	out := filepath.Join(t.TempDir(), "events.jsonl")
 	s, srv := startTest(t, func(c *config) {
 		c.thresholds = resilience.Thresholds{}
-		c.traceOut = out
+		c.eventsOut = out
 	})
 	id := "sink-trace-" + obs.NewID()
 	resp := postWithID(t, srv, "/evaluate", id, evalRequest{
@@ -253,22 +228,33 @@ func TestTraceSinkStreamsJSONL(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.HasSuffix(data, []byte("\n")) {
-		t.Fatalf("-trace-out does not end in a newline: %q", data)
+		t.Fatalf("-events-out does not end in a newline: %q", data)
 	}
-	names := map[string]bool{}
+	var found *wideevent.Event
 	for _, line := range bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n")) {
-		var rec obs.SpanRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
+		var ev wideevent.Event
+		if err := json.Unmarshal(line, &ev); err != nil {
 			t.Fatalf("sink line is not valid JSON: %v\n%s", err, line)
 		}
-		if rec.Trace == id {
-			names[rec.Name] = true
+		if ev.RequestID == id {
+			found = &ev
 		}
 	}
-	for _, want := range []string{"http/evaluate", "estimate", "drevald_bootstrap"} {
-		if !names[want] {
-			t.Fatalf("span %q missing from JSONL export; got %v", want, names)
+	if found == nil {
+		t.Fatalf("event %s missing from the JSONL export:\n%s", id, data)
+	}
+	for _, phase := range []string{"build_view", "estimate", "drevald_bootstrap"} {
+		ms, timed := found.PhaseMs[phase]
+		off, started := found.PhaseStartMs[phase]
+		if !timed || !started {
+			t.Fatalf("phase %q missing from the exported event: phaseMs %v phaseStartMs %v", phase, found.PhaseMs, found.PhaseStartMs)
 		}
+		if off < 0 || off+ms > found.DurationMs+1 {
+			t.Fatalf("phase %q at %.3fms for %.3fms lies outside its %.3fms request", phase, off, ms, found.DurationMs)
+		}
+	}
+	if found.PhaseStartMs["estimate"] > found.PhaseStartMs["drevald_bootstrap"] {
+		t.Fatalf("estimate starts after the bootstrap: %v", found.PhaseStartMs)
 	}
 }
 
@@ -279,21 +265,15 @@ func TestDebugTracesOnBothMuxes(t *testing.T) {
 	s := newTestServer(t, nil)
 	for name, mux := range map[string]http.Handler{"service": s.routes(), "debug": s.debugRoutes()} {
 		srv := httptest.NewServer(mux)
-		resp, err := http.Get(srv.URL + "/debug/traces")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s mux: /debug/traces returned %d", name, resp.StatusCode)
-		}
-		resp, err = http.Get(srv.URL + "/debug/traces?n=bogus")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s mux: bogus n returned %d, want 400", name, resp.StatusCode)
+		for query, want := range map[string]int{"": http.StatusOK, "?n=1000": http.StatusOK, "?n=bogus": http.StatusBadRequest, "?n=0": http.StatusBadRequest} {
+			resp, err := http.Get(srv.URL + "/debug/traces" + query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != want {
+				t.Fatalf("%s mux: /debug/traces%s returned %d, want %d", name, query, resp.StatusCode, want)
+			}
 		}
 		srv.Close()
 	}

@@ -5,9 +5,9 @@ import "sync/atomic"
 // RegisterLossCounter exports a monotonic loss count (sink-queue
 // overflow drops, eviction counts, anything "we lost N of these") as
 // an eagerly-created counter synced by a scrape-time sampler — the
-// shared shape behind obs_trace_sink_dropped_total and the wide-event
-// journal's drop counters. Eager creation matters: a zero reading is
-// the healthy signal operators alert on disappearing.
+// shape of the wide-event journal's drop counters. Eager creation
+// matters: a zero reading is the healthy signal operators alert on
+// disappearing.
 //
 // read returns the source's current cumulative count and whether a
 // source exists right now. When it reports false the sampler leaves

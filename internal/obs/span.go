@@ -17,7 +17,7 @@ const spanErrors = "obs_span_errors_total"
 // Span measures one timed operation. End records the elapsed time into
 // the registry's span-duration histogram (with the trace ID as the
 // bucket exemplar) and, when the registry has a TraceRecorder, commits
-// a SpanRecord so the operation shows up in /debug/traces timelines.
+// the completed span to its ring.
 //
 // Spans carry two identifiers: a trace ID — generated at the root,
 // inherited by children — correlating all phases of one request, and a
@@ -44,9 +44,8 @@ func (r *Registry) StartSpan(name string) *Span {
 }
 
 // StartSpanWithID opens a root span whose trace ID is supplied by the
-// caller — drevald uses the request's X-Request-Id, so exported
-// exemplars and timelines match the access logs. An empty id gets a
-// fresh one.
+// caller, e.g. a request's X-Request-Id, so exported exemplars match
+// the access logs. An empty id gets a fresh one.
 func (r *Registry) StartSpanWithID(name, id string) *Span {
 	if id == "" {
 		id = NewID()
@@ -58,7 +57,7 @@ func (r *Registry) StartSpanWithID(name, id string) *Span {
 		spanID: NewID(),
 		start:  time.Now(),
 		hist:   r.Histogram(spanSeconds, TimeBuckets, L("span", name)),
-		rec:    r.TraceRecorder(),
+		rec:    r.traceRec.Load(),
 	}
 }
 
@@ -67,9 +66,9 @@ func StartSpan(name string) *Span { return Default.StartSpan(name) }
 
 // StartChild opens a sub-span that inherits this span's trace ID and
 // records this span as its parent, so all phases of one request share a
-// correlation key and reassemble into one timeline. On a nil receiver
-// it falls back to a fresh root span on the Default registry, so
-// instrumented code works unchanged outside an instrumented request.
+// correlation key. On a nil receiver it falls back to a fresh root span
+// on the Default registry, so instrumented code works unchanged outside
+// an instrumented request.
 func (s *Span) StartChild(name string) *Span {
 	if s == nil {
 		return Default.StartSpan(name)
@@ -86,14 +85,8 @@ func (s *Span) StartChild(name string) *Span {
 	}
 }
 
-// ID returns the span's trace/correlation ID.
-func (s *Span) ID() string { return s.id }
-
-// Name returns the span's name.
-func (s *Span) Name() string { return s.name }
-
 // Attr attaches a key=value attribute, carried into the recorded
-// timeline. Later values for the same key win. Returns the span for
+// span. Later values for the same key win. Returns the span for
 // chaining; safe on a nil span.
 func (s *Span) Attr(key, value string) *Span {
 	if s == nil {
@@ -108,7 +101,7 @@ func (s *Span) Attr(key, value string) *Span {
 
 // SetError marks the span failed. End then increments
 // obs_span_errors_total{span=name} and the message lands in the
-// recorded timeline. The last message wins; safe on a nil span.
+// recorded span. The last message wins; safe on a nil span.
 func (s *Span) SetError(msg string) {
 	if s == nil {
 		return
@@ -118,9 +111,6 @@ func (s *Span) SetError(msg string) {
 	}
 	s.errMsg = msg
 }
-
-// Failed reports whether SetError was called.
-func (s *Span) Failed() bool { return s != nil && s.errMsg != "" }
 
 // End records the elapsed duration and returns it. Safe on a nil span
 // (records nothing), so callers can End unconditionally; a second End
@@ -139,7 +129,7 @@ func (s *Span) End() time.Duration {
 		s.reg.Counter(spanErrors, L("span", s.name)).Inc()
 	}
 	if s.rec != nil {
-		s.rec.record(&SpanRecord{
+		s.rec.record(&spanRecord{
 			Trace:           s.id,
 			Span:            s.spanID,
 			Parent:          s.parent,

@@ -9,8 +9,8 @@ import (
 func TestSpanRecordsDuration(t *testing.T) {
 	r := NewRegistry()
 	sp := r.StartSpan("phase")
-	if sp.ID() == "" || sp.Name() != "phase" {
-		t.Fatalf("span metadata: id=%q name=%q", sp.ID(), sp.Name())
+	if sp.id == "" || sp.name != "phase" {
+		t.Fatalf("span metadata: id=%q name=%q", sp.id, sp.name)
 	}
 	if d := sp.End(); d < 0 {
 		t.Fatalf("negative duration %v", d)
@@ -32,8 +32,8 @@ func TestChildSpanInheritsID(t *testing.T) {
 	r := NewRegistry()
 	root := r.StartSpan("request")
 	child := root.StartChild("bootstrap")
-	if child.ID() != root.ID() {
-		t.Fatalf("child id %q != root id %q", child.ID(), root.ID())
+	if child.id != root.id {
+		t.Fatalf("child id %q != root id %q", child.id, root.id)
 	}
 	child.End()
 	root.End()

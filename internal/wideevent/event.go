@@ -4,18 +4,20 @@
 // produced it (ESS/N, max weight, zero-support), which stream epoch
 // and reward-model staleness it was served from, the bias grade, the
 // degradation reasons and fallback estimator, the bootstrap skip
-// count, and the WAL ack for ingest — plus total and per-phase
-// latencies mirroring the request's span tree.
+// count, and the WAL ack for ingest — plus its total latency and each
+// phase's start offset and duration, which is all a request timeline
+// needs.
 //
 // The paper's core warning is that biased traces silently poison
 // decisions; Voloshin et al.'s companion observation is that OPE
 // results computed under disparate, unrecorded conditions cannot be
 // compared or audited after the fact. The wide event is that record:
 // one row per request, flat enough to filter on, kept in a lock-free
-// ring (the obs.TraceRecorder design) with tail-biased retention —
-// error, degraded and slow events are always kept; healthy ones are
-// probabilistically sampled under a seeded RNG so retention decisions
-// are reproducible in tests.
+// ring with tail-biased retention — error, degraded and slow events
+// are always kept; healthy ones are probabilistically sampled under a
+// seeded RNG so retention decisions are reproducible in tests. The
+// journal serves it three ways: filtered (/debug/events), as the
+// slowest requests' timelines (/debug/traces), and as JSONL.
 package wideevent
 
 import (
@@ -40,11 +42,13 @@ type Event struct {
 	Route  string `json:"route"`
 	Status int    `json:"status"`
 	// DurationMs is the total request wall time; PhaseMs breaks it
-	// down by evaluation phase, mirroring the span tree (build_view,
-	// diagnose, fit_model, …). Both come from the journal clock, so a
-	// fixed test clock makes whole events byte-deterministic.
-	DurationMs float64            `json:"durationMs"`
-	PhaseMs    map[string]float64 `json:"phaseMs,omitempty"`
+	// down by evaluation phase (build_view, fit_model, estimate, …),
+	// and PhaseStartMs gives each phase's first start as an offset
+	// from the request start. All three come from the journal clock,
+	// so a fixed test clock makes whole events byte-deterministic.
+	DurationMs   float64            `json:"durationMs"`
+	PhaseMs      map[string]float64 `json:"phaseMs,omitempty"`
+	PhaseStartMs map[string]float64 `json:"phaseStartMs,omitempty"`
 
 	// Policy is the request's policy spec (evaluate/diagnose only).
 	Policy string `json:"policy,omitempty"`
@@ -85,10 +89,12 @@ type Event struct {
 	WALSegment string `json:"walSegment,omitempty"`
 	WALDurable bool   `json:"walDurable,omitempty"`
 
-	// Error is the first failure recorded for the request (handler
-	// error detail, or "status NNN" filled by the middleware for any
-	// 4xx/5xx the handler left unexplained).
-	Error string `json:"error,omitempty"`
+	// Error is the first failure recorded for the request: the
+	// failing phase's message, or "status NNN" filled by the
+	// middleware for any 4xx/5xx no phase explained. FailedPhase
+	// names the phase whose message it is.
+	Error       string `json:"error,omitempty"`
+	FailedPhase string `json:"failedPhase,omitempty"`
 
 	// Extra holds dynamic lowerCamel-keyed annotations.
 	Extra map[string]string `json:"extra,omitempty"`
@@ -162,8 +168,8 @@ type Builder struct {
 
 // Phase starts timing one named evaluation phase on the journal
 // clock and returns the func that commits it; call it when the phase
-// ends. Repeated phases accumulate. The phase timings mirror the
-// request's child spans, but flattened into the one event.
+// ends. Repeated phases accumulate their durations and keep their
+// first start offset.
 func (b *Builder) Phase(name string) func() {
 	if b == nil {
 		return func() {}
@@ -172,8 +178,22 @@ func (b *Builder) Phase(name string) func() {
 	return func() {
 		if b.ev.PhaseMs == nil {
 			b.ev.PhaseMs = make(map[string]float64, 8)
+			b.ev.PhaseStartMs = make(map[string]float64, 8)
+		}
+		if _, seen := b.ev.PhaseStartMs[name]; !seen {
+			b.ev.PhaseStartMs[name] = t0.Sub(b.start).Seconds() * 1000
 		}
 		b.ev.PhaseMs[name] += b.j.now().Sub(t0).Seconds() * 1000
+	}
+}
+
+// FailPhase records that the named phase failed with msg, unless the
+// event already holds an error: the first failure explains the
+// request.
+func (b *Builder) FailPhase(name, msg string) {
+	if b != nil && b.ev.Error == "" {
+		b.ev.Error = msg
+		b.ev.FailedPhase = name
 	}
 }
 
@@ -258,7 +278,7 @@ func (b *Builder) SetWALAck(seq uint64, epoch int, segment string, durable bool)
 
 // SetError records the request's failure detail. First error wins, so
 // the middleware's generic "status NNN" backstop never overwrites a
-// handler's specific message.
+// failed phase's specific message.
 func (b *Builder) SetError(msg string) {
 	if b != nil && b.ev.Error == "" {
 		b.ev.Error = msg

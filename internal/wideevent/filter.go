@@ -37,44 +37,50 @@ type Filter struct {
 // ParseFilter builds a Filter from URL query values. Unknown field
 // names are legal — they match against Extra annotations and simply
 // never match events that lack them; malformed values for the typed
-// keys are errors.
+// keys are errors. The typed keys are checked in a fixed order —
+// limit, minLatencyMs, degraded — so a query with several bad values
+// always names the same one.
 func ParseFilter(q url.Values) (Filter, error) {
 	f := Filter{Limit: DefaultQueryLimit}
+	if v, ok := first(q, "limit"); ok {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 1 {
+			return Filter{}, fmt.Errorf("limit must be a positive integer, got %q", v)
+		}
+		f.Limit = min(n, MaxQueryLimit)
+	}
+	if v, ok := first(q, "minLatencyMs"); ok {
+		ms, err := strconv.ParseFloat(v, 64)
+		if err != nil || ms < 0 {
+			return Filter{}, fmt.Errorf("minLatencyMs must be a non-negative number, got %q", v)
+		}
+		f.MinLatencyMs = ms
+	}
+	if v, ok := first(q, "degraded"); ok {
+		b, err := strconv.ParseBool(v)
+		if err != nil {
+			return Filter{}, fmt.Errorf("degraded must be true or false, got %q", v)
+		}
+		f.Degraded = &b
+	}
 	for key, vals := range q {
-		if len(vals) == 0 {
+		if len(vals) == 0 || key == "limit" || key == "minLatencyMs" || key == "degraded" {
 			continue
 		}
-		v := vals[0]
-		switch key {
-		case "limit":
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 1 {
-				return Filter{}, fmt.Errorf("limit must be a positive integer, got %q", v)
-			}
-			if n > MaxQueryLimit {
-				n = MaxQueryLimit
-			}
-			f.Limit = n
-		case "minLatencyMs":
-			ms, err := strconv.ParseFloat(v, 64)
-			if err != nil || ms < 0 {
-				return Filter{}, fmt.Errorf("minLatencyMs must be a non-negative number, got %q", v)
-			}
-			f.MinLatencyMs = ms
-		case "degraded":
-			b, err := strconv.ParseBool(v)
-			if err != nil {
-				return Filter{}, fmt.Errorf("degraded must be true or false, got %q", v)
-			}
-			f.Degraded = &b
-		default:
-			if f.Fields == nil {
-				f.Fields = make(map[string]string, len(q))
-			}
-			f.Fields[key] = v
+		if f.Fields == nil {
+			f.Fields = make(map[string]string, len(q))
 		}
+		f.Fields[key] = vals[0]
 	}
 	return f, nil
+}
+
+// first returns key's first value in q, if it has one.
+func first(q url.Values, key string) (string, bool) {
+	if vals := q[key]; len(vals) > 0 {
+		return vals[0], true
+	}
+	return "", false
 }
 
 // Match reports whether ev satisfies every condition.

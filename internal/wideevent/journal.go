@@ -34,11 +34,11 @@ type Options struct {
 }
 
 // Journal is the lock-free wide-event ring: emission is an atomic
-// sequence bump plus an atomic pointer store (the obs.TraceRecorder
-// design), cheap enough for every request path. An optional JSONL
-// sink receives each retained event as one line via a non-blocking
-// bounded queue and a single background drainer; observers (the SLO
-// engine) see every emitted event, retained or sampled out.
+// sequence bump plus an atomic pointer store, cheap enough for every
+// request path. An optional JSONL sink receives each retained event as
+// one line via a non-blocking bounded queue and a single background
+// drainer; observers (the SLO engine, span metrics) see every emitted
+// event, retained or sampled out.
 type Journal struct {
 	opts  Options
 	slots []atomic.Pointer[Event]
@@ -252,8 +252,8 @@ func (j *Journal) SinkDropped() uint64 {
 	return j.sinkDropped.Load()
 }
 
-// eventSinkBufferLines bounds the drainer queue, matching the trace
-// recorder's sink.
+// eventSinkBufferLines bounds the drainer queue; lines past it are
+// dropped and counted.
 const eventSinkBufferLines = 1024
 
 // eventSinkState is one installed sink: queue, quit signal, and done
@@ -283,11 +283,10 @@ func (st *eventSinkState) drain(w func(line []byte)) {
 	}
 }
 
-// SetSink installs (or, with nil, removes) the JSONL export sink —
-// the same non-blocking contract as obs.TraceRecorder.SetSink: lines
-// are marshalled on the emitting goroutine, written serially by one
-// background drainer, and dropped (counted) rather than blocking a
-// request when the queue is full. Replacing or removing a sink
+// SetSink installs (or, with nil, removes) the JSONL export sink. It
+// never blocks a request: lines are marshalled on the emitting
+// goroutine, written serially by one background drainer, and dropped
+// (counted) when the queue is full. Replacing or removing a sink
 // flushes the old queue; after SetSink(nil) returns, every delivered
 // line has been written.
 func (j *Journal) SetSink(w func(line []byte)) {

@@ -2,11 +2,13 @@ package wideevent
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,9 +33,10 @@ func emitHealthy(j *Journal, id string) {
 }
 
 // TestConcurrentEmitters drives the journal from several goroutines at
-// the worker widths the acceptance criteria name and checks the
-// accounting invariant emitted == recorded + sampledOut, the ring
-// bound, and that every retained event is internally consistent.
+// the worker widths the acceptance criteria name, while a reader draws
+// timelines, and checks the accounting invariant emitted == recorded +
+// sampledOut, the ring bound, and that every retained event is
+// internally consistent.
 func TestConcurrentEmitters(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -47,7 +50,9 @@ func TestConcurrentEmitters(t *testing.T) {
 					for i := 0; i < perWorker; i++ {
 						if i%10 == 0 {
 							b := j.Begin(fmt.Sprintf("w%d-%d", w, i), "/evaluate")
-							b.SetError("injected failure")
+							end := b.Phase("estimate")
+							b.FailPhase("estimate", "injected failure")
+							end()
 							b.Finish(500)
 						} else {
 							emitHealthy(j, fmt.Sprintf("w%d-%d", w, i))
@@ -55,7 +60,20 @@ func TestConcurrentEmitters(t *testing.T) {
 					}
 				}(w)
 			}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for i := 0; i < 50; i++ {
+					for _, tl := range j.slowest(5) {
+						if tl.Root != "http/evaluate" {
+							t.Errorf("torn timeline %+v", tl)
+							return
+						}
+					}
+				}
+			}()
 			wg.Wait()
+			<-done
 			st := j.Stats()
 			total := uint64(workers * perWorker)
 			if st.Emitted != total {
@@ -347,8 +365,19 @@ func TestParseFilterErrors(t *testing.T) {
 			t.Fatalf("ParseFilter(%q) accepted a malformed value", bad)
 		}
 	}
+	// With several bad typed values the error names the same one every
+	// time: limit, then minLatencyMs, then degraded.
+	q, err := url.ParseQuery("limit=x&minLatencyMs=y&degraded=z")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		if _, err := ParseFilter(q); err == nil || !strings.HasPrefix(err.Error(), "limit must be") {
+			t.Fatalf("parse %d of three bad values: %v, want the limit error", i, err)
+		}
+	}
 	// limit above the cap clamps instead of erroring.
-	q, _ := url.ParseQuery("limit=99999")
+	q, _ = url.ParseQuery("limit=99999")
 	f, err := ParseFilter(q)
 	if err != nil || f.Limit != MaxQueryLimit {
 		t.Fatalf("limit clamp: got (%v, %v), want limit %d", f.Limit, err, MaxQueryLimit)
@@ -404,6 +433,60 @@ func TestHandler(t *testing.T) {
 	resp.Body.Close()
 	if !bytes.Contains(sb.Bytes(), []byte(`"events":[]`)) {
 		t.Fatalf("empty result body %q must carry \"events\":[]", sb.String())
+	}
+}
+
+// TestSinkOverflowDropsAndCounts: a sink writer that cannot keep up
+// must never block Finish — excess lines are dropped and counted, and
+// every line that was queued is still flushed by SetSink(nil).
+func TestSinkOverflowDropsAndCounts(t *testing.T) {
+	j := NewJournal(Options{Capacity: 4, SampleRate: 1, Now: fixedClock()})
+	release := make(chan struct{})
+	var delivered atomic.Uint64
+	j.SetSink(func([]byte) {
+		<-release
+		delivered.Add(1)
+	})
+	const n = eventSinkBufferLines + 64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			emitHealthy(j, fmt.Sprintf("r%d", i))
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Finish blocked on a stalled sink")
+	}
+	close(release)
+	j.SetSink(nil) // flushes the queue and stops the drainer
+	if j.SinkDropped() == 0 {
+		t.Fatal("expected overflow lines to be dropped and counted")
+	}
+	if got := delivered.Load() + j.SinkDropped(); got != n {
+		t.Fatalf("delivered %d + dropped %d = %d, want %d", delivered.Load(), j.SinkDropped(), got, n)
+	}
+}
+
+// TestContextRoundTrip: the request's builder travels through its
+// context, so every layer annotates the one event; a context without
+// one yields the nil builder, whose methods do nothing.
+func TestContextRoundTrip(t *testing.T) {
+	j := NewJournal(Options{Capacity: 4, SampleRate: 1, Now: fixedClock()})
+	b := j.Begin("ctx", "/evaluate")
+	ctx := ContextWith(context.Background(), b)
+	if got := FromContext(ctx); got != b {
+		t.Fatalf("FromContext = %p, want %p", got, b)
+	}
+	FromContext(ctx).SetPolicy("constant:a")
+	b.Finish(200)
+	if ev := j.Events()[0]; ev.Policy != "constant:a" {
+		t.Fatalf("annotation through the context lost: %+v", ev)
+	}
+	if FromContext(context.Background()) != nil {
+		t.Fatal("empty context must yield a nil builder")
 	}
 }
 

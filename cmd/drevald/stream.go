@@ -40,9 +40,11 @@ type streamPolicy struct {
 }
 
 // streamEngine owns the WAL, the appendable view and the per-policy
-// aggregates. One mutex serializes ingest, registration and O(1) reads
-// so WAL order, fold order and replay order are the same total order —
-// the property that makes crash replay bit-exact.
+// aggregates. The view's columns are its only history; a policy
+// registers from a snapshot of them. One mutex serializes ingest,
+// registration and O(1) reads so WAL order, fold order and replay
+// order are the same total order — the property that makes crash
+// replay bit-exact.
 type streamEngine struct {
 	srv      *server // whose config, metrics, log and bias report it uses
 	wal      *walog.Log
@@ -53,7 +55,6 @@ type streamEngine struct {
 
 	mu            sync.Mutex
 	builder       *core.ViewBuilder[traceio.FlatContext, string] // guarded by mu
-	records       core.Trace[traceio.FlatContext, string]        // guarded by mu
 	evals         map[string]*streamPolicy                       // guarded by mu
 	replayErr     error                                          // guarded by mu
 	lastBiasEpoch int                                            // guarded by mu
@@ -98,17 +99,13 @@ func (e *streamEngine) replay() {
 		if err != nil {
 			return fmt.Errorf("frame %d: %w", seq, err)
 		}
-		trace := traceio.ToCore(traceio.FlatTrace{Records: flat})
 		e.mu.Lock()
 		defer e.mu.Unlock()
-		for _, rec := range trace {
-			if err := e.builder.Append(rec); err != nil {
-				return fmt.Errorf("frame %d: %w", seq, err)
-			}
+		if err := (&traceio.IngestBatch{Records: flat}).AppendTo(e.builder); err != nil {
+			return fmt.Errorf("frame %d: %w", seq, err)
 		}
-		e.records = append(e.records, trace...)
-		e.replayed.Add(uint64(len(trace)))
-		e.srv.m.replayRecords.Add(uint64(len(trace)))
+		e.replayed.Add(uint64(len(flat)))
+		e.srv.m.replayRecords.Add(uint64(len(flat)))
 		return nil
 	})
 	e.mu.Lock()
@@ -172,7 +169,6 @@ var errNotDurable = errors.New("drevald: batch not durable")
 // never holds a batch replay would reject.
 func (e *streamEngine) ingest(batch *traceio.IngestBatch) (ingestResponse, error) {
 	payload := traceio.EncodeBatch(nil, batch.Records)
-	trace := traceio.ToCore(traceio.FlatTrace{Records: batch.Records})
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	res, err := e.wal.Append(payload)
@@ -186,7 +182,6 @@ func (e *streamEngine) ingest(batch *traceio.IngestBatch) (ingestResponse, error
 		// in-memory state no longer matches the WAL, so fail loudly.
 		return ingestResponse{}, fmt.Errorf("drevald: durable batch rejected by view (state diverged, restart to replay): %v", err)
 	}
-	e.records = append(e.records, trace...)
 	snap := e.builder.Snapshot()
 	for _, sp := range e.evals {
 		if err := sp.eval.Apply(snap, from); err != nil {
@@ -195,11 +190,11 @@ func (e *streamEngine) ingest(batch *traceio.IngestBatch) (ingestResponse, error
 	}
 	epoch := e.builder.Len()
 	e.srv.m.ingestBatches.Inc()
-	e.srv.m.ingestRecords.Add(uint64(len(trace)))
+	e.srv.m.ingestRecords.Add(uint64(len(batch.Records)))
 	e.publishLocked()
 	e.maybeRefreshBiasLocked(snap, epoch)
 	return ingestResponse{
-		Acked:   len(trace),
+		Acked:   len(batch.Records),
 		Seq:     res.Seq,
 		Segment: res.Segment,
 		Durable: res.Synced,
@@ -270,10 +265,13 @@ type streamResult struct {
 }
 
 // evaluate serves one streamed query: it registers the (policy, clip)
-// fingerprint on first use (one O(n) catch-up fold, holding the lock
-// so no batch is missed or double-counted) and afterwards answers from
-// running aggregates in O(1). refresh forces a re-registration —
-// refitting the reward model at the current epoch, which resets
+// fingerprint on first use and afterwards answers from running
+// aggregates in O(1). Registration fits the policy and the reward
+// model on one snapshot of the view and folds that snapshot into them
+// by context code, holding the lock so no batch is missed or
+// double-counted; a context interned later is absent from the
+// snapshot, so best-observed gives it its global fallback. refresh
+// forces a re-registration at the current epoch, which resets
 // staleness to zero.
 func (e *streamEngine) evaluate(spec string, clip float64, refresh bool) (streamResult, error) {
 	key := spec + "|clip=" + strconv.FormatFloat(clip, 'g', -1, 64)
@@ -281,14 +279,14 @@ func (e *streamEngine) evaluate(spec string, clip float64, refresh bool) (stream
 	defer e.mu.Unlock()
 	sp, ok := e.evals[key]
 	if !ok || refresh {
-		if e.builder.Len() == 0 {
+		snap := e.builder.Snapshot()
+		if snap.Len() == 0 {
 			return streamResult{}, errors.New("stream is empty: ingest records before evaluating without a trace")
 		}
-		policy, err := traceio.ParsePolicy(spec, e.records)
+		policy, err := traceio.ParsePolicyView(spec, snap)
 		if err != nil {
 			return streamResult{}, err
 		}
-		snap := e.builder.Snapshot()
 		model := core.FitTableView(snap)
 		eval := core.NewStreamEval(policy, model, core.StreamOptions{Clip: clip})
 		if err := eval.Apply(snap, 0); err != nil {

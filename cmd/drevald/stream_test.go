@@ -6,12 +6,14 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"drnet/internal/benchkit"
+	"drnet/internal/core"
 	"drnet/internal/resilience"
 	"drnet/internal/traceio"
 	"drnet/internal/walog"
@@ -81,33 +83,36 @@ func TestStreamEvaluateMatchesBatch(t *testing.T) {
 		t.Fatalf("final epoch %d, want %d", epoch, len(records))
 	}
 
-	for _, selfNorm := range []bool{false, true} {
-		opts := evalOptions{Clip: 5, SelfNormalize: selfNorm}
-		streamed := streamEvaluate(t, srv, "constant:c", opts)
-		resp := post(t, srv, "/evaluate", evalRequest{Trace: records, Policy: "constant:c", Options: opts})
-		var batch evalResponse
-		if err := json.NewDecoder(resp.Body).Decode(&batch); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
+	for _, policy := range []string{"constant:c", "best-observed"} {
+		for _, selfNorm := range []bool{false, true} {
+			opts := evalOptions{Clip: 5, SelfNormalize: selfNorm}
+			streamed := streamEvaluate(t, srv, policy, opts)
+			resp := post(t, srv, "/evaluate", evalRequest{Trace: records, Policy: policy, Options: opts})
+			var batch evalResponse
+			if err := json.NewDecoder(resp.Body).Decode(&batch); err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
 
-		if streamed.Stream == nil {
-			t.Fatal("streamed response missing the stream metadata block")
-		}
-		if streamed.Stream.Epoch != len(records) || streamed.Stream.StalenessRecords != 0 {
-			t.Fatalf("stream meta %+v, want epoch=%d staleness=0", streamed.Stream, len(records))
-		}
-		if batch.Stream != nil {
-			t.Fatal("batch response unexpectedly carries stream metadata")
-		}
-		// The model registers at the full epoch, so every block is the
-		// batch fit's on the same records, bit for bit.
-		if streamed.DM != batch.DM || streamed.IPS != batch.IPS || streamed.DR != batch.DR {
-			t.Fatalf("selfNorm=%v: streamed dm/ips/dr %+v %+v %+v, batch %+v %+v %+v",
-				selfNorm, streamed.DM, streamed.IPS, streamed.DR, batch.DM, batch.IPS, batch.DR)
-		}
-		if streamed.Diagnostics != batch.Diagnostics {
-			t.Fatalf("selfNorm=%v: diagnostics %+v != %+v", selfNorm, streamed.Diagnostics, batch.Diagnostics)
+			if streamed.Stream == nil {
+				t.Fatal("streamed response missing the stream metadata block")
+			}
+			if streamed.Stream.Epoch != len(records) || streamed.Stream.StalenessRecords != 0 {
+				t.Fatalf("stream meta %+v, want epoch=%d staleness=0", streamed.Stream, len(records))
+			}
+			if batch.Stream != nil {
+				t.Fatal("batch response unexpectedly carries stream metadata")
+			}
+			// The policy and the model register at the full epoch, so
+			// every block is the batch fit's on the same records, bit
+			// for bit.
+			if streamed.DM != batch.DM || streamed.IPS != batch.IPS || streamed.DR != batch.DR {
+				t.Fatalf("%s selfNorm=%v: streamed dm/ips/dr %+v %+v %+v, batch %+v %+v %+v",
+					policy, selfNorm, streamed.DM, streamed.IPS, streamed.DR, batch.DM, batch.IPS, batch.DR)
+			}
+			if streamed.Diagnostics != batch.Diagnostics {
+				t.Fatalf("%s selfNorm=%v: diagnostics %+v != %+v", policy, selfNorm, streamed.Diagnostics, batch.Diagnostics)
+			}
 		}
 	}
 
@@ -511,30 +516,42 @@ func TestStreamHealthzWALBlock(t *testing.T) {
 
 // TestStreamBiasRefresh: with BiasRefresh set, ingest republishes the
 // observatory report over the streamed view, stamped with the epoch.
+// A refresh asks the registered policy about contexts off the engine
+// lock while later batches intern contexts that policy never saw.
 func TestStreamBiasRefresh(t *testing.T) {
 	t.Parallel()
-	s, srv := startTest(t, func(c *config) { c.walDir, c.biasRefresh = t.TempDir(), 100 })
 	records := testTraceJSON(t, false)
-
-	ingestBatch(t, srv, records[:150])
-	streamEvaluate(t, srv, "constant:a", evalOptions{}) // register a policy
-	ingestBatch(t, srv, records[150:300])
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if st := s.lastBias.Load(); st != nil {
-			if !strings.HasPrefix(st.requestID, "ingest@epoch=") {
-				t.Fatalf("bias report stamped %q, want ingest@epoch=...", st.requestID)
+	for _, policy := range []string{"constant:a", "best-observed"} {
+		t.Run(policy, func(t *testing.T) {
+			t.Parallel()
+			s, srv := startTest(t, func(c *config) { c.walDir, c.biasRefresh = t.TempDir(), 100 })
+			ingestBatch(t, srv, records[:150])
+			streamEvaluate(t, srv, policy, evalOptions{}) // register a policy
+			for i := 150; i < len(records); i += 50 {
+				recs := append([]traceio.FlatRecord(nil), records[i:i+50]...)
+				for j := range recs {
+					recs[j].Features = []float64{recs[j].Features[0], float64(i + j)}
+				}
+				ingestBatch(t, srv, recs)
 			}
-			if st.report.Grade == "" {
-				t.Fatal("empty bias grade")
+
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				if st := s.lastBias.Load(); st != nil {
+					if !strings.HasPrefix(st.requestID, "ingest@epoch=") {
+						t.Fatalf("bias report stamped %q, want ingest@epoch=...", st.requestID)
+					}
+					if st.report.Grade == "" {
+						t.Fatal("empty bias grade")
+					}
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("bias refresh never published")
+				}
+				time.Sleep(5 * time.Millisecond)
 			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("bias refresh never published")
-		}
-		time.Sleep(5 * time.Millisecond)
+		})
 	}
 }
 
@@ -625,13 +642,7 @@ func TestIngestAckAllocsIndependentOfBatchSize(t *testing.T) {
 	s := newTestServer(t, func(c *config) { c.walDir, c.fsync = t.TempDir(), "never" })
 	h := s.routes()
 	records := testTraceJSONSized(t, false, 1000)
-	ack := func(body []byte) {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(body)))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("ingest status %d: %s", rec.Code, rec.Body)
-		}
-	}
+	ack := func(body []byte) { serveOK(t, h, "/ingest", body) }
 	ack(marshal(t, ingestRequest{Records: records}))
 	allocs := func(n int) float64 {
 		body := marshal(t, ingestRequest{Records: records[:n]})
@@ -644,5 +655,165 @@ func TestIngestAckAllocsIndependentOfBatchSize(t *testing.T) {
 	}
 	if large > small+40 {
 		t.Fatalf("a 1000-record ack allocates %.0f times, a 100-record ack %.0f: more than 40 apart", large, small)
+	}
+}
+
+// serveOK serves one POST to path on h in process and fails the test
+// unless it answers 200.
+func serveOK(t *testing.T, h http.Handler, path string, body []byte) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("%s status %d: %s", path, rec.Code, rec.Body)
+	}
+}
+
+// streamRecord is record i of a synthetic stream that logs context c,
+// one of 1,000 three-feature vectors, under a uniform logger over the
+// decisions a, b and c; the reward depends on the context, the
+// decision and i.
+func streamRecord(i, c int) traceio.FlatRecord {
+	d := (c + i/7) % 3
+	return traceio.FlatRecord{
+		Features:   []float64{float64(c % 10), float64(c / 10 % 10), float64(c / 100)},
+		Decision:   "abc"[d : d+1],
+		Reward:     float64(c%7)/7 + float64(d)/4 + float64(i%13)/100,
+		Propensity: 1.0 / 3,
+	}
+}
+
+// streamBatch is records [from, to) of the stream in which record i
+// logs context i mod 1,000, as one /ingest body.
+func streamBatch(t *testing.T, from, to int) []byte {
+	t.Helper()
+	recs := make([]traceio.FlatRecord, 0, to-from)
+	for i := from; i < to; i++ {
+		recs = append(recs, streamRecord(i, i%1000))
+	}
+	return marshal(t, ingestRequest{Records: recs})
+}
+
+// TestStreamRegistrationAllocsIndependentOfLength: registering a
+// streamed policy allocates within a small constant whatever the
+// stream's length. The policy, the reward model and the catch-up fold
+// all read one snapshot of the view by context code, so no record is
+// copied or keyed again. refreshModel makes every read register the
+// policy afresh.
+func TestStreamRegistrationAllocsIndependentOfLength(t *testing.T) {
+	registerBody := []byte(`{"policy":"best-observed","options":{"clip":10,"refreshModel":true}}`)
+	allocs := func(n int) float64 {
+		s := newTestServer(t, func(c *config) { c.walDir, c.fsync = t.TempDir(), "never" })
+		h := s.routes()
+		for off := 0; off < n; off += 100 {
+			serveOK(t, h, "/ingest", streamBatch(t, off, off+100))
+		}
+		return testing.AllocsPerRun(5, func() { serveOK(t, h, "/evaluate", registerBody) })
+	}
+	small, large := allocs(10_000), allocs(100_000)
+	t.Logf("allocations per registration: %.0f over 10,000 records, %.0f over 100,000", small, large)
+	if raceEnabled {
+		t.Skip("the response is encoded through encoding/json, whose encoder-state sync.Pool the race detector drains at random")
+	}
+	if large > small+64 {
+		t.Fatalf("registering over 100,000 records allocates %.0f times, over 10,000 %.0f: more than 64 apart", large, small)
+	}
+}
+
+// TestStreamHoldsHistoryOnce: the stream's only history is the view's
+// columns, 24 bytes per record (reward, propensity and two codes). The
+// live heap a server gains over 200,000 ingested records, with one
+// registered reader, stays within twice that, which leaves room for
+// the columns' growth slack and the server's fixed state but not for
+// a second copy of the records.
+func TestStreamHoldsHistoryOnce(t *testing.T) {
+	const records, maxPerRecord = 200_000, 48.0
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := newTestServer(t, func(c *config) { c.walDir, c.fsync = t.TempDir(), "never" })
+	h := s.routes()
+	for off := 0; off < records; off += 100 {
+		serveOK(t, h, "/ingest", streamBatch(t, off, off+100))
+		if off == 0 {
+			serveOK(t, h, "/evaluate", []byte(`{"policy":"best-observed","options":{"clip":10}}`))
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	perRecord := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / records
+	t.Logf("live heap grew %.1f B per ingested record", perRecord)
+	if perRecord > maxPerRecord {
+		t.Fatalf("live heap grew %.1f B per ingested record, want at most %.0f: the stream holds more than the view's columns", perRecord, maxPerRecord)
+	}
+}
+
+// TestStreamRegisteredPolicyKeepsItsPrefix: best-observed registered
+// halfway through a stream keeps answering from the prefix it was fit
+// on. Contexts first seen after registration get the prefix's global
+// fallback, and old contexts keep the prefix's choice and model, so a
+// plain streamed read equals, bit for bit, the policy and the reward
+// model fit on the prefix's own view, folded over every record.
+func TestStreamRegisteredPolicyKeepsItsPrefix(t *testing.T) {
+	t.Parallel()
+	_, srv := startTest(t, withWAL(t))
+	// The prefix logs contexts 0–499 under decisions a, b and c; the
+	// rest brings contexts 500–999 and decision d among more records of
+	// the old ones.
+	const half, total = 2000, 4000
+	all := make([]traceio.FlatRecord, total)
+	for i := range all {
+		c := i % 500
+		if i >= half {
+			c = i % 1000
+		}
+		all[i] = streamRecord(i, c)
+		if i >= half && i%10 == 3 {
+			all[i].Decision = "d"
+		}
+	}
+	opts := evalOptions{Clip: 10}
+	for off := 0; off < total; off += 100 {
+		ingestBatch(t, srv, all[off:off+100])
+		if off+100 == half {
+			if reg := streamEvaluate(t, srv, "best-observed", opts); reg.Stream.ModelEpoch != half {
+				t.Fatalf("registered at model epoch %d, want %d", reg.Stream.ModelEpoch, half)
+			}
+		}
+	}
+
+	prefix := traceio.ToCore(traceio.FlatTrace{Records: all[:half]})
+	policy, err := traceio.ParsePolicy("best-observed", prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefixView, err := core.NewTraceViewKeyed(prefix, traceio.FlatContext.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := core.NewTraceViewKeyed(traceio.ToCore(traceio.FlatTrace{Records: all}), traceio.FlatContext.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval := core.NewStreamEval(policy, core.FitTableView(prefixView), core.StreamOptions{Clip: opts.Clip})
+	if err := eval.Apply(view, 0); err != nil {
+		t.Fatal(err)
+	}
+	est, err := eval.Estimates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, selfNorm := range []bool{false, true} {
+		opts.SelfNormalize = selfNorm
+		got := streamEvaluate(t, srv, "best-observed", opts)
+		want := estimatesResponse(est, selfNorm)
+		if got.Stream.ModelEpoch != half || got.Stream.Epoch != total {
+			t.Fatalf("stream meta %+v, want modelEpoch=%d epoch=%d", got.Stream, half, total)
+		}
+		if got.DM != want.DM || got.IPS != want.IPS || got.DR != want.DR || got.Diagnostics != want.Diagnostics {
+			t.Fatalf("selfNorm=%v: streamed %+v %+v %+v %+v, reference %+v %+v %+v %+v", selfNorm,
+				got.DM, got.IPS, got.DR, got.Diagnostics, want.DM, want.IPS, want.DR, want.Diagnostics)
+		}
 	}
 }

@@ -14,7 +14,9 @@ package core
 // goes to the decision logged first: by that context for its own
 // cells, in the trace for the fallback. Answers are lookups into
 // tables built here, so the policy is pure; the estimators' tables
-// over v read them by context code. Distribution returns one shared,
+// over any snapshot of v's builder read them by context code. The
+// policy keeps v's builder, for its context index, and pins no column
+// the builder has since outgrown. Distribution returns one shared,
 // read-only slice per decision, so answering allocates nothing.
 func FitBestObserved[C any, D comparable](v *TraceView[C, D]) Policy[C, D] {
 	u, k := len(v.contexts), len(v.decisions)
@@ -34,7 +36,7 @@ func FitBestObserved[C any, D comparable](v *TraceView[C, D]) Policy[C, D] {
 		decSum[kc] += r
 		decCount[kc]++
 	}
-	p := &bestObserved[C, D]{view: v, best: make([]int32, u), dists: make([][]Weighted[D], k+1)}
+	p := &bestObserved[C, D]{src: v.src, best: make([]int32, u), dists: make([][]Weighted[D], k+1)}
 	for kc := range p.dists {
 		var d D
 		if kc > 0 {
@@ -54,10 +56,10 @@ func FitBestObserved[C any, D comparable](v *TraceView[C, D]) Policy[C, D] {
 
 // bestObserved is FitBestObserved's policy: a decision code per
 // context code of the view it was fit on, and one for other contexts.
-// dists[kc+1] is decision kc's distribution, dists[0] the zero
-// decision's.
+// src is that view's builder. dists[kc+1] is decision kc's
+// distribution, dists[0] the zero decision's.
 type bestObserved[C any, D comparable] struct {
-	view     *TraceView[C, D]
+	src      *ViewBuilder[C, D]
 	best     []int32
 	fallback int32
 	dists    [][]Weighted[D]
@@ -65,15 +67,18 @@ type bestObserved[C any, D comparable] struct {
 
 // Distribution implements Policy.
 func (p *bestObserved[C, D]) Distribution(c C) []Weighted[D] {
-	if u, ok := p.view.lookup(c); ok {
+	if u, ok := p.src.lookup(c, int32(len(p.best))); ok {
 		return p.distributionAt(int(u))
 	}
 	return p.dists[p.fallback+1]
 }
 
-// distributionAt is Distribution of the view's context u, without
+// distributionAt is Distribution of the builder's context u, without
 // resolving the context value to its code.
 func (p *bestObserved[C, D]) distributionAt(u int) []Weighted[D] {
+	if u >= len(p.best) {
+		return p.dists[p.fallback+1]
+	}
 	return p.dists[p.best[u]+1]
 }
 

@@ -16,13 +16,13 @@ import (
 // batch sizes, and two StreamEvals fed the same records in the same
 // order end in identical states — the WAL replay invariant.
 
-// ViewBuilder is an appendable TraceView: records stream in via
-// Append with exactly buildView's validation (same error text, same
-// record indexing), and Snapshot exposes the current prefix as a
-// read-only TraceView in O(K) — the backing columns are shared
-// (append-only, so the snapshotted prefix is immutable), only the
-// decision index is copied, and a snapshot resolves other contexts
-// through the builder's own context index.
+// ViewBuilder is an appendable TraceView, and every TraceView is one
+// of its snapshots: records stream in via Append with Trace.Validate's
+// checks (same error text, indexed by stream position), and Snapshot
+// exposes the current prefix as a read-only TraceView in O(K) — the
+// backing columns are shared (append-only, so the snapshotted prefix
+// is immutable), only the decision index is copied, and a snapshot
+// resolves other contexts through the builder's own context index.
 //
 // Append and Snapshot are safe for concurrent use with each other; the
 // returned views are immutable and safe to share across goroutines.
@@ -42,13 +42,14 @@ type ViewBuilder[C any, D comparable] struct {
 	intern func(C) (int32, bool)
 	// lookup resolves a context to the code the builder interned it
 	// under, reporting false unless that code is below n. It takes mu
-	// itself, so a snapshot, which holds only codes below its context
-	// count, reads the index a concurrent Append is writing safely.
+	// itself, so a snapshot or a fit on one, which holds only codes
+	// below its context count, reads the index a concurrent Append is
+	// writing safely.
 	lookup func(c C, n int32) (int32, bool)
 }
 
-// NewViewBuilder returns an empty builder interning contexts by value
-// (the streaming NewTraceView).
+// NewViewBuilder returns an empty builder interning contexts by value:
+// each snapshot is the NewTraceView of the records appended so far.
 func NewViewBuilder[C comparable, D comparable]() *ViewBuilder[C, D] {
 	b := newViewBuilder[C, D](nil)
 	index := make(map[C]int32)
@@ -70,8 +71,8 @@ func NewViewBuilder[C comparable, D comparable]() *ViewBuilder[C, D] {
 }
 
 // NewViewBuilderKeyed returns an empty builder interning contexts by
-// key (the streaming NewTraceViewKeyed). The key must be injective up
-// to behavioral equivalence, exactly as for NewTraceViewKeyed.
+// key: each snapshot is the NewTraceViewKeyed of the records appended
+// so far. The key must be injective up to behavioral equivalence.
 func NewViewBuilderKeyed[C any, D comparable](key func(C) string) *ViewBuilder[C, D] {
 	keys := make(map[string]int32)
 	b := newViewBuilder[C, D](keys)
@@ -100,7 +101,7 @@ func newViewBuilder[C any, D comparable](keys map[string]int32) *ViewBuilder[C, 
 	return &ViewBuilder[C, D]{decIndex: make(map[D]int32), keys: keys}
 }
 
-// Append validates and appends one record, returning buildView's exact
+// Append validates and appends one record, returning Trace.Validate's
 // error for invalid input (with the record's stream index). On error
 // nothing is appended.
 func (b *ViewBuilder[C, D]) Append(rec Record[C, D]) error {
@@ -163,8 +164,8 @@ func (b *ViewBuilder[C, D]) Known(key []byte) (int32, C, bool) {
 	return u, b.contexts[u], true
 }
 
-// checkLocked is Append's validation: buildView's checks, with the
-// record's stream index.
+// checkLocked is Append's validation: Trace.Validate's checks, with
+// the record's stream index.
 func (b *ViewBuilder[C, D]) checkLocked(rec Record[C, D]) error {
 	i := len(b.rewards)
 	if int64(i) >= math.MaxInt32 {
@@ -175,10 +176,22 @@ func (b *ViewBuilder[C, D]) checkLocked(rec Record[C, D]) error {
 
 // pushLocked appends a validated record whose context has code u.
 func (b *ViewBuilder[C, D]) pushLocked(rec Record[C, D], u int32, isNew bool) {
-	i := len(b.rewards)
+	k := b.dictLocked(rec, int32(len(b.rewards)), isNew)
+	b.ctxCodes = append(b.ctxCodes, u)
+	b.decCodes = append(b.decCodes, k)
+	b.rewards = append(b.rewards, rec.Reward)
+	b.propensities = append(b.propensities, rec.Propensity)
+}
+
+// dictLocked records rec's context as first seen at record i when
+// isNew, and returns the code of rec's decision, interning a decision
+// not seen before. pushLocked and fill share it, each writing the
+// record columns its own way; it is small enough for the compiler to
+// inline into both, so fill runs as fast as with its body written out.
+func (b *ViewBuilder[C, D]) dictLocked(rec Record[C, D], i int32, isNew bool) int32 {
 	if isNew {
 		b.contexts = append(b.contexts, rec.Context)
-		b.ctxFirst = append(b.ctxFirst, int32(i))
+		b.ctxFirst = append(b.ctxFirst, i)
 	}
 	k, ok := b.decIndex[rec.Decision]
 	if !ok {
@@ -186,10 +199,7 @@ func (b *ViewBuilder[C, D]) pushLocked(rec Record[C, D], u int32, isNew bool) {
 		b.decisions = append(b.decisions, rec.Decision)
 		b.decIndex[rec.Decision] = k
 	}
-	b.ctxCodes = append(b.ctxCodes, u)
-	b.decCodes = append(b.decCodes, k)
-	b.rewards = append(b.rewards, rec.Reward)
-	b.propensities = append(b.propensities, rec.Propensity)
+	return k
 }
 
 // Len returns the number of records appended so far.
@@ -209,6 +219,11 @@ func (b *ViewBuilder[C, D]) Len() int {
 func (b *ViewBuilder[C, D]) Snapshot() *TraceView[C, D] {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	return b.snapshotLocked()
+}
+
+// snapshotLocked is Snapshot with b.mu held.
+func (b *ViewBuilder[C, D]) snapshotLocked() *TraceView[C, D] {
 	n := len(b.rewards)
 	u := len(b.contexts)
 	k := len(b.decisions)
@@ -225,7 +240,7 @@ func (b *ViewBuilder[C, D]) Snapshot() *TraceView[C, D] {
 		ctxFirst:     b.ctxFirst[:u:u],
 		decisions:    b.decisions[:k:k],
 		decIndex:     decIndex,
-		lookup:       func(c C) (int32, bool) { return b.lookup(c, int32(u)) },
+		src:          b,
 	}
 }
 

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -62,7 +64,8 @@ func growingTrace(n int) (Trace[float64, int], Policy[float64, int], RewardModel
 // 100 records and compares every reading with the batch calls over the
 // same prefix — every field, StdErr and SN-DR included, bit for bit —
 // for a pure model and a table model frozen on an early prefix
-// (drevald's registration flow).
+// (drevald's registration flow), on a builder interning by value and
+// on a keyed one (drevald's featurized contexts).
 func TestStreamEvalMatchesBatchEstimators(t *testing.T) {
 	const n = 600
 	tr, np, pure := growingTrace(n)
@@ -74,34 +77,37 @@ func TestStreamEvalMatchesBatchEstimators(t *testing.T) {
 	}
 	models := map[string]RewardModel[float64, int]{"pure": pure, "table": FitTableView(early.Snapshot())}
 	for mname, model := range models {
-		for _, size := range []int{1, 7, 100} {
-			for _, clip := range []float64{0, 3} {
-				b := NewViewBuilder[float64, int]()
-				se := NewStreamEval(np, model, StreamOptions{Clip: clip})
-				for from := 0; from < n; from += size {
-					for _, rec := range tr[from:min(from+size, n)] {
-						if err := b.Append(rec); err != nil {
+		for _, bc := range snapshotBuilders {
+			for _, size := range []int{1, 7, 100} {
+				for _, clip := range []float64{0, 3} {
+					name := fmt.Sprintf("%s model, %s builder, size=%d clip=%g", mname, bc.name, size, clip)
+					b := bc.new()
+					se := NewStreamEval(np, model, StreamOptions{Clip: clip})
+					for from := 0; from < n; from += size {
+						for _, rec := range tr[from:min(from+size, n)] {
+							if err := b.Append(rec); err != nil {
+								t.Fatal(err)
+							}
+						}
+						snap := b.Snapshot()
+						if err := se.Apply(snap, from); err != nil {
 							t.Fatal(err)
 						}
+						got, err := se.Estimates()
+						if err != nil {
+							t.Fatalf("%s at %d: %v", name, snap.Len(), err)
+						}
+						want, err := batchEstimates(snap, np, model, clip)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got != want {
+							t.Fatalf("%s at %d:\nstream %+v\nbatch  %+v", name, snap.Len(), got, want)
+						}
 					}
-					snap := b.Snapshot()
-					if err := se.Apply(snap, from); err != nil {
-						t.Fatal(err)
+					if v := b.Snapshot(); v.NumDecisions() != 4 || v.NumContexts() <= 8 {
+						t.Fatalf("trace did not grow its dictionaries: %d decisions, %d contexts", v.NumDecisions(), v.NumContexts())
 					}
-					got, err := se.Estimates()
-					if err != nil {
-						t.Fatalf("%s size=%d clip=%g at %d: %v", mname, size, clip, snap.Len(), err)
-					}
-					want, err := batchEstimates(snap, np, model, clip)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got != want {
-						t.Fatalf("%s size=%d clip=%g at %d:\nstream %+v\nbatch  %+v", mname, size, clip, snap.Len(), got, want)
-					}
-				}
-				if v := b.Snapshot(); v.NumDecisions() != 4 || v.NumContexts() <= 8 {
-					t.Fatalf("trace did not grow its dictionaries: %d decisions, %d contexts", v.NumDecisions(), v.NumContexts())
 				}
 			}
 		}
@@ -176,6 +182,8 @@ func TestStreamEvalReplayBitExact(t *testing.T) {
 
 // TestViewBuilderSnapshotEqualsBatchView: the builder's final snapshot
 // must be indistinguishable from NewTraceView over the same records.
+// Both intern through the builder's dictionary step, but Append grows
+// the columns record by record while NewTraceView writes them presized.
 func TestViewBuilderSnapshotEqualsBatchView(t *testing.T) {
 	const n = 2000
 	tr, _, _ := quantizedTrace(n)
@@ -200,18 +208,20 @@ func TestViewBuilderSnapshotEqualsBatchView(t *testing.T) {
 			t.Fatalf("record %d: %+v != %+v", i, snap.At(i), want.At(i))
 		}
 	}
-	// The lookup closure must resolve every interned context.
+	// The builder's lookup must resolve every interned context.
 	for u := 0; u < snap.NumContexts(); u++ {
 		c := snap.contexts[u]
-		if code, ok := snap.lookup(c); !ok || int(code) != u {
+		if code, ok := snap.src.lookup(c, int32(snap.NumContexts())); !ok || int(code) != u {
 			t.Fatalf("lookup(%v) = (%d,%v), want (%d,true)", c, code, ok, u)
 		}
 	}
 }
 
-// TestViewBuilderValidationMatchesBuildView: Append's rejection text is
-// byte-identical to buildView's, at the same record index.
-func TestViewBuilderValidationMatchesBuildView(t *testing.T) {
+// TestViewBuilderRejectedAppendKeepsLen: Append rejects a bad record
+// with Trace.Validate's error at the same record index, and leaves the
+// builder as it was. FuzzNewTraceView checks NewTraceView's rejections
+// against Trace.Validate.
+func TestViewBuilderRejectedAppendKeepsLen(t *testing.T) {
 	good := Record[float64, int]{Context: 0.5, Decision: 1, Reward: 1, Propensity: 0.5}
 	cases := []Record[float64, int]{
 		{Context: 0.1, Decision: 0, Reward: 1, Propensity: 0},
@@ -223,28 +233,19 @@ func TestViewBuilderValidationMatchesBuildView(t *testing.T) {
 		{Context: 0.1, Decision: 0, Reward: math.Inf(-1), Propensity: 0.5},
 	}
 	for ci, bad := range cases {
-		// Two good records first, so the failing index is non-zero.
-		tr := Trace[float64, int]{good, good, bad}
-		_, wantErr := NewTraceView(tr)
-		if wantErr == nil {
-			t.Fatalf("case %d: batch accepted bad record", ci)
-		}
 		b := NewViewBuilder[float64, int]()
 		for i := 0; i < 2; i++ {
 			if err := b.Append(good); err != nil {
 				t.Fatalf("case %d: good Append: %v", ci, err)
 			}
 		}
-		err := b.Append(bad)
-		if err == nil {
-			t.Fatalf("case %d: builder accepted bad record", ci)
+		wantErr := Trace[float64, int]{good, good, bad}.Validate()
+		if err := b.Append(bad); err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("case %d: Append error %v, want Trace.Validate's %v", ci, err, wantErr)
 		}
-		if err.Error() != wantErr.Error() {
-			t.Fatalf("case %d: %q != batch %q", ci, err.Error(), wantErr.Error())
-		}
-		// Nothing appended: the builder still has 2 records.
-		if b.Len() != 2 {
-			t.Fatalf("case %d: Len %d after rejected append", ci, b.Len())
+		if v := b.Snapshot(); v.Len() != 2 || v.NumContexts() != 1 || v.NumDecisions() != 1 {
+			t.Fatalf("case %d: (%d records, %d contexts, %d decisions) after a rejected append, want (2, 1, 1)",
+				ci, v.Len(), v.NumContexts(), v.NumDecisions())
 		}
 	}
 }
@@ -406,47 +407,6 @@ func TestViewBuilderConcurrentSnapshotAppend(t *testing.T) {
 	}
 }
 
-// TestViewBuilderKeyedMatchesKeyedView mirrors the snapshot-equality
-// check for the keyed constructor (drevald's featurized contexts).
-func TestViewBuilderKeyedMatchesKeyedView(t *testing.T) {
-	key := func(c float64) string { return fmt.Sprintf("%.3f", c) }
-	const n = 1500
-	tr, np, model := quantizedTrace(n)
-	b := NewViewBuilderKeyed[float64, int](key)
-	se := NewStreamEval(np, model, StreamOptions{})
-	for i, rec := range tr {
-		if err := b.Append(rec); err != nil {
-			t.Fatalf("Append %d: %v", i, err)
-		}
-	}
-	snap := b.Snapshot()
-	if err := se.Apply(snap, 0); err != nil {
-		t.Fatalf("Apply: %v", err)
-	}
-	want, err := NewTraceViewKeyed(tr, key)
-	if err != nil {
-		t.Fatalf("NewTraceViewKeyed: %v", err)
-	}
-	got, err := se.Estimates()
-	if err != nil {
-		t.Fatalf("Estimates: %v", err)
-	}
-	wantDR, err := DoublyRobustView(want, np, model, DROptions{})
-	if err != nil {
-		t.Fatalf("batch DR: %v", err)
-	}
-	if got.DR != wantDR {
-		t.Fatalf("keyed DR: %+v != %+v", got.DR, wantDR)
-	}
-	wantDiag, err := DiagnoseView(want, np)
-	if err != nil {
-		t.Fatalf("batch Diagnose: %v", err)
-	}
-	if got.Diagnostics != wantDiag {
-		t.Fatalf("keyed Diagnose: %+v != %+v", got.Diagnostics, wantDiag)
-	}
-}
-
 // TestStreamEvalEstimatesAllocatesNothing pins the streamed read's O(1)
 // claim: Estimates reads only the fold's running scalars, so it
 // allocates nothing, after 500 records and after 50,000 alike.
@@ -473,6 +433,41 @@ func TestStreamEvalEstimatesAllocatesNothing(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("n=%d: Estimates allocates %.0f times per read, want 0", upto, allocs)
 		}
+	}
+}
+
+// TestViewBuilderKeyedMatchesKeyedView: a keyed builder fed one Append
+// per record reads, through a StreamEval, what the batch calls read
+// over NewTraceViewKeyed's one-pass fill of the same trace — every
+// field, bit for bit (drevald's featurized contexts).
+func TestViewBuilderKeyedMatchesKeyedView(t *testing.T) {
+	key := func(c float64) string { return fmt.Sprintf("%.3f", c) }
+	const n = 1500
+	tr, np, model := quantizedTrace(n)
+	b := NewViewBuilderKeyed[float64, int](key)
+	se := NewStreamEval(np, model, StreamOptions{})
+	for i, rec := range tr {
+		if err := b.Append(rec); err != nil {
+			t.Fatalf("Append %d: %v", i, err)
+		}
+	}
+	if err := se.Apply(b.Snapshot(), 0); err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	got, err := se.Estimates()
+	if err != nil {
+		t.Fatalf("Estimates: %v", err)
+	}
+	v, err := NewTraceViewKeyed(tr, key)
+	if err != nil {
+		t.Fatalf("NewTraceViewKeyed: %v", err)
+	}
+	want, err := batchEstimates(v, np, model, 0)
+	if err != nil {
+		t.Fatalf("batch: %v", err)
+	}
+	if got != want {
+		t.Fatalf("keyed:\nstream %+v\nbatch  %+v", got, want)
 	}
 }
 
@@ -526,19 +521,122 @@ func TestViewBuilderSnapshotLookupStopsAtItsContexts(t *testing.T) {
 		snap := b.Snapshot()
 		add(3)
 		add(1)
-		if u, ok := snap.lookup(2); !ok || u != 1 {
+		if u, ok := snap.src.lookup(2, int32(snap.NumContexts())); !ok || u != 1 {
 			t.Errorf("%s: snapshot lookup(2) = (%d, %v), want (1, true)", bc.name, u, ok)
 		}
-		if u, ok := snap.lookup(3); ok {
+		if u, ok := snap.src.lookup(3, int32(snap.NumContexts())); ok {
 			t.Errorf("%s: snapshot resolves context 3, interned after it, to code %d", bc.name, u)
 		}
-		if u, ok := b.Snapshot().lookup(3); !ok || u != 2 {
+		later := b.Snapshot()
+		if u, ok := later.src.lookup(3, int32(later.NumContexts())); !ok || u != 2 {
 			t.Errorf("%s: later snapshot lookup(3) = (%d, %v), want (2, true)", bc.name, u, ok)
 		}
 		model := FitTableView(snap)
 		if got := model.Predict(3, 0); got != model.Default() {
 			t.Errorf("%s: model fit on the snapshot predicts %g for a later context, want its default %g", bc.name, got, model.Default())
 		}
+	}
+}
+
+// TestFitKeepsNoColumns: a best-observed policy and a table model fit
+// on a snapshot keep the builder and their own per-cell tables, not the
+// snapshot's columns, so once the builder outgrows those columns a
+// registered stream policy pins none of them.
+func TestFitKeepsNoColumns(t *testing.T) {
+	b := NewViewBuilder[int, int]()
+	grow := func(n int) {
+		for i := b.Len(); i < n; i++ {
+			if err := b.Append(Record[int, int]{Context: i % 1000, Decision: i % 3, Reward: float64(i % 7), Propensity: 0.5}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	liveHeap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	// The snapshot is only fit's argument, so no variable here keeps it.
+	fit := func(v *TraceView[int, int]) []any { return []any{FitBestObserved(v), FitTableView(v)} }
+
+	grow(100000)
+	fits := fit(b.Snapshot())
+	grow(400000)
+	with := liveHeap()
+	clear(fits)
+	without := liveHeap()
+	runtime.KeepAlive(fits)
+	runtime.KeepAlive(b)
+	if kept := with - without; kept > 1<<19 {
+		t.Errorf("two fits at 100,000 records keep %.2f MB alive after the builder grows to 400,000, want < 0.5 MB", float64(kept)/(1<<20))
+	}
+}
+
+// TestLaterSnapshotKeysNoContext: a StreamEval whose policy and model
+// were fit on an early snapshot folds a later snapshot of the same
+// builder by context code, even when it brings new contexts and a new
+// decision, and reads exactly what the by-value path reads. The other
+// way round, DM and DR over the early snapshot with a policy and model
+// fit on the later one, which knows a decision the early one lacks,
+// also read exactly what the by-value path reads.
+func TestLaterSnapshotKeysNoContext(t *testing.T) {
+	keys := 0
+	b := NewViewBuilderKeyed[int, int](func(c int) string { keys++; return strconv.Itoa(c) })
+	grow := func(n, decisions int) *TraceView[int, int] {
+		for i := b.Len(); i < n; i++ {
+			d := i % decisions
+			if err := b.Append(Record[int, int]{Context: i % 1000, Decision: d, Reward: float64(i%7) + float64(d), Propensity: 1 / float64(decisions)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b.Snapshot()
+	}
+	early := grow(500, 2)
+	p, m := FitBestObserved(early), FitTableView(early)
+	byCode := NewStreamEval(p, m, StreamOptions{Clip: 3})
+	byValue := NewStreamEval(FuncPolicy[int, int](p.Distribution), RewardFunc[int, int](m.Predict), StreamOptions{Clip: 3})
+	later := grow(5000, 3)
+	if later.NumContexts() != 1000 || later.NumDecisions() != 3 {
+		t.Fatalf("later snapshot has %d contexts and %d decisions, want 1000 and 3", later.NumContexts(), later.NumDecisions())
+	}
+	for _, snap := range []*TraceView[int, int]{early, later} {
+		from := byCode.N()
+		keys = 0
+		if err := byCode.Apply(snap, from); err != nil {
+			t.Fatal(err)
+		}
+		if keys != 0 {
+			t.Errorf("Apply over a %d-record snapshot keyed %d contexts, want 0", snap.Len(), keys)
+		}
+		if err := byValue.Apply(snap, from); err != nil {
+			t.Fatal(err)
+		}
+		if keys == 0 {
+			t.Fatal("the by-value wrappers keyed no context: they did not take the by-value path")
+		}
+	}
+	got, gotErr := byCode.Estimates()
+	want, wantErr := byValue.Estimates()
+	if gotErr != nil || wantErr != nil || got != want {
+		t.Fatalf("by code %+v (%v)\nby value %+v (%v)", got, gotErr, want, wantErr)
+	}
+
+	pLater, mLater := FitBestObserved(later), FitTableView(later)
+	pValue, mValue := FuncPolicy[int, int](pLater.Distribution), RewardFunc[int, int](mLater.Predict)
+	if pLater.Distribution(7)[0].Decision != 2 {
+		t.Fatal("the later policy does not choose the decision the early snapshot lacks")
+	}
+	dm, dmErr := DirectMethodView(early, pLater, mLater)
+	dmWant, dmWantErr := DirectMethodView(early, pValue, mValue)
+	if dmErr != nil || dmWantErr != nil || dm != dmWant {
+		t.Errorf("DM over the early snapshot with a later fit: by code %+v (%v), by value %+v (%v)", dm, dmErr, dmWant, dmWantErr)
+	}
+	dr, drErr := DoublyRobustView(early, pLater, mLater, DROptions{Clip: 3})
+	drWant, drWantErr := DoublyRobustView(early, pValue, mValue, DROptions{Clip: 3})
+	if drErr != nil || drWantErr != nil || dr != drWant {
+		t.Errorf("DR over the early snapshot with a later fit: by code %+v (%v), by value %+v (%v)", dr, drErr, drWant, drWantErr)
 	}
 }
 
@@ -573,7 +671,7 @@ func TestViewBuilderKeyedLookupsDuringAppend(t *testing.T) {
 					return
 				}
 				snap := b.Snapshot()
-				if u, ok := snap.lookup(c); ok && (int(u) >= snap.NumContexts() || int(u) != int(c)) {
+				if u, ok := snap.src.lookup(c, int32(snap.NumContexts())); ok && (int(u) >= snap.NumContexts() || int(u) != int(c)) {
 					t.Errorf("snapshot of %d contexts resolves %v to %d", snap.NumContexts(), c, u)
 					return
 				}

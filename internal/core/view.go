@@ -9,11 +9,12 @@ import (
 // TraceView is a struct-of-arrays projection of a Trace: the float
 // columns (rewards, propensities) are contiguous, and the generic
 // context/decision values are interned into small-integer codes with a
-// dictionary back to the original values. It is built once from a
-// Trace and then shared, read-only, by every estimator evaluation —
-// the *View estimator variants compute from the columns with pooled
-// scratch buffers instead of walking []Record, and the bootstrap
-// resamples it by index instead of copying records.
+// dictionary back to the original values. Every view is a ViewBuilder
+// snapshot (NewTraceView fills a fresh builder), shared, read-only, by
+// every estimator evaluation — the *View estimator variants compute
+// from the columns with pooled scratch buffers instead of walking
+// []Record, and the bootstrap resamples it by index instead of copying
+// records.
 //
 // Invariants established at construction and relied on by the hot
 // path:
@@ -21,7 +22,8 @@ import (
 //     reward), so the estimators skip re-validation;
 //   - contexts/decisions dictionaries are in first-occurrence order,
 //     so per-unique-context work observes values in the same order a
-//     sequential record scan would;
+//     sequential record scan would, and every snapshot of a builder
+//     gives a context or decision the same code;
 //   - len(contexts)·len(decisions) tables fit in memory (the estimators
 //     build per-(context,decision) tables; interning is designed for
 //     traces whose context/decision spaces are much smaller than n,
@@ -46,30 +48,16 @@ type TraceView[C any, D comparable] struct {
 	ctxFirst  []int32
 	decisions []D
 	decIndex  map[D]int32
-	// lookup resolves an arbitrary context value to its code (closure
-	// over the constructor's interning map, so the comparable and
-	// keyed constructors share one struct layout).
-	lookup func(C) (int32, bool)
+	// src is the builder the view is a prefix of; src.lookup(c,
+	// len(contexts)) resolves a context value to the view's code.
+	src *ViewBuilder[C, D]
 }
 
 // NewTraceView builds a columnar view of t, interning contexts by
 // value (C must be comparable). It validates exactly like
 // Trace.Validate and fails with the same error on the same record.
 func NewTraceView[C comparable, D comparable](t Trace[C, D]) (*TraceView[C, D], error) {
-	index := make(map[C]int32)
-	intern := func(c C) (int32, bool) {
-		if u, ok := index[c]; ok {
-			return u, false
-		}
-		u := int32(len(index))
-		index[c] = u
-		return u, true
-	}
-	lookup := func(c C) (int32, bool) {
-		u, ok := index[c]
-		return u, ok
-	}
-	return buildView(context.Background(), t, intern, lookup)
+	return fill(context.Background(), NewViewBuilder[C, D](), t)
 }
 
 // NewTraceViewKeyed builds a columnar view of t for context types that
@@ -87,38 +75,20 @@ func NewTraceViewKeyed[C any, D comparable](t Trace[C, D], key func(C) string) (
 // cancellation: ctx is checked once per chunk of records during the
 // build pass.
 func NewTraceViewKeyedCtx[C any, D comparable](ctx context.Context, t Trace[C, D], key func(C) string) (*TraceView[C, D], error) {
-	index := make(map[string]int32)
-	intern := func(c C) (int32, bool) {
-		k := key(c)
-		if u, ok := index[k]; ok {
-			return u, false
-		}
-		u := int32(len(index))
-		index[k] = u
-		return u, true
-	}
-	lookup := func(c C) (int32, bool) {
-		u, ok := index[key(c)]
-		return u, ok
-	}
-	return buildView(ctx, t, intern, lookup)
+	return fill(ctx, NewViewBuilderKeyed[C, D](key), t)
 }
 
-// buildView is the shared constructor body: one pass that validates
-// (with Trace.Validate's exact semantics and error text), interns, and
-// fills the columns.
-func buildView[C any, D comparable](ctx context.Context, t Trace[C, D], intern func(C) (int32, bool), lookup func(C) (int32, bool)) (*TraceView[C, D], error) {
+// fill appends t to the empty builder b under one hold of b.mu and
+// returns its snapshot. It checks and interns each record as Append
+// does, but writes the four columns, presized to len(t), by index.
+func fill[C any, D comparable](ctx context.Context, b *ViewBuilder[C, D], t Trace[C, D]) (*TraceView[C, D], error) {
 	if int64(len(t)) > math.MaxInt32 {
 		return nil, fmt.Errorf("core: trace length %d exceeds TraceView capacity", len(t))
 	}
-	v := &TraceView[C, D]{
-		rewards:      make([]float64, len(t)),
-		propensities: make([]float64, len(t)),
-		ctxCodes:     make([]int32, len(t)),
-		decCodes:     make([]int32, len(t)),
-		decIndex:     make(map[D]int32),
-		lookup:       lookup,
-	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	rewards, propensities := make([]float64, len(t)), make([]float64, len(t))
+	ctxCodes, decCodes := make([]int32, len(t)), make([]int32, len(t))
 	for i, rec := range t {
 		if i%estimatorGrain == 0 {
 			if err := ctx.Err(); err != nil {
@@ -128,23 +98,13 @@ func buildView[C any, D comparable](ctx context.Context, t Trace[C, D], intern f
 		if err := checkRecord(i, rec.Propensity, rec.Reward); err != nil {
 			return nil, err
 		}
-		u, isNew := intern(rec.Context)
-		if isNew {
-			v.contexts = append(v.contexts, rec.Context)
-			v.ctxFirst = append(v.ctxFirst, int32(i))
-		}
-		k, ok := v.decIndex[rec.Decision]
-		if !ok {
-			k = int32(len(v.decisions))
-			v.decisions = append(v.decisions, rec.Decision)
-			v.decIndex[rec.Decision] = k
-		}
-		v.ctxCodes[i] = u
-		v.decCodes[i] = k
-		v.rewards[i] = rec.Reward
-		v.propensities[i] = rec.Propensity
+		u, isNew := b.intern(rec.Context)
+		k := b.dictLocked(rec, int32(i), isNew) // inlined as a statement of its own
+		ctxCodes[i], decCodes[i] = u, k
+		rewards[i], propensities[i] = rec.Reward, rec.Propensity
 	}
-	return v, nil
+	b.rewards, b.propensities, b.ctxCodes, b.decCodes = rewards, propensities, ctxCodes, decCodes
+	return b.snapshotLocked(), nil
 }
 
 // Len returns the number of records in the view.

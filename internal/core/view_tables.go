@@ -119,8 +119,9 @@ type Evaluation[C any, D comparable] struct {
 	policy Policy[C, D]
 	model  RewardModel[C, D] // nil for policy-only tables
 	entDec []D               // each entry's decision, to resolve codes as the dictionary grows
-	// fast is the model when it is a ViewTableModel fit on the view
-	// being extended: its dense cells are read directly.
+	// fast is the model when it is a ViewTableModel fit on a snapshot
+	// of the extended view's builder that knows no decision the view
+	// lacks: its dense cells are read directly.
 	fast *ViewTableModel[C, D]
 	v    *TraceView[C, D] // NewEvaluation's view; nil in a StreamEval's table
 }
@@ -154,10 +155,13 @@ func (tb *Evaluation[C, D]) Probs() ([]float64, error) { return tb.probLast, tb.
 // extend brings the table up to v's dictionaries: columns for new
 // decisions, then rows for contexts first seen since the last call. v
 // must extend the view the table was last extended with (a later
-// ViewBuilder snapshot), as it does for a StreamEval.
+// ViewBuilder snapshot), as it does for a StreamEval. A fit on a
+// snapshot of v's builder is read by code, since codes never change;
+// a model only if it knows no decision v lacks, because fillModel
+// reads an entry whose decision v lacks as the default.
 func (tb *Evaluation[C, D]) extend(v *TraceView[C, D]) {
 	tb.fast, _ = tb.model.(*ViewTableModel[C, D])
-	if tb.fast != nil && tb.fast.view != v {
+	if tb.fast != nil && (tb.fast.src != v.src || tb.fast.k > len(v.decisions)) {
 		tb.fast = nil
 	}
 	if k := len(v.decisions); k > tb.k {
@@ -184,7 +188,7 @@ func (tb *Evaluation[C, D]) extend(v *TraceView[C, D]) {
 		}
 	}
 	fit, _ := tb.policy.(*bestObserved[C, D])
-	if fit != nil && fit.view != v {
+	if fit != nil && fit.src != v.src {
 		fit = nil
 	}
 	for u := tb.numCtx; u < len(v.contexts); u++ {
@@ -264,7 +268,7 @@ func (tb *Evaluation[C, D]) fillModel(v *TraceView[C, D], u, k0 int) {
 	row, c, m := u*tb.k, v.contexts[u], tb.fast
 	for kc := k0; kc < tb.k; kc++ {
 		if m != nil {
-			tb.pred[row+kc] = m.predictCell(row + kc)
+			tb.pred[row+kc] = m.at(u, kc)
 		} else {
 			tb.pred[row+kc] = tb.model.Predict(c, v.decisions[kc])
 		}
@@ -284,7 +288,7 @@ func (tb *Evaluation[C, D]) fillModel(v *TraceView[C, D], u, k0 int) {
 		case tb.entCode[j] < 0:
 			s += p * m.def
 		default:
-			s += p * m.predictCell(row+int(tb.entCode[j]))
+			s += p * m.at(u, int(tb.entCode[j]))
 		}
 	}
 	tb.dm[u] = s
@@ -294,39 +298,43 @@ func (tb *Evaluation[C, D]) fillModel(v *TraceView[C, D], u, k0 int) {
 // (context, decision) mean rewards stored densely over a view's
 // dictionary codes, with the fit trace's mean reward as the fallback
 // for unseen pairs. FitTableView builds one; the view estimators
-// recognize a model bound to the same view and bypass Predict's map
-// lookups entirely.
+// recognize a model fit on a snapshot of the same builder and bypass
+// Predict's map lookups entirely. It keeps the view's builder, for its
+// context index, and pins no column the builder has since outgrown.
 //
 // It is bit-identical to FitTable with any key function that is
 // injective per (interned context, decision) pair — e.g. drevald's
 // c.Key()+"|"+d — because both accumulate per-cell sums in record
 // order and share the same default.
 type ViewTableModel[C any, D comparable] struct {
-	view   *TraceView[C, D]
-	k      int
-	vals   []float64
-	counts []int32
-	def    float64
+	src      *ViewBuilder[C, D]
+	decIndex map[D]int32
+	u, k     int
+	vals     []float64
+	counts   []int32
+	def      float64
 }
 
 // Predict implements RewardModel.
 func (m *ViewTableModel[C, D]) Predict(c C, d D) float64 {
-	u, ok := m.view.lookup(c)
+	u, ok := m.src.lookup(c, int32(m.u))
 	if !ok {
 		return m.def
 	}
-	kc, ok := m.view.decIndex[d]
+	kc, ok := m.decIndex[d]
 	if !ok {
 		return m.def
 	}
-	return m.predictCell(int(u)*m.k + int(kc))
+	return m.at(int(u), int(kc))
 }
 
-func (m *ViewTableModel[C, D]) predictCell(cell int) float64 {
-	if m.counts[cell] == 0 {
+// at is Predict by code: the default for a cell the fit never logged,
+// or one interned after the fit (off its u×k grid).
+func (m *ViewTableModel[C, D]) at(u, kc int) float64 {
+	if u >= m.u || kc >= m.k || m.counts[u*m.k+kc] == 0 {
 		return m.def
 	}
-	return m.vals[cell]
+	return m.vals[u*m.k+kc]
 }
 
 // Default returns the fallback prediction (the fit records' mean
@@ -346,10 +354,12 @@ func FitTableView[C any, D comparable](v *TraceView[C, D]) *ViewTableModel[C, D]
 func FitTableViewCtx[C any, D comparable](ctx context.Context, v *TraceView[C, D]) (*ViewTableModel[C, D], error) {
 	numCtx, k := len(v.contexts), len(v.decisions)
 	m := &ViewTableModel[C, D]{
-		view:   v,
-		k:      k,
-		vals:   make([]float64, numCtx*k),
-		counts: make([]int32, numCtx*k),
+		src:      v.src,
+		decIndex: v.decIndex,
+		u:        numCtx,
+		k:        k,
+		vals:     make([]float64, numCtx*k),
+		counts:   make([]int32, numCtx*k),
 	}
 	total := 0.0
 	for i := range v.rewards {

@@ -63,8 +63,8 @@ type sink struct {
 //	ts=2017-11-15T10:00:00.000Z level=info msg="request served" route=/evaluate status=200
 //
 // It is safe for concurrent use; lines are written atomically. The
-// sink and clock are injectable so tests can capture deterministic
-// output.
+// sink is swappable (SetOutput), and the clock is a field this
+// package's tests pin, so output can be captured deterministically.
 type Logger struct {
 	s     *sink
 	level *atomic.Int32
@@ -87,14 +87,8 @@ func (l *Logger) SetOutput(w io.Writer) {
 	l.s.w = w
 }
 
-// SetLevel changes the minimum level; shared with With-derived children.
-func (l *Logger) SetLevel(level Level) { l.level.Store(int32(level)) }
-
 // Enabled reports whether a message at level would be written.
 func (l *Logger) Enabled(level Level) bool { return level >= Level(l.level.Load()) }
-
-// SetClock overrides the timestamp source (tests).
-func (l *Logger) SetClock(now func() time.Time) { l.now = now }
 
 // With returns a child logger whose lines always carry the given
 // key=value fields. The child shares the parent's sink and level.

@@ -16,7 +16,7 @@ func fixedClock() time.Time {
 func TestLoggerFormat(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewLogger(&buf, LevelDebug)
-	l.SetClock(fixedClock)
+	l.now = fixedClock
 	l.Info("request served", "route", "/evaluate", "status", 200, "durMs", 12.5, "note", "two words")
 	want := `ts=2017-11-15T10:00:00.000Z level=info msg="request served" route=/evaluate status=200 durMs=12.5 note="two words"` + "\n"
 	if buf.String() != want {
@@ -38,17 +38,17 @@ func TestLoggerLevels(t *testing.T) {
 	if !strings.Contains(out, "level=warn") || !strings.Contains(out, "level=error") {
 		t.Fatalf("missing warn/error lines:\n%s", out)
 	}
-	l.SetLevel(LevelDebug)
+	l.level.Store(int32(LevelDebug))
 	l.Debug("now visible")
 	if !strings.Contains(buf.String(), "now visible") {
-		t.Fatal("SetLevel did not take effect")
+		t.Fatal("a lowered level did not take effect")
 	}
 }
 
 func TestLoggerWith(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewLogger(&buf, LevelInfo)
-	l.SetClock(fixedClock)
+	l.now = fixedClock
 	child := l.With("reqId", "abc123")
 	child.Info("step", "phase", "bootstrap")
 	if !strings.Contains(buf.String(), "reqId=abc123 phase=bootstrap") {
@@ -92,7 +92,7 @@ func TestParseLevel(t *testing.T) {
 func TestLoggerConcurrent(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewLogger(&buf, LevelInfo)
-	l.SetClock(fixedClock)
+	l.now = fixedClock
 	const workers, lines = 8, 200
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

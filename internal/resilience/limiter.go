@@ -66,15 +66,3 @@ func (l *Limiter) Acquire(ctx context.Context) (release func(), waited time.Dura
 }
 
 func (l *Limiter) release() { <-l.sem }
-
-// InFlight reports how many slots are currently held.
-func (l *Limiter) InFlight() int { return len(l.sem) }
-
-// Queued reports how many acquirers are currently waiting.
-func (l *Limiter) Queued() int { return len(l.queue) }
-
-// Capacity reports the concurrency cap.
-func (l *Limiter) Capacity() int { return cap(l.sem) }
-
-// QueueCapacity reports the wait-queue bound.
-func (l *Limiter) QueueCapacity() int { return cap(l.queue) }

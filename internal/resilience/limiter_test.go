@@ -19,8 +19,8 @@ func TestLimiterFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatalf("second acquire: %v", err)
 	}
-	if got := l.InFlight(); got != 2 {
-		t.Fatalf("InFlight = %d, want 2", got)
+	if got := len(l.sem); got != 2 {
+		t.Fatalf("%d slots held, want 2", got)
 	}
 	// Both slots held, queue empty → immediate shed.
 	if _, _, err := l.Acquire(context.Background()); !errors.Is(err, ErrSaturated) {
@@ -28,8 +28,8 @@ func TestLimiterFastPath(t *testing.T) {
 	}
 	rel1()
 	rel2()
-	if got := l.InFlight(); got != 0 {
-		t.Fatalf("InFlight after release = %d, want 0", got)
+	if got := len(l.sem); got != 0 {
+		t.Fatalf("%d slots held after release, want 0", got)
 	}
 }
 
@@ -51,10 +51,10 @@ func TestLimiterQueueAdmitsWhenSlotFrees(t *testing.T) {
 		got <- err
 	}()
 	// Give the goroutine time to enter the queue, then free the slot.
-	for i := 0; i < 100 && l.Queued() == 0; i++ {
+	for i := 0; i < 100 && len(l.queue) == 0; i++ {
 		time.Sleep(time.Millisecond)
 	}
-	if l.Queued() != 1 {
+	if len(l.queue) != 1 {
 		t.Fatal("acquirer never queued")
 	}
 	rel()
@@ -82,7 +82,7 @@ func TestLimiterShedsBeyondQueue(t *testing.T) {
 		_, _, err := l.Acquire(ctx)
 		queued <- err
 	}()
-	for i := 0; i < 100 && l.Queued() == 0; i++ {
+	for i := 0; i < 100 && len(l.queue) == 0; i++ {
 		time.Sleep(time.Millisecond)
 	}
 	// Slot held, queue full → the next acquire sheds immediately.
@@ -99,8 +99,8 @@ func TestLimiterShedsBeyondQueue(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("queued acquire never returned after cancel")
 	}
-	if l.Queued() != 0 {
-		t.Fatalf("Queued = %d after cancel, want 0", l.Queued())
+	if len(l.queue) != 0 {
+		t.Fatalf("%d acquirers queued after cancel, want 0", len(l.queue))
 	}
 }
 

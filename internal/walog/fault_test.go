@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"drnet/internal/resilience"
 )
@@ -152,23 +153,53 @@ func TestFaultSyncFailure(t *testing.T) {
 
 // TestDeferredSyncErrorSurfaces: under FsyncIntervalPolicy a failing
 // background sync must surface on the next Append instead of letting
-// the log ack into a black hole forever.
+// the log ack into a black hole forever, and the syncer keeps running,
+// so a later tick syncs cleanly once the fault clears.
 func TestDeferredSyncErrorSurfaces(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := mustOpen(t, Options{Dir: dir, Fsync: FsyncNever})
+	l, _ := mustOpen(t, Options{Dir: dir, Fsync: FsyncIntervalPolicy, FsyncInterval: 2 * time.Millisecond})
 	defer l.Close()
+	// The plan is active before the first Append, so the first sync of
+	// "a" is the injected failure: under this policy Append reaches
+	// PointWALSync only on rotation, which one small frame never
+	// triggers, and a tick that synced "a" cleanly would leave nothing
+	// dirty to fail.
+	plan := resilience.NewFaultPlan(3).Add(resilience.PointWALSync, resilience.FaultSpec{ErrProb: 1})
+	withPlan(t, plan)
 	if _, err := l.Append([]byte("a")); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	// Simulate what the background loop does when fsync fails.
-	l.mu.Lock()
-	l.lastSyncErr = errors.New("disk on fire")
-	l.mu.Unlock()
-	if _, err := l.Append([]byte("b")); err == nil {
-		t.Fatal("Append swallowed a deferred sync error")
+	waitFor(t, "a background sync to fail", func() bool { return plan.Fired(resilience.PointWALSync) > 0 })
+	resilience.Deactivate()
+	if _, err := l.Append([]byte("b")); !errors.Is(err, resilience.ErrInjected) {
+		t.Fatalf("Append after a failed background sync: %v, want the deferred injected error", err)
 	}
 	// The error is consumed; the log keeps working.
 	if _, err := l.Append([]byte("c")); err != nil {
 		t.Fatalf("Append after surfaced error: %v", err)
+	}
+	waitFor(t, "a background sync to succeed", func() bool {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return !l.dirty
+	})
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	l2, rec := mustOpen(t, Options{Dir: dir})
+	defer l2.Close()
+	got := collect(t, l2)
+	if rec.Frames != 2 || len(got) != 2 || string(got[0]) != "a" || string(got[1]) != "c" {
+		t.Fatalf("reopen recovered %d frames %q, want the acked [a c]", rec.Frames, got)
+	}
+}
+
+// waitFor polls cond every millisecond, failing the test after 5s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
 	}
 }

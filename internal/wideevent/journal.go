@@ -202,14 +202,6 @@ func (j *Journal) Events() []*Event {
 	return out
 }
 
-// Capacity returns the ring size.
-func (j *Journal) Capacity() int {
-	if j == nil {
-		return 0
-	}
-	return len(j.slots)
-}
-
 // Stats is the journal's health snapshot, surfaced on /healthz and
 // /debug/vars: Emitted counts every finished request, Recorded the
 // retained ones, SampledOut the healthy events the tail bias

@@ -185,14 +185,15 @@ func TestOneEventPerRequest(t *testing.T) {
 	if ok.BootstrapResamples != 30 {
 		t.Fatalf("ev-ok bootstrapResamples = %d, want 30", ok.BootstrapResamples)
 	}
-	for _, phase := range []string{"build_view", "estimate", "drevald_bootstrap"} {
+	for _, phase := range []string{"decode", "build_view", "estimate", "drevald_bootstrap"} {
 		if _, present := ok.PhaseMs[phase]; !present {
 			t.Fatalf("ev-ok phaseMs missing %q: %v", phase, ok.PhaseMs)
 		}
 	}
 	bad := findEvent(evs, "ev-bad")
-	if bad == nil || bad.Status != 400 || bad.Error != "status 400" || bad.FailedPhase != "" {
-		t.Fatalf("ev-bad = %+v, want status 400 with the middleware's error and no failed phase", bad)
+	const badErr = "invalid request body: invalid character 'n' looking for beginning of object key string"
+	if bad == nil || bad.Status != 400 || bad.Error != badErr || bad.FailedPhase != "decode" {
+		t.Fatalf("ev-bad = %+v, want status 400, error %q and failed phase decode", bad, badErr)
 	}
 	wat := findEvent(evs, "ev-wat")
 	const watErr = `traceio: unknown policy "wat" (want constant:<decision> or best-observed)`

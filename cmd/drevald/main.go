@@ -546,18 +546,24 @@ func (s *server) decodeRequest(w http.ResponseWriter, r *http.Request, streamed 
 		return nil, nil, nil, false
 	}
 	start := time.Now()
-	req, view, fast := decodeEvalFast(body)
-	if !fast {
-		if req, err = decodeEvalBody(body); err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return nil, nil, nil, false
+	var view *core.TraceView[traceio.FlatContext, string]
+	var fast bool
+	req, err := timed(r.Context(), "decode", func() (*evalRequest, error) {
+		var req *evalRequest
+		if req, view, fast = decodeEvalFast(body); fast {
+			return req, nil
 		}
-		if len(req.Trace) == 0 && s.stream != nil {
-			if s.stream.serving(w) {
-				streamed(w, r, req)
-			}
-			return nil, nil, nil, false
+		return decodeEvalBody(body)
+	})
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
+		return nil, nil, nil, false
+	}
+	if !fast && len(req.Trace) == 0 && s.stream != nil {
+		if s.stream.serving(w) {
+			streamed(w, r, req)
 		}
+		return nil, nil, nil, false
 	}
 	// The fast path built the view as it decoded, so on that path
 	// build_view times only deriving the policy from it.

@@ -136,7 +136,7 @@ func TestEvaluateTimelineEndToEnd(t *testing.T) {
 			t.Fatalf("phase %q (%+v) ends after its request (%.3fms)", p.Name, p, tl.DurationMs)
 		}
 	}
-	if got, want := strings.Join(names, " "), "build_view fit_model estimate bias_observatory drevald_bootstrap"; got != want {
+	if got, want := strings.Join(names, " "), "decode build_view fit_model estimate bias_observatory drevald_bootstrap"; got != want {
 		t.Fatalf("timeline phases = %s, want %s", got, want)
 	}
 }
@@ -243,7 +243,7 @@ func TestTraceSinkStreamsJSONL(t *testing.T) {
 	if found == nil {
 		t.Fatalf("event %s missing from the JSONL export:\n%s", id, data)
 	}
-	for _, phase := range []string{"build_view", "estimate", "drevald_bootstrap"} {
+	for _, phase := range []string{"decode", "build_view", "estimate", "drevald_bootstrap"} {
 		ms, timed := found.PhaseMs[phase]
 		off, started := found.PhaseStartMs[phase]
 		if !timed || !started {

@@ -13,6 +13,7 @@ package main
 
 import (
 	"fmt"
+	"sort"
 
 	"drnet/internal/mathx"
 	"drnet/internal/tcp"
@@ -30,10 +31,15 @@ func main() {
 	// Closed-loop ground truths on the same cross-traffic realization.
 	truths := map[string]float64{}
 	traces := map[string][]tcp.RoundRecord{}
-	for name, mk := range protos {
+	names := make([]string, 0, len(protos))
+	for name := range protos {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
 		//lint:allow seedflow pedagogical fixed-seed walkthrough; reproducibility over variation
 		rng := mathx.NewRNG(7)
-		trace, goodput, err := tcp.RunClosedLoop(mk(), link, rounds, rng)
+		trace, goodput, err := tcp.RunClosedLoop(protos[name](), link, rounds, rng)
 		if err != nil {
 			panic(err)
 		}

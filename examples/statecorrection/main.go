@@ -12,6 +12,7 @@ package main
 
 import (
 	"fmt"
+	"sort"
 
 	"drnet/internal/core"
 	"drnet/internal/mathx"
@@ -52,8 +53,13 @@ func main() {
 	)
 	must(err)
 	fmt.Println("fitted morning→peak transitions per server:")
-	for g, tr := range trans {
-		fmt.Printf("  %s: reward %+.3f\n", g, tr.Intercept)
+	groups := make([]string, 0, len(trans))
+	for g := range trans {
+		groups = append(groups, g)
+	}
+	sort.Strings(groups)
+	for _, g := range groups {
+		fmt.Printf("  %s: reward %+.3f\n", g, trans[g].Intercept)
 	}
 	corrected, skipped := worldstate.TransformTraceGrouped(morning.Trace, trans, worldstate.ServerGroup)
 	if skipped > 0 {

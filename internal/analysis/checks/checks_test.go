@@ -15,6 +15,12 @@ func TestNondetFixture(t *testing.T) {
 	atest.Run(t, "testdata/nondet", "fixture/internal/core", checks.Nondet)
 }
 
+func TestNondetExamplesFixture(t *testing.T) {
+	// Every package under examples/ is in the deterministic scope, so
+	// the same fixture must draw the same findings there.
+	atest.Run(t, "testdata/nondet", "fixture/examples/demo", checks.Nondet)
+}
+
 func TestNondetSelectionFixture(t *testing.T) {
 	atest.Run(t, "testdata/nondetselect", "fixture/internal/traceio", checks.Nondet)
 }

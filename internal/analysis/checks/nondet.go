@@ -13,7 +13,7 @@ import (
 // nondetScope is where the nondeterminism check applies: the estimator
 // core, the experiment drivers, and the scenario/simulator packages —
 // everywhere a result that must be bit-identical across runs and
-// worker counts is computed.
+// worker counts is computed — and every package under nondetDir.
 var nondetScope = []string{
 	"internal/core",
 	"internal/experiments",
@@ -24,6 +24,11 @@ var nondetScope = []string{
 	"internal/tcp",
 	"internal/worldstate",
 }
+
+// nondetDir holds the examples, whose printed output must be the same
+// on every run so that two commits' outputs can be compared byte for
+// byte.
+const nondetDir = "examples"
 
 // Nondet flags the classic ways a pipeline goes quietly
 // nondeterministic. Everywhere: a map-range loop that selects a winner
@@ -50,7 +55,7 @@ var randConstructors = map[string]bool{
 }
 
 func runNondet(pass *analysis.Pass) {
-	deterministic := pathHasSuffix(pass.Path, nondetScope...)
+	deterministic := pathHasSuffix(pass.Path, nondetScope...) || strings.Contains("/"+pass.Path+"/", "/"+nondetDir+"/")
 	for _, f := range pass.Files {
 		analysis.WalkStack(f, func(n ast.Node, stack []ast.Node) bool {
 			switch n := n.(type) {

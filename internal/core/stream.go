@@ -115,38 +115,106 @@ func (b *ViewBuilder[C, D]) Append(rec Record[C, D]) error {
 	return nil
 }
 
-// AppendKeyed is Append for a caller that already holds the record's
-// context key, such as a decoder that keys each distinct context once:
-// key must equal what the builder's key function returns for
-// rec.Context. Only builders from NewViewBuilderKeyed accept it.
-func (b *ViewBuilder[C, D]) AppendKeyed(key string, rec Record[C, D]) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.keys == nil {
-		return errors.New("core: AppendKeyed needs a builder from NewViewBuilderKeyed")
+// Run is a staged run of records for AppendRun, as a decoder writes it:
+// the reward and propensity columns, and for each record a slot into
+// the run's own context and decision dictionaries, so a decoder that
+// meets one context or label many times keys and interns it once.
+type Run[C any, D comparable] struct {
+	Rewards      []float64
+	Propensities []float64
+	// CtxSlots[i] and DecSlots[i] index record i's context in Contexts
+	// and its decision in Decisions.
+	CtxSlots  []int32
+	DecSlots  []int32
+	Contexts  []RunContext[C]
+	Decisions []D
+}
+
+// RunContext is one context slot of a Run.
+type RunContext[C any] struct {
+	Context C
+	// Key is the context's key under the builder's key function. It is
+	// not read when Code is the code the builder already gave the
+	// context (Known); Code is -1 for a context that interns by Key.
+	Key  string
+	Code int32
+}
+
+// Validate applies Append's checks to every record of the run, indexed
+// from 0.
+func (r *Run[C, D]) Validate() error { return r.check(0) }
+
+// check is Validate with the run's first record at stream index base.
+func (r *Run[C, D]) check(base int) error {
+	if len(r.Propensities) != len(r.Rewards) || len(r.CtxSlots) != len(r.Rewards) || len(r.DecSlots) != len(r.Rewards) {
+		return errors.New("core: run columns differ in length")
 	}
-	if err := b.checkLocked(rec); err != nil {
-		return err
+	for i, reward := range r.Rewards {
+		if int64(base+i) >= math.MaxInt32 {
+			return fmt.Errorf("core: trace length %d exceeds TraceView capacity", base+i+1)
+		}
+		if err := checkRecord(base+i, r.Propensities[i], reward); err != nil {
+			return err
+		}
 	}
-	u, isNew := internKey(b.keys, key)
-	b.pushLocked(rec, u, isNew)
 	return nil
 }
 
-// AppendCode is Append for a record whose context the builder has
-// already interned as code u, as Known reports it; rec.Context is not
-// read. A code the builder has not assigned is an error, and on any
-// error nothing is appended.
-func (b *ViewBuilder[C, D]) AppendCode(u int32, rec Record[C, D]) error {
+// AppendRun appends a staged run under one hold of the builder's lock,
+// exactly as Append would append its records one by one: it checks
+// every record with Append's error text and stream index, and on any
+// error appends nothing. Each slot interns once, at its first record:
+// by its key, or as the code it carries, which must be one the builder
+// has assigned. The run's codes and slot columns are rewritten in
+// place, and an empty builder adopts all four columns without a copy,
+// so a run is appended once and not used after. Only builders from
+// NewViewBuilderKeyed accept it.
+func (b *ViewBuilder[C, D]) AppendRun(r *Run[C, D]) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if u < 0 || int(u) >= len(b.contexts) {
-		return fmt.Errorf("core: context code %d not interned (%d contexts)", u, len(b.contexts))
+	if b.keys == nil {
+		return errors.New("core: AppendRun needs a builder from NewViewBuilderKeyed")
 	}
-	if err := b.checkLocked(rec); err != nil {
+	base := len(b.rewards)
+	if err := r.check(base); err != nil {
 		return err
 	}
-	b.pushLocked(rec, u, false)
+	for _, c := range r.Contexts {
+		if int(c.Code) >= len(b.contexts) {
+			return fmt.Errorf("core: context code %d not interned (%d contexts)", c.Code, len(b.contexts))
+		}
+	}
+	for i, s := range r.CtxSlots {
+		c := &r.Contexts[s]
+		if c.Code < 0 {
+			var isNew bool
+			if c.Code, isNew = internKey(b.keys, c.Key); isNew {
+				b.contexts = append(b.contexts, c.Context)
+				b.ctxFirst = append(b.ctxFirst, int32(base+i))
+			}
+		}
+		r.CtxSlots[i] = c.Code
+	}
+	decCode := make([]int32, len(r.Decisions))
+	for s := range decCode {
+		decCode[s] = -1
+	}
+	for i, s := range r.DecSlots {
+		k := decCode[s]
+		if k < 0 {
+			k = b.decisionLocked(r.Decisions[s])
+			decCode[s] = k
+		}
+		r.DecSlots[i] = k
+	}
+	if base == 0 {
+		b.rewards, b.propensities, b.ctxCodes, b.decCodes = r.Rewards, r.Propensities, r.CtxSlots, r.DecSlots
+		return nil
+	}
+	b.rewards = append(b.rewards, r.Rewards...)
+	b.propensities = append(b.propensities, r.Propensities...)
+	b.ctxCodes = append(b.ctxCodes, r.CtxSlots...)
+	b.decCodes = append(b.decCodes, r.DecSlots...)
 	return nil
 }
 
@@ -184,20 +252,25 @@ func (b *ViewBuilder[C, D]) pushLocked(rec Record[C, D], u int32, isNew bool) {
 }
 
 // dictLocked records rec's context as first seen at record i when
-// isNew, and returns the code of rec's decision, interning a decision
-// not seen before. pushLocked and fill share it, each writing the
-// record columns its own way; it is small enough for the compiler to
+// isNew, and returns the code of rec's decision. pushLocked and fill
+// share it, each writing the record columns its own way; it and the
+// decisionLocked call in it are small enough for the compiler to
 // inline into both, so fill runs as fast as with its body written out.
 func (b *ViewBuilder[C, D]) dictLocked(rec Record[C, D], i int32, isNew bool) int32 {
 	if isNew {
 		b.contexts = append(b.contexts, rec.Context)
 		b.ctxFirst = append(b.ctxFirst, i)
 	}
-	k, ok := b.decIndex[rec.Decision]
+	return b.decisionLocked(rec.Decision)
+}
+
+// decisionLocked returns d's code, interning a decision not seen before.
+func (b *ViewBuilder[C, D]) decisionLocked(d D) int32 {
+	k, ok := b.decIndex[d]
 	if !ok {
 		k = int32(len(b.decisions))
-		b.decisions = append(b.decisions, rec.Decision)
-		b.decIndex[rec.Decision] = k
+		b.decisions = append(b.decisions, d)
+		b.decIndex[d] = k
 	}
 	return k
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"strconv"
 	"sync"
@@ -682,6 +683,110 @@ func TestViewBuilderKeyedLookupsDuringAppend(t *testing.T) {
 	for c := 0; c < 1000; c++ {
 		if u, got, ok := b.Known([]byte(key(float64(c)))); !ok || int(u) != c || got != float64(c) {
 			t.Fatalf("Known(%d) = (%d, %v, %v) after the appends", c, u, got, ok)
+		}
+	}
+}
+
+// TestAppendRunMatchesAppend: a staged run appends exactly what Append
+// would, record by record: the same codes, first records and
+// dictionaries, on an empty builder (which adopts the run's columns)
+// and on one already holding records. Two slots with one key share a
+// code, and a slot carrying a code the builder assigned interns as that
+// code. An invalid record, or a code the builder has not assigned,
+// fails with Append's error and appends nothing.
+func TestAppendRunMatchesAppend(t *testing.T) {
+	key := func(c float64) string { return fmt.Sprint(c) }
+	held := Trace[float64, int]{
+		{Context: 1, Decision: 7, Reward: 0.5, Propensity: 0.5},
+		{Context: 2, Decision: 8, Reward: 1, Propensity: 1},
+	}
+	// Slots 0 and 2 are one context under two spellings; slot 1, when
+	// known, is held context 1 by its code.
+	run := func(known bool) *Run[float64, int] {
+		slot1 := RunContext[float64]{Context: 5, Key: "5", Code: -1}
+		if known {
+			slot1 = RunContext[float64]{Context: 1, Code: 0}
+		}
+		return &Run[float64, int]{
+			Rewards:      []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6},
+			Propensities: []float64{0.5, 0.5, 1, 0.25, 0.5, 0.5},
+			CtxSlots:     []int32{0, 1, 2, 0, 3, 1},
+			DecSlots:     []int32{0, 1, 0, 2, 1, 0},
+			Contexts: []RunContext[float64]{
+				{Context: 3, Key: "3", Code: -1}, slot1, {Context: 3, Key: "3", Code: -1}, {Context: 4, Key: "4", Code: -1},
+			},
+			Decisions: []int{9, 7, 10},
+		}
+	}
+	builder := func(prefix Trace[float64, int]) *ViewBuilder[float64, int] {
+		b := NewViewBuilderKeyed[float64, int](key)
+		for _, rec := range prefix {
+			if err := b.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b
+	}
+	for _, prefix := range []Trace[float64, int]{nil, held} {
+		r := run(prefix != nil)
+		want := builder(prefix)
+		for i := range r.Rewards {
+			rec := Record[float64, int]{
+				Context:    r.Contexts[r.CtxSlots[i]].Context,
+				Decision:   r.Decisions[r.DecSlots[i]],
+				Reward:     r.Rewards[i],
+				Propensity: r.Propensities[i],
+			}
+			if err := want.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rewards := r.Rewards
+		got := builder(prefix)
+		if err := got.AppendRun(r); err != nil {
+			t.Fatalf("%d held records: AppendRun: %v", len(prefix), err)
+		}
+		g, w := got.Snapshot(), want.Snapshot()
+		g.src, w.src = nil, nil
+		if !reflect.DeepEqual(g, w) {
+			t.Fatalf("%d held records: AppendRun built\n%+v\nAppend built\n%+v", len(prefix), g, w)
+		}
+		if prefix == nil && &g.rewards[0] != &rewards[0] {
+			t.Fatal("an empty builder copied the run's columns instead of adopting them")
+		}
+	}
+
+	bad := run(true)
+	bad.Propensities[4] = 0
+	appendErr := func() error {
+		b := builder(held)
+		for i := range bad.Rewards {
+			c := bad.Contexts[bad.CtxSlots[i]]
+			err := b.Append(Record[float64, int]{Context: c.Context, Decision: bad.Decisions[bad.DecSlots[i]], Reward: bad.Rewards[i], Propensity: bad.Propensities[i]})
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}()
+	if appendErr == nil {
+		t.Fatal("Append accepted a record with propensity 0")
+	}
+	unassigned := run(true)
+	unassigned.Contexts[1].Code = 2
+	for _, c := range []struct {
+		r    *Run[float64, int]
+		want string
+	}{
+		{bad, appendErr.Error()},
+		{unassigned, "core: context code 2 not interned (2 contexts)"},
+	} {
+		b := builder(held)
+		if err := b.AppendRun(c.r); err == nil || err.Error() != c.want {
+			t.Fatalf("AppendRun error %v, want %q", err, c.want)
+		}
+		if v := b.Snapshot(); v.Len() != 2 || v.NumContexts() != 2 || v.NumDecisions() != 2 {
+			t.Fatalf("(%d records, %d contexts, %d decisions) after a rejected run, want (2, 2, 2)", v.Len(), v.NumContexts(), v.NumDecisions())
 		}
 	}
 }

@@ -27,10 +27,9 @@ type EvalOptions struct {
 	RefreshModel bool `json:"refreshModel"`
 }
 
-// DecodeEvalView decodes an EvalRequest body in one pass, appending
-// each trace record straight into a view keyed by FlatContext.Key. The
-// returned request carries the policy and options; its Trace is nil,
-// because the view holds the records.
+// DecodeEvalView decodes an EvalRequest body in one pass into a view
+// keyed by FlatContext.Key. The returned request carries the policy and
+// options; its Trace is nil, because the view holds the records.
 //
 // It is the fast path of a body the caller would otherwise hand to
 // encoding/json (DisallowUnknownFields, then Trace.Validate and
@@ -44,36 +43,22 @@ type EvalOptions struct {
 // When it accepts, the view equals the reference path's in every
 // column and dictionary.
 //
-// A repeated feature vector costs one map lookup on its raw text,
-// which is memoised to its key and context, and a repeated decision
-// label one lookup too; so allocations grow with distinct contexts
-// and labels, not with records.
+// A record costs one map lookup on its raw feature text, to the body's
+// slot for that context, one on its decision label, and two number
+// parses; it is staged into the columns of a core.Run, which a fresh
+// builder adopts in one AppendRun. So allocations grow with distinct
+// contexts and labels, not with records.
 func DecodeEvalView(body []byte) (*EvalRequest, *core.TraceView[FlatContext, string], bool) {
-	s := evalScanner{
-		buf:      body,
-		vb:       core.NewViewBuilderKeyed[FlatContext, string](FlatContext.Key),
-		contexts: make(map[string]keyedContext),
-		labels:   make(map[string]string),
-	}
+	s := newEvalScanner(body, nil)
 	var req EvalRequest
-	if !s.request(&req) || s.vb.Len() == 0 {
+	if !s.request(&req) || len(s.run.Rewards) == 0 {
 		return nil, nil, false
 	}
-	return &req, s.vb.Snapshot(), true
-}
-
-// keyedContext is one feature text's context and where it interns.
-type keyedContext struct {
-	place
-	ctx FlatContext
-}
-
-// place is where a context interns in a builder: by key, or, when key
-// is empty (Key never returns ""), as the code an ingest builder
-// already gave it.
-type place struct {
-	key  string
-	code int32
+	vb := core.NewViewBuilderKeyed[FlatContext, string](FlatContext.Key)
+	if vb.AppendRun(&s.run) != nil {
+		return nil, nil, false
+	}
+	return &req, vb.Snapshot(), true
 }
 
 // evalScanner is a cursor over one body. Every method returns false
@@ -82,15 +67,28 @@ type place struct {
 type evalScanner struct {
 	buf []byte
 	off int
-	// vb is the builder records join: DecodeEvalView's own, or the
-	// stream's that DecodeIngest resolves known feature text against.
-	vb *core.ViewBuilder[FlatContext, string]
-	// ingest makes features consult vb's keys before parsing.
-	ingest bool
-	// contexts memoises raw feature-array text; labels memoises raw
-	// decision bytes to one string each.
-	contexts map[string]keyedContext
-	labels   map[string]string
+	// known, on an ingest scan, is the stream's builder: feature text
+	// that is one of its keys takes that context's code (knownContext).
+	known *core.ViewBuilder[FlatContext, string]
+	// run stages the records scanned so far.
+	run core.Run[FlatContext, string]
+	// contexts memoises parsed raw feature-array text to its slot in
+	// run.Contexts ("" for a record without features), codes a known
+	// context's code to its slot, and labels raw decision bytes to their
+	// slot in run.Decisions.
+	contexts map[string]int32
+	codes    map[int32]int32
+	labels   map[string]int32
+}
+
+func newEvalScanner(body []byte, known *core.ViewBuilder[FlatContext, string]) evalScanner {
+	return evalScanner{
+		buf:      body,
+		known:    known,
+		contexts: make(map[string]int32),
+		codes:    make(map[int32]int32),
+		labels:   make(map[string]int32),
+	}
 }
 
 // Field bits, for rejecting a key seen twice in one object.
@@ -105,7 +103,7 @@ func (s *evalScanner) request(req *EvalRequest) bool {
 	return s.document(func(key []byte) bool {
 		switch string(key) {
 		case "trace":
-			return once(&seen, seenTrace) && s.trace()
+			return once(&seen, seenTrace) && s.records()
 		case "policy":
 			raw, ok := s.str()
 			req.Policy = string(raw)
@@ -177,16 +175,24 @@ func (s *evalScanner) key() ([]byte, bool) {
 	return key, true
 }
 
-func (s *evalScanner) trace() bool {
+// records scans a record array into s.run. The run's columns are
+// sized once, for at most one record per '{' left in the body and one
+// per 16 bytes, the length of the shortest valid record
+// ({"propensity":1}); past that they grow as any slice does.
+func (s *evalScanner) records() bool {
 	if !s.byte('[') {
 		return false
 	}
+	rest := s.buf[s.off:]
+	n := min(bytes.Count(rest, []byte{'{'}), len(rest)/16+1)
+	r := &s.run
+	r.Rewards, r.Propensities = make([]float64, 0, n), make([]float64, 0, n)
+	r.CtxSlots, r.DecSlots = make([]int32, 0, n), make([]int32, 0, n)
 	for first := true; ; first = false {
 		if more, ok := s.next(']', first); !more {
 			return ok
 		}
-		kc, rec, ok := s.record()
-		if !ok || s.vb.AppendKeyed(kc.key, rec) != nil {
+		if !s.record() {
 			return false
 		}
 	}
@@ -200,76 +206,89 @@ const (
 	seenPropensity
 )
 
-// record scans one trace record, returning its context's placement
-// and the record. A field the record omits keeps its zero value, as
-// under encoding/json.
+// record scans one record and stages it in s.run. A field the record
+// omits keeps its zero value, as under encoding/json.
 //
 //lint:hot perrecord
-func (s *evalScanner) record() (keyedContext, core.Record[FlatContext, string], bool) {
+func (s *evalScanner) record() bool {
 	var seen uint
-	var rec core.Record[FlatContext, string]
-	kc := keyedContext{place: place{key: "[]"}}
+	var reward, propensity float64
+	var ctx, dec int32
 	if !s.byte('{') {
-		return kc, rec, false
+		return false
 	}
 	for first := true; ; first = false {
 		more, ok := s.next('}', first)
 		if !more {
 			if !ok {
-				return kc, rec, false
+				return false
 			}
 			break
 		}
 		key, ok := s.key()
 		if !ok {
-			return kc, rec, false
+			return false
 		}
 		switch string(key) {
 		case "features":
-			kc, ok = s.features()
+			ctx, ok = s.features()
 			ok = ok && once(&seen, seenFeatures)
 		case "decision":
-			rec.Decision, ok = s.label()
+			dec, ok = s.label()
 			ok = ok && once(&seen, seenDecision)
 		case "reward":
-			rec.Reward, ok = s.number()
+			reward, ok = s.number()
 			ok = ok && once(&seen, seenReward)
 		case "propensity":
-			rec.Propensity, ok = s.number()
+			propensity, ok = s.number()
 			ok = ok && once(&seen, seenPropensity)
 		default:
 			ok = false
 		}
 		if !ok {
-			return kc, rec, false
+			return false
 		}
 	}
-	rec.Context = kc.ctx
-	return kc, rec, true
+	if seen&seenFeatures == 0 {
+		ctx = s.noFeatures()
+	}
+	if seen&seenDecision == 0 {
+		dec = s.labelSlot(nil)
+	}
+	r := &s.run
+	//lint:allow hotalloc into the capacity records sized for the body
+	r.Rewards = append(r.Rewards, reward)
+	//lint:allow hotalloc into the capacity records sized for the body
+	r.Propensities = append(r.Propensities, propensity)
+	//lint:allow hotalloc into the capacity records sized for the body
+	r.CtxSlots = append(r.CtxSlots, ctx)
+	//lint:allow hotalloc into the capacity records sized for the body
+	r.DecSlots = append(r.DecSlots, dec)
+	return true
 }
 
-// features scans a feature array. Text seen before is a memo hit: the
-// first sighting validated it, so only its end is found. On an ingest
-// scan, text that is already one of the builder's keys takes that
-// context's code and vector (knownContext). Other text is parsed,
-// keyed with FlatContext.Key and memoised.
-func (s *evalScanner) features() (keyedContext, bool) {
+// features scans a feature array, returning its context's slot. Text
+// seen before is a memo hit: the first sighting validated it, so only
+// its end is found. On an ingest scan, text that is already one of the
+// builder's keys takes that context's code and vector (knownContext).
+// Other text is parsed and keyed with FlatContext.Key.
+func (s *evalScanner) features() (int32, bool) {
 	if s.off >= len(s.buf) || s.buf[s.off] != '[' {
-		return keyedContext{}, false
+		return 0, false
 	}
 	n := bytes.IndexByte(s.buf[s.off:], ']')
 	if n < 0 {
-		return keyedContext{}, false
+		return 0, false
 	}
 	raw := s.buf[s.off : s.off+n+1]
-	if kc, ok := s.contexts[string(raw)]; ok {
+	if slot, ok := s.contexts[string(raw)]; ok {
 		s.off += len(raw)
-		return kc, true
+		return slot, true
 	}
-	if s.ingest {
-		if code, ctx, ok := knownContext(s.vb, raw); ok {
+	if s.known != nil {
+		if code, ctx, ok := knownContext(s.known, raw); ok {
 			s.off += len(raw)
-			return keyedContext{place: place{code: code}, ctx: ctx}, true
+			return s.knownSlot(code, ctx), true
 		}
 	}
 	s.off++ // '['
@@ -285,38 +304,76 @@ func (s *evalScanner) features() (keyedContext, bool) {
 		more, ok := s.next(']', first)
 		if !more {
 			if !ok {
-				return keyedContext{}, false
+				return 0, false
 			}
 			break
 		}
 		f, ok := s.number()
 		if !ok {
-			return keyedContext{}, false
+			return 0, false
 		}
 		//lint:allow hotalloc into the capacity counted above
 		feats = append(feats, f)
 	}
 	ctx := FlatContext{Features: feats}
-	kc := keyedContext{place: place{key: ctx.Key()}, ctx: ctx}
-	// Keyed by its own copy of the text: once per distinct feature text.
-	s.contexts[string(raw)] = kc
-	return kc, true
+	return s.newContext(raw, core.RunContext[FlatContext]{Context: ctx, Key: ctx.Key(), Code: -1}), true
 }
 
-// label scans a decision string, returning one shared string per
-// distinct label.
-func (s *evalScanner) label() (string, bool) {
+// knownSlot returns the slot of a context the builder interned as
+// code, adding one per distinct code. Known text is not memoised by
+// its raw text, which would copy the text; the builder's index resolves
+// it without allocating.
+func (s *evalScanner) knownSlot(code int32, ctx FlatContext) int32 {
+	if slot, ok := s.codes[code]; ok {
+		return slot
+	}
+	slot := int32(len(s.run.Contexts))
+	//lint:allow hotalloc once per distinct known context
+	s.run.Contexts = append(s.run.Contexts, core.RunContext[FlatContext]{Context: ctx, Code: code})
+	s.codes[code] = slot
+	return slot
+}
+
+// noFeatures returns the slot of a record that omits its features: a
+// nil vector, keyed like an empty one.
+func (s *evalScanner) noFeatures() int32 {
+	if slot, ok := s.contexts[""]; ok {
+		return slot
+	}
+	return s.newContext(nil, core.RunContext[FlatContext]{Key: "[]", Code: -1})
+}
+
+// newContext adds a context slot, memoised under its raw text: once
+// per distinct feature text.
+func (s *evalScanner) newContext(raw []byte, c core.RunContext[FlatContext]) int32 {
+	slot := int32(len(s.run.Contexts))
+	//lint:allow hotalloc once per distinct feature text
+	s.run.Contexts = append(s.run.Contexts, c)
+	s.contexts[string(raw)] = slot
+	return slot
+}
+
+// label scans a decision string, returning its slot.
+func (s *evalScanner) label() (int32, bool) {
 	raw, ok := s.str()
 	if !ok {
-		return "", false
+		return 0, false
 	}
-	if l, ok := s.labels[string(raw)]; ok {
-		return l, true
+	return s.labelSlot(raw), true
+}
+
+// labelSlot returns the decision slot of raw label bytes, adding one
+// string per distinct label.
+func (s *evalScanner) labelSlot(raw []byte) int32 {
+	if slot, ok := s.labels[string(raw)]; ok {
+		return slot
 	}
-	// Once per distinct label.
 	l := string(raw)
-	s.labels[l] = l
-	return l, true
+	slot := int32(len(s.run.Decisions))
+	//lint:allow hotalloc once per distinct label
+	s.run.Decisions = append(s.run.Decisions, l)
+	s.labels[l] = slot
+	return slot
 }
 
 // str scans a string of printable ASCII without escapes, returning
@@ -338,12 +395,17 @@ func (s *evalScanner) str() ([]byte, bool) {
 	return nil, false
 }
 
-// number scans a strict JSON number into a float64, as encoding/json
-// would; out-of-range values fail.
+// number scans a strict JSON number into the float64 that
+// strconv.ParseFloat, and so encoding/json, gives its text; out-of-range
+// values fail. A short decimal takes the exact path (decimal.float),
+// and any other text goes to ParseFloat.
 func (s *evalScanner) number() (float64, bool) {
-	raw, ok := s.numberText()
+	raw, d, ok := s.numberText()
 	if !ok {
 		return 0, false
+	}
+	if f, ok := d.float(); ok {
+		return f, true
 	}
 	f, err := strconv.ParseFloat(string(raw), 64)
 	return f, err == nil
@@ -352,7 +414,7 @@ func (s *evalScanner) number() (float64, bool) {
 // integer scans a strict JSON number into an int64, as encoding/json
 // does for an integer field: fractions and exponents fail.
 func (s *evalScanner) integer() (int64, bool) {
-	raw, ok := s.numberText()
+	raw, _, ok := s.numberText()
 	if !ok {
 		return 0, false
 	}
@@ -360,38 +422,96 @@ func (s *evalScanner) integer() (int64, bool) {
 	return v, err == nil
 }
 
-// numberText scans -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?.
-func (s *evalScanner) numberText() ([]byte, bool) {
+// decimal is a number's value, ±m·10^exp, read as its text is scanned.
+// m holds every digit but a lone leading integer 0, nd of them, so it
+// is exact while nd ≤ 19.
+type decimal struct {
+	m   uint64
+	nd  int
+	exp int
+	neg bool
+}
+
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// float returns d's value when one IEEE 754 operation gives it. A
+// mantissa below 2^53 converts to float64 exactly, and so does every
+// power of ten up to 10^22, so m·10^exp and m/10^-exp are one multiply
+// or divide of exact operands, rounded once to nearest even: the
+// correctly rounded value, which is what strconv.ParseFloat returns
+// (its own atof64exact takes this path). Any other d reports false.
+// The conversions keep the compiler from fusing the operation with
+// the caller's arithmetic.
+func (d decimal) float() (float64, bool) {
+	if d.nd > 19 || d.m >= 1<<53 || d.exp < -22 || d.exp > 22 {
+		return 0, false
+	}
+	f := float64(d.m)
+	if d.neg {
+		f = -f
+	}
+	if d.exp < 0 {
+		return float64(f / pow10[-d.exp]), true
+	}
+	return float64(f * pow10[d.exp]), true
+}
+
+// numberText scans -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?,
+// returning the text and its value.
+func (s *evalScanner) numberText() ([]byte, decimal, bool) {
 	start := s.off
-	s.byte('-')
+	d := decimal{neg: s.byte('-')}
 	switch {
 	case s.byte('0'):
 	case s.off < len(s.buf) && s.buf[s.off] >= '1' && s.buf[s.off] <= '9':
-		s.digits()
+		s.digits(&d)
 	default:
-		return nil, false
+		return nil, d, false
 	}
-	if s.byte('.') && !s.digits() {
-		return nil, false
+	if s.byte('.') {
+		n := s.digits(&d)
+		if n == 0 {
+			return nil, d, false
+		}
+		d.exp = -n
 	}
 	if s.byte('e') || s.byte('E') {
+		neg := false
 		if !s.byte('+') {
-			s.byte('-')
+			neg = s.byte('-')
 		}
-		if !s.digits() {
-			return nil, false
+		buf, i, e := s.buf, s.off, 0
+		for ; i < len(buf) && buf[i]-'0' <= 9; i++ {
+			// Past 10^4 the exponent only needs to stay out of
+			// float's range, and with nd ≤ 19 so does d.exp.
+			if e < 1e4 {
+				e = e*10 + int(buf[i]-'0')
+			}
 		}
+		if i == s.off {
+			return nil, d, false
+		}
+		s.off = i
+		if neg {
+			e = -e
+		}
+		d.exp += e
 	}
-	return s.buf[start:s.off], true
+	return s.buf[start:s.off], d, true
 }
 
-// digits scans [0-9]*, reporting whether it consumed any.
-func (s *evalScanner) digits() bool {
-	start := s.off
-	for s.off < len(s.buf) && s.buf[s.off] >= '0' && s.buf[s.off] <= '9' {
-		s.off++
+// digits scans [0-9]* into d's mantissa, returning how many it
+// consumed.
+func (s *evalScanner) digits(d *decimal) int {
+	buf, i, m := s.buf, s.off, d.m
+	for ; i < len(buf) && buf[i]-'0' <= 9; i++ {
+		m = m*10 + uint64(buf[i]-'0')
 	}
-	return s.off > start
+	n := i - s.off
+	s.off, d.m, d.nd = i, m, d.nd+n
+	return n
 }
 
 func (s *evalScanner) options(o *EvalOptions) bool {

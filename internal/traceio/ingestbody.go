@@ -7,11 +7,10 @@ import "drnet/internal/core"
 // (AppendTo).
 type IngestBatch struct {
 	Records []FlatRecord
-	// places[i] is where record i's context interns in the builder
-	// DecodeIngest resolved the batch against. It is nil on a batch
-	// built from records decoded elsewhere, which AppendTo keys with
-	// the builder's key function.
-	places []place
+	// run is the batch as DecodeIngest staged it for the builder it
+	// resolved the batch against. It is nil on a batch built from
+	// records decoded elsewhere, which AppendTo appends record by record.
+	run *core.Run[FlatContext, string]
 }
 
 // DecodeIngest decodes an /ingest body, {"records":[...]}, in one pass
@@ -31,76 +30,48 @@ type IngestBatch struct {
 // included, except that a record without features may hold nil where
 // the reference holds an empty vector; both encode and key alike.
 func DecodeIngest(body []byte, vb *core.ViewBuilder[FlatContext, string]) (*IngestBatch, bool) {
-	s := evalScanner{
-		buf:      body,
-		vb:       vb,
-		ingest:   true,
-		contexts: make(map[string]keyedContext),
-		labels:   make(map[string]string),
-	}
-	b := new(IngestBatch)
+	s := newEvalScanner(body, vb)
 	var seen bool
 	ok := s.document(func(key []byte) bool {
 		if string(key) != "records" || seen {
 			return false
 		}
 		seen = true
-		return s.records(b)
+		return s.records()
 	})
-	if !ok || len(b.Records) == 0 {
+	r := &s.run
+	// One rule: the reference path reports a record the view would
+	// refuse, with its index.
+	if !ok || len(r.Rewards) == 0 || r.Validate() != nil {
 		return nil, false
+	}
+	b := &IngestBatch{Records: make([]FlatRecord, len(r.Rewards)), run: r}
+	for i := range b.Records {
+		b.Records[i] = FlatRecord{
+			Features:   r.Contexts[r.CtxSlots[i]].Context.Features,
+			Decision:   r.Decisions[r.DecSlots[i]],
+			Reward:     r.Rewards[i],
+			Propensity: r.Propensities[i],
+		}
 	}
 	return b, true
 }
 
-// records scans the batch's record array, staging each record that
-// passes Trace.Validate.
-func (s *evalScanner) records(b *IngestBatch) bool {
-	if !s.byte('[') {
-		return false
-	}
-	for first := true; ; first = false {
-		if more, ok := s.next(']', first); !more {
-			return ok
-		}
-		kc, rec, ok := s.record()
-		// One rule: the reference path reports a record the view would
-		// refuse, with its index.
-		if !ok || (core.Trace[FlatContext, string]{rec}).Validate() != nil {
-			return false
-		}
-		b.Records = append(b.Records, FlatRecord{
-			Features:   kc.ctx.Features,
-			Decision:   rec.Decision,
-			Reward:     rec.Reward,
-			Propensity: rec.Propensity,
-		})
-		b.places = append(b.places, kc.place)
-	}
-}
-
 // AppendTo appends the batch to vb, which must be the builder
-// DecodeIngest resolved it against: a known context by its code, a
-// new one by the key decoding computed, and every record of a batch
-// built from decoded records through Append. It stops at the first
-// record vb refuses.
+// DecodeIngest resolved it against, in one AppendRun; a batch built
+// from decoded records goes through Append, record by record, and
+// stops at the first record vb refuses. A batch is appended once.
 func (b *IngestBatch) AppendTo(vb *core.ViewBuilder[FlatContext, string]) error {
-	for i, r := range b.Records {
-		rec := core.Record[FlatContext, string]{
+	if b.run != nil {
+		return vb.AppendRun(b.run)
+	}
+	for _, r := range b.Records {
+		err := vb.Append(core.Record[FlatContext, string]{
 			Context:    FlatContext{Features: r.Features},
 			Decision:   r.Decision,
 			Reward:     r.Reward,
 			Propensity: r.Propensity,
-		}
-		var err error
-		switch {
-		case b.places == nil:
-			err = vb.Append(rec)
-		case b.places[i].key == "":
-			err = vb.AppendCode(b.places[i].code, rec)
-		default:
-			err = vb.AppendKeyed(b.places[i].key, rec)
-		}
+		})
 		if err != nil {
 			return err
 		}

@@ -33,9 +33,18 @@ func TestDecodeIngestInternsByRawText(t *testing.T) {
 	if !ok {
 		t.Fatal("fast path refused a canonical body")
 	}
-	want := []place{{code: 1}, {key: "[1,2]"}, {code: 0}, {key: "[3]"}}
-	if fmt.Sprint(b.places) != fmt.Sprint(want) {
-		t.Fatalf("placements %+v, want %+v", b.places, want)
+	type place struct {
+		key  string
+		code int32
+	}
+	want := []place{{code: 1}, {key: "[1,2]", code: -1}, {code: 0}, {key: "[3]", code: -1}}
+	var got []place
+	for _, slot := range b.run.CtxSlots {
+		c := b.run.Contexts[slot]
+		got = append(got, place{c.Key, c.Code})
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("placements %+v, want %+v", got, want)
 	}
 	if err := b.AppendTo(vb); err != nil {
 		t.Fatal(err)

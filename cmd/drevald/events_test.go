@@ -85,7 +85,7 @@ func getBody(t *testing.T, srv *httptest.Server, path string) (int, string) {
 	return resp.StatusCode, string(b)
 }
 
-func marshal(t *testing.T, v any) []byte {
+func marshal(t testing.TB, v any) []byte {
 	t.Helper()
 	b, err := json.Marshal(v)
 	if err != nil {

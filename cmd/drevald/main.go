@@ -63,6 +63,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -145,7 +146,7 @@ func run(args []string) error {
 type server struct {
 	cfg   config
 	reg   *obs.Registry
-	log   *obs.Logger
+	log   *slog.Logger
 	start time.Time
 	m     metrics
 
@@ -728,7 +729,7 @@ func (s *server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	diag := est.Diagnostics
-	if s.log.Enabled(obs.LevelDebug) {
+	if s.log.Enabled(r.Context(), slog.LevelDebug) {
 		s.log.Debug("evaluate diagnostics", "id", requestID(r),
 			"n", diag.N, "essRatio", diag.ESS/float64(diag.N),
 			"maxWeight", diag.MaxWeight, "zeroSupport", diag.ZeroSupport)

@@ -71,7 +71,8 @@ func newTestServerOn(t testing.TB, reg *obs.Registry, edit func(*config)) *serve
 	}
 	t.Cleanup(s.close)
 	if !testing.Verbose() {
-		s.log.SetOutput(io.Discard)
+		level, _ := obs.ParseLevel(cfg.logLevel) // newServer accepted it
+		s.log = obs.NewLogger(io.Discard, level)
 	}
 	if s.stream != nil {
 		s.stream.replay()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"sync"
@@ -12,7 +13,6 @@ import (
 
 	"drnet/internal/biasobs"
 	"drnet/internal/core"
-	"drnet/internal/obs"
 	"drnet/internal/traceio"
 	"drnet/internal/walog"
 	"drnet/internal/wideevent"
@@ -409,7 +409,7 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	if s.log.Enabled(obs.LevelDebug) {
+	if s.log.Enabled(r.Context(), slog.LevelDebug) {
 		s.log.Debug("ingest", "id", requestID(r), "acked", ack.Acked, "seq", ack.Seq, "epoch", ack.Epoch)
 	}
 	wideevent.FromContext(r.Context()).SetWALAck(ack.Seq, ack.Epoch, ack.Segment, ack.Durable)

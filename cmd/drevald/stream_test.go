@@ -635,9 +635,9 @@ func TestIngestLegEvalFlatness(t *testing.T) {
 // TestIngestAckAllocsIndependentOfBatchSize: over contexts the stream
 // already holds, an ack allocates within a small constant whatever its
 // size. Each record's feature text is a key of the stream's builder,
-// so it takes its context's code without parsing, keying or
-// allocating, and the snapshot each batch folds no longer clones the
-// context index.
+// so it takes its context's code without parsing or keying, in a slot
+// of the staged run whose growth is the only cost per record, and the
+// snapshot each batch folds no longer clones the context index.
 func TestIngestAckAllocsIndependentOfBatchSize(t *testing.T) {
 	s := newTestServer(t, func(c *config) { c.walDir, c.fsync = t.TempDir(), "never" })
 	h := s.routes()
@@ -660,7 +660,7 @@ func TestIngestAckAllocsIndependentOfBatchSize(t *testing.T) {
 
 // serveOK serves one POST to path on h in process and fails the test
 // unless it answers 200.
-func serveOK(t *testing.T, h http.Handler, path string, body []byte) {
+func serveOK(t testing.TB, h http.Handler, path string, body []byte) {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
@@ -685,7 +685,7 @@ func streamRecord(i, c int) traceio.FlatRecord {
 
 // streamBatch is records [from, to) of the stream in which record i
 // logs context i mod 1,000, as one /ingest body.
-func streamBatch(t *testing.T, from, to int) []byte {
+func streamBatch(t testing.TB, from, to int) []byte {
 	t.Helper()
 	recs := make([]traceio.FlatRecord, 0, to-from)
 	for i := from; i < to; i++ {

@@ -27,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"os/signal"
 	"runtime"
@@ -45,8 +46,8 @@ import (
 
 type runner func(runs int, seed int64) (experiments.Result, error)
 
-// expLog emits phase timings; the sink is swappable for tests.
-var expLog = obs.NewLogger(os.Stderr, obs.LevelInfo)
+// expLog emits phase timings; tests replace it with one over io.Discard.
+var expLog = obs.NewLogger(os.Stderr, slog.LevelInfo)
 
 func main() {
 	var (

@@ -6,17 +6,20 @@ import (
 	"encoding/json"
 	"flag"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"drnet/internal/obs"
 )
 
 // TestMain silences phase-timing logs during tests unless -v is set.
 func TestMain(m *testing.M) {
 	flag.Parse()
 	if !testing.Verbose() {
-		expLog.SetOutput(io.Discard)
+		expLog = obs.NewLogger(io.Discard, slog.LevelInfo)
 	}
 	os.Exit(m.Run())
 }

@@ -25,7 +25,7 @@ var eventFieldRE = regexp.MustCompile(`^[a-z][a-zA-Z0-9]*$`)
 // observability layer trustworthy: metric names must match
 // ^(drevald|obs|go)_[a-z0-9_]+$ and be non-empty, Help registrations
 // must carry a non-empty description, logger key=value calls must have
-// even arity (an odd tail becomes !badkey noise), Span.End must be
+// even arity (an odd tail becomes !BADKEY noise), Span.End must be
 // deferred so panics and early returns still record the span, and
 // wide-event Annotate field names must be non-empty lowerCamel so they
 // sit consistently beside the canonical Event fields.
@@ -37,7 +37,7 @@ var ObsHygiene = &analysis.Analyzer{
 	Run: runObsHygiene,
 }
 
-// loggerKVMethods maps obs.Logger methods to the index of their first
+// loggerKVMethods maps slog.Logger methods to the index of their first
 // key=value argument.
 var loggerKVMethods = map[string]int{
 	"Debug": 1, "Info": 1, "Warn": 1, "Error": 1, "With": 0,
@@ -72,10 +72,10 @@ func runObsHygiene(pass *analysis.Pass) {
 						}
 					}
 				}
-			case namedFrom(recv, "internal/obs", "Logger"):
+			case namedFrom(recv, "log/slog", "Logger"):
 				if start, ok := loggerKVMethods[method]; ok && !call.Ellipsis.IsValid() {
 					if kv := len(call.Args) - start; kv > 0 && kv%2 != 0 {
-						pass.Reportf(call.Pos(), "%s call has %d key=value args (odd): the dangling value logs as !badkey — pair every key with a value", method, kv)
+						pass.Reportf(call.Pos(), "%s call has %d key=value args (odd): the dangling value logs as !BADKEY — pair every key with a value", method, kv)
 					}
 				}
 			case namedFrom(recv, "internal/wideevent", "Builder"):

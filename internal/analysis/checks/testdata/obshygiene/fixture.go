@@ -1,8 +1,11 @@
 // Fixture for the obshygiene analyzer. It uses the real internal/obs
-// package so the receiver-type detection matches production call sites.
+// and log/slog packages so the receiver-type detection matches
+// production call sites.
 package fixture
 
 import (
+	"log/slog"
+
 	"drnet/internal/obs"
 	"drnet/internal/wideevent"
 )
@@ -22,14 +25,14 @@ func emptyStrings() {
 	_ = obs.Default.Counter("drevald_bias_reports_total") // bias family: fine
 }
 
-func logging(l *obs.Logger) {
+func logging(l *slog.Logger) {
 	l.Info("msg", "key", 1)     // paired: fine
 	l.Info("msg", "key")        // want "1 key=value args \\(odd\\)"
 	l.Error("msg", "a", 1, "b") // want "3 key=value args \\(odd\\)"
 	_ = l.With("k", "v")        // paired: fine
 }
 
-func kvPassthrough(l *obs.Logger, kv []any) {
+func kvPassthrough(l *slog.Logger, kv []any) {
 	l.Info("msg", kv...) // spread arity is unknowable statically: fine
 }
 

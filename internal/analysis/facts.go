@@ -10,7 +10,6 @@ package analysis
 
 import (
 	"go/types"
-	"sort"
 )
 
 // Facts is a per-package fact store keyed by (object, fact name).
@@ -43,23 +42,4 @@ func (f *Facts) Get(obj types.Object, key string) (any, bool) {
 	}
 	v, ok := f.m[obj][key]
 	return v, ok
-}
-
-// Objects returns every object carrying fact key, sorted by source
-// position so iteration (and therefore diagnostics derived from it)
-// is deterministic.
-func (f *Facts) Objects(key string) []types.Object {
-	var out []types.Object
-	for obj, m := range f.m {
-		if _, ok := m[key]; ok {
-			out = append(out, obj)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Pos() != out[j].Pos() {
-			return out[i].Pos() < out[j].Pos()
-		}
-		return out[i].Name() < out[j].Name()
-	})
-	return out
 }

@@ -99,9 +99,6 @@ func NewLoader(dir string) (*Loader, error) {
 // packages resolve through it.
 func (l *Loader) Fset() *token.FileSet { return l.fset }
 
-// ModulePath returns the enclosing module's path (e.g. "drnet").
-func (l *Loader) ModulePath() string { return l.modulePath }
-
 // ModuleRoot returns the absolute directory containing go.mod; SARIF
 // and baseline fingerprints are rooted here so they stay stable across
 // checkouts.

@@ -71,9 +71,6 @@ func (n *Network) Index(name string) int {
 // Vars returns the variable list (do not mutate).
 func (n *Network) Vars() []Variable { return n.vars }
 
-// Parents returns the parent indices of variable i (do not mutate).
-func (n *Network) Parents(i int) []int { return n.parents[i] }
-
 // parentConfigs returns the number of joint parent configurations of
 // variable i.
 func (n *Network) parentConfigs(i int) int {

@@ -107,9 +107,6 @@ func (c *Cusum) Update(x float64) (fired bool, dir Direction, stat float64) {
 // Reset clears the accumulated statistics, keeping the reference.
 func (c *Cusum) Reset() { c.sPos, c.sNeg = 0, 0 }
 
-// Reference returns the detector's calibrated (mean, scale).
-func (c *Cusum) Reference() (mean, scale float64) { return c.mean, c.scale }
-
 // Shift is one online-detected change in a series.
 type Shift struct {
 	// Index is the series position at which the detector fired. The

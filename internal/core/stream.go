@@ -76,7 +76,15 @@ func NewViewBuilder[C comparable, D comparable]() *ViewBuilder[C, D] {
 func NewViewBuilderKeyed[C any, D comparable](key func(C) string) *ViewBuilder[C, D] {
 	keys := make(map[string]int32)
 	b := newViewBuilder[C, D](keys)
-	b.intern = func(c C) (int32, bool) { return internKey(keys, key(c)) }
+	b.intern = func(c C) (int32, bool) {
+		k := key(c)
+		if u, ok := keys[k]; ok {
+			return u, false
+		}
+		u := int32(len(keys))
+		keys[k] = u
+		return u, true
+	}
 	b.lookup = func(c C, n int32) (int32, bool) {
 		k := key(c)
 		b.mu.Lock()
@@ -85,16 +93,6 @@ func NewViewBuilderKeyed[C any, D comparable](key func(C) string) *ViewBuilder[C
 		return u, ok && u < n
 	}
 	return b
-}
-
-// internKey returns k's code in keys, adding it when absent.
-func internKey(keys map[string]int32, k string) (int32, bool) {
-	if u, ok := keys[k]; ok {
-		return u, false
-	}
-	u := int32(len(keys))
-	keys[k] = u
-	return u, true
 }
 
 func newViewBuilder[C any, D comparable](keys map[string]int32) *ViewBuilder[C, D] {
@@ -118,7 +116,8 @@ func (b *ViewBuilder[C, D]) Append(rec Record[C, D]) error {
 // Run is a staged run of records for AppendRun, as a decoder writes it:
 // the reward and propensity columns, and for each record a slot into
 // the run's own context and decision dictionaries, so a decoder that
-// meets one context or label many times keys and interns it once.
+// meets one context or label many times stages it once, and AppendRun
+// interns it once.
 type Run[C any, D comparable] struct {
 	Rewards      []float64
 	Propensities []float64
@@ -133,10 +132,8 @@ type Run[C any, D comparable] struct {
 // RunContext is one context slot of a Run.
 type RunContext[C any] struct {
 	Context C
-	// Key is the context's key under the builder's key function. It is
-	// not read when Code is the code the builder already gave the
-	// context (Known); Code is -1 for a context that interns by Key.
-	Key  string
+	// Code is the code the builder already gave Context (Known), or -1
+	// for a context that AppendRun interns as Append would.
 	Code int32
 }
 
@@ -164,17 +161,13 @@ func (r *Run[C, D]) check(base int) error {
 // exactly as Append would append its records one by one: it checks
 // every record with Append's error text and stream index, and on any
 // error appends nothing. Each slot interns once, at its first record:
-// by its key, or as the code it carries, which must be one the builder
-// has assigned. The run's codes and slot columns are rewritten in
-// place, and an empty builder adopts all four columns without a copy,
-// so a run is appended once and not used after. Only builders from
-// NewViewBuilderKeyed accept it.
+// as Append interns its context, or as the code it carries, which must
+// be one the builder has assigned. The run's codes and slot columns are
+// rewritten in place, and an empty builder adopts all four columns
+// without a copy, so a run is appended once and not used after.
 func (b *ViewBuilder[C, D]) AppendRun(r *Run[C, D]) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.keys == nil {
-		return errors.New("core: AppendRun needs a builder from NewViewBuilderKeyed")
-	}
 	base := len(b.rewards)
 	if err := r.check(base); err != nil {
 		return err
@@ -188,7 +181,7 @@ func (b *ViewBuilder[C, D]) AppendRun(r *Run[C, D]) error {
 		c := &r.Contexts[s]
 		if c.Code < 0 {
 			var isNew bool
-			if c.Code, isNew = internKey(b.keys, c.Key); isNew {
+			if c.Code, isNew = b.intern(c.Context); isNew {
 				b.contexts = append(b.contexts, c.Context)
 				b.ctxFirst = append(b.ctxFirst, int32(base+i))
 			}

@@ -690,34 +690,79 @@ func TestViewBuilderKeyedLookupsDuringAppend(t *testing.T) {
 // TestAppendRunMatchesAppend: a staged run appends exactly what Append
 // would, record by record: the same codes, first records and
 // dictionaries, on an empty builder (which adopts the run's columns)
-// and on one already holding records. Two slots with one key share a
-// code, and a slot carrying a code the builder assigned interns as that
-// code. An invalid record, or a code the builder has not assigned,
-// fails with Append's error and appends nothing.
+// and on one already holding records, keyed or by value. Two slots of
+// one context share a code, and slots carrying a code the builder
+// assigned, two of one code among them, intern as that code. An
+// invalid record, or a code the builder has not assigned, fails with
+// Append's error and appends nothing.
 func TestAppendRunMatchesAppend(t *testing.T) {
 	key := func(c float64) string { return fmt.Sprint(c) }
 	held := Trace[float64, int]{
 		{Context: 1, Decision: 7, Reward: 0.5, Propensity: 0.5},
 		{Context: 2, Decision: 8, Reward: 1, Propensity: 1},
 	}
-	// Slots 0 and 2 are one context under two spellings; slot 1, when
-	// known, is held context 1 by its code.
+	// Slots 0 and 2 hold one context, as two spellings of one vector
+	// do; slots 1 and 4, when known, are held context 1 by its code, as
+	// each record of a held context is staged.
 	run := func(known bool) *Run[float64, int] {
-		slot1 := RunContext[float64]{Context: 5, Key: "5", Code: -1}
+		slot1 := RunContext[float64]{Context: 5, Code: -1}
 		if known {
 			slot1 = RunContext[float64]{Context: 1, Code: 0}
 		}
 		return &Run[float64, int]{
 			Rewards:      []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6},
 			Propensities: []float64{0.5, 0.5, 1, 0.25, 0.5, 0.5},
-			CtxSlots:     []int32{0, 1, 2, 0, 3, 1},
+			CtxSlots:     []int32{0, 1, 2, 0, 3, 4},
 			DecSlots:     []int32{0, 1, 0, 2, 1, 0},
 			Contexts: []RunContext[float64]{
-				{Context: 3, Key: "3", Code: -1}, slot1, {Context: 3, Key: "3", Code: -1}, {Context: 4, Key: "4", Code: -1},
+				{Context: 3, Code: -1}, slot1, {Context: 3, Code: -1}, {Context: 4, Code: -1}, slot1,
 			},
 			Decisions: []int{9, 7, 10},
 		}
 	}
+	for _, keyed := range []bool{true, false} {
+		builder := func(prefix Trace[float64, int]) *ViewBuilder[float64, int] {
+			b := NewViewBuilder[float64, int]()
+			if keyed {
+				b = NewViewBuilderKeyed[float64, int](key)
+			}
+			for _, rec := range prefix {
+				if err := b.Append(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return b
+		}
+		for _, prefix := range []Trace[float64, int]{nil, held} {
+			r := run(prefix != nil)
+			want := builder(prefix)
+			for i := range r.Rewards {
+				rec := Record[float64, int]{
+					Context:    r.Contexts[r.CtxSlots[i]].Context,
+					Decision:   r.Decisions[r.DecSlots[i]],
+					Reward:     r.Rewards[i],
+					Propensity: r.Propensities[i],
+				}
+				if err := want.Append(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rewards := r.Rewards
+			got := builder(prefix)
+			if err := got.AppendRun(r); err != nil {
+				t.Fatalf("keyed %v, %d held records: AppendRun: %v", keyed, len(prefix), err)
+			}
+			g, w := got.Snapshot(), want.Snapshot()
+			g.src, w.src = nil, nil
+			if !reflect.DeepEqual(g, w) {
+				t.Fatalf("keyed %v, %d held records: AppendRun built\n%+v\nAppend built\n%+v", keyed, len(prefix), g, w)
+			}
+			if prefix == nil && &g.rewards[0] != &rewards[0] {
+				t.Fatal("an empty builder copied the run's columns instead of adopting them")
+			}
+		}
+	}
+
 	builder := func(prefix Trace[float64, int]) *ViewBuilder[float64, int] {
 		b := NewViewBuilderKeyed[float64, int](key)
 		for _, rec := range prefix {
@@ -727,35 +772,6 @@ func TestAppendRunMatchesAppend(t *testing.T) {
 		}
 		return b
 	}
-	for _, prefix := range []Trace[float64, int]{nil, held} {
-		r := run(prefix != nil)
-		want := builder(prefix)
-		for i := range r.Rewards {
-			rec := Record[float64, int]{
-				Context:    r.Contexts[r.CtxSlots[i]].Context,
-				Decision:   r.Decisions[r.DecSlots[i]],
-				Reward:     r.Rewards[i],
-				Propensity: r.Propensities[i],
-			}
-			if err := want.Append(rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		rewards := r.Rewards
-		got := builder(prefix)
-		if err := got.AppendRun(r); err != nil {
-			t.Fatalf("%d held records: AppendRun: %v", len(prefix), err)
-		}
-		g, w := got.Snapshot(), want.Snapshot()
-		g.src, w.src = nil, nil
-		if !reflect.DeepEqual(g, w) {
-			t.Fatalf("%d held records: AppendRun built\n%+v\nAppend built\n%+v", len(prefix), g, w)
-		}
-		if prefix == nil && &g.rewards[0] != &rewards[0] {
-			t.Fatal("an empty builder copied the run's columns instead of adopting them")
-		}
-	}
-
 	bad := run(true)
 	bad.Propensities[4] = 0
 	appendErr := func() error {

@@ -113,58 +113,3 @@ func SolveLinear(a *Matrix, b []float64) ([]float64, error) {
 	}
 	return x, nil
 }
-
-// Cholesky computes the lower-triangular factor L with A = L Lᵀ for a
-// symmetric positive-definite matrix A. It returns ErrSingular when A is
-// not positive definite.
-func Cholesky(a *Matrix) (*Matrix, error) {
-	n := a.rows
-	if a.cols != n {
-		return nil, fmt.Errorf("mathx: Cholesky needs a square matrix, got %dx%d", a.rows, a.cols)
-	}
-	l := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			s := a.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
-			}
-			if i == j {
-				if s <= 0 {
-					return nil, ErrSingular
-				}
-				l.Set(i, i, math.Sqrt(s))
-			} else {
-				l.Set(i, j, s/l.At(j, j))
-			}
-		}
-	}
-	return l, nil
-}
-
-// SolveCholesky solves A x = b given the Cholesky factor L of A.
-func SolveCholesky(l *Matrix, b []float64) ([]float64, error) {
-	n := l.rows
-	if len(b) != n {
-		return nil, fmt.Errorf("mathx: rhs length %d, want %d", len(b), n)
-	}
-	// Forward substitution: L y = b.
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := b[i]
-		for j := 0; j < i; j++ {
-			s -= l.At(i, j) * y[j]
-		}
-		y[i] = s / l.At(i, i)
-	}
-	// Back substitution: Lᵀ x = y.
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		for j := i + 1; j < n; j++ {
-			s -= l.At(j, i) * x[j]
-		}
-		x[i] = s / l.At(i, i)
-	}
-	return x, nil
-}

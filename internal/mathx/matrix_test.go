@@ -135,75 +135,3 @@ func TestSolveLinearRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestCholeskyAndSolve(t *testing.T) {
-	a := fromRows([][]float64{
-		{4, 12, -16},
-		{12, 37, -43},
-		{-16, -43, 98},
-	})
-	l, err := Cholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Known factorization of this classic example.
-	want := [][]float64{{2, 0, 0}, {6, 1, 0}, {-8, 5, 3}}
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			if !almostEqual(l.At(i, j), want[i][j], 1e-9) {
-				t.Fatalf("L[%d][%d] = %g, want %g", i, j, l.At(i, j), want[i][j])
-			}
-		}
-	}
-	x, err := SolveCholesky(l, []float64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	back := mulVec(a, x)
-	for i, b := range []float64{1, 2, 3} {
-		if !almostEqual(back[i], b, 1e-8) {
-			t.Fatalf("round trip failed: A·x = %v", back)
-		}
-	}
-}
-
-func TestCholeskyNotPositiveDefinite(t *testing.T) {
-	a := fromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
-	if _, err := Cholesky(a); err == nil {
-		t.Fatal("expected ErrSingular for indefinite matrix")
-	}
-}
-
-// Property: Cholesky factor satisfies L·Lᵀ = A for random SPD matrices.
-func TestCholeskyFactorizationProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := NewRNG(seed)
-		n := 1 + r.Intn(5)
-		b := NewMatrix(n, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				b.Set(i, j, r.Normal(0, 1))
-			}
-		}
-		a := gram(b)
-		for i := 0; i < n; i++ {
-			a.Set(i, i, a.At(i, i)+1)
-		}
-		l, err := Cholesky(a)
-		if err != nil {
-			return false
-		}
-		llt := gram(l)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if !almostEqual(llt.At(i, j), a.At(i, j), 1e-8) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -6,110 +6,6 @@ import (
 	"math"
 )
 
-// LinearModel is a fitted linear (or ridge) regression model.
-type LinearModel struct {
-	// Weights holds one coefficient per input feature.
-	Weights []float64
-	// Intercept is the bias term.
-	Intercept float64
-}
-
-// RidgeOptions configures Ridge.
-type RidgeOptions struct {
-	// Lambda is the L2 regularization strength. Zero gives ordinary
-	// least squares. The intercept is never regularized.
-	Lambda float64
-	// FitIntercept controls whether a bias term is estimated.
-	FitIntercept bool
-}
-
-// Ridge fits a linear model minimising ||y - Xw - b||² + λ||w||² using the
-// normal equations solved by Cholesky factorization. X is given as one row
-// per observation.
-func Ridge(x [][]float64, y []float64, opts RidgeOptions) (*LinearModel, error) {
-	n := len(x)
-	if n == 0 {
-		return nil, errors.New("mathx: no observations")
-	}
-	if len(y) != n {
-		return nil, fmt.Errorf("mathx: %d rows but %d targets", n, len(y))
-	}
-	d := len(x[0])
-	if d == 0 {
-		return nil, errors.New("mathx: zero-dimensional features")
-	}
-	if opts.Lambda < 0 {
-		return nil, errors.New("mathx: negative lambda")
-	}
-
-	// Augment with a constant column when fitting an intercept.
-	p := d
-	if opts.FitIntercept {
-		p++
-	}
-	// Build XᵀX and Xᵀy directly without materializing the design matrix.
-	xtx := NewMatrix(p, p)
-	xty := make([]float64, p)
-	row := make([]float64, p)
-	for i := 0; i < n; i++ {
-		if len(x[i]) != d {
-			return nil, fmt.Errorf("mathx: row %d has %d features, want %d", i, len(x[i]), d)
-		}
-		copy(row, x[i])
-		if opts.FitIntercept {
-			row[d] = 1
-		}
-		for a := 0; a < p; a++ {
-			if row[a] == 0 {
-				continue
-			}
-			xty[a] += row[a] * y[i]
-			for b := a; b < p; b++ {
-				xtx.Set(a, b, xtx.At(a, b)+row[a]*row[b])
-			}
-		}
-	}
-	// Mirror the upper triangle and add the ridge penalty (not on the
-	// intercept column).
-	for a := 0; a < p; a++ {
-		for b := 0; b < a; b++ {
-			xtx.Set(a, b, xtx.At(b, a))
-		}
-	}
-	for a := 0; a < d; a++ {
-		xtx.Set(a, a, xtx.At(a, a)+opts.Lambda)
-	}
-	// A tiny jitter keeps plain OLS solvable on nearly collinear inputs.
-	if opts.Lambda == 0 {
-		for a := 0; a < p; a++ {
-			xtx.Set(a, a, xtx.At(a, a)+1e-10)
-		}
-	}
-
-	l, err := Cholesky(xtx)
-	if err != nil {
-		return nil, err
-	}
-	w, err := SolveCholesky(l, xty)
-	if err != nil {
-		return nil, err
-	}
-	m := &LinearModel{Weights: w[:d]}
-	if opts.FitIntercept {
-		m.Intercept = w[d]
-	}
-	return m, nil
-}
-
-// Predict returns the model output for a single feature vector.
-func (m *LinearModel) Predict(x []float64) float64 {
-	s := m.Intercept
-	for i, w := range m.Weights {
-		s += w * x[i]
-	}
-	return s
-}
-
 // LogisticModel is a fitted binary logistic-regression model. It predicts
 // P(y=1 | x) = sigmoid(wᵀx + b).
 type LogisticModel struct {

@@ -1,94 +1,6 @@
 package mathx
 
-import (
-	"math"
-	"testing"
-)
-
-func TestRidgeRecoversLine(t *testing.T) {
-	// y = 3x + 2 exactly.
-	var x [][]float64
-	var y []float64
-	for i := 0; i < 20; i++ {
-		v := float64(i)
-		x = append(x, []float64{v})
-		y = append(y, 3*v+2)
-	}
-	m, err := Ridge(x, y, RidgeOptions{FitIntercept: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(m.Weights[0], 3, 1e-6) || !almostEqual(m.Intercept, 2, 1e-5) {
-		t.Fatalf("got w=%g b=%g, want 3, 2", m.Weights[0], m.Intercept)
-	}
-	if got := m.Predict([]float64{10}); !almostEqual(got, 32, 1e-5) {
-		t.Fatalf("Predict(10) = %g, want 32", got)
-	}
-}
-
-func TestRidgeMultivariateNoisy(t *testing.T) {
-	rng := NewRNG(7)
-	true_ := []float64{1.5, -2.0, 0.5}
-	var x [][]float64
-	var y []float64
-	for i := 0; i < 500; i++ {
-		row := []float64{rng.Normal(0, 1), rng.Normal(0, 1), rng.Normal(0, 1)}
-		target := 4.0
-		for j, w := range true_ {
-			target += w * row[j]
-		}
-		x = append(x, row)
-		y = append(y, target+rng.Normal(0, 0.05))
-	}
-	m, err := Ridge(x, y, RidgeOptions{Lambda: 1e-6, FitIntercept: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j, w := range true_ {
-		if !almostEqual(m.Weights[j], w, 0.05) {
-			t.Fatalf("weight[%d] = %g, want ~%g", j, m.Weights[j], w)
-		}
-	}
-	if !almostEqual(m.Intercept, 4, 0.05) {
-		t.Fatalf("intercept = %g, want ~4", m.Intercept)
-	}
-}
-
-func TestRidgeShrinkage(t *testing.T) {
-	// Heavier regularization must shrink coefficients toward zero.
-	var x [][]float64
-	var y []float64
-	rng := NewRNG(11)
-	for i := 0; i < 50; i++ {
-		v := rng.Normal(0, 1)
-		x = append(x, []float64{v})
-		y = append(y, 5*v)
-	}
-	small, _ := Ridge(x, y, RidgeOptions{Lambda: 0.01})
-	big, _ := Ridge(x, y, RidgeOptions{Lambda: 1000})
-	if math.Abs(big.Weights[0]) >= math.Abs(small.Weights[0]) {
-		t.Fatalf("lambda=1000 gave |w|=%g, not smaller than lambda=0.01 |w|=%g",
-			math.Abs(big.Weights[0]), math.Abs(small.Weights[0]))
-	}
-}
-
-func TestRidgeErrors(t *testing.T) {
-	if _, err := Ridge(nil, nil, RidgeOptions{}); err == nil {
-		t.Fatal("expected error for no data")
-	}
-	if _, err := Ridge([][]float64{{1}}, []float64{1, 2}, RidgeOptions{}); err == nil {
-		t.Fatal("expected error for length mismatch")
-	}
-	if _, err := Ridge([][]float64{{}}, []float64{1}, RidgeOptions{}); err == nil {
-		t.Fatal("expected error for zero-dim features")
-	}
-	if _, err := Ridge([][]float64{{1}}, []float64{1}, RidgeOptions{Lambda: -1}); err == nil {
-		t.Fatal("expected error for negative lambda")
-	}
-	if _, err := Ridge([][]float64{{1}, {1, 2}}, []float64{1, 2}, RidgeOptions{}); err == nil {
-		t.Fatal("expected error for ragged rows")
-	}
-}
+import "testing"
 
 func TestLogisticSeparatesClasses(t *testing.T) {
 	rng := NewRNG(3)

@@ -73,11 +73,9 @@ type evalScanner struct {
 	// run stages the records scanned so far.
 	run core.Run[FlatContext, string]
 	// contexts memoises parsed raw feature-array text to its slot in
-	// run.Contexts ("" for a record without features), codes a known
-	// context's code to its slot, and labels raw decision bytes to their
-	// slot in run.Decisions.
+	// run.Contexts ("" for a record without features), and labels raw
+	// decision bytes to their slot in run.Decisions.
 	contexts map[string]int32
-	codes    map[int32]int32
 	labels   map[string]int32
 }
 
@@ -86,7 +84,6 @@ func newEvalScanner(body []byte, known *core.ViewBuilder[FlatContext, string]) e
 		buf:      body,
 		known:    known,
 		contexts: make(map[string]int32),
-		codes:    make(map[int32]int32),
 		labels:   make(map[string]int32),
 	}
 }
@@ -270,8 +267,10 @@ func (s *evalScanner) record() bool {
 // features scans a feature array, returning its context's slot. Text
 // seen before is a memo hit: the first sighting validated it, so only
 // its end is found. On an ingest scan, text that is already one of the
-// builder's keys takes that context's code and vector (knownContext).
-// Other text is parsed and keyed with FlatContext.Key.
+// builder's keys takes a slot of its own carrying that context's code
+// and vector (knownContext): it is not memoised, which would copy the
+// text, as the builder's index resolves it without allocating. Other
+// text is parsed into a slot the builder interns.
 func (s *evalScanner) features() (int32, bool) {
 	if s.off >= len(s.buf) || s.buf[s.off] != '[' {
 		return 0, false
@@ -288,7 +287,7 @@ func (s *evalScanner) features() (int32, bool) {
 	if s.known != nil {
 		if code, ctx, ok := knownContext(s.known, raw); ok {
 			s.off += len(raw)
-			return s.knownSlot(code, ctx), true
+			return s.slot(ctx, code), true
 		}
 	}
 	s.off++ // '['
@@ -315,41 +314,32 @@ func (s *evalScanner) features() (int32, bool) {
 		//lint:allow hotalloc into the capacity counted above
 		feats = append(feats, f)
 	}
-	ctx := FlatContext{Features: feats}
-	return s.newContext(raw, core.RunContext[FlatContext]{Context: ctx, Key: ctx.Key(), Code: -1}), true
-}
-
-// knownSlot returns the slot of a context the builder interned as
-// code, adding one per distinct code. Known text is not memoised by
-// its raw text, which would copy the text; the builder's index resolves
-// it without allocating.
-func (s *evalScanner) knownSlot(code int32, ctx FlatContext) int32 {
-	if slot, ok := s.codes[code]; ok {
-		return slot
-	}
-	slot := int32(len(s.run.Contexts))
-	//lint:allow hotalloc once per distinct known context
-	s.run.Contexts = append(s.run.Contexts, core.RunContext[FlatContext]{Context: ctx, Code: code})
-	s.codes[code] = slot
-	return slot
+	return s.newContext(raw, FlatContext{Features: feats}), true
 }
 
 // noFeatures returns the slot of a record that omits its features: a
-// nil vector, keyed like an empty one.
+// nil vector, which the builder keys like an empty one.
 func (s *evalScanner) noFeatures() int32 {
 	if slot, ok := s.contexts[""]; ok {
 		return slot
 	}
-	return s.newContext(nil, core.RunContext[FlatContext]{Key: "[]", Code: -1})
+	return s.newContext(nil, FlatContext{})
 }
 
-// newContext adds a context slot, memoised under its raw text: once
-// per distinct feature text.
-func (s *evalScanner) newContext(raw []byte, c core.RunContext[FlatContext]) int32 {
-	slot := int32(len(s.run.Contexts))
-	//lint:allow hotalloc once per distinct feature text
-	s.run.Contexts = append(s.run.Contexts, c)
+// newContext adds a slot for ctx that the builder interns, memoised
+// under its raw text: once per distinct feature text.
+func (s *evalScanner) newContext(raw []byte, ctx FlatContext) int32 {
+	slot := s.slot(ctx, -1)
 	s.contexts[string(raw)] = slot
+	return slot
+}
+
+// slot adds a context slot for ctx carrying code: the builder's code
+// for a known context, or -1 for AppendRun to intern.
+func (s *evalScanner) slot(ctx FlatContext, code int32) int32 {
+	slot := int32(len(s.run.Contexts))
+	//lint:allow hotalloc once per distinct feature text, or per record of a known context
+	s.run.Contexts = append(s.run.Contexts, core.RunContext[FlatContext]{Context: ctx, Code: code})
 	return slot
 }
 

@@ -16,8 +16,9 @@ type IngestBatch struct {
 // DecodeIngest decodes an /ingest body, {"records":[...]}, in one pass
 // into a staged batch. vb is the builder the batch will join, keyed by
 // FlatContext.Key: a record whose feature text is already one of its
-// keys takes that context's code and vector without parsing a number
-// or allocating, and only other text is parsed and keyed.
+// keys takes that context's code and vector, in a slot of its own,
+// without parsing a number; only other text is parsed, for vb to key
+// when the batch joins it.
 //
 // It is the fast path of a body the caller would otherwise hand to
 // encoding/json (DisallowUnknownFields, then ValidateFinite and

@@ -22,9 +22,9 @@ func knownBuilder(t testing.TB) *core.ViewBuilder[FlatContext, string] {
 }
 
 // TestDecodeIngestInternsByRawText: feature text equal to one of the
-// builder's keys takes that context's code; any other spelling of the
-// same vector is parsed and keyed, and joins the same context; new
-// text becomes a new context.
+// builder's keys takes that context's code and vector; any other
+// spelling of the same vector is parsed, and joins the same context
+// when the batch is appended; new text becomes a new context.
 func TestDecodeIngestInternsByRawText(t *testing.T) {
 	vb := knownBuilder(t)
 	const r = `"decision":"a","reward":1,"propensity":0.5`
@@ -34,14 +34,14 @@ func TestDecodeIngestInternsByRawText(t *testing.T) {
 		t.Fatal("fast path refused a canonical body")
 	}
 	type place struct {
-		key  string
-		code int32
+		features []float64
+		code     int32
 	}
-	want := []place{{code: 1}, {key: "[1,2]", code: -1}, {code: 0}, {key: "[3]", code: -1}}
+	want := []place{{[]float64{0.25, 0.5, 1}, 1}, {[]float64{1, 2}, -1}, {[]float64{1, 2}, 0}, {[]float64{3}, -1}}
 	var got []place
 	for _, slot := range b.run.CtxSlots {
 		c := b.run.Contexts[slot]
-		got = append(got, place{c.Key, c.Code})
+		got = append(got, place{c.Context.Features, c.Code})
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("placements %+v, want %+v", got, want)

@@ -23,6 +23,17 @@ func seg(frames ...[]byte) []byte {
 	return out
 }
 
+// readSegment decodes a segment image through scanSegment, the scan
+// recovery and replay run, returning copies of its payloads and the
+// length of its valid prefix.
+func readSegment(data []byte, maxFrameBytes int) (payloads [][]byte, valid int64, err error) {
+	valid, _, err = scanSegment(bytes.NewReader(data), "fuzz", maxFrameBytes, func(payload []byte) error {
+		payloads = append(payloads, bytes.Clone(payload))
+		return nil
+	})
+	return payloads, valid, err
+}
+
 // FuzzReadSegment drives the segment decoder with arbitrary bytes.
 // Invariants under ANY input:
 //   - never panics
@@ -58,7 +69,7 @@ func FuzzReadSegment(f *testing.F) {
 	f.Add([]byte("DRW"))      // shorter than magic
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		payloads, valid, err := ReadSegment(data, maxFrame)
+		payloads, valid, err := readSegment(data, maxFrame)
 		if err != nil {
 			// Only a bad/short magic may error; with a valid magic the
 			// decoder must degrade to a shorter prefix instead.
@@ -73,7 +84,7 @@ func FuzzReadSegment(f *testing.F) {
 		// Longest-valid-prefix property: every payload's frame must be
 		// inside the prefix, and re-decoding the prefix is a fixed
 		// point.
-		again, validAgain, err := ReadSegment(data[:valid], maxFrame)
+		again, validAgain, err := readSegment(data[:valid], maxFrame)
 		if err != nil {
 			t.Fatalf("re-decoding the valid prefix errored: %v", err)
 		}

@@ -39,74 +39,14 @@ func ScanSegment(path string, maxFrameBytes int) (ScanResult, error) {
 		return ScanResult{}, fmt.Errorf("walog: %w", err)
 	}
 	res := ScanResult{TotalBytes: fi.Size()}
-
-	r := bufio.NewReaderSize(f, 1<<20)
-	magic := make([]byte, len(Magic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return ScanResult{}, fmt.Errorf("walog: %s: reading magic: %w", path, err)
-	}
-	if string(magic) != Magic {
-		return ScanResult{}, fmt.Errorf("walog: %s: bad magic %q, not a walog segment", path, magic)
-	}
-	res.ValidBytes = int64(len(Magic))
-
-	err = scanFrames(r, maxFrameBytes, func(payload []byte) error {
+	res.ValidBytes, res.TailReason, err = scanSegment(bufio.NewReaderSize(f, 1<<20), path, maxFrameBytes, func([]byte) error {
 		res.Frames++
-		res.ValidBytes += int64(FrameHeaderSize + len(payload))
 		return nil
-	}, &res.TailReason)
+	})
 	if err != nil {
-		return ScanResult{}, fmt.Errorf("walog: %s: %w", path, err)
+		return ScanResult{}, err
 	}
 	return res, nil
-}
-
-// scanFrames reads frames from r until EOF or the first invalid frame,
-// calling fn with each valid payload (the slice is reused between
-// calls). A torn/corrupt frame sets *tailReason and stops the scan
-// without error; a non-nil error only reports real I/O failures or an
-// aborting fn.
-func scanFrames(r io.Reader, maxFrameBytes int, fn func(payload []byte) error, tailReason *string) error {
-	var hdr [FrameHeaderSize]byte
-	var payload []byte
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if err == io.EOF {
-				return nil // clean end on a frame boundary
-			}
-			if err == io.ErrUnexpectedEOF {
-				*tailReason = "torn frame header"
-				return nil
-			}
-			return err
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		want := binary.LittleEndian.Uint32(hdr[4:8])
-		if int64(length) > int64(maxFrameBytes) {
-			// An absurd length is indistinguishable from garbage; do
-			// not attempt the read (it could be gigabytes).
-			*tailReason = fmt.Sprintf("frame length %d exceeds limit %d", length, maxFrameBytes)
-			return nil
-		}
-		if cap(payload) < int(length) {
-			payload = make([]byte, length)
-		}
-		payload = payload[:length]
-		if _, err := io.ReadFull(r, payload); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				*tailReason = "torn frame payload"
-				return nil
-			}
-			return err
-		}
-		if got := Checksum(payload); got != want {
-			*tailReason = fmt.Sprintf("frame CRC mismatch (stored %08x, computed %08x)", want, got)
-			return nil
-		}
-		if err := fn(payload); err != nil {
-			return err
-		}
-	}
 }
 
 // readSegmentFrames streams the valid frames of one segment through fn
@@ -118,54 +58,61 @@ func readSegmentFrames(path string, maxFrameBytes int, fn func(payload []byte) e
 		return fmt.Errorf("walog: %w", err)
 	}
 	defer closeQuiet(f)
-	r := bufio.NewReaderSize(f, 1<<20)
-	magic := make([]byte, len(Magic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return fmt.Errorf("walog: %s: reading magic: %w", path, err)
-	}
-	if string(magic) != Magic {
-		return fmt.Errorf("walog: %s: bad magic %q, not a walog segment", path, magic)
-	}
-	var tail string
-	return scanFrames(r, maxFrameBytes, fn, &tail)
+	_, _, err = scanSegment(bufio.NewReaderSize(f, 1<<20), path, maxFrameBytes, fn)
+	return err
 }
 
-// ReadSegment decodes every valid frame of a segment image given as a
-// byte slice (magic header included) and returns the payloads plus the
-// length of the valid prefix. It is the pure-function core the fuzz
-// harness drives: any input must decode without panicking, and the
-// returned prefix must be a fixed point (re-scanning the prefix yields
-// the same frames).
-func ReadSegment(data []byte, maxFrameBytes int) (payloads [][]byte, validBytes int64, err error) {
-	if len(data) < len(Magic) || string(data[:len(Magic)]) != Magic {
-		return nil, 0, fmt.Errorf("walog: bad magic, not a walog segment")
+// scanSegment reads a segment image from r: its magic header, then
+// frames until EOF or the first torn or corrupt one, calling fn with
+// each valid payload (the slice is reused between calls). It returns
+// the length of the valid prefix, magic included, and why the scan
+// stopped before EOF ("" when every byte after the magic is a valid
+// frame). A missing or bad magic and an I/O failure are errors naming
+// the segment; fn's error aborts the scan and is returned as it is.
+func scanSegment(r io.Reader, name string, maxFrameBytes int, fn func(payload []byte) error) (valid int64, tailReason string, err error) {
+	var magic [len(Magic)]byte
+	if _, err := io.ReadFull(r, magic[:]); err != nil {
+		return 0, "", fmt.Errorf("walog: %s: reading magic: %w", name, err)
 	}
-	validBytes = int64(len(Magic))
-	var tail string
-	err = scanFrames(newByteReader(data[len(Magic):]), maxFrameBytes, func(payload []byte) error {
-		cp := make([]byte, len(payload))
-		copy(cp, payload)
-		payloads = append(payloads, cp)
-		validBytes += int64(FrameHeaderSize + len(payload))
-		return nil
-	}, &tail)
-	if err != nil {
-		return nil, 0, err
+	if string(magic[:]) != Magic {
+		return 0, "", fmt.Errorf("walog: %s: bad magic %q, not a walog segment", name, magic[:])
 	}
-	return payloads, validBytes, nil
-}
-
-// newByteReader wraps a slice as an io.Reader without bytes.Reader's
-// extra state (keeps ReadSegment allocation-light under fuzzing).
-func newByteReader(b []byte) io.Reader { return &byteReader{b: b} }
-
-type byteReader struct{ b []byte }
-
-func (r *byteReader) Read(p []byte) (int, error) {
-	if len(r.b) == 0 {
-		return 0, io.EOF
+	valid = int64(len(Magic))
+	var hdr [FrameHeaderSize]byte
+	var payload []byte
+	for {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			switch err {
+			case io.EOF:
+				return valid, "", nil // clean end on a frame boundary
+			case io.ErrUnexpectedEOF:
+				return valid, "torn frame header", nil
+			}
+			return valid, "", fmt.Errorf("walog: %s: %w", name, err)
+		}
+		length := binary.LittleEndian.Uint32(hdr[0:4])
+		want := binary.LittleEndian.Uint32(hdr[4:8])
+		if int64(length) > int64(maxFrameBytes) {
+			// An absurd length is indistinguishable from garbage; do
+			// not attempt the read (it could be gigabytes).
+			return valid, fmt.Sprintf("frame length %d exceeds limit %d", length, maxFrameBytes), nil
+		}
+		if cap(payload) < int(length) {
+			payload = make([]byte, length)
+		}
+		payload = payload[:length]
+		if _, err := io.ReadFull(r, payload); err != nil {
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
+				return valid, "torn frame payload", nil
+			}
+			return valid, "", fmt.Errorf("walog: %s: %w", name, err)
+		}
+		if got := Checksum(payload); got != want {
+			return valid, fmt.Sprintf("frame CRC mismatch (stored %08x, computed %08x)", want, got), nil
+		}
+		if err := fn(payload); err != nil {
+			return valid, "", err
+		}
+		valid += int64(FrameHeaderSize) + int64(length)
 	}
-	n := copy(p, r.b)
-	r.b = r.b[n:]
-	return n, nil
 }

@@ -67,6 +67,12 @@ func TestAppendReadRoundtrip(t *testing.T) {
 			t.Fatalf("frame %d = %q, want %q", i, got[i], want[i])
 		}
 	}
+	// A callback's error stops the read and comes back as it is: replay
+	// reports its own "frame N: ..." text.
+	stop, calls := errors.New("stop"), 0
+	if err := l.ReadAll(func(uint64, []byte) error { calls++; return stop }); err != stop || calls != 1 {
+		t.Fatalf("ReadAll with a failing callback = %v after %d calls, want its error after 1", err, calls)
+	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}

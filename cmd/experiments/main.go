@@ -33,6 +33,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -262,43 +263,40 @@ func runAll(ctx context.Context, w io.Writer, which string, runs int, seed int64
 	}
 	start := time.Now()
 	results := make([]outcome, len(jobs))
-	sem := make(chan struct{}, concurrent)
+	// The workers take jobs in declaration order, so every run starts
+	// them in the same order.
+	var next atomic.Int32
 	var wg sync.WaitGroup
-	for i, j := range jobs {
+	for range concurrent {
 		wg.Add(1)
-		go func(i int, j job) {
+		go func() {
 			defer wg.Done()
-			// A signal that lands while this job is waiting for a
-			// concurrency slot (or before it got one) skips the job
-			// entirely; in-flight experiments are left to finish.
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				results[i] = outcome{skipped: true}
-				return
+			for i := int(next.Add(1)) - 1; i < len(jobs); i = int(next.Add(1)) - 1 {
+				// A signal skips every job not yet started; in-flight
+				// experiments are left to finish.
+				if ctx.Err() != nil {
+					results[i] = outcome{skipped: true}
+					continue
+				}
+				j := jobs[i]
+				expLog.Info("experiment start", "id", j.id, "runs", runs, "seed", seed)
+				mw := startMemWatch()
+				sp := obs.StartSpan(j.id)
+				res, err := j.fn(runs, seed)
+				//lint:allow obshygiene End's duration is the recorded wall time, so it must run inline
+				d := sp.End()
+				peakHeap, gcCycles, allocs := mw.end()
+				results[i] = outcome{
+					res: res, err: err, seconds: d.Seconds(),
+					peakHeap: peakHeap, gcCycles: gcCycles, allocs: allocs,
+				}
+				if err != nil {
+					expLog.Error("experiment failed", "id", j.id, "seconds", d.Seconds(), "err", err)
+					continue
+				}
+				expLog.Info("experiment done", "id", j.id, "seconds", d.Seconds())
 			}
-			defer func() { <-sem }()
-			if ctx.Err() != nil {
-				results[i] = outcome{skipped: true}
-				return
-			}
-			expLog.Info("experiment start", "id", j.id, "runs", runs, "seed", seed)
-			mw := startMemWatch()
-			sp := obs.StartSpan(j.id)
-			res, err := j.fn(runs, seed)
-			//lint:allow obshygiene End's duration is the recorded wall time, so it must run inline
-			d := sp.End()
-			peakHeap, gcCycles, allocs := mw.end()
-			results[i] = outcome{
-				res: res, err: err, seconds: d.Seconds(),
-				peakHeap: peakHeap, gcCycles: gcCycles, allocs: allocs,
-			}
-			if err != nil {
-				expLog.Error("experiment failed", "id", j.id, "seconds", d.Seconds(), "err", err)
-				return
-			}
-			expLog.Info("experiment done", "id", j.id, "seconds", d.Seconds())
-		}(i, j)
+		}()
 	}
 	wg.Wait()
 	m.WallSeconds = time.Since(start).Seconds()

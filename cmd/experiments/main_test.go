@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -163,6 +164,31 @@ func TestManifestCarriesTraceHealth(t *testing.T) {
 	}
 	if !bytes.Contains(b, []byte(`"slo"`)) || !bytes.Contains(b, []byte(`"event"`)) {
 		t.Fatalf("serialized manifest missing slo/event blocks:\n%s", b)
+	}
+}
+
+// TestRunAllStartsInDeclarationOrder: one worker starts the jobs in
+// the order they are declared, on every run, so two runs' logs compare.
+func TestRunAllStartsInDeclarationOrder(t *testing.T) {
+	var logBuf bytes.Buffer
+	saved := expLog
+	expLog = obs.NewLogger(&logBuf, slog.LevelInfo)
+	t.Cleanup(func() { expLog = saved })
+	m, err := runAll(context.Background(), io.Discard, "all", 1, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var started []string
+	for _, match := range regexp.MustCompile(`msg="experiment start" id=(\S+)`).FindAllStringSubmatch(logBuf.String(), -1) {
+		started = append(started, match[1])
+	}
+	if len(started) != 16 || len(m.Experiments) != 16 {
+		t.Fatalf("started %d and recorded %d experiments, want 16 each", len(started), len(m.Experiments))
+	}
+	for i, e := range m.Experiments {
+		if started[i] != e.ID {
+			t.Fatalf("experiments started in order %v, want declaration order", started)
+		}
 	}
 }
 

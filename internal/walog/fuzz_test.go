@@ -3,6 +3,7 @@ package walog
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 )
 
@@ -42,6 +43,8 @@ func readSegment(data []byte, maxFrameBytes int) (payloads [][]byte, valid int64
 //   - every returned payload round-trips its own CRC framing
 //   - inputs with a valid magic never error (torn/corrupt frames just
 //     end the prefix)
+//   - exactly the inputs shorter than the magic and a prefix of it are
+//     a torn header
 func FuzzReadSegment(f *testing.F) {
 	const maxFrame = 1 << 16
 
@@ -70,6 +73,9 @@ func FuzzReadSegment(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		payloads, valid, err := readSegment(data, maxFrame)
+		if torn := len(data) < len(Magic) && string(data) == Magic[:len(data)]; errors.Is(err, errTornHeader) != torn {
+			t.Fatalf("torn header %v, got error %v", torn, err)
+		}
 		if err != nil {
 			// Only a bad/short magic may error; with a valid magic the
 			// decoder must degrade to a shorter prefix instead.

@@ -3,6 +3,7 @@ package walog
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -23,11 +24,16 @@ type ScanResult struct {
 	TailReason string
 }
 
+// errTornHeader marks a segment shorter than its magic whose bytes are
+// a prefix of it: what a crash inside createSegment leaves behind.
+var errTornHeader = errors.New("torn segment header")
+
 // ScanSegment walks a segment file and returns where the valid frame
 // prefix ends. It never returns an error for torn or corrupt FRAMES —
 // those end the valid prefix and are described by TailReason — only
 // for I/O failures or a missing/invalid magic header (which means the
-// file is not a walog segment at all, not a torn one).
+// file is not a whole walog segment). The result's TotalBytes is set
+// even when the scan fails.
 func ScanSegment(path string, maxFrameBytes int) (ScanResult, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -43,10 +49,7 @@ func ScanSegment(path string, maxFrameBytes int) (ScanResult, error) {
 		res.Frames++
 		return nil
 	})
-	if err != nil {
-		return ScanResult{}, err
-	}
-	return res, nil
+	return res, err
 }
 
 // readSegmentFrames streams the valid frames of one segment through fn
@@ -68,10 +71,14 @@ func readSegmentFrames(path string, maxFrameBytes int, fn func(payload []byte) e
 // the length of the valid prefix, magic included, and why the scan
 // stopped before EOF ("" when every byte after the magic is a valid
 // frame). A missing or bad magic and an I/O failure are errors naming
-// the segment; fn's error aborts the scan and is returned as it is.
+// the segment, and a short magic that is a prefix of Magic wraps
+// errTornHeader; fn's error aborts the scan and is returned as it is.
 func scanSegment(r io.Reader, name string, maxFrameBytes int, fn func(payload []byte) error) (valid int64, tailReason string, err error) {
 	var magic [len(Magic)]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
+	if n, err := io.ReadFull(r, magic[:]); err != nil {
+		if (err == io.EOF || err == io.ErrUnexpectedEOF) && string(magic[:n]) == Magic[:n] {
+			err = errTornHeader
+		}
 		return 0, "", fmt.Errorf("walog: %s: reading magic: %w", name, err)
 	}
 	if string(magic[:]) != Magic {

@@ -2,9 +2,10 @@
 // substrate under drevald's streaming ingestion. Callers append opaque
 // payloads (drevald appends binary-encoded record batches); the log
 // writes them as length+CRC32C-framed records into numbered segment
-// files, rotates segments at a size threshold, tracks sealed segments
-// in an atomically-replaced manifest, and — after a crash — recovers
-// by scanning segments and truncating the torn tail of the last one.
+// files, rotates segments at a size threshold, and — after a crash —
+// recovers by scanning segments and truncating the torn tail of the
+// last one. The segment files are the whole log: they run from
+// wal-00000001.seg to wal-N.seg with no gap, and no other file is kept.
 //
 // Durability contract: when Append returns nil under FsyncAlways, the
 // frame is on stable storage and will be recovered by any subsequent
@@ -31,6 +32,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -50,7 +52,9 @@ import (
 // CRC matches. Recovery accepts the longest valid frame prefix of the
 // final segment and truncates the rest (the torn tail a crash mid-write
 // leaves behind); an invalid frame in a SEALED segment is corruption of
-// acked data and fails Open instead.
+// acked data and fails Open instead. A final segment shorter than its
+// magic, holding a prefix of it, is a rotation torn inside
+// createSegment: it holds no frame, so Open makes it again.
 const (
 	// Magic identifies a walog segment file (version 001).
 	Magic = "DRWAL001"
@@ -93,23 +97,10 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 	return 0, fmt.Errorf("walog: unknown fsync policy %q (want always, interval or never)", s)
 }
 
-// String renders the policy as its flag spelling.
-func (p FsyncPolicy) String() string {
-	switch p {
-	case FsyncAlways:
-		return "always"
-	case FsyncIntervalPolicy:
-		return "interval"
-	case FsyncNever:
-		return "never"
-	}
-	return fmt.Sprintf("FsyncPolicy(%d)", int(p))
-}
-
 // Options configures a Log.
 type Options struct {
-	// Dir is the directory holding segment files and the manifest. It
-	// is created if absent.
+	// Dir is the directory holding the segment files. It is created if
+	// absent.
 	Dir string
 	// SegmentBytes rotates the active segment once it would exceed this
 	// size (default 64 MiB). Rotation happens on frame boundaries, so a
@@ -159,17 +150,6 @@ var ErrWedged = errors.New("walog: log wedged after unrecoverable write failure"
 // ErrTooLarge is returned by Append for payloads above MaxFrameBytes.
 var ErrTooLarge = errors.New("walog: payload exceeds MaxFrameBytes")
 
-// SegmentInfo describes one sealed (rotated, no longer written)
-// segment, as recorded in the manifest.
-type SegmentInfo struct {
-	// Name is the file name within Dir (e.g. "wal-00000001.seg").
-	Name string `json:"name"`
-	// Frames is the number of valid frames in the segment.
-	Frames uint64 `json:"frames"`
-	// Bytes is the file size including the magic header.
-	Bytes int64 `json:"bytes"`
-}
-
 // Recovery reports what Open found on disk.
 type Recovery struct {
 	// Segments is the number of segment files recovered (including the
@@ -177,16 +157,9 @@ type Recovery struct {
 	Segments int
 	// Frames is the total valid frames across all segments.
 	Frames uint64
-	// Bytes is the total valid bytes across all segments.
-	Bytes int64
 	// TruncatedBytes is the torn tail dropped from the final segment
 	// (zero after a clean shutdown).
 	TruncatedBytes int64
-	// TailSegment is the segment reopened for appending.
-	TailSegment string
-	// ManifestOK is false when a manifest existed but disagreed with
-	// the on-disk scan (the scan wins; the manifest is rewritten).
-	ManifestOK bool
 }
 
 // AppendResult describes one durable append.
@@ -207,12 +180,14 @@ type Log struct {
 	opts Options
 
 	mu        sync.Mutex
-	f         *os.File      // guarded by mu
-	segName   string        // guarded by mu
-	segIndex  int           // guarded by mu
-	segBytes  int64         // guarded by mu
-	segFrames uint64        // guarded by mu
-	sealed    []SegmentInfo // guarded by mu
+	f         *os.File // guarded by mu
+	segName   string   // guarded by mu
+	segBytes  int64    // guarded by mu
+	segFrames uint64   // guarded by mu
+	// sealed names the rotated segments, wal-00000001.seg onwards; the
+	// active one, segName, is always the next index.
+	// guarded by mu
+	sealed []string
 	// seq is the next frame sequence number.
 	// guarded by mu
 	seq uint64
@@ -237,14 +212,16 @@ type Log struct {
 	scratch []byte
 }
 
-var segmentRe = regexp.MustCompile(`^wal-(\d{8})\.seg$`)
+var segmentRe = regexp.MustCompile(`^wal-\d{8}\.seg$`)
 
 func segmentName(index int) string { return fmt.Sprintf("wal-%08d.seg", index) }
 
 // Open recovers the log in opts.Dir (creating it when absent) and
 // reopens the final segment for appending. See Recovery for what was
 // found. Open truncates a torn tail in the final segment; corruption in
-// a sealed segment is an error, because those frames were acked.
+// a sealed segment is an error, because those frames were acked, and so
+// is a gap in the segment numbers: nothing deletes a segment, so a
+// missing one is lost acked frames.
 func Open(opts Options) (*Log, Recovery, error) {
 	if err := opts.fill(); err != nil {
 		return nil, Recovery{}, err
@@ -256,13 +233,25 @@ func Open(opts Options) (*Log, Recovery, error) {
 	if err != nil {
 		return nil, Recovery{}, err
 	}
-	rec := Recovery{ManifestOK: true}
+	var rec Recovery
 	l := &Log{opts: opts}
 
 	for i, name := range names {
+		if want := segmentName(i + 1); name != want {
+			return nil, Recovery{}, fmt.Errorf("walog: segment %s is missing before %s", want, name)
+		}
 		path := filepath.Join(opts.Dir, name)
 		last := i == len(names)-1
 		sc, err := ScanSegment(path, opts.MaxFrameBytes)
+		if last && errors.Is(err, errTornHeader) {
+			// A rotation stopped inside createSegment: the tail holds
+			// no frame, so it is made again below.
+			if err := os.Remove(path); err != nil {
+				return nil, Recovery{}, fmt.Errorf("walog: removing torn segment %s: %w", name, err)
+			}
+			rec.TruncatedBytes = sc.TotalBytes
+			break
+		}
 		if err != nil {
 			return nil, Recovery{}, err
 		}
@@ -276,33 +265,21 @@ func Open(opts Options) (*Log, Recovery, error) {
 			rec.TruncatedBytes = sc.TotalBytes - sc.ValidBytes
 		}
 		rec.Frames += sc.Frames
-		rec.Bytes += sc.ValidBytes
+		l.bytes += sc.ValidBytes
 		if !last {
-			l.sealed = append(l.sealed, SegmentInfo{Name: name, Frames: sc.Frames, Bytes: sc.ValidBytes})
+			l.sealed = append(l.sealed, name)
 		} else {
 			l.segName = name
-			l.segIndex = indexOf(name)
 			l.segBytes = sc.ValidBytes
 			l.segFrames = sc.Frames
 		}
 	}
-	rec.Segments = len(names)
 	l.seq = rec.Frames
-	l.bytes = rec.Bytes
-
-	// Cross-check the manifest against the scan; the scan is the truth
-	// (the manifest is a fast-path index and an operator aid), but a
-	// disagreement is worth surfacing.
-	if m, ok, err := readManifest(opts.Dir); err != nil {
-		return nil, Recovery{}, err
-	} else if ok && !manifestMatches(m, l.sealed) {
-		rec.ManifestOK = false
-	}
 
 	if l.segName == "" {
-		// Fresh directory: create the first segment.
-		l.segIndex = 1
-		l.segName = segmentName(1)
+		// A fresh directory or a torn tail: create the segment after
+		// the sealed ones.
+		l.segName = segmentName(len(l.sealed) + 1)
 		f, err := createSegment(filepath.Join(opts.Dir, l.segName))
 		if err != nil {
 			return nil, Recovery{}, err
@@ -310,7 +287,6 @@ func Open(opts Options) (*Log, Recovery, error) {
 		l.f = f
 		l.segBytes = int64(len(Magic))
 		l.bytes += int64(len(Magic))
-		rec.Segments = 1
 	} else {
 		f, err := os.OpenFile(filepath.Join(opts.Dir, l.segName), os.O_WRONLY, 0o644)
 		if err != nil {
@@ -322,12 +298,8 @@ func Open(opts Options) (*Log, Recovery, error) {
 		}
 		l.f = f
 	}
-	rec.TailSegment = l.segName
+	rec.Segments = len(l.sealed) + 1
 
-	if err := writeManifest(opts.Dir, l.sealed); err != nil {
-		closeQuiet(l.f)
-		return nil, Recovery{}, err
-	}
 	if err := syncDir(opts.Dir); err != nil {
 		closeQuiet(l.f)
 		return nil, Recovery{}, err
@@ -339,15 +311,6 @@ func Open(opts Options) (*Log, Recovery, error) {
 		go l.syncLoop()
 	}
 	return l, rec, nil
-}
-
-func indexOf(name string) int {
-	m := segmentRe.FindStringSubmatch(name)
-	idx := 0
-	if len(m) == 2 {
-		fmt.Sscanf(m[1], "%d", &idx)
-	}
-	return idx
 }
 
 func listSegments(dir string) ([]string, error) {
@@ -513,16 +476,6 @@ func (l *Log) lastSyncErrLocked() error {
 	return nil
 }
 
-// Sync forces an fsync of the active segment regardless of policy.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return errors.New("walog: sync on closed log")
-	}
-	return l.syncLocked()
-}
-
 // syncLoop is the FsyncIntervalPolicy background syncer.
 func (l *Log) syncLoop() {
 	defer close(l.syncDone)
@@ -544,8 +497,8 @@ func (l *Log) syncLoop() {
 	}
 }
 
-// rotateLocked seals the active segment (final sync + close), records
-// it in the manifest, and opens the next one.
+// rotateLocked seals the active segment (final sync + close) and opens
+// the next one.
 func (l *Log) rotateLocked() error {
 	if err := l.syncLocked(); err != nil {
 		return err
@@ -553,23 +506,18 @@ func (l *Log) rotateLocked() error {
 	if err := l.f.Close(); err != nil {
 		return fmt.Errorf("walog: closing sealed segment: %w", err)
 	}
-	l.sealed = append(l.sealed, SegmentInfo{Name: l.segName, Frames: l.segFrames, Bytes: l.segBytes})
-	next := l.segIndex + 1
-	name := segmentName(next)
+	// The active segment is number len(l.sealed)+1; the next follows it.
+	name := segmentName(len(l.sealed) + 2)
 	f, err := createSegment(filepath.Join(l.opts.Dir, name))
 	if err != nil {
-		return err
-	}
-	if err := writeManifest(l.opts.Dir, l.sealed); err != nil {
-		closeQuiet(f)
 		return err
 	}
 	if err := syncDir(l.opts.Dir); err != nil {
 		closeQuiet(f)
 		return err
 	}
+	l.sealed = append(l.sealed, l.segName)
 	l.f = f
-	l.segIndex = next
 	l.segName = name
 	l.segFrames = 0
 	l.segBytes = int64(len(Magic))
@@ -628,20 +576,13 @@ func (l *Log) Bytes() int64 {
 	return l.bytes
 }
 
-// Dir returns the log directory.
-func (l *Log) Dir() string { return l.opts.Dir }
-
 // ReadAll streams every frame in sequence order through fn. It reads
 // from the files the writer already recovered, so it must run before
 // concurrent appends begin (drevald replays before serving ingest).
 // fn's error aborts the scan and is returned.
 func (l *Log) ReadAll(fn func(seq uint64, payload []byte) error) error {
 	l.mu.Lock()
-	segs := make([]string, 0, len(l.sealed)+1)
-	for _, s := range l.sealed {
-		segs = append(segs, s.Name)
-	}
-	segs = append(segs, l.segName)
+	segs := append(slices.Clone(l.sealed), l.segName)
 	max := l.opts.MaxFrameBytes
 	dir := l.opts.Dir
 	l.mu.Unlock()

@@ -96,7 +96,7 @@ func TestEmptyPayloadAndZeroLengthFrames(t *testing.T) {
 	}
 }
 
-func TestRotationAndManifest(t *testing.T) {
+func TestRotation(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments: each payload forces a rotation after the first.
 	l, _ := mustOpen(t, Options{Dir: dir, SegmentBytes: 64})
@@ -105,8 +105,8 @@ func TestRotationAndManifest(t *testing.T) {
 			t.Fatalf("Append %d: %v", i, err)
 		}
 	}
-	if s := l.Segments(); s < 5 {
-		t.Fatalf("Segments() = %d, want several after rotation", s)
+	if s := l.Segments(); s != 10 {
+		t.Fatalf("Segments() = %d, want 10 after rotation", s)
 	}
 	if got := collect(t, l); len(got) != 10 {
 		t.Fatalf("read %d frames, want 10", len(got))
@@ -114,19 +114,24 @@ func TestRotationAndManifest(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-
-	m, ok, err := readManifest(dir)
-	if err != nil || !ok {
-		t.Fatalf("readManifest: ok=%v err=%v", ok, err)
+	// The segment files are the whole log.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(m.Sealed) != 9 { // 10 segments, last one active
-		t.Fatalf("manifest sealed = %d, want 9", len(m.Sealed))
+	for i, e := range entries {
+		if want := segmentName(i + 1); e.Name() != want {
+			t.Fatalf("directory entry %d is %s, want %s: only segments", i, e.Name(), want)
+		}
+	}
+	if len(entries) != 10 {
+		t.Fatalf("directory holds %d files, want the 10 segments", len(entries))
 	}
 
-	// Reopen: everything recovers, manifest agrees.
+	// Reopen: everything recovers.
 	l2, rec := mustOpen(t, Options{Dir: dir, SegmentBytes: 64})
 	defer l2.Close()
-	if rec.Frames != 10 || !rec.ManifestOK || rec.TruncatedBytes != 0 {
+	if rec.Frames != 10 || rec.Segments != 10 || rec.TruncatedBytes != 0 {
 		t.Fatalf("recovery = %+v", rec)
 	}
 	if got := collect(t, l2); len(got) != 10 {
@@ -134,6 +139,33 @@ func TestRotationAndManifest(t *testing.T) {
 	}
 	if l2.Seq() != 10 {
 		t.Fatalf("Seq() = %d, want 10", l2.Seq())
+	}
+}
+
+// TestOpenIgnoresOldManifest: a directory an older build wrote still
+// holds its sealed-segment index, here a stale one, and perhaps that
+// index's temp file, torn; recovery reads only the segments.
+func TestOpenIgnoresOldManifest(t *testing.T) {
+	dir := sealedLog(t, 3)
+	old := `{
+  "version": 1,
+  "sealed": [
+    {"name": "wal-00000001.seg", "frames": 1, "bytes": 56}
+  ]
+}
+`
+	for name, data := range map[string]string{"MANIFEST.json": old, "MANIFEST.json.tmp": old[:20]} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l, rec := mustOpen(t, Options{Dir: dir, SegmentBytes: 64})
+	defer l.Close()
+	if rec.Frames != 3 || rec.Segments != 3 || rec.TruncatedBytes != 0 {
+		t.Fatalf("recovery = %+v, want 3 frames in 3 segments", rec)
+	}
+	if got := collect(t, l); len(got) != 3 || string(got[2]) != fmt.Sprintf("%040d", 2) {
+		t.Fatalf("recovered %q", got)
 	}
 }
 
@@ -294,67 +326,96 @@ func TestSealedSegmentCorruptionFailsOpen(t *testing.T) {
 	}
 }
 
-func TestManifestMismatchReported(t *testing.T) {
+// sealedLog appends frames 40-byte payloads to a fresh directory of
+// 64-byte segments, one frame per segment, closes the log and returns
+// the directory.
+func sealedLog(t *testing.T, frames int) string {
+	t.Helper()
 	dir := t.TempDir()
 	l, _ := mustOpen(t, Options{Dir: dir, SegmentBytes: 64})
-	for i := 0; i < 6; i++ {
-		if _, err := l.Append(make([]byte, 40)); err != nil {
-			t.Fatalf("Append: %v", err)
+	for i := 0; i < frames; i++ {
+		if _, err := l.Append([]byte(fmt.Sprintf("%040d", i))); err != nil {
+			t.Fatalf("Append %d: %v", i, err)
 		}
+	}
+	if l.Segments() != frames {
+		t.Fatalf("want %d segments, got %d", frames, l.Segments())
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	// Stale manifest claiming no sealed segments: the scan must win and
-	// flag the disagreement.
-	if err := writeManifest(dir, nil); err != nil {
-		t.Fatal(err)
-	}
-	l2, rec := mustOpen(t, Options{Dir: dir, SegmentBytes: 64})
-	defer l2.Close()
-	if rec.ManifestOK {
-		t.Fatal("ManifestOK = true for a stale manifest")
-	}
-	if rec.Frames != 6 {
-		t.Fatalf("recovered %d frames, want 6", rec.Frames)
-	}
-	// Open rewrites the manifest from the scan.
-	m, ok, err := readManifest(dir)
-	if err != nil || !ok {
-		t.Fatalf("readManifest after repair: ok=%v err=%v", ok, err)
-	}
-	if !manifestMatches(m, l2.sealed) {
-		t.Fatal("manifest not repaired from scan")
+	return dir
+}
+
+// TestMissingSealedSegmentFailsOpen: nothing deletes a segment, so a
+// gap in the numbers is lost acked frames. Open must name it and keep
+// failing, never recover the shorter log.
+func TestMissingSealedSegmentFailsOpen(t *testing.T) {
+	for _, missing := range []int{1, 2} {
+		t.Run(segmentName(missing), func(t *testing.T) {
+			dir := sealedLog(t, 3)
+			if err := os.Remove(filepath.Join(dir, segmentName(missing))); err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("walog: segment %s is missing before %s", segmentName(missing), segmentName(missing+1))
+			for try := 0; try < 2; try++ {
+				if _, _, err := Open(Options{Dir: dir, SegmentBytes: 64}); err == nil || err.Error() != want {
+					t.Fatalf("Open %d with %s removed: %v, want %q", try, segmentName(missing), err, want)
+				}
+			}
+		})
 	}
 }
 
-func TestGarbageManifestIgnored(t *testing.T) {
-	dir := t.TempDir()
-	l, _ := mustOpen(t, Options{Dir: dir})
-	if _, err := l.Append([]byte("a")); err != nil {
-		t.Fatalf("Append: %v", err)
+// TestTornSegmentHeaderRecovered: a rotation that stopped between
+// creating the next segment and making its magic durable leaves a last
+// segment holding a prefix of the magic. Open makes that segment again,
+// keeps every acked frame, and the log appends on.
+func TestTornSegmentHeaderRecovered(t *testing.T) {
+	for _, header := range []string{"", Magic[:3]} {
+		t.Run(fmt.Sprintf("%q", header), func(t *testing.T) {
+			dir := sealedLog(t, 3)
+			torn := filepath.Join(dir, segmentName(4))
+			if err := os.WriteFile(torn, []byte(header), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			l, rec := mustOpen(t, Options{Dir: dir, SegmentBytes: 64})
+			if rec.Frames != 3 || rec.Segments != 4 || rec.TruncatedBytes != int64(len(header)) {
+				t.Fatalf("recovery = %+v, want 3 frames, 4 segments, %d bytes truncated", rec, len(header))
+			}
+			res, err := l.Append([]byte("after"))
+			if err != nil {
+				t.Fatalf("Append after recovery: %v", err)
+			}
+			if res.Seq != 3 || res.Segment != segmentName(4) {
+				t.Fatalf("Append after recovery = %+v, want seq 3 in %s", res, segmentName(4))
+			}
+			if err := l.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			l2, rec := mustOpen(t, Options{Dir: dir, SegmentBytes: 64})
+			defer l2.Close()
+			got := collect(t, l2)
+			if rec.Frames != 4 || rec.TruncatedBytes != 0 || len(got) != 4 || string(got[3]) != "after" {
+				t.Fatalf("reopen = %+v with frames %q, want the 3 acked and \"after\"", rec, got)
+			}
+		})
 	}
-	if err := l.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("{not json"), 0o644); err != nil {
+	// Only the last segment can be mid-rotation: a sealed one cut back
+	// to a magic prefix lost acked frames.
+	dir := sealedLog(t, 3)
+	if err := os.WriteFile(filepath.Join(dir, segmentName(2)), []byte(Magic[:3]), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l2, rec := mustOpen(t, Options{Dir: dir})
-	defer l2.Close()
-	if rec.Frames != 1 {
-		t.Fatalf("recovered %d frames, want 1", rec.Frames)
+	if _, _, err := Open(Options{Dir: dir, SegmentBytes: 64}); !errors.Is(err, errTornHeader) {
+		t.Fatalf("Open with a sealed segment cut to its magic prefix: %v, want a torn header error", err)
 	}
 }
 
 func TestFsyncPolicies(t *testing.T) {
-	for _, s := range []string{"always", "interval", "never"} {
-		p, err := ParseFsyncPolicy(s)
-		if err != nil {
-			t.Fatalf("ParseFsyncPolicy(%q): %v", s, err)
-		}
-		if p.String() != s {
-			t.Fatalf("round-trip %q -> %q", s, p.String())
+	for s, want := range map[string]FsyncPolicy{"always": FsyncAlways, "interval": FsyncIntervalPolicy, "never": FsyncNever} {
+		if p, err := ParseFsyncPolicy(s); err != nil || p != want {
+			t.Fatalf("ParseFsyncPolicy(%q) = %v, %v, want %v", s, p, err, want)
 		}
 	}
 	if _, err := ParseFsyncPolicy("bogus"); err == nil {
@@ -369,9 +430,6 @@ func TestFsyncPolicies(t *testing.T) {
 	}
 	if res.Synced {
 		t.Fatal("FsyncNever append reported Synced")
-	}
-	if err := l.Sync(); err != nil { // explicit sync still works
-		t.Fatalf("Sync: %v", err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -414,16 +472,21 @@ func TestConcurrentAppends(t *testing.T) {
 func TestScanSegmentEmptyFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal-00000001.seg")
-	if err := os.WriteFile(path, []byte("JUNKJUNK"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ScanSegment(path, 1<<20); err == nil {
-		t.Fatal("ScanSegment accepted a file with bad magic")
-	}
-	if err := os.WriteFile(path, []byte(Magic[:4]), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ScanSegment(path, 1<<20); err == nil {
-		t.Fatal("ScanSegment accepted a short-magic file")
+	for _, tc := range []struct {
+		data string
+		torn bool
+	}{
+		{"JUNKJUNK", false},
+		{"JUNK", false},
+		{"", true},
+		{Magic[:4], true},
+	} {
+		if err := os.WriteFile(path, []byte(tc.data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sc, err := ScanSegment(path, 1<<20)
+		if err == nil || errors.Is(err, errTornHeader) != tc.torn || sc.TotalBytes != int64(len(tc.data)) {
+			t.Fatalf("ScanSegment(%q) = %+v, %v; want an error, torn header %v", tc.data, sc, err, tc.torn)
+		}
 	}
 }

@@ -2,6 +2,8 @@ package traceio
 
 import (
 	"bytes"
+	"math"
+	"math/bits"
 	"strconv"
 
 	"drnet/internal/core"
@@ -28,8 +30,9 @@ type EvalOptions struct {
 }
 
 // DecodeEvalView decodes an EvalRequest body in one pass into a view
-// keyed by FlatContext.Key. The returned request carries the policy and
-// options; its Trace is nil, because the view holds the records.
+// keyed by bitsKey, which groups contexts exactly as FlatContext.Key
+// does. The returned request carries the policy and options; its Trace
+// is nil, because the view holds the records.
 //
 // It is the fast path of a body the caller would otherwise hand to
 // encoding/json (DisallowUnknownFields, then Trace.Validate and
@@ -44,17 +47,18 @@ type EvalOptions struct {
 // column and dictionary.
 //
 // A record costs one map lookup on its raw feature text, to the body's
-// slot for that context, one on its decision label, and two number
-// parses; it is staged into the columns of a core.Run, which a fresh
-// builder adopts in one AppendRun. So allocations grow with distinct
-// contexts and labels, not with records.
+// slot for that context, one on its decision label, and a parse of its
+// reward and of its propensity; its features are parsed only at their
+// text's first sighting. It is staged into the columns of a core.Run,
+// which a fresh builder adopts in one AppendRun. So allocations grow
+// with distinct contexts and labels, not with records.
 func DecodeEvalView(body []byte) (*EvalRequest, *core.TraceView[FlatContext, string], bool) {
 	s := newEvalScanner(body, nil)
 	var req EvalRequest
 	if !s.request(&req) || len(s.run.Rewards) == 0 {
 		return nil, nil, false
 	}
-	vb := core.NewViewBuilderKeyed[FlatContext, string](FlatContext.Key)
+	vb := core.NewViewBuilderKeyed[FlatContext, string](bitsKey)
 	if vb.AppendRun(&s.run) != nil {
 		return nil, nil, false
 	}
@@ -387,8 +391,9 @@ func (s *evalScanner) str() ([]byte, bool) {
 
 // number scans a strict JSON number into the float64 that
 // strconv.ParseFloat, and so encoding/json, gives its text; out-of-range
-// values fail. A short decimal takes the exact path (decimal.float),
-// and any other text goes to ParseFloat.
+// values fail. A decimal of at most 19 digits with a moderate exponent
+// takes an exact step (decimal.float), and any other text goes to
+// ParseFloat.
 func (s *evalScanner) number() (float64, bool) {
 	raw, d, ok := s.numberText()
 	if !ok {
@@ -422,30 +427,80 @@ type decimal struct {
 	neg bool
 }
 
-// pow10 holds the powers of ten a float64 represents exactly.
-var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
-	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+// pow10 holds the powers of ten a float64 represents exactly, and
+// pow10u those a uint64 does.
+var (
+	pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+		1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+	pow10u = [...]uint64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+		1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+)
 
-// float returns d's value when one IEEE 754 operation gives it. A
-// mantissa below 2^53 converts to float64 exactly, and so does every
-// power of ten up to 10^22, so m·10^exp and m/10^-exp are one multiply
-// or divide of exact operands, rounded once to nearest even: the
-// correctly rounded value, which is what strconv.ParseFloat returns
-// (its own atof64exact takes this path). Any other d reports false.
-// The conversions keep the compiler from fusing the operation with
-// the caller's arithmetic.
+// float returns d's value, rounded correctly as strconv.ParseFloat
+// rounds it, when one of two exact steps gives it; any other d reports
+// false. A mantissa below 2^53 converts to float64 exactly, and so does
+// every power of ten up to 10^22, so within exponents of ±22 the value
+// is one IEEE multiply or divide, rounded once to nearest even
+// (ParseFloat's own atof64exact); the conversions keep the compiler
+// from fusing it with the caller's arithmetic. A mantissa of 2^53 or
+// more, up to 19 digits, within exponents of ±19 takes wide.
 func (d decimal) float() (float64, bool) {
-	if d.nd > 19 || d.m >= 1<<53 || d.exp < -22 || d.exp > 22 {
+	var f float64
+	switch {
+	case d.nd > 19:
+		return 0, false
+	case d.m < 1<<53 && d.exp >= -22 && d.exp <= 22:
+		f = float64(d.m)
+		if d.exp < 0 {
+			f = float64(f / pow10[-d.exp])
+		} else {
+			f = float64(f * pow10[d.exp])
+		}
+	case d.m >= 1<<53 && d.exp >= -19 && d.exp <= 19:
+		f = d.wide()
+	default:
 		return 0, false
 	}
-	f := float64(d.m)
 	if d.neg {
 		f = -f
 	}
-	if d.exp < 0 {
-		return float64(f / pow10[-d.exp]), true
+	return f, true
+}
+
+// wide is float's 128-bit step, for m ≥ 2^53 and an exponent within
+// ±19: m·10^exp exactly, or the quotient of m·2^64 by 10^-exp, which
+// is at least 54 bits wide, times 2^-64 with the remainder as a sticky
+// bit, rounded once to 53 bits, nearest even. Every such value is a
+// normal float64, so scaling by a power of two is exact.
+func (d decimal) wide() float64 {
+	// The value is hi:lo·2^scale, plus less than 2^scale when sticky.
+	var hi, lo uint64
+	var sticky bool
+	scale := 0
+	if d.exp >= 0 {
+		hi, lo = bits.Mul64(d.m, pow10u[d.exp])
+	} else {
+		p := pow10u[-d.exp]
+		q, r := bits.Div64(0, d.m, p)
+		lo, r = bits.Div64(r, 0, p)
+		hi, sticky, scale = q, r != 0, -64
 	}
-	return float64(f * pow10[d.exp]), true
+	// Shift the top bit to bit 127: bits 127 to 75 are the mantissa,
+	// bit 74 the rounding bit, and any bit below it is sticky.
+	n := bits.LeadingZeros64(hi)
+	if hi == 0 {
+		n = 64 + bits.LeadingZeros64(lo)
+	}
+	if n >= 64 {
+		hi, lo = lo<<(n-64), 0
+	} else {
+		hi, lo = hi<<n|lo>>(64-n), lo<<n
+	}
+	mant := hi >> 11
+	if hi&(1<<10) != 0 && (mant&1 != 0 || hi&(1<<10-1) != 0 || lo != 0 || sticky) {
+		mant++
+	}
+	return math.Ldexp(float64(mant), 75+scale-n)
 }
 
 // numberText scans -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?,

@@ -11,8 +11,15 @@ import (
 )
 
 // evalBody marshals an n-record request over a fixed population of
-// distinct three-feature contexts, labelled with several-byte decisions.
+// distinct three-feature contexts, labelled with several-byte decisions,
+// with rewards drawn by rng.Float64: about a third of them print with a
+// mantissa of 2^53 or more, which only the 128-bit number step takes.
 func evalBody(t testing.TB, n, contexts int) []byte {
+	return evalBodyWith(t, n, contexts, (*rand.Rand).Float64)
+}
+
+// evalBodyWith is evalBody with rewards drawn by reward.
+func evalBodyWith(t testing.TB, n, contexts int, reward func(*rand.Rand) float64) []byte {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1))
 	labels := []string{"cdn-alpha", "cdn-beta", "cdn-gamma"}
@@ -22,7 +29,7 @@ func evalBody(t testing.TB, n, contexts int) []byte {
 		recs[i] = FlatRecord{
 			Features:   []float64{float64(c%10) / 4, float64(c/10%10) / 4, float64(c / 100)},
 			Decision:   labels[rng.Intn(len(labels))],
-			Reward:     rng.Float64(),
+			Reward:     reward(rng),
 			Propensity: 0.7,
 		}
 	}
@@ -47,11 +54,34 @@ func TestDecodeEvalViewAllocsPerContext(t *testing.T) {
 	}
 	small, large := allocs(8000), allocs(16000)
 	t.Logf("allocations: %.0f for 8000 records, %.0f for 16000", small, large)
-	if raceEnabled {
-		t.Skip("FlatContext.Key runs json.Marshal once per distinct context, and under the race detector its encoder-state sync.Pool drops a random quarter of what is put back, so the counts swing by up to 2%")
-	}
 	if large > small*1.01 {
 		t.Fatalf("16000 records allocate %.0f times, 8000 records %.0f: more than 1%% growth", large, small)
+	}
+}
+
+// BenchmarkDecodeEvalView times the request decode layer alone on an
+// 8,000-record body over 1,000 contexts, with rewards drawn by
+// rng.Float64 (some take the 128-bit number step) or with three
+// decimals (none reach it).
+func BenchmarkDecodeEvalView(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		reward func(*rand.Rand) float64
+	}{
+		{"float64-rewards", (*rand.Rand).Float64},
+		{"short-decimals", func(rng *rand.Rand) float64 { return float64(rng.Intn(1000)) / 1000 }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			body := evalBodyWith(b, 8000, 1000, c.reward)
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, ok := DecodeEvalView(body); !ok {
+					b.Fatal("fast path refused a canonical body")
+				}
+			}
+		})
 	}
 }
 

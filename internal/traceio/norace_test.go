@@ -3,5 +3,5 @@
 package traceio
 
 // raceEnabled reports whether the tests run under the race detector,
-// whose sync.Pool drops a random quarter of the objects put back.
+// which slows a long single-goroutine loop without checking more.
 const raceEnabled = false

@@ -2,6 +2,7 @@ package traceio
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -35,12 +36,20 @@ func TestNumberMatchesParseFloat(t *testing.T) {
 		"0", "-0", "-0.0", "0e5", "-0e5", "0.0e-30", "1", "-1", "0.5", "0.1", "0.7", "0.15",
 		// The exact powers of ten end at 10^22.
 		"1e22", "1e23", "1e-22", "1e-23", "-1e22", "5e22", "5e-22", "1.5e22", "0.1e23",
-		// The exact mantissas end at 2^53.
+		// The one-operation step's mantissas end at 2^53, the 128-bit
+		// step's exponents at ±19.
 		"9007199254740991", "9007199254740992", "9007199254740993", "-9007199254740993",
 		"900719925474099.3", "9007199254740993e-1", "9007199254740992e22", "9007199254740993e-22",
+		"9007199254740993e19", "9007199254740993e20", "9007199254740993e-19", "9007199254740993e-20",
+		"9999999999999999999e19", "9999999999999999999e-19", "1000000000000000000e-19",
+		// A division's remainder alone lifts this one off a tie.
+		"16295.501081243655e-7",
 		// 17 and more significant digits.
 		"0.30000000000000004", "0.12345678901234567", "0.1234567890123456789", "1.2345678901234567e-5",
 		"1234567890123456789", "12345678901234567890", "123456789012345678901234567890", "99999999999999999999e-20",
+		// Halfway between two float64s: only round-half-even gets these.
+		"4503599627370496.5", "4503599627370497.5", "18014398509481990", "18014398509481986",
+		"-4503599627370496.5", "9007199254740995",
 		// Leading fraction zeros.
 		"0.001", "0.0000000000000000000001", "0.00000000000000000000001", "0.00000000000000000001234",
 		"0.000000000000000000000000000000000000001e30", "0.00001e27",
@@ -78,22 +87,44 @@ func TestNumberMatchesParseFloat(t *testing.T) {
 			m = m[:dot] + "." + m[dot:]
 		}
 		checkNumber(t, m+"e"+strconv.Itoa(rng.Intn(61)-30))
+		checkNumber(t, midpoint(rng))
 	}
 }
 
-// TestNumberExactPathTakesShortDecimals: the spellings request bodies
-// mostly carry (propensities, quarter-step features, rewards of at most
-// 16 significant digits) take the exact path, and the rest fall back.
-// A dead exact path would still match ParseFloat's bits, so
+// midpoint draws the exact decimal halfway between a random float64
+// in [2^48, 2^64) and the next one up: 16 to 20 significant digits, so
+// the 128-bit step sees ties, and ParseFloat the 20-digit ones.
+func midpoint(rng *rand.Rand) string {
+	f := math.Ldexp(1+rng.Float64(), 48+rng.Intn(16))
+	m, e := math.Frexp(f)
+	// f = mant·2^(e-53), and the midpoint is (2·mant+1)·2^(e-54).
+	mant := new(big.Int).SetUint64(uint64(math.Ldexp(m, 53)))
+	mid := mant.Lsh(mant, 1).Add(mant, big.NewInt(1))
+	k := e - 54
+	if k >= 0 {
+		return mid.Lsh(mid, uint(k)).String()
+	}
+	// (2·mant+1)/2^-k is (2·mant+1)·5^-k over 10^-k.
+	digits := mid.Mul(mid, new(big.Int).Exp(big.NewInt(5), big.NewInt(int64(-k)), nil)).String()
+	return digits[:len(digits)+k] + "." + digits[len(digits)+k:]
+}
+
+// TestNumberExactStepsTakeUpTo19Digits: the spellings request bodies
+// carry (propensities, quarter-step features, rewards of up to 19
+// significant digits) take an exact step, and the rest fall back. A
+// dead exact step would still match ParseFloat's bits, so
 // TestNumberMatchesParseFloat alone cannot tell.
-func TestNumberExactPathTakesShortDecimals(t *testing.T) {
+func TestNumberExactStepsTakeUpTo19Digits(t *testing.T) {
 	for _, c := range []struct {
 		text  string
 		exact bool
 	}{
 		{"0.7", true}, {"0.15", true}, {"2.25", true}, {"0", true}, {"-0.5", true}, {"1e22", true},
 		{"0.3456789012345678", true}, {"-0.04503599627370495", true},
-		{"0.30000000000000004", false}, {"9007199254740993", false}, {"1e23", false}, {"4.9e-324", false},
+		{"0.30000000000000004", true}, {"9007199254740993", true}, {"1234567890123456789", true},
+		{"9999999999999999999e-19", true}, {"-0.12345678901234567", true},
+		{"12345678901234567890", false}, {"9007199254740993e-20", false}, {"9007199254740993e20", false},
+		{"1e23", false}, {"4.9e-324", false},
 	} {
 		s := evalScanner{buf: []byte(c.text)}
 		_, d, ok := s.numberText()

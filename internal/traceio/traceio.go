@@ -12,6 +12,7 @@
 package traceio
 
 import (
+	"encoding/binary"
 	"encoding/csv"
 	"encoding/json"
 	"errors"
@@ -256,6 +257,24 @@ func (c FlatContext) Key() string {
 	}
 	//lint:allow hotalloc once per distinct context: decoders memoise the key and views intern by it
 	b, _ := json.Marshal(c.Features)
+	return string(b)
+}
+
+// bitsKey keys the contexts of a request's own view (DecodeEvalView)
+// by each feature's float64 bits, eight little-endian bytes apiece,
+// built on the stack for up to eight features: one allocation, for the
+// string, where Key runs json.Marshal. It groups vectors exactly as Key
+// does: both are injective on finite vectors, tell -0 from +0 and give
+// nil and empty vectors one key, so a view keyed by either has the same
+// codes and dictionaries. Every other keyed builder keeps Key: the
+// stream's, whose keys knownContext matches against raw /ingest text,
+// and the reference path's, which the fast path is checked against.
+func bitsKey(c FlatContext) string {
+	var buf [64]byte
+	b := buf[:0]
+	for _, f := range c.Features {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+	}
 	return string(b)
 }
 

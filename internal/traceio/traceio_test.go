@@ -2,6 +2,7 @@ package traceio
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strconv"
 	"strings"
@@ -154,6 +155,30 @@ func TestToCoreAndKey(t *testing.T) {
 	}
 	if tr[1].Context.Key() == k1 {
 		t.Fatal("distinct contexts share a key")
+	}
+}
+
+// TestBitsKeyGroupsAsKey: two vectors share a bitsKey exactly when they
+// share a Key, so a request view keyed by bits has the reference view's
+// codes: -0 and 0 differ, nil and empty agree, and so does every
+// spelling that parses to the same bits.
+func TestBitsKeyGroupsAsKey(t *testing.T) {
+	vecs := [][]float64{nil, {}, {0}, {math.Copysign(0, -1)}, {0, 0}, {1, 2}, {2, 1}, {1, 2, 0},
+		{0.1}, {math.Nextafter(0.1, 1)}, {math.MaxFloat64}, {-math.MaxFloat64}, {5e-324}, {-5e-324}, {1e22, 1e23}}
+	for _, f := range []string{"0.1", "1e-1", "0.10000000000000000555", "1", "1.0", "1e0", "2", "2.0"} {
+		v, err := strconv.ParseFloat(f, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vecs = append(vecs, []float64{v}, []float64{v, 2})
+	}
+	for _, a := range vecs {
+		for _, b := range vecs {
+			ca, cb := FlatContext{Features: a}, FlatContext{Features: b}
+			if (bitsKey(ca) == bitsKey(cb)) != (ca.Key() == cb.Key()) {
+				t.Errorf("%v and %v: bitsKey equal %v, Key equal %v", a, b, bitsKey(ca) == bitsKey(cb), ca.Key() == cb.Key())
+			}
+		}
 	}
 }
 

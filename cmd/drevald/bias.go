@@ -96,8 +96,10 @@ func (s *server) observeBias(ctx context.Context, id string, ev *core.Evaluation
 	return &sum, nil
 }
 
+// biasConfig clips at -fallback-clip, so a report's clipped mass is
+// the weight mass the degraded fallback discards.
 func (s *server) biasConfig() biasobs.Config {
-	return biasobs.Config{Windows: s.cfg.biasWindows, DriftThreshold: s.cfg.biasDriftThreshold}
+	return biasobs.Config{Windows: s.cfg.biasWindows, DriftThreshold: s.cfg.biasDriftThreshold, Clip: s.cfg.fallbackClip}
 }
 
 // publishBias makes report the one /debug/bias, /healthz biasGrade and

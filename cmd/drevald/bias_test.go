@@ -108,6 +108,41 @@ func TestDebugBiasServesLastReport(t *testing.T) {
 	}
 }
 
+// TestDebugBiasClipsAtFallbackClip: the report clips where the
+// degraded fallback clips, so its clipped mass is the weight mass the
+// fallback discards. constant:b weighs every b record 1/p(b) = 7.5,
+// under the default clip of 10 and past a clip of 5.
+func TestDebugBiasClipsAtFallbackClip(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct{ clip, wantMass float64 }{{10, 0}, {5, 1}} {
+		_, srv := startTest(t, func(c *config) { c.fallbackClip = tc.clip })
+		eval := post(t, srv, "/evaluate", evalRequest{Trace: testTraceJSON(t, false), Policy: "constant:b"})
+		eval.Body.Close()
+		if eval.StatusCode != http.StatusOK {
+			t.Fatalf("-fallback-clip %g: evaluate status %d", tc.clip, eval.StatusCode)
+		}
+		code, body := getBody(t, srv, "/debug/bias")
+		if code != http.StatusOK {
+			t.Fatalf("-fallback-clip %g: /debug/bias status %d: %s", tc.clip, code, body)
+		}
+		var br struct {
+			Clip    float64               `json:"clip"`
+			Windows []biasobs.WindowStats `json:"windows"`
+		}
+		if err := json.Unmarshal([]byte(body), &br); err != nil {
+			t.Fatal(err)
+		}
+		if br.Clip != tc.clip || len(br.Windows) == 0 {
+			t.Fatalf("-fallback-clip %g: report clip %g over %d windows", tc.clip, br.Clip, len(br.Windows))
+		}
+		for _, w := range br.Windows {
+			if w.ClipMassFrac != tc.wantMass {
+				t.Fatalf("-fallback-clip %g: window %d clipMassFrac %g, want %g", tc.clip, w.Index, w.ClipMassFrac, tc.wantMass)
+			}
+		}
+	}
+}
+
 func TestDiagnoseCarriesTraceHealth(t *testing.T) {
 	t.Parallel()
 	s, srv := startTest(t, nil)

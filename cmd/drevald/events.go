@@ -78,13 +78,13 @@ func (s *server) registerEventMetrics() {
 	s.reg.Help("drevald_slo_budget_remaining", "Unspent error-budget fraction over the longest window, per objective (negative = overspent).")
 	obs.RegisterLossCounter(s.reg, "drevald_events_emitted_total",
 		"Wide events emitted by completed requests (before tail sampling).",
-		func() (uint64, bool) { return s.journal.Stats().Emitted, true })
+		func() uint64 { return s.journal.Stats().Emitted })
 	obs.RegisterLossCounter(s.reg, "drevald_events_sampled_out_total",
 		"Healthy wide events dropped by tail-biased sampling (-events-sample).",
-		func() (uint64, bool) { return s.journal.Stats().SampledOut, true })
+		func() uint64 { return s.journal.Stats().SampledOut })
 	obs.RegisterLossCounter(s.reg, "drevald_events_sink_dropped_total",
 		"Wide-event JSONL lines dropped because the -events-out queue was full.",
-		func() (uint64, bool) { return s.journal.SinkDropped(), true })
+		func() uint64 { return s.journal.SinkDropped() })
 	s.reg.RegisterSampler(func() {
 		for _, o := range s.slo.Eval().Objectives {
 			st, _ := slo.ParseStateName(o.State)

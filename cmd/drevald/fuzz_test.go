@@ -7,7 +7,11 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"drnet/internal/core"
@@ -178,7 +182,7 @@ func FuzzDecodeIngest(f *testing.F) {
 		if !ok {
 			return
 		}
-		ref, _, err := decodeIngestBody(data, nil)
+		ref, _, err := decodeIngestBody(data)
 		if err != nil {
 			t.Fatalf("fast path accepted a body the reference path rejects: %v", err)
 		}
@@ -199,6 +203,78 @@ func FuzzDecodeIngest(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestFuzzCorpusNamesMatchPath reads every checked-in entry of the two
+// differential fuzzers' corpora and requires its name to say which path
+// the body takes: an accept- entry (and an /ingest miss- entry, whose
+// spellings miss the known-text lookup and are parsed) is taken by the
+// fast path, a fallback- entry is handed back to the reference path.
+func TestFuzzCorpusNamesMatchPath(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		fuzzer string
+		fast   func(body []byte) bool
+		// prefixes maps each entry-name prefix to whether the fast
+		// path must take the body.
+		prefixes map[string]bool
+	}{
+		{
+			fuzzer:   "FuzzDecodeEvalView",
+			fast:     func(body []byte) bool { _, _, ok := decodeEvalFast(body); return ok },
+			prefixes: map[string]bool{"accept": true, "fallback": false},
+		},
+		{
+			fuzzer: "FuzzDecodeIngest",
+			fast: func(body []byte) bool {
+				_, ok := traceio.DecodeIngest(body, seededIngestBuilder(t))
+				return ok
+			},
+			prefixes: map[string]bool{"accept": true, "miss": true, "fallback": false},
+		},
+	} {
+		dir := filepath.Join("testdata", "fuzz", tc.fuzzer)
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) == 0 {
+			t.Fatalf("%s: empty corpus", dir)
+		}
+		for _, e := range entries {
+			name := tc.fuzzer + "/" + e.Name()
+			prefix, _, _ := strings.Cut(e.Name(), "-")
+			wantFast, known := tc.prefixes[prefix]
+			if !known {
+				t.Errorf("%s: prefix %q names no path", name, prefix)
+				continue
+			}
+			if got := tc.fast(readCorpusEntry(t, filepath.Join(dir, e.Name()))); got != wantFast {
+				t.Errorf("%s: fast path took it = %v, want %v", name, got, wantFast)
+			}
+		}
+	}
+}
+
+// readCorpusEntry decodes a "go test fuzz v1" corpus file holding one
+// []byte value.
+func readCorpusEntry(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, value, _ := strings.Cut(strings.TrimSpace(string(data)), "\n")
+	inner, ok := strings.CutPrefix(value, "[]byte(")
+	inner, ok2 := strings.CutSuffix(inner, ")")
+	if header != "go test fuzz v1" || !ok || !ok2 {
+		t.Fatalf("%s: not a one-[]byte corpus entry", path)
+	}
+	s, err := strconv.Unquote(inner)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return []byte(s)
 }
 
 // sameRecords compares two decoded batches field by field, floats by

@@ -519,19 +519,15 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, erro
 	return buf.Bytes(), err
 }
 
-// bodyError answers a request body that could not be read or decoded.
+// bodyError answers a request body that readBody could not read
+// whole: 413 when it exceeds the route's limit, 400 otherwise.
 func bodyError(w http.ResponseWriter, err error) {
-	httpError(w, bodyStatus(err), "invalid request body: "+err.Error())
-}
-
-// bodyStatus is the status of a body that could not be read or
-// decoded: 413 when it exceeds the route's limit, 400 otherwise.
-func bodyStatus(err error) int {
+	status := http.StatusBadRequest
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
-		return http.StatusRequestEntityTooLarge
+		status = http.StatusRequestEntityTooLarge
 	}
-	return http.StatusBadRequest
+	httpError(w, status, "invalid request body: "+err.Error())
 }
 
 // decodeRequest decodes an /evaluate or /diagnose body. An empty trace

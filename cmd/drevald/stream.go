@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -383,14 +382,18 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !eng.serving(w) {
 		return
 	}
-	body, readErr := readBody(w, r, s.cfg.ingestMaxBytes)
+	body, err := readBody(w, r, s.cfg.ingestMaxBytes)
+	if err != nil {
+		bodyError(w, err)
+		return
+	}
 	var status int
 	batch, err := timed(r.Context(), "ingest_decode", func() (batch *traceio.IngestBatch, err error) {
 		// Decoding stays off the engine lock. The builder field is set
 		// once; its Known takes the builder's own lock, and a code it
 		// reports stays valid because the builder only grows.
 		//lint:allow lockguard the builder pointer never changes and the builder locks itself
-		batch, status, err = decodeIngest(body, readErr, eng.builder)
+		batch, status, err = decodeIngest(body, eng.builder)
 		return batch, err
 	})
 	if err != nil {
@@ -416,34 +419,25 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, ack)
 }
 
-// decodeIngest turns an /ingest body into a staged batch, or into the
-// status and error to refuse it with. A whole body goes to
-// traceio.DecodeIngest first, resolving known contexts against vb.
-// Any body it hands back, and any body readBody could not read whole
-// (readErr), takes the reference path, decodeIngestBody.
-func decodeIngest(body []byte, readErr error, vb *core.ViewBuilder[traceio.FlatContext, string]) (*traceio.IngestBatch, int, error) {
-	if readErr == nil {
-		if batch, ok := traceio.DecodeIngest(body, vb); ok {
-			return batch, http.StatusOK, nil
-		}
+// decodeIngest turns a whole /ingest body into a staged batch, or into
+// the status and error to refuse it with. The body goes to
+// traceio.DecodeIngest first, resolving known contexts against vb;
+// any body it hands back takes the reference path, decodeIngestBody.
+func decodeIngest(body []byte, vb *core.ViewBuilder[traceio.FlatContext, string]) (*traceio.IngestBatch, int, error) {
+	if batch, ok := traceio.DecodeIngest(body, vb); ok {
+		return batch, http.StatusOK, nil
 	}
-	return decodeIngestBody(body, readErr)
+	return decodeIngestBody(body)
 }
 
 // decodeIngestBody is the reference path: encoding/json, then
-// ValidateFinite and Trace.Validate. It reads the buffered bytes
-// followed by readErr, which is how it would have met them reading the
-// request itself, so its codes and texts are the ones /ingest has
-// always answered: 400 malformed, 413 oversized, 400 empty, 422
-// invalid with the record index.
-func decodeIngestBody(body []byte, readErr error) (*traceio.IngestBatch, int, error) {
-	var src io.Reader = bytes.NewReader(body)
-	if readErr != nil {
-		src = io.MultiReader(src, failedRead{readErr})
-	}
+// ValidateFinite and Trace.Validate, with the codes and texts /ingest
+// has always answered: 400 malformed, 400 empty, 422 invalid with the
+// record index.
+func decodeIngestBody(body []byte) (*traceio.IngestBatch, int, error) {
 	var req ingestRequest
-	if err := decodeStrict(src, &req); err != nil {
-		return nil, bodyStatus(err), fmt.Errorf("invalid request body: %w", err)
+	if err := decodeStrict(bytes.NewReader(body), &req); err != nil {
+		return nil, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err)
 	}
 	if len(req.Records) == 0 {
 		return nil, http.StatusBadRequest, errors.New("empty batch")
@@ -456,12 +450,6 @@ func decodeIngestBody(body []byte, readErr error) (*traceio.IngestBatch, int, er
 	}
 	return &traceio.IngestBatch{Records: req.Records}, http.StatusOK, nil
 }
-
-// failedRead is a reader that fails with err: after a body's buffered
-// bytes, it replays the read that failed there.
-type failedRead struct{ err error }
-
-func (f failedRead) Read([]byte) (int, error) { return 0, f.err }
 
 // streamMetaJSON is the metadata block every streamed response
 // carries: which aggregate answered, how many records it covers and

@@ -372,6 +372,24 @@ func TestIngestErrorSurface(t *testing.T) {
 		}
 	})
 
+	t.Run("oversized malformed 413", func(t *testing.T) {
+		// A body past the limit is refused before it is decoded, even
+		// when the kept prefix is already malformed, as on /evaluate.
+		s, srv := startTest(t, func(c *config) { c.walDir, c.ingestMaxBytes = t.TempDir(), 64 })
+		resp := postRawWithID(t, srv, "/ingest", "ing-big", []byte("{nope"+strings.Repeat(" ", 100)))
+		var buf bytes.Buffer
+		_, _ = buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		const want = `{"error":"invalid request body: http: request body too large"}`
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || strings.TrimSpace(buf.String()) != want {
+			t.Fatalf("status %d %s, want 413 %s", resp.StatusCode, buf.String(), want)
+		}
+		ev := findEvent(s.journal.Events(), "ing-big")
+		if ev == nil || ev.Status != http.StatusRequestEntityTooLarge || ev.Error != "status 413" || ev.FailedPhase != "" {
+			t.Fatalf("event %+v, want status 413 with the middleware's error and no failed phase", ev)
+		}
+	})
+
 	t.Run("invalid record 422", func(t *testing.T) {
 		bad := []traceio.FlatRecord{{Decision: "a", Reward: 1, Propensity: 0}}
 		resp := post(t, srv, "/ingest", ingestRequest{Records: bad})

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	drevallint [-json] [-checks nondet,obshygiene] [patterns]
+//	drevallint [-sarif] [-checks nondet,obshygiene] [patterns]
 //
 // Exit code 0 means clean, 1 means findings, 2 means a package failed
 // to load (analysis still ran best-effort on what parsed).

@@ -190,10 +190,9 @@ func run(w io.Writer, which string, runs int, seed int64, parallel int) error {
 // runAll executes the selected experiments — up to parallel of them
 // concurrently — renders the results to w in declaration order, and
 // returns a manifest of what ran and how long each phase took. Each
-// experiment is timed as an obs span (obs_span_seconds{span="<id>"})
-// and logged through expLog. Once ctx ends, experiments that have not
-// yet started are skipped and runAll returns ctx's error after the
-// in-flight ones finish.
+// experiment is timed on the wall clock and logged through expLog.
+// Once ctx ends, experiments that have not yet started are skipped and
+// runAll returns ctx's error after the in-flight ones finish.
 func runAll(ctx context.Context, w io.Writer, which string, runs int, seed int64, concurrent int) (*runManifest, error) {
 	all := []struct {
 		id string
@@ -281,10 +280,9 @@ func runAll(ctx context.Context, w io.Writer, which string, runs int, seed int64
 				j := jobs[i]
 				expLog.Info("experiment start", "id", j.id, "runs", runs, "seed", seed)
 				mw := startMemWatch()
-				sp := obs.StartSpan(j.id)
+				t0 := time.Now()
 				res, err := j.fn(runs, seed)
-				//lint:allow obshygiene End's duration is the recorded wall time, so it must run inline
-				d := sp.End()
+				d := time.Since(t0)
 				peakHeap, gcCycles, allocs := mw.end()
 				results[i] = outcome{
 					res: res, err: err, seconds: d.Seconds(),

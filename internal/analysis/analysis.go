@@ -105,15 +105,16 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // Diagnostic is one finding, suppression already NOT applied (the
 // runner filters suppressed findings before returning them).
 type Diagnostic struct {
-	Pos     token.Position `json:"-"`
-	File    string         `json:"file"`
-	Line    int            `json:"line"`
-	Col     int            `json:"col"`
-	Check   string         `json:"check"`
-	Message string         `json:"message"`
+	Pos     token.Position
+	File    string
+	Line    int
+	Col     int
+	Check   string
+	Message string
 }
 
-// fill populates the flattened position fields used for JSON output.
+// fill populates the flattened position fields that String and SARIF
+// read.
 func (d *Diagnostic) fill() {
 	d.File = d.Pos.Filename
 	d.Line = d.Pos.Line

@@ -14,26 +14,16 @@ import (
 // prevents collisions with scrape-time relabeling.
 var metricNameRE = regexp.MustCompile(`^(drevald|obs|go)_[a-z0-9_]+$`)
 
-// eventFieldRE is the wide-event annotation naming contract: custom
-// fields attached via Builder.Annotate must be lowerCamel, like the
-// canonical Event fields they sit beside in the flat JSON object —
-// /debug/events filters and downstream JSONL consumers key on exact
-// field names, so one casing convention is load-bearing.
-var eventFieldRE = regexp.MustCompile(`^[a-z][a-zA-Z0-9]*$`)
-
 // ObsHygiene enforces the telemetry contracts that keep the
 // observability layer trustworthy: metric names must match
 // ^(drevald|obs|go)_[a-z0-9_]+$ and be non-empty, Help registrations
 // must carry a non-empty description, logger key=value calls must have
-// even arity (an odd tail becomes !BADKEY noise), Span.End must be
-// deferred so panics and early returns still record the span, and
-// wide-event Annotate field names must be non-empty lowerCamel so they
-// sit consistently beside the canonical Event fields.
+// even arity (an odd tail becomes !BADKEY noise), and Span.End must be
+// deferred so panics and early returns still record the span.
 var ObsHygiene = &analysis.Analyzer{
 	Name: "obshygiene",
 	Doc: "metric-name policy (incl. empty name/help strings), odd-arity " +
-		"key=value logger calls, non-deferred Span.End, and wide-event " +
-		"Annotate field naming",
+		"key=value logger calls, and non-deferred Span.End",
 	Run: runObsHygiene,
 }
 
@@ -76,17 +66,6 @@ func runObsHygiene(pass *analysis.Pass) {
 				if start, ok := loggerKVMethods[method]; ok && !call.Ellipsis.IsValid() {
 					if kv := len(call.Args) - start; kv > 0 && kv%2 != 0 {
 						pass.Reportf(call.Pos(), "%s call has %d key=value args (odd): the dangling value logs as !BADKEY — pair every key with a value", method, kv)
-					}
-				}
-			case namedFrom(recv, "internal/wideevent", "Builder"):
-				if method == "Annotate" {
-					if name, ok := constStringArg(pass.Info, call, 0); ok {
-						switch {
-						case name == "":
-							pass.Reportf(call.Args[0].Pos(), "empty wide-event field name: the annotation serializes under \"\" and no /debug/events filter can address it — give it a lowerCamel name")
-						case !eventFieldRE.MatchString(name):
-							pass.Reportf(call.Args[0].Pos(), "wide-event field name %q violates the lowerCamel contract ^[a-z][a-zA-Z0-9]*$; custom annotations sit beside the canonical fields in one flat JSON object, so they share its casing", name)
-						}
 					}
 				}
 			case namedFrom(recv, "internal/obs", "Span"):

@@ -7,7 +7,6 @@ import (
 	"log/slog"
 
 	"drnet/internal/obs"
-	"drnet/internal/wideevent"
 )
 
 func metricNames() {
@@ -60,14 +59,3 @@ func allowedInline() {
 }
 
 func use(*obs.Span) {}
-
-func eventAnnotations(b *wideevent.Builder, key string) {
-	b.Annotate("retryCount", "3")  // lowerCamel: fine
-	b.Annotate("cacheHit", "true") // lowerCamel: fine
-	b.Annotate("snake_case", "v")  // want "violates the lowerCamel contract"
-	b.Annotate("UpperCamel", "v")  // want "violates the lowerCamel contract"
-	b.Annotate("kebab-case", "v")  // want "violates the lowerCamel contract"
-	b.Annotate("", "v")            // want "empty wide-event field name"
-	b.Annotate(key, "v")           // non-constant name is unknowable statically: fine
-	b.SetPolicy("constant:c")      // canonical setters are not Annotate: fine
-}

@@ -5,13 +5,11 @@
 package lintmain
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"go/scanner"
 	"go/types"
 	"io"
-	"os"
 	"strings"
 
 	"drnet/internal/analysis"
@@ -30,22 +28,15 @@ const (
 func Run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("drevallint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "emit machine-readable JSON (findings + load errors + exit code)")
 	sarifOut := fs.Bool("sarif", false, "emit SARIF 2.1.0 to stdout (for code-scanning upload)")
 	list := fs.Bool("list", false, "list analyzers and exit")
 	only := fs.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	dir := fs.String("dir", ".", "directory inside the module to resolve patterns from")
-	baselinePath := fs.String("baseline", "", "baseline file: frozen findings are filtered out, only regressions remain")
-	writeBaseline := fs.String("write-baseline", "", "write current findings to this baseline file and exit clean")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: drevallint [flags] [patterns]\n\nAnalyzes the module's packages (default pattern ./...) with the repo's\ninvariant checks. Suppress a finding with //lint:allow <check> <reason>\non or directly above the flagged line.\n\nFlags:\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
-		return ExitLoadError
-	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintf(stderr, "drevallint: -json and -sarif are mutually exclusive\n")
 		return ExitLoadError
 	}
 
@@ -101,41 +92,6 @@ func Run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	findings := analysis.Run(pkgs, selected)
-	root := loader.ModuleRoot()
-
-	if *writeBaseline != "" {
-		data, err := analysis.WriteBaseline(findings, root)
-		if err != nil {
-			fmt.Fprintf(stderr, "drevallint: %v\n", err)
-			return ExitLoadError
-		}
-		if err := os.WriteFile(*writeBaseline, data, 0o644); err != nil {
-			fmt.Fprintf(stderr, "drevallint: %v\n", err)
-			return ExitLoadError
-		}
-		fmt.Fprintf(stdout, "drevallint: wrote %d findings to baseline %s\n", len(findings), *writeBaseline)
-		if len(loadErrs) > 0 {
-			for _, d := range loadErrs {
-				fmt.Fprintf(stderr, "%s\n", d)
-			}
-			return ExitLoadError
-		}
-		return ExitClean
-	}
-
-	if *baselinePath != "" {
-		data, err := os.ReadFile(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "drevallint: %v\n", err)
-			return ExitLoadError
-		}
-		bl, err := analysis.ParseBaseline(data)
-		if err != nil {
-			fmt.Fprintf(stderr, "drevallint: %v\n", err)
-			return ExitLoadError
-		}
-		findings = bl.Filter(findings, root)
-	}
 
 	code := ExitClean
 	if len(findings) > 0 {
@@ -146,7 +102,7 @@ func Run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *sarifOut {
-		data, err := analysis.SARIF(findings, selected, root)
+		data, err := analysis.SARIF(findings, selected, loader.ModuleRoot())
 		if err != nil {
 			fmt.Fprintf(stderr, "drevallint: %v\n", err)
 			return ExitLoadError
@@ -157,24 +113,6 @@ func Run(args []string, stdout, stderr io.Writer) int {
 		for _, d := range loadErrs {
 			fmt.Fprintf(stderr, "%s\n", d)
 		}
-		return code
-	}
-
-	if *jsonOut {
-		out := struct {
-			Findings   []analysis.Diagnostic `json:"findings"`
-			LoadErrors []analysis.Diagnostic `json:"loadErrors"`
-			Exit       int                   `json:"exit"`
-		}{findings, loadErrs, code}
-		if out.Findings == nil {
-			out.Findings = []analysis.Diagnostic{}
-		}
-		if out.LoadErrors == nil {
-			out.LoadErrors = []analysis.Diagnostic{}
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(out)
 		return code
 	}
 
@@ -194,7 +132,7 @@ func Run(args []string, stdout, stderr io.Writer) int {
 
 // errDiags converts loader errors (scanner error lists, type errors,
 // plain errors) into position-bearing diagnostics under the "load"
-// check, so JSON consumers see one shape for everything.
+// check, so load errors print in the findings' shape.
 func errDiags(err error) []analysis.Diagnostic {
 	switch e := err.(type) {
 	case scanner.ErrorList:

@@ -3,7 +3,6 @@ package lintmain_test
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -59,57 +58,23 @@ func TestExitLoadErrorOnBrokenPackage(t *testing.T) {
 	}
 }
 
-func TestJSONOutput(t *testing.T) {
-	code, stdout, _ := run(t, "-json", findingsPat)
-	if code != lintmain.ExitFindings {
-		t.Fatalf("exit = %d, want %d", code, lintmain.ExitFindings)
-	}
-	var got struct {
-		Findings []struct {
-			File    string `json:"file"`
-			Line    int    `json:"line"`
-			Col     int    `json:"col"`
-			Check   string `json:"check"`
-			Message string `json:"message"`
-		} `json:"findings"`
-		LoadErrors []json.RawMessage `json:"loadErrors"`
-		Exit       int               `json:"exit"`
-	}
-	if err := json.Unmarshal([]byte(stdout), &got); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, stdout)
-	}
-	if got.Exit != lintmain.ExitFindings {
-		t.Errorf("json exit = %d, want %d", got.Exit, lintmain.ExitFindings)
-	}
-	if len(got.Findings) == 0 {
-		t.Fatal("json findings empty; want the gosafety diagnostic")
-	}
-	f := got.Findings[0]
-	if f.Check != "gosafety" || f.Line == 0 || !strings.HasSuffix(f.File, "bad.go") {
-		t.Errorf("unexpected finding: %+v", f)
-	}
-	if got.LoadErrors == nil {
-		t.Error("loadErrors must serialize as [] rather than null")
-	}
-}
-
-func TestJSONCleanRun(t *testing.T) {
-	code, stdout, _ := run(t, "-json", cleanPat)
-	if code != lintmain.ExitClean {
-		t.Fatalf("exit = %d, want %d", code, lintmain.ExitClean)
-	}
-	var got struct {
-		Findings []json.RawMessage `json:"findings"`
-		Exit     int               `json:"exit"`
-	}
-	if err := json.Unmarshal([]byte(stdout), &got); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, stdout)
-	}
-	if got.Findings == nil {
-		t.Error("findings must serialize as [] rather than null")
-	}
-	if got.Exit != lintmain.ExitClean {
-		t.Errorf("json exit = %d, want 0", got.Exit)
+// TestRemovedFlagsAreUsageErrors pins the flag set: a finding is
+// accepted only by //lint:allow, and SARIF is the one machine-readable
+// output, so -json, -baseline and -write-baseline are unknown flags.
+func TestRemovedFlagsAreUsageErrors(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "lint-baseline.json")
+	for _, args := range [][]string{
+		{"-json", cleanPat},
+		{"-baseline", file, cleanPat},
+		{"-write-baseline", file, cleanPat},
+	} {
+		code, stdout, stderr := run(t, args...)
+		if code != lintmain.ExitLoadError {
+			t.Errorf("%v: exit = %d, want %d\nstdout: %s", args, code, lintmain.ExitLoadError, stdout)
+		}
+		if want := "flag provided but not defined: " + args[0]; !strings.Contains(stderr, want) {
+			t.Errorf("%v: stderr should say %q, got: %s", args, want, stderr)
+		}
 	}
 }
 
@@ -182,54 +147,6 @@ func TestSARIFOutput(t *testing.T) {
 	uri := results[0].Locations[0].PhysicalLocation.ArtifactLocation.URI
 	if uri != "internal/analysis/lintmain/testdata/findings/bad.go" {
 		t.Errorf("uri = %q, want module-root-relative slashed path", uri)
-	}
-}
-
-func TestSARIFJSONMutuallyExclusive(t *testing.T) {
-	code, _, stderr := run(t, "-json", "-sarif", cleanPat)
-	if code != lintmain.ExitLoadError {
-		t.Fatalf("exit = %d, want %d", code, lintmain.ExitLoadError)
-	}
-	if !strings.Contains(stderr, "mutually exclusive") {
-		t.Errorf("stderr should explain the conflict, got: %s", stderr)
-	}
-}
-
-// TestBaselineFlagRoundTrip drives the CLI adoption flow end to end:
-// freeze the findings fixture's diagnostics, then re-lint against the
-// frozen file — the run must exit clean because every finding is
-// pre-existing debt, not a regression.
-func TestBaselineFlagRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "baseline.json")
-
-	code, stdout, stderr := run(t, "-write-baseline", path, findingsPat)
-	if code != lintmain.ExitClean {
-		t.Fatalf("write-baseline exit = %d, want %d\nstderr: %s", code, lintmain.ExitClean, stderr)
-	}
-	if !strings.Contains(stdout, "wrote 1 findings") {
-		t.Errorf("stdout should report the frozen count, got: %s", stdout)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("baseline file not written: %v", err)
-	}
-
-	code, stdout, stderr = run(t, "-baseline", path, findingsPat)
-	if code != lintmain.ExitClean {
-		t.Fatalf("baseline-filtered exit = %d, want %d\nstdout: %s\nstderr: %s", code, lintmain.ExitClean, stdout, stderr)
-	}
-
-	// Without the baseline the same fixture still fails — the filter is
-	// opt-in per run, not sticky state.
-	code, _, _ = run(t, findingsPat)
-	if code != lintmain.ExitFindings {
-		t.Fatalf("unfiltered exit = %d, want %d", code, lintmain.ExitFindings)
-	}
-}
-
-func TestBaselineMissingFileIsLoadError(t *testing.T) {
-	code, _, stderr := run(t, "-baseline", filepath.Join(t.TempDir(), "nope.json"), cleanPat)
-	if code != lintmain.ExitLoadError {
-		t.Fatalf("exit = %d, want %d\nstderr: %s", code, lintmain.ExitLoadError, stderr)
 	}
 }
 

@@ -100,8 +100,7 @@ func NewLoader(dir string) (*Loader, error) {
 func (l *Loader) Fset() *token.FileSet { return l.fset }
 
 // ModuleRoot returns the absolute directory containing go.mod; SARIF
-// and baseline fingerprints are rooted here so they stay stable across
-// checkouts.
+// file URIs are rooted here so they stay stable across checkouts.
 func (l *Loader) ModuleRoot() string { return l.moduleRoot }
 
 // Load expands the given patterns — "./...", "./dir/...", "./dir", or

@@ -5,8 +5,7 @@ package analysis
 // byte-stable: rules sorted by check name, results in the runner's
 // deterministic diagnostic order, file URIs module-root-relative under
 // the %SRCROOT% base, and json.MarshalIndent with fixed struct field
-// order. Byte-stability is tested (TestSARIFDeterministic) because CI
-// diffs consecutive uploads to detect new findings.
+// order. Byte-stability is tested (TestSARIFDeterministic).
 
 import (
 	"encoding/json"

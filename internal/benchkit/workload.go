@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"drnet/internal/core"
+	"drnet/internal/mathx"
 	"drnet/internal/traceio"
 	"drnet/internal/wideevent"
 )
@@ -62,13 +63,7 @@ type splitmix uint64
 
 func (s *splitmix) next() uint64 {
 	*s += 0x9e3779b97f4a7c15
-	z := uint64(*s)
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return z
+	return mathx.SplitMix64(uint64(*s))
 }
 
 func (s *splitmix) float64() float64 {

@@ -38,9 +38,12 @@ import (
 	"drnet/internal/parallel"
 )
 
-// Defaults for Config fields left zero. DefaultClip matches drevald's
-// fallback clipped-SNIPS cap so "clipped mass" on /debug/bias measures
-// exactly the weight mass the degraded fallback would discard.
+// DefaultWindows and DefaultClip are the defaults for Config fields
+// left zero. DefaultClip is drevald's default -fallback-clip, and
+// drevald passes that flag as Clip, so "clipped mass" on /debug/bias
+// measures exactly the weight mass the degraded fallback would
+// discard. DefaultBuckets is the size of every report's propensity
+// calibration table over (0,1].
 const (
 	DefaultWindows = 8
 	DefaultClip    = 10.0
@@ -84,28 +87,22 @@ const (
 const checkEvery = 8192
 
 // Config parameterizes a bias-observatory run. The zero value is
-// usable: every field defaults as documented.
+// usable: every field defaults as documented. The rest is fixed: the
+// drift detector's reference regime is the first max(2, Windows/4)
+// windows, which are never tested for drift, its CUSUM slack is
+// changepoint.DefaultKappa σ, and the calibration table has
+// DefaultBuckets buckets; the Report echoes the warmup and slack.
 type Config struct {
 	// Windows is the number of equal-width index windows the trace is
 	// sliced into (default DefaultWindows, clamped to the trace length
 	// so every window holds at least one record).
 	Windows int
-	// Warmup is how many leading windows calibrate the drift detector's
-	// reference regime (default Windows/4, at least 2). Windows inside
-	// the warmup are never tested for drift.
-	Warmup int
-	// Kappa is the CUSUM slack in σ units (default
-	// changepoint.DefaultKappa).
-	Kappa float64
 	// DriftThreshold is the CUSUM decision threshold h in σ units
 	// (default changepoint.DefaultThreshold).
 	DriftThreshold float64
 	// Clip is the importance-weight cap used for the clipped-mass
 	// statistic (default DefaultClip).
 	Clip float64
-	// Buckets is the number of propensity-calibration buckets over
-	// (0,1] (default DefaultBuckets).
-	Buckets int
 	// Workers bounds the worker pool for the per-window pass (0 means
 	// the shared pool default). The report is bit-identical at every
 	// value.
@@ -119,23 +116,11 @@ func (c Config) withDefaults(n int) Config {
 	if c.Windows > n {
 		c.Windows = n
 	}
-	if c.Warmup <= 0 {
-		c.Warmup = c.Windows / 4
-	}
-	if c.Warmup < 2 {
-		c.Warmup = 2
-	}
-	if c.Kappa <= 0 {
-		c.Kappa = changepoint.DefaultKappa
-	}
 	if c.DriftThreshold <= 0 {
 		c.DriftThreshold = changepoint.DefaultThreshold
 	}
 	if c.Clip <= 0 {
 		c.Clip = DefaultClip
-	}
-	if c.Buckets <= 0 {
-		c.Buckets = DefaultBuckets
 	}
 	return c
 }
@@ -296,6 +281,7 @@ func ComputeEval[C any, D comparable](ctx context.Context, e *core.Evaluation[C,
 		return nil, err
 	}
 	cfg = cfg.withDefaults(n)
+	warmup := max(2, cfg.Windows/4)
 	numCtx, k := v.NumContexts(), v.NumDecisions()
 
 	windows, err := parallel.TimesCtx(ctx, cfg.Windows, cfg.Workers, func(wi int) (WindowStats, error) {
@@ -307,12 +293,12 @@ func ComputeEval[C any, D comparable](ctx context.Context, e *core.Evaluation[C,
 		return nil, err
 	}
 
-	calibration, err := calibrate(ctx, v, k, cfg.Buckets)
+	calibration, err := calibrate(ctx, v, k, DefaultBuckets)
 	if err != nil {
 		return nil, err
 	}
 
-	alarms, err := detect(windows, cfg)
+	alarms, err := detect(windows, warmup, cfg.DriftThreshold)
 	if err != nil {
 		return nil, err
 	}
@@ -322,8 +308,8 @@ func ComputeEval[C any, D comparable](ctx context.Context, e *core.Evaluation[C,
 		NumContexts:    numCtx,
 		NumDecisions:   k,
 		WindowCount:    cfg.Windows,
-		Warmup:         cfg.Warmup,
-		Kappa:          cfg.Kappa,
+		Warmup:         warmup,
+		Kappa:          changepoint.DefaultKappa,
 		DriftThreshold: cfg.DriftThreshold,
 		Clip:           cfg.Clip,
 		Windows:        windows,
@@ -460,9 +446,10 @@ func calibrate[C any, D comparable](ctx context.Context, v *core.TraceView[C, D]
 	return out, nil
 }
 
-// detect runs the CUSUM over the reward-mean and ESS-ratio series and
-// merges the firings in (window, series) order.
-func detect(windows []WindowStats, cfg Config) ([]Alarm, error) {
+// detect runs the CUSUM over the reward-mean and ESS-ratio series,
+// with the first warmup windows as the reference regime, and merges
+// the firings in (window, series) order.
+func detect(windows []WindowStats, warmup int, threshold float64) ([]Alarm, error) {
 	rewardMeans := make([]float64, len(windows))
 	essRatios := make([]float64, len(windows))
 	for i, w := range windows {
@@ -477,10 +464,10 @@ func detect(windows []WindowStats, cfg Config) ([]Alarm, error) {
 		{SeriesESSRatio, essRatios},
 		{SeriesRewardMean, rewardMeans},
 	} {
-		if len(series.xs) <= cfg.Warmup {
+		if len(series.xs) <= warmup {
 			continue
 		}
-		shifts, err := changepoint.DetectShifts(series.xs, cfg.Warmup, cfg.Kappa, cfg.DriftThreshold)
+		shifts, err := changepoint.DetectShifts(series.xs, warmup, changepoint.DefaultKappa, threshold)
 		if err != nil {
 			return nil, fmt.Errorf("biasobs: drift detection on %s: %w", series.name, err)
 		}

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"drnet/internal/changepoint"
 	"drnet/internal/core"
 	"drnet/internal/mathx"
 )
@@ -247,6 +248,34 @@ func TestCalibrationDetectsMisstatedPropensities(t *testing.T) {
 	}
 	if math.Abs(hit.Gap+0.3) > 1e-12 {
 		t.Fatalf("gap = %g, want -0.3", hit.Gap)
+	}
+}
+
+// TestReportEchoesFixedSettings pins the settings Config does not
+// expose: the warmup is max(2, windows/4) of the windows actually cut,
+// the CUSUM slack is changepoint.DefaultKappa and the calibration
+// table has DefaultBuckets buckets, and a zero Config gets the default
+// threshold and clip.
+func TestReportEchoesFixedSettings(t *testing.T) {
+	for _, tc := range []struct{ n, windows, wantWindows, wantWarmup int }{
+		{2000, 0, DefaultWindows, 2},
+		{2000, 20, 20, 5},
+		{2000, 4, 4, 2},
+		{3, 20, 3, 2},
+	} {
+		r, err := Compute(mustView(t, stationaryTrace(tc.n, 4, 0.5, 0.05, 1)), uniformAB(), Config{Windows: tc.windows})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.WindowCount != tc.wantWindows || r.Warmup != tc.wantWarmup {
+			t.Errorf("n=%d windows=%d: got %d windows, warmup %d; want %d, %d", tc.n, tc.windows, r.WindowCount, r.Warmup, tc.wantWindows, tc.wantWarmup)
+		}
+		if r.Kappa != changepoint.DefaultKappa || r.DriftThreshold != changepoint.DefaultThreshold || r.Clip != DefaultClip {
+			t.Errorf("n=%d windows=%d: kappa %g, threshold %g, clip %g; want the defaults", tc.n, tc.windows, r.Kappa, r.DriftThreshold, r.Clip)
+		}
+		if len(r.Calibration) != DefaultBuckets {
+			t.Errorf("n=%d windows=%d: %d calibration buckets, want %d", tc.n, tc.windows, len(r.Calibration), DefaultBuckets)
+		}
 	}
 }
 

@@ -44,6 +44,17 @@ func NewPCG(seed, stream uint64) *RNG {
 	return &RNG{Rand: rand.New(pcgSource{randv2.NewPCG(seed, stream)})}
 }
 
+// SplitMix64 is the SplitMix64 generator's output mix: a bijection on
+// uint64 that scatters consecutive inputs across the whole 64-bit
+// space. It keeps no state; a caller that wants a stream adds the
+// generator's increment 0x9e3779b97f4a7c15 to its own state per draw.
+// Deterministic, not cryptographic.
+func SplitMix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
 // Normal samples N(mu, sigma²).
 func (r *RNG) Normal(mu, sigma float64) float64 {
 	return mu + sigma*r.NormFloat64()

@@ -124,3 +124,15 @@ func TestCategoricalZeroWeightProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSplitMix64ReferenceStream checks the mix against the first
+// outputs of the reference SplitMix64 generator seeded with 0.
+func TestSplitMix64ReferenceStream(t *testing.T) {
+	var state uint64
+	for i, want := range []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f} {
+		state += 0x9e3779b97f4a7c15
+		if got := SplitMix64(state); got != want {
+			t.Fatalf("output %d = %#x, want %#x", i, got, want)
+		}
+	}
+}

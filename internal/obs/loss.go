@@ -9,22 +9,16 @@ import "sync/atomic"
 // matters: a zero reading is the healthy signal operators alert on
 // disappearing.
 //
-// read returns the source's current cumulative count and whether a
-// source exists right now. When it reports false the sampler leaves
-// both the counter and its memory of the last reading untouched, so a
-// source that disappears and later returns does not double-count. A
-// source replaced by a fresh one (lower cumulative count) simply
-// pauses the counter until the new count catches up — counters must
-// never go backwards.
-func RegisterLossCounter(reg *Registry, name, help string, read func() (uint64, bool)) {
+// read returns the source's current cumulative count. A source
+// replaced by a fresh one (lower cumulative count) simply pauses the
+// counter until the new count catches up — counters must never go
+// backwards.
+func RegisterLossCounter(reg *Registry, name, help string, read func() uint64) {
 	reg.Help(name, help)
 	lost := reg.Counter(name)
 	var last atomic.Uint64
 	reg.RegisterSampler(func() {
-		cur, ok := read()
-		if !ok {
-			return
-		}
+		cur := read()
 		prev := last.Swap(cur)
 		if cur > prev {
 			lost.Add(cur - prev)

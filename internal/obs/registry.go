@@ -6,8 +6,8 @@
 // weight tails, zero-support counts (§4.1) — continuously instead of
 // once per response.
 //
-// The package depends only on the standard library and is safe for
-// concurrent use throughout. Instrumentation must never perturb
+// The package depends only on the standard library and internal/mathx
+// and is safe for concurrent use throughout. Instrumentation must never perturb
 // results: nothing here draws randomness from the evaluation RNG
 // streams, and every metric operation is a plain atomic on a cached
 // pointer, so the determinism guarantee of internal/parallel

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
+
+	"drnet/internal/mathx"
 )
 
 // spanSeconds is the family every span duration lands in, one series
@@ -154,11 +156,5 @@ var (
 // NewID returns a 16-hex-digit identifier, unique within the process
 // and varying across processes. Used for request and span IDs.
 func NewID() string {
-	x := idBase + idCounter.Add(1)*0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return fmt.Sprintf("%016x", x)
+	return fmt.Sprintf("%016x", mathx.SplitMix64(idBase+idCounter.Add(1)*0x9e3779b97f4a7c15))
 }

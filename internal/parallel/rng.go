@@ -28,7 +28,7 @@ func NewShardedRNG(seed int64) *ShardedRNG {
 // Shard returns a fresh RNG for shard i. Calling Shard(i) twice returns
 // two generators that produce identical sequences.
 func (s *ShardedRNG) Shard(i int) *mathx.RNG {
-	return mathx.NewPCG(s.seed, splitmix64(uint64(i)))
+	return mathx.NewPCG(s.seed, streamID(i))
 }
 
 // PCG returns a fresh copy of the generator Shard(i) wraps, for a
@@ -36,17 +36,14 @@ func (s *ShardedRNG) Shard(i int) *mathx.RNG {
 // math/rand's Source interface: PCG(i).Uint64() yields the values
 // Shard(i).Uint64() does.
 func (s *ShardedRNG) PCG(i int) *randv2.PCG {
-	return randv2.NewPCG(s.seed, splitmix64(uint64(i)))
+	return randv2.NewPCG(s.seed, streamID(i))
 }
 
-// splitmix64 scatters consecutive shard indices across the stream-id
+// streamID scatters consecutive shard indices across the stream-id
 // space so adjacent shards do not get adjacent PCG stream constants.
 // (SplitMix64 is the finalizer recommended for seeding PCG-family
 // generators; it is a bijection, so distinct shards keep distinct
 // streams.)
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+func streamID(i int) uint64 {
+	return mathx.SplitMix64(uint64(i) + 0x9e3779b97f4a7c15)
 }

@@ -25,6 +25,6 @@
 //     at a point is a pure function of (seed, point, n), so chaos
 //     tests are reproducible.
 //
-// The package depends only on the standard library and is safe for
-// concurrent use throughout.
+// The package depends only on the standard library and internal/mathx
+// and is safe for concurrent use throughout.
 package resilience

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
+
+	"drnet/internal/mathx"
 )
 
 // Canonical injection point names. Points are plain strings so layers
@@ -149,11 +151,10 @@ const latencySalt = 0xD1FA11CE
 
 // unit maps (stream, n) to a uniform value in [0, 1).
 func unit(stream, n uint64) float64 {
-	return float64(splitmix64(stream+n*0x9E3779B97F4A7C15)>>11) / (1 << 53)
+	return float64(mathx.SplitMix64(stream+(n+1)*0x9e3779b97f4a7c15)>>11) / (1 << 53)
 }
 
-// hashString is FNV-1a, inlined to keep the package stdlib-only and
-// the point hash stable across runs.
+// hashString is FNV-1a, so a point's hash is the same in every run.
 func hashString(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
@@ -161,14 +162,4 @@ func hashString(s string) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-// splitmix64 is the SplitMix64 finalizer, the same mix the parallel
-// package uses to derive RNG shards: a bijection that scatters
-// consecutive inputs across the full 64-bit space.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

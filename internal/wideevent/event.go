@@ -22,14 +22,14 @@ package wideevent
 
 import (
 	"context"
+	"strconv"
 	"time"
 )
 
 // Event is one completed request, flattened. Field names are the
 // canonical lowerCamel vocabulary shared by /debug/events filters,
-// the JSONL export and the SLO engine; dynamic annotations go through
-// Builder.Annotate into Extra under the same naming contract
-// (enforced by drevallint's obshygiene check).
+// the JSONL export and the SLO engine; every per-request fact has its
+// own typed field.
 type Event struct {
 	// Seq is the journal commit sequence (retention order); events
 	// sampled out never get one.
@@ -95,15 +95,12 @@ type Event struct {
 	// names the phase whose message it is.
 	Error       string `json:"error,omitempty"`
 	FailedPhase string `json:"failedPhase,omitempty"`
-
-	// Extra holds dynamic lowerCamel-keyed annotations.
-	Extra map[string]string `json:"extra,omitempty"`
 }
 
 // Field projects a named event field to its filter-language string
-// form. Unknown names fall through to Extra; absent values report
-// ok=false, so a filter on a field an event lacks simply fails to
-// match instead of erroring.
+// form. Unknown names and absent values report ok=false, so a filter
+// on a field an event lacks simply fails to match instead of
+// erroring.
 func (ev *Event) Field(name string) (value string, ok bool) {
 	switch name {
 	case "requestId":
@@ -111,7 +108,7 @@ func (ev *Event) Field(name string) (value string, ok bool) {
 	case "route":
 		return ev.Route, true
 	case "status":
-		return itoa(ev.Status), true
+		return strconv.Itoa(ev.Status), true
 	case "policy":
 		return ev.Policy, ev.Policy != ""
 	case "biasGrade":
@@ -121,20 +118,12 @@ func (ev *Event) Field(name string) (value string, ok bool) {
 	case "error":
 		return ev.Error, ev.Error != ""
 	case "streamed":
-		return boolString(ev.Streamed), true
+		return strconv.FormatBool(ev.Streamed), true
 	case "walSegment":
 		return ev.WALSegment, ev.WALSegment != ""
 	default:
-		v, ok := ev.Extra[name]
-		return v, ok
+		return "", false
 	}
-}
-
-func boolString(b bool) string {
-	if b {
-		return "true"
-	}
-	return "false"
 }
 
 // ctxKey carries the request's Builder through the context, so the
@@ -195,19 +184,6 @@ func (b *Builder) FailPhase(name, msg string) {
 		b.ev.Error = msg
 		b.ev.FailedPhase = name
 	}
-}
-
-// Annotate attaches one dynamic key=value to the event. Keys share
-// the canonical field namespace: non-empty lowerCamel, linted at the
-// call site by drevallint's obshygiene check.
-func (b *Builder) Annotate(key, value string) {
-	if b == nil {
-		return
-	}
-	if b.ev.Extra == nil {
-		b.ev.Extra = make(map[string]string, 4)
-	}
-	b.ev.Extra[key] = value
 }
 
 // SetPolicy records the request's policy spec.
@@ -297,42 +273,4 @@ func (b *Builder) Finish(status int) {
 	b.ev.Status = status
 	b.ev.DurationMs = b.j.now().Sub(b.start).Seconds() * 1000
 	b.j.emit(&b.ev)
-}
-
-// itoa is strconv.Itoa for the small positive ints events carry,
-// inlined to keep Field allocation-free for common statuses.
-func itoa(v int) string {
-	switch v {
-	case 200:
-		return "200"
-	case 400:
-		return "400"
-	case 422:
-		return "422"
-	case 429:
-		return "429"
-	case 500:
-		return "500"
-	case 503:
-		return "503"
-	}
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [12]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

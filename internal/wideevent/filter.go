@@ -16,10 +16,9 @@ const (
 )
 
 // Filter is the parsed /debug/events query: the small filter language
-// is `field=value` exact matches over the canonical event fields
-// (plus Extra keys), with three special keys — `minLatencyMs=` (total
-// duration at least), `degraded=true|false`, and `limit=` (most
-// recent N matches).
+// is `field=value` exact matches over the canonical event fields, with
+// three special keys — `minLatencyMs=` (total duration at least),
+// `degraded=true|false`, and `limit=` (most recent N matches).
 type Filter struct {
 	// Limit bounds the result to the most recent N matches (commit
 	// order preserved). 0 means DefaultQueryLimit.
@@ -35,9 +34,8 @@ type Filter struct {
 }
 
 // ParseFilter builds a Filter from URL query values. Unknown field
-// names are legal — they match against Extra annotations and simply
-// never match events that lack them; malformed values for the typed
-// keys are errors. The typed keys are checked in a fixed order —
+// names are legal — they match no event; malformed values for the
+// typed keys are errors. The typed keys are checked in a fixed order —
 // limit, minLatencyMs, degraded — so a query with several bad values
 // always names the same one.
 func ParseFilter(q url.Values) (Filter, error) {

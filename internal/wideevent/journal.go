@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"drnet/internal/mathx"
 )
 
 // Options configures a Journal.
@@ -175,13 +177,7 @@ func (j *Journal) keep(ev *Event) bool {
 // finalizer — the same generator the repo's synthetic workloads use,
 // chosen for determinism, not cryptography.
 func unitFloat(seed, n uint64) float64 {
-	z := seed + n*0x9e3779b97f4a7c15
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return float64(z>>11) / (1 << 53)
+	return float64(mathx.SplitMix64(seed+n*0x9e3779b97f4a7c15)>>11) / (1 << 53)
 }
 
 // Events returns the retained events in commit order (oldest first).

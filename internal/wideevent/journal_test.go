@@ -254,7 +254,6 @@ func TestNilSafety(t *testing.T) {
 	b := j.Begin("id", "/evaluate")
 	end := b.Phase("diagnose")
 	end()
-	b.Annotate("clip", "10")
 	b.SetRegime(1, 1, 0)
 	b.SetError("x")
 	b.Finish(200)
@@ -305,11 +304,7 @@ func TestFilterTable(t *testing.T) {
 	b.SetError("empty trace")
 	b.Finish(422)
 
-	// One synthetic slow event via a builder-free emit path: reuse a
-	// stepping clock journal would complicate the table, so mark it
-	// through Extra instead and filter on the annotation.
-	b = j.Begin("ann-1", "/diagnose")
-	b.Annotate("clip", "10")
+	b = j.Begin("diag-1", "/diagnose")
 	b.Finish(200)
 
 	cases := []struct {
@@ -317,19 +312,19 @@ func TestFilterTable(t *testing.T) {
 		query string
 		want  []string
 	}{
-		{"all", "", []string{"ok-1", "deg-1", "ing-1", "err-1", "ann-1"}},
+		{"all", "", []string{"ok-1", "deg-1", "ing-1", "err-1", "diag-1"}},
 		{"route", "route=/ingest", []string{"ing-1"}},
 		{"degradedTrue", "degraded=true", []string{"deg-1"}},
-		{"degradedFalse", "degraded=false", []string{"ok-1", "ing-1", "err-1", "ann-1"}},
+		{"degradedFalse", "degraded=false", []string{"ok-1", "ing-1", "err-1", "diag-1"}},
 		{"status", "status=422", []string{"err-1"}},
 		{"policy", "policy=constant:a", []string{"deg-1"}},
 		{"fallback", "fallbackEstimator=snips-clip", []string{"deg-1"}},
 		{"requestId", "requestId=ok-1", []string{"ok-1"}},
-		{"extraKey", "clip=10", []string{"ann-1"}},
+		{"extraKey", "clip=10", nil}, // a field no event has matches nothing
 		{"conjunction", "route=/evaluate&degraded=true", []string{"deg-1"}},
 		{"walSegment", "walSegment=wal-000001.seg", []string{"ing-1"}},
 		{"noMatch", "route=/nope", nil},
-		{"limit", "limit=2", []string{"err-1", "ann-1"}},
+		{"limit", "limit=2", []string{"err-1", "diag-1"}},
 		{"minLatency", "minLatencyMs=5", nil}, // fixed clock: every duration is 0
 	}
 	for _, tc := range cases {
